@@ -15,7 +15,7 @@ from itertools import combinations
 
 from .errors import ClassificationError, DomainError, ResourceError, ValidationError
 from .feasibility import solve_nonneg
-from .elements import GroupElement, ball, identity, weyl_part
+from .elements import GroupElement, from_word, weyl_part
 from .system import CoxeterSystem, Root
 
 
@@ -38,6 +38,8 @@ class BiclosedOracle:
         self._memo: dict[Root, bool] = {}
         self._tlen_memo: dict = {}
         self._classification = None
+        self._limit_set_cache: frozenset[Root] | None = None
+        self._complement_instance: Complement | None = None
 
     def member(self, rho: Root) -> bool:
         hit = self._memo.get(rho)
@@ -107,31 +109,10 @@ class HatForm(BiclosedOracle):
             raise DomainError("element belongs to a different system")
         if weyl_part(u) != u:
             raise ValidationError("hat-form element must lie in the finite Weyl subgroup")
-        d1 = frozenset(int(i) for i in delta1)
-        d2 = frozenset(int(i) for i in delta2)
-        k = system.rank_finite
-        if any(not 0 <= i < k for i in d1 | d2):
-            raise ValidationError("simple-root index out of range in hat form")
-        if d1 & d2:
-            raise ValidationError("hat-form subsets must be disjoint")
-        for i in d1:
-            for j in d2:
-                if system.form[i][j] != 0:
-                    raise ValidationError(
-                        f"hat-form subsets must be orthogonal; ({i},{j}) pair is not"
-                    )
         self.u = u
-        self.delta1 = d1
-        self.delta2 = d2
-        expanded = set()
-        for beta in system.positive_roots:
-            image = u.apply(beta)
-            if not _support(beta) <= d1:
-                expanded.add(image)
-            if _support(beta) <= d2:
-                expanded.add(image)
-                expanded.add(-image)
-        self.positive_system = frozenset(expanded)
+        self.delta1 = frozenset(int(i) for i in delta1)
+        self.delta2 = frozenset(int(i) for i in delta2)
+        self.positive_system = expand_psi(system, u, self.delta1, self.delta2)
 
     def _member(self, rho: Root) -> bool:
         return rho.fin() in self.positive_system
@@ -357,7 +338,10 @@ def is_separable(system: CoxeterSystem, oracle: BiclosedOracle,
 
 
 def expand_psi(system: CoxeterSystem, u: GroupElement, delta1, delta2) -> frozenset[Root]:
-    """The twisted positive system u((Φ⁺ ∖ R≥0Δ1) ∪ RΔ2∩Φ) in a finite system."""
+    """The twisted positive system u((Φ⁺ ∖ R≥0Δ1) ∪ RΔ2∩Φ) of the finite roots.
+
+    This is the one place that validates (u, Δ1, Δ2): the index sets must be
+    in range, disjoint and orthogonal to each other."""
     d1 = frozenset(int(i) for i in delta1)
     d2 = frozenset(int(i) for i in delta2)
     k = system.rank_finite
@@ -368,7 +352,9 @@ def expand_psi(system: CoxeterSystem, u: GroupElement, delta1, delta2) -> frozen
     for i in d1:
         for j in d2:
             if system.form[i][j] != 0:
-                raise ValidationError("subsets must be orthogonal")
+                raise ValidationError(
+                    f"subsets must be orthogonal; ({i},{j}) pair is not"
+                )
     out = set()
     for beta in system.positive_roots:
         image = u.apply(beta)
@@ -380,39 +366,67 @@ def expand_psi(system: CoxeterSystem, u: GroupElement, delta1, delta2) -> frozen
     return frozenset(out)
 
 
-_CLASSIFY_RANK_LIMIT = 4
+def _peel_inversion_set(system: CoxeterSystem, roots) -> GroupElement:
+    """Reconstruct x with Φ_x equal to the given finite set, or fail."""
+    roots = frozenset(roots)
+    remaining = set(roots)
+    word = []
+    simples = [system.simple_root(s) for s in range(system.ngens)]
+    while remaining:
+        for s in range(system.ngens):
+            if simples[s] in remaining:
+                break
+        else:
+            raise ClassificationError("set contains no simple root while nonempty")
+        word.append(s)
+        refl = from_word(system, [s])
+        nxt = set()
+        for rho in remaining:
+            if rho == simples[s]:
+                continue
+            img = refl.apply(rho)
+            if not img.is_positive:
+                raise ClassificationError("set is not closed under descent peeling")
+            nxt.add(img)
+        if len(nxt) != len(remaining) - 1:
+            raise ClassificationError("descent peeling collapsed two roots")
+        remaining = nxt
+    x = from_word(system, word)
+    if x.inversion_set() != roots:
+        raise ClassificationError("peeled word does not reproduce the set")
+    return x
 
 
-def _subsets_sorted(indices):
-    idx = sorted(indices)
-    subs = []
-    for mask in range(1 << len(idx)):
-        subs.append(tuple(idx[t] for t in range(len(idx)) if mask >> t & 1))
-    return sorted(subs, key=lambda s: (len(s), s))
+def _decompose_psi(system: CoxeterSystem, gamma):
+    """The inverse of expand_psi: (u, Δ1, Δ2) with u minimal in u·W_{Δ1∪Δ2}.
+
+    Γ∩−Γ is u·Φ_Δ2 and the roots with neither sign in Γ are u·Φ_Δ1.  Their
+    positive members together with the rest of Γ form the positive system
+    u(Φ⁺), so Φ_u is the set of positive roots β with β ∉ Γ and −β ∈ Γ.
+    Raises ClassificationError unless (u, Δ1, Δ2) expands back to Γ."""
+    gamma = frozenset(gamma)
+    u = _peel_inversion_set(system, (beta for beta in system.positive_roots
+                                     if beta not in gamma and -beta in gamma))
+    images = [u.apply(system.simple_root(i)) for i in range(system.rank_finite)]
+    d1 = frozenset(i for i, image in enumerate(images) if image not in gamma)
+    d2 = frozenset(i for i, image in enumerate(images) if -image in gamma)
+    try:
+        ok = expand_psi(system, u, d1, d2) == gamma
+    except ValidationError:
+        ok = False
+    if not ok:
+        raise ClassificationError("set is not a twisted positive system of this kind")
+    return u, d1, d2
 
 
 def classify_finite_biclosed(system: CoxeterSystem, gamma):
     """Find (u, Δ1, Δ2) whose twisted positive system equals Γ ⊆ Φ, Φ finite.
 
-    Searches u through the whole group and the subset pairs in sorted order,
-    so the returned witness is deterministic.
+    The witness is constructed directly, not searched: u is read off the
+    positive system that Γ determines, and is the minimal representative of
+    its coset u·W_{Δ1∪Δ2}, so the answer is unique.  There is no rank limit.
+    Raises ClassificationError when Γ is not a twisted positive system.
     """
     if system.kind != "finite":
         raise DomainError("finite classification requires a finite system")
-    if system.rank_finite > _CLASSIFY_RANK_LIMIT:
-        raise ResourceError(
-            f"finite classification is limited to rank {_CLASSIFY_RANK_LIMIT}"
-        )
-    gamma = frozenset(gamma)
-    k = system.rank_finite
-    npos = len(system.positive_roots)
-    for u in ball(system, npos):
-        for d1 in _subsets_sorted(range(k)):
-            compatible = [
-                j for j in range(k)
-                if j not in d1 and all(system.form[i][j] == 0 for i in d1)
-            ]
-            for d2 in _subsets_sorted(compatible):
-                if expand_psi(system, u, d1, d2) == gamma:
-                    return u, frozenset(d1), frozenset(d2)
-    raise ClassificationError("set is not a twisted positive system of this kind")
+    return _decompose_psi(system, gamma)

@@ -1,9 +1,10 @@
 """Command-line surface: `coxtw --type A~1 <subcommand> ...`.
 
 Exit codes are part of the contract: 0 success, 1 usage or expression
-syntax problems, 2 domain errors (non-reduced words, incomparable
-endpoints, invalid constructions), 3 resource caps.  JSON output is a
-single sorted-key line so byte-level golden tests stay stable.
+syntax problems and an --out file that cannot be written, 2 domain errors
+(non-reduced words, incomparable endpoints, invalid constructions), 3
+resource caps.  JSON output is a single sorted-key line so byte-level
+golden tests stay stable.
 """
 
 from __future__ import annotations
@@ -302,7 +303,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     return code

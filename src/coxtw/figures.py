@@ -114,14 +114,17 @@ def emit_figure(name: str, system=None):
     labels = {}
     for w in fig.words:
         el = from_word(system, w)
-        assert el.length == len(w), f"fixture word {w} is not reduced"
+        if el.length != len(w):
+            raise DomainError(f"fixture word {w} is not reduced")
         elements.append(el)
         labels[el] = " ".join(fig.gen_labels[s] for s in w) or "e"
-    assert len(set(elements)) == len(elements), "fixture words repeat an element"
+    if len(set(elements)) != len(elements):
+        raise DomainError("fixture words repeat an element")
     graph = hasse(system, oracle, fig.radius, elements=elements)
     want = {(from_word(system, a), from_word(system, b)) for a, b in fig.edges}
     got = {(graph.nodes[i][0], graph.nodes[j][0]) for i, j in graph.edges}
-    assert got == want, "computed covers disagree with the pinned figure"
+    if got != want:
+        raise DomainError("computed covers disagree with the pinned figure")
     return graph, labels
 
 

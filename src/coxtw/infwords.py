@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .biclosed import BiclosedOracle, biclosed_check, level_displacement
+from .biclosed import (BiclosedOracle, HatForm, _decompose_psi,
+                       _peel_inversion_set, biclosed_check, level_displacement)
 from .elements import (GroupElement, from_word, identity, translation,
                        translation_vector, weyl_part)
 from .errors import ClassificationError, DomainError, NotReducedError
@@ -190,9 +191,8 @@ class WordInvSet(BiclosedOracle):
 
 def limit_set(oracle: BiclosedOracle) -> frozenset[Root]:
     """I_B: finite roots whose δ-string is eventually in B.  Biclosed in Φ."""
-    cached = getattr(oracle, "_limit_set_cache", None)
-    if cached is not None:
-        return cached
+    if oracle._limit_set_cache is not None:
+        return oracle._limit_set_cache
     raw = oracle.limit_roots()
     report = biclosed_check(oracle.system, raw,
                             oracle.system.finite_roots, mode="two_closure")
@@ -217,36 +217,6 @@ class Classification:
         return [list(r.coeffs) + [r.delta] for r in self.bad_pair]
 
 
-def _peel_inversion_set(system: CoxeterSystem, roots) -> GroupElement:
-    """Reconstruct x with Φ_x equal to the given finite set, or fail."""
-    remaining = set(roots)
-    word = []
-    simples = [system.simple_root(s) for s in range(system.ngens)]
-    while remaining:
-        for s in range(system.ngens):
-            if simples[s] in remaining:
-                break
-        else:
-            raise ClassificationError("set contains no simple root while nonempty")
-        word.append(s)
-        refl = from_word(system, [s])
-        nxt = set()
-        for rho in remaining:
-            if rho == simples[s]:
-                continue
-            img = refl.apply(rho)
-            if not img.is_positive:
-                raise ClassificationError("set is not closed under descent peeling")
-            nxt.add(img)
-        if len(nxt) != len(remaining) - 1:
-            raise ClassificationError("descent peeling collapsed two roots")
-        remaining = nxt
-    x = from_word(system, word)
-    if x.inversion_set() != frozenset(roots):
-        raise ClassificationError("peeled word does not reproduce the set")
-    return x
-
-
 def _materialize_finite(oracle: BiclosedOracle) -> frozenset[Root]:
     level = max(oracle.stable_level(), 1)
     return frozenset(r for r in oracle.system.positive_roots_up_to(level)
@@ -267,41 +237,16 @@ def _find_bad_pair(oracle: BiclosedOracle, overlap) -> tuple[Root, Root]:
     raise ClassificationError("limit overlap without a witnessing pair")
 
 
-def _positive_system_descent(system: CoxeterSystem, candidate):
-    """Given a genuine positive system Ψ (as level-0 roots), return u with
-    u(Φ⁺) = Ψ, by reflecting missing simples back in.  None if Ψ is not one."""
-    psi = set(candidate)
-    npos = len(system.positive_roots)
-    if len(psi) != npos:
-        return None
-    simples = [system.simple_root(s) for s in range(system.rank_finite)]
-    word = []
-    for _ in range(npos + 1):
-        for i in range(system.rank_finite):
-            if simples[i] not in psi:
-                word.append(i)
-                refl = from_word(system, [i])
-                psi = {refl.apply(rho) for rho in psi}
-                break
-        else:
-            return from_word(system, word)
-    return None
-
-
 def _try_prefix(oracle: BiclosedOracle, limits, prefix: GroupElement,
                 stable: int):
     system = oracle.system
     pbar_inv = weyl_part(prefix).inverse()
-    j_set = {pbar_inv.apply(beta) for beta in limits}
-    candidate = set(j_set)
-    for beta in system.positive_roots:
-        if beta not in j_set and -beta not in j_set:
-            candidate.add(beta)
-    u = _positive_system_descent(system, candidate)
-    if u is None:
+    j_set = frozenset(pbar_inv.apply(beta) for beta in limits)
+    try:
+        u, d1, _ = _decompose_psi(system, j_set)
+    except ClassificationError:
         return None
-    off = frozenset(i for i in range(system.rank_finite)
-                    if u.apply(system.simple_root(i)) in j_set)
+    off = [i for i in range(system.rank_finite) if i not in d1]
     gamma = [Fraction(0)] * system.rank_finite
     n = system.connection_index
     for i in off:
@@ -391,8 +336,6 @@ def t_gamma_infinity(system: CoxeterSystem, gamma) -> tuple:
     """The inversion set of t_γ^∞ as a hat-form oracle, with its word.
 
     γ must be a nonzero coroot-lattice vector (simple-root coordinates)."""
-    from .biclosed import HatForm
-
     vec = tuple(Fraction(x) for x in gamma)
     if system.kind != "affine":
         raise DomainError("infinite translation powers need an affine system")
@@ -401,15 +344,6 @@ def t_gamma_infinity(system: CoxeterSystem, gamma) -> tuple:
     t_el = translation(system, vec)
     j_set = frozenset(beta for beta in system.finite_roots
                       if system.inner_vec(beta, vec) > 0)
-    candidate = set(j_set)
-    for beta in system.positive_roots:
-        if beta not in j_set and -beta not in j_set:
-            candidate.add(beta)
-    u = _positive_system_descent(system, candidate)
-    assert u is not None
-    d1 = frozenset(i for i in range(system.rank_finite)
-                   if u.apply(system.simple_root(i)) not in j_set)
-    oracle = HatForm(system, u, d1, ())
+    oracle = HatForm(system, *_decompose_psi(system, j_set))
     word = validate_periodic(system, (), t_el.word)
-    assert oracle.limit_roots() == j_set
     return oracle, word

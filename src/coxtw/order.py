@@ -10,6 +10,7 @@ at z, and the result is verified before it is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .biclosed import BiclosedOracle, Complement
 from .elements import GroupElement, ball, identity
@@ -188,10 +189,9 @@ def join(x: GroupElement, y: GroupElement,
     set this is a meet there.  Otherwise upper bounds are searched in a
     ball of radius l(x)+l(y)+4; a unique minimal one below all others is
     returned, anything else raises JoinSearchError."""
-    comp = getattr(oracle, "_complement_instance", None)
-    if comp is None:
-        comp = Complement(oracle)
-        oracle._complement_instance = comp
+    if oracle._complement_instance is None:
+        oracle._complement_instance = Complement(oracle)
+    comp = oracle._complement_instance
     try:
         cls = classify(comp)
     except ClassificationError:
@@ -335,39 +335,22 @@ def check_meet_semilattice(system, oracle: BiclosedOracle,
         cls = None
     sound = cls is not None and cls.kind != "neither"
 
-    if sound:
-        pair_cut = {}
-        big = 0
-        for ai in range(len(elems)):
-            for bi in range(ai + 1, len(elems)):
-                z = lower_bound(elems[ai], elems[bi], oracle)
-                zinv = z.inverse()
-                cut = z.length + min((zinv * elems[ai]).length,
-                                     (zinv * elems[bi]).length)
-                pair_cut[(ai, bi)] = cut
-                big = max(big, cut)
-        universe = ball(system, big)
-    else:
-        universe = ball(system, 3 * radius)
-
-    mask = _MaskOrder(oracle, universe)
+    pairs = list(combinations(range(len(elems)), 2))
+    cut = {}
+    for ai, bi in pairs:
+        if sound:
+            z = lower_bound(elems[ai], elems[bi], oracle)
+            zinv = z.inverse()
+            cut[ai, bi] = z.length + min((zinv * elems[ai]).length,
+                                         (zinv * elems[bi]).length)
+        else:
+            cut[ai, bi] = 3 * radius
+    mask = _MaskOrder(oracle, ball(system, max(cut.values(), default=0)))
     pos = {w.matrix: i for i, w in enumerate(mask.elements)}
-    checked = 0
-    for ai in range(len(elems)):
-        for bi in range(ai + 1, len(elems)):
-            checked += 1
-            i, j = pos[elems[ai].matrix], pos[elems[bi].matrix]
-            if sound:
-                cut = pair_cut[(ai, bi)]
-                lower = [t for t, u in enumerate(mask.elements)
-                         if u.length <= cut and mask.le(t, i) and mask.le(t, j)]
-            else:
-                lower = [t for t in range(len(mask.elements))
-                         if mask.le(t, i) and mask.le(t, j)]
-            if sound:
-                if len(mask.maximals(lower)) != 1:
-                    return CheckResult("counterexample", (elems[ai], elems[bi]), checked)
-            else:
-                if not lower or len(mask.maximals(lower)) != 1:
-                    return CheckResult("counterexample", (elems[ai], elems[bi]), checked)
-    return CheckResult("ok" if sound else "inconclusive", None, checked)
+    for checked, (ai, bi) in enumerate(pairs, 1):
+        i, j = pos[elems[ai].matrix], pos[elems[bi].matrix]
+        lower = [t for t, u in enumerate(mask.elements)
+                 if u.length <= cut[ai, bi] and mask.le(t, i) and mask.le(t, j)]
+        if not lower or len(mask.maximals(lower)) != 1:
+            return CheckResult("counterexample", (elems[ai], elems[bi]), checked)
+    return CheckResult("ok" if sound else "inconclusive", None, len(pairs))

@@ -308,6 +308,8 @@ class CoxeterSystem:
 
     def roots_up_to(self, level: int) -> tuple[Root, ...]:
         """All roots; affine systems truncate to |δ-level| <= level."""
+        if level < 0:
+            raise DomainError("root level must be nonnegative")
         if self.kind == "finite":
             return self.finite_roots
         out = [
@@ -318,9 +320,10 @@ class CoxeterSystem:
         return tuple(sorted(out, key=lambda r: r.key))
 
     def positive_roots_up_to(self, level: int) -> tuple[Root, ...]:
+        roots = self.roots_up_to(level)
         if self.kind == "finite":
             return self.positive_roots
-        return tuple(r for r in self.roots_up_to(level) if r.is_positive)
+        return tuple(r for r in roots if r.is_positive)
 
     # -- bilinear form -------------------------------------------------
 

@@ -186,12 +186,92 @@ def test_classify_finite_biclosed():
     assert u == identity(A2) and d1 == frozenset() and d2 == {0, 1}
     with pytest.raises(ClassificationError):
         classify_finite_biclosed(A2, {Root((1, 1))})
+    with pytest.raises(ClassificationError):                # Δ1, Δ2 not orthogonal
+        classify_finite_biclosed(A2, {Root((0, 1)), Root((0, -1))})
 
 
-def test_classify_rank_guard():
-    d5 = build_system("D5")
-    with pytest.raises(ResourceError):
-        classify_finite_biclosed(d5, set())
+def _subsets_sorted(indices):
+    idx = sorted(indices)
+    subs = [tuple(idx[t] for t in range(len(idx)) if mask >> t & 1)
+            for mask in range(1 << len(idx))]
+    return sorted(subs, key=lambda s: (len(s), s))
+
+
+def _shortlex_scan(system):
+    """Every (u, Δ1, Δ2) with its twisted positive system, in the order of
+    the original brute-force classifier: u through the whole group in
+    ShortLex order, then the subset pairs in sorted order."""
+    k = system.rank_finite
+    for u in ball(system, len(system.positive_roots)):
+        for d1 in _subsets_sorted(range(k)):
+            compatible = [j for j in range(k)
+                          if j not in d1 and all(system.form[i][j] == 0 for i in d1)]
+            for d2 in _subsets_sorted(compatible):
+                yield (u, frozenset(d1), frozenset(d2)), expand_psi(system, u, d1, d2)
+
+
+def _reference_witnesses(system):
+    """Γ -> the first (u, Δ1, Δ2) of the scan that expands to Γ."""
+    first = {}
+    for witness, gamma in _shortlex_scan(system):
+        first.setdefault(gamma, witness)
+    return first
+
+
+def _plain(witness):
+    u, d1, d2 = witness
+    return u.word, d1, d2
+
+
+def test_classify_finite_matches_reference_scan():
+    for spec in ("A3", "B2", "G2"):
+        system = build_system(spec)
+        reference = _reference_witnesses(system)
+        for gamma, witness in reference.items():
+            assert _plain(classify_finite_biclosed(system, gamma)) == _plain(witness)
+        # non-examples: every one-root change of a twisted positive system
+        # that the scan never produces
+        rejected = 0
+        for gamma in reference:
+            for rho in system.finite_roots:
+                other = gamma ^ {rho}
+                if other in reference:
+                    continue
+                with pytest.raises(ClassificationError):
+                    classify_finite_biclosed(system, other)
+                rejected += 1
+        assert rejected
+
+
+def _round_trip(system, word, d1, d2):
+    u = from_word(system, word)
+    gamma = expand_psi(system, u, d1, d2)
+    v, e1, e2 = classify_finite_biclosed(system, gamma)
+    assert (e1, e2) == (frozenset(d1), frozenset(d2))
+    assert expand_psi(system, v, e1, e2) == gamma
+    # v is the minimal representative of the coset u·W_{Δ1∪Δ2}
+    parabolic = set(d1) | set(d2)
+    assert set((v.inverse() * u).word) <= parabolic
+    assert all(v.apply(system.simple_root(j)).is_positive for j in parabolic)
+
+
+def test_classify_finite_biclosed_large_rank():
+    for spec in ("D5", "E6"):
+        system = build_system(spec)
+        k = system.rank_finite
+        e = identity(system)
+        assert (classify_finite_biclosed(system, set())
+                == (e, frozenset(range(k)), frozenset()))
+        assert (classify_finite_biclosed(system, system.finite_roots)
+                == (e, frozenset(), frozenset(range(k))))
+        w0, d1, d2 = classify_finite_biclosed(system, {-r for r in system.positive_roots})
+        assert w0.inversion_set() == frozenset(system.positive_roots)
+        assert (d1, d2) == (frozenset(), frozenset())
+        # index sets orthogonal in both D5 and E6
+        _round_trip(system, (3, 1, 0, 2, 4, 3), (0,), (4,))
+        _round_trip(system, (2, 0, 1, 3, 2, 4), (0, 1), ())
+        _round_trip(system, (1, 2, 3, 4, 2, 1, 0), (), (3,))
+        _round_trip(system, (4, 3, 2, 1, 0, 2, 3), (), ())
 
 
 def test_oracle_keys_distinct():

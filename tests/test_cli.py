@@ -155,6 +155,20 @@ def test_out_flag(capsys, tmp_path):
     assert target.read_text() == "0.1\n1.0\n1.1\n"
 
 
+def test_out_into_missing_directory(capsys, tmp_path):
+    target = tmp_path / "missing" / "roots.txt"
+    code, out, err = run(capsys, "--type", "A2", "roots", "--out", str(target))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot write {target}")
+    assert "Traceback" not in err
+
+
+def test_roots_negative_level(capsys):
+    for typ in ("A~1", "A2"):
+        code, out, err = run(capsys, "--type", typ, "roots", "--level", "-3")
+        assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_cartan_file(capsys, tmp_path):
     mat = tmp_path / "b2.cartan"
     mat.write_text("rank 2\n2 -1\n-2 2\n")

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -8,6 +11,7 @@ from coxtw.figures import FIGURES, emit_figure, figure_dot
 from coxtw.system import build_system
 
 GOLDEN = Path(__file__).parent / "data" / "a1_twist.dot"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_catalog():
@@ -59,3 +63,22 @@ def test_figure_rejections():
         emit_figure("nope")
     with pytest.raises(DomainError):
         emit_figure("a1-twist", build_system("A~2"))
+
+
+def test_figure_gate_survives_optimized_mode():
+    # python -O strips assert statements; the pinned-edge gate must still fire
+    script = (
+        "import dataclasses, sys\n"
+        "from coxtw import cli, figures\n"
+        "fig = figures.FIGURES['a1-twist']\n"
+        "figures.FIGURES['a1-twist'] = dataclasses.replace(fig, edges=fig.edges[1:])\n"
+        "sys.exit(cli.main(['figure', 'a1-twist']))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "computed covers disagree with the pinned figure" in proc.stderr
