@@ -15,7 +15,7 @@ from itertools import combinations
 
 from .errors import ClassificationError, DomainError, ResourceError, ValidationError
 from .feasibility import solve_nonneg
-from .elements import GroupElement, from_word, weyl_part
+from .elements import GroupElement, ascend, weyl_part
 from .system import CoxeterSystem, Root
 
 
@@ -367,33 +367,15 @@ def expand_psi(system: CoxeterSystem, u: GroupElement, delta1, delta2) -> frozen
 
 
 def _peel_inversion_set(system: CoxeterSystem, roots) -> GroupElement:
-    """Reconstruct x with Φ_x equal to the given finite set, or fail."""
+    """The element x with Φ_x equal to the given finite set of positive roots.
+
+    The greedy ascent inside the set ends at x when the set is Φ_x, and at
+    some element with a smaller inversion set otherwise, so one comparison
+    decides.  Raises ClassificationError when the set is no inversion set."""
     roots = frozenset(roots)
-    remaining = set(roots)
-    word = []
-    simples = [system.simple_root(s) for s in range(system.ngens)]
-    while remaining:
-        for s in range(system.ngens):
-            if simples[s] in remaining:
-                break
-        else:
-            raise ClassificationError("set contains no simple root while nonempty")
-        word.append(s)
-        refl = from_word(system, [s])
-        nxt = set()
-        for rho in remaining:
-            if rho == simples[s]:
-                continue
-            img = refl.apply(rho)
-            if not img.is_positive:
-                raise ClassificationError("set is not closed under descent peeling")
-            nxt.add(img)
-        if len(nxt) != len(remaining) - 1:
-            raise ClassificationError("descent peeling collapsed two roots")
-        remaining = nxt
-    x = from_word(system, word)
+    x = ascend(system, roots)
     if x.inversion_set() != roots:
-        raise ClassificationError("peeled word does not reproduce the set")
+        raise ClassificationError("set is not the inversion set of an element")
     return x
 
 

@@ -185,20 +185,51 @@ def from_word(system: CoxeterSystem, word) -> GroupElement:
     return el
 
 
+# Weak-order walks.  In the right weak order x ≤ y iff Φ_x ⊆ Φ_y, and
+# Φ_{ws} = Φ_w ⊔ {w(α_s)} whenever w(α_s) is positive, so every walk up
+# from e adds one allowed inversion per step.
+
+
+def grow(level, keep) -> list[GroupElement]:
+    """One level up: the w·s (w in level) with w(α_s) positive and kept.
+
+    level must be nonempty.  De-duplicated by matrix, in first-found order."""
+    system = level[0].system
+    simples = [system.simple_root(s) for s in range(system.ngens)]
+    grown = {}
+    for w in level:
+        for s, alpha in enumerate(simples):
+            rho = w.apply(alpha)
+            if rho.is_positive and keep(rho):
+                y = w.mul_simple(s)
+                grown.setdefault(y.matrix, y)
+    return list(grown.values())
+
+
+def ascend(system: CoxeterSystem, roots) -> GroupElement:
+    """Greedy ascent from e: step to w·s, smallest s first, while w(α_s) ∈ roots.
+
+    roots must be a finite set of positive roots.  The walk ends at a
+    maximal element whose inversion set lies inside roots: x itself on Φ_x,
+    and the ordinary meet of a and b on Φ_a ∩ Φ_b."""
+    simples = [system.simple_root(s) for s in range(system.ngens)]
+    w = identity(system)
+    while True:
+        for s, alpha in enumerate(simples):
+            if w.apply(alpha) in roots:
+                w = w.mul_simple(s)
+                break
+        else:
+            return w
+
+
 def ball(system: CoxeterSystem, radius: int) -> tuple[GroupElement, ...]:
     """All elements of length <= radius, sorted by (length, ShortLex word)."""
     if radius < 0:
         raise DomainError("ball radius must be nonnegative")
     levels = system._caches.setdefault("ball_levels", [[identity(system)]])
-    simples = [system.simple_root(s) for s in range(system.ngens)]
     while len(levels) <= radius:
-        grown = {}
-        for w in levels[-1]:
-            for s in range(system.ngens):
-                if w.apply(simples[s]).is_positive:
-                    y = w.mul_simple(s)
-                    grown.setdefault(y.matrix, y)
-        level = sorted(grown.values(), key=lambda el: el.word)
+        level = sorted(grow(levels[-1], lambda rho: True), key=lambda el: el.word)
         if not level:
             levels.append([])
             break

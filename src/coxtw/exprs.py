@@ -64,7 +64,10 @@ def parse_biclosed(system: CoxeterSystem, text: str) -> BiclosedOracle:
     tokens = _TOKEN.findall(text)
     if not tokens:
         raise ExprError("empty biclosed expression")
-    oracle, pos = _parse(system, tokens, 0)
+    try:
+        oracle, pos = _parse(system, tokens, 0)
+    except RecursionError:
+        raise ExprError("expression nested too deeply")
     if pos != len(tokens):
         raise ExprError(f"unexpected trailing tokens: {' '.join(tokens[pos:])}")
     return oracle

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .biclosed import (BiclosedOracle, HatForm, _decompose_psi,
-                       _peel_inversion_set, biclosed_check, level_displacement)
-from .elements import (GroupElement, from_word, identity, translation,
+                       _peel_inversion_set, level_displacement)
+from .elements import (GroupElement, from_word, grow, identity, translation,
                        translation_vector, weyl_part)
 from .errors import ClassificationError, DomainError, NotReducedError
 from .system import CoxeterSystem, Root
@@ -151,7 +151,8 @@ def validate_periodic(system: CoxeterSystem, prefix, period) -> PeriodicWord:
     power = identity(system)
     for _ in range(order):
         power = power * period_el
-    assert power == translation(system, mu)
+    if power != translation(system, mu):
+        raise DomainError("period power is not the translation by its drift")
 
     inv = period_el.inverse()
     neg_powers = [identity(system)]
@@ -190,13 +191,18 @@ class WordInvSet(BiclosedOracle):
 
 
 def limit_set(oracle: BiclosedOracle) -> frozenset[Root]:
-    """I_B: finite roots whose δ-string is eventually in B.  Biclosed in Φ."""
+    """I_B: finite roots whose δ-string is eventually in B.
+
+    I_B is biclosed in the finite root system Φ, and the biclosed subsets of
+    a finite Φ are exactly its twisted positive systems, so the limit set is
+    certified by decomposing it as one."""
     if oracle._limit_set_cache is not None:
         return oracle._limit_set_cache
     raw = oracle.limit_roots()
-    report = biclosed_check(oracle.system, raw,
-                            oracle.system.finite_roots, mode="two_closure")
-    assert report.ok, f"limit set of {oracle.key()} is not biclosed: {report}"
+    try:
+        _decompose_psi(oracle.system, raw)
+    except ClassificationError:
+        raise DomainError(f"limit set of {oracle.key()} is not biclosed")
     oracle._limit_set_cache = raw
     return raw
 
@@ -302,7 +308,6 @@ def classify(oracle: BiclosedOracle,
         else:
             stable = max(oracle.stable_level(), 1)
             frontier = [identity(system)]
-            seen = {frontier[0].matrix}
             depth = 0
             while frontier and result is None:
                 for p in frontier:
@@ -313,16 +318,8 @@ def classify(oracle: BiclosedOracle,
                 else:
                     if depth >= max_prefix:
                         break
-                    grown = {}
-                    for p in frontier:
-                        for s in range(system.ngens):
-                            rho = p.apply(system.simple_root(s))
-                            if rho.is_positive and oracle.member(rho):
-                                y = p.mul_simple(s)
-                                if y.matrix not in seen:
-                                    seen.add(y.matrix)
-                                    grown.setdefault(y.matrix, y)
-                    frontier = sorted(grown.values(), key=lambda el: el.word)
+                    frontier = sorted(grow(frontier, oracle.member),
+                                      key=lambda el: el.word)
                     depth += 1
             if result is None:
                 raise ClassificationError(

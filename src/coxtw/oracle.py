@@ -10,7 +10,8 @@ over a battery of oracles is evidence that both sides are right.
 from __future__ import annotations
 
 from .biclosed import BiclosedOracle, Complement, Explicit, HatForm, Twisted
-from .elements import GroupElement, ball, identity, simple, translation
+from .elements import (GroupElement, ascend, ball, identity, simple,
+                       translation)
 from .errors import ClassificationError, DomainError
 from .infwords import WordInvSet, classify, validate_periodic
 from .order import le, meet, twisted_length
@@ -111,15 +112,10 @@ def oracle_meet(x: GroupElement, y: GroupElement, oracle: BiclosedOracle,
 
 
 def longest_finite(system: CoxeterSystem) -> GroupElement:
-    """Longest element of the finite Weyl group (ignores an affine generator)."""
-    w = identity(system)
-    while True:
-        for s in range(system.rank_finite):
-            if w.apply(system.simple_root(s)).is_positive:
-                w = w.mul_simple(s)
-                break
-        else:
-            return w
+    """Longest element w0 of the finite Weyl group, whose inversion set is
+    all of the finite Φ⁺.  The affine generator never enters: w(α_0) has
+    δ-level 1 for w in the finite Weyl group."""
+    return ascend(system, frozenset(system.positive_roots))
 
 
 def standard_battery(system: CoxeterSystem):

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .biclosed import BiclosedOracle, Complement
-from .elements import GroupElement, ball, identity
-from .errors import (ClassificationError, JoinSearchError, OrderError,
-                     UnsupportedOracleError)
+from .elements import GroupElement, ascend, ball, grow, identity
+from .errors import (ClassificationError, DomainError, JoinSearchError,
+                     OrderError, UnsupportedOracleError)
 from .infwords import classify
 
 _WITNESS_GUARD = 100000
@@ -69,7 +69,8 @@ def chain(x: GroupElement, y: GroupElement,
     out = [x]
     z = x
     for s in (x.inverse() * y).word:
-        assert is_up_cover(z, s, oracle)
+        if not is_up_cover(z, s, oracle):
+            raise DomainError("chain step is not an up-cover")
         z = z.mul_simple(s)
         out.append(z)
     return tuple(out)
@@ -83,24 +84,12 @@ def interval(x: GroupElement, y: GroupElement,
     is collected by the usual inversion-subset search below x⁻¹y."""
     if not le(x, y, oracle):
         raise OrderError("interval endpoints are not comparable in this order")
-    d = x.inverse() * y
-    target = d.inversion_set()
-    system = x.system
-    found = {}
-    frontier = [identity(system)]
-    found[frontier[0].matrix] = frontier[0]
-    while frontier:
-        grown = []
-        for z in frontier:
-            for s in range(system.ngens):
-                rho = z.apply(system.simple_root(s))
-                if rho in target:
-                    nxt = z.mul_simple(s)
-                    if nxt.matrix not in found:
-                        found[nxt.matrix] = nxt
-                        grown.append(nxt)
-        frontier = grown
-    out = [x * z for z in found.values()]
+    target = (x.inverse() * y).inversion_set()
+    out = []
+    level = [identity(x.system)]
+    while level:
+        out.extend(x * z for z in level)
+        level = grow(level, target.__contains__)
     out.sort(key=lambda w: (twisted_length(w, oracle), w.length, w.word))
     return tuple(out)
 
@@ -137,25 +126,19 @@ def lower_bound(x: GroupElement, y: GroupElement,
         if count > _WITNESS_GUARD:
             break
         if target <= z.inversion_set():
-            assert le(z, x, oracle) and le(z, y, oracle)
+            if not (le(z, x, oracle) and le(z, y, oracle)):
+                raise DomainError("witness prefix is not a common lower bound")
             return z
     raise OrderError("witness word never covered the required inversions")
 
 
 def ordinary_meet(a: GroupElement, b: GroupElement) -> GroupElement:
-    """Meet in the ordinary right weak order, by greedy ascent inside
-    Φ_a ∩ Φ_b (the common lower bounds are exactly the elements whose
-    inversion sets sit inside the intersection)."""
-    shared = a.inversion_set() & b.inversion_set()
-    system = a.system
-    m = identity(system)
-    while True:
-        for s in range(system.ngens):
-            if m.apply(system.simple_root(s)) in shared:
-                m = m.mul_simple(s)
-                break
-        else:
-            return m
+    """Meet in the ordinary right weak order.
+
+    The common lower bounds of a and b are the elements whose inversion
+    sets lie inside Φ_a ∩ Φ_b, and the weak order is a meet-semilattice, so
+    the greedy ascent inside that intersection ends at the meet."""
+    return ascend(a.system, a.inversion_set() & b.inversion_set())
 
 
 def meet(x: GroupElement, y: GroupElement,

@@ -59,6 +59,12 @@ def test_enumerate_full_root_system_counts():
     assert len(enumerate_biclosed(A2, A2.positive_roots + tuple(-r for r in A2.positive_roots))) == 20
     full_b2 = B2.positive_roots + tuple(-r for r in B2.positive_roots)
     assert len(enumerate_biclosed(B2, full_b2)) == 26
+    # the biclosed subsets of a finite Φ are exactly its twisted positive
+    # systems, which is what lets limit_set certify by decomposition
+    for spec in ("A2", "B2", "G2", "A3"):
+        system = build_system(spec)
+        assert (set(enumerate_biclosed(system, system.finite_roots))
+                == set(_reference_witnesses(system)))
 
 
 def test_enumerate_limit():

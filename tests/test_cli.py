@@ -176,3 +176,11 @@ def test_cartan_file(capsys, tmp_path):
                        "--format", "json")
     assert code == 0
     assert json.loads(out)["count"] == 8
+
+
+def test_deep_nesting_is_a_usage_error(capsys):
+    expr = "complement ( " * 2000 + "empty" + " )" * 2000
+    code, out, err = run(capsys, "--type", "A~2", "classify", "--biclosed", expr)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "nested too deeply" in err
+    assert "Traceback" not in err

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coxtw.elements import (GroupElement, ball, from_word, identity, simple,
-                            translation, translation_vector, weyl_part)
+from coxtw.elements import (GroupElement, ascend, ball, from_word, identity,
+                            simple, translation, translation_vector, weyl_part)
 from coxtw.errors import DomainError
 from coxtw.system import Root, build_system
 
@@ -132,3 +132,10 @@ def test_inversion_set_positive_and_word_reduced(word):
     assert all(r.is_positive for r in w.inversion_set())
     assert from_word(sys3, w.word) == w
     assert len(w.word) == w.length
+
+
+def test_ascend_rebuilds_from_inversion_set():
+    for spec, radius in (("B3", 9), ("G~2", 5)):
+        system = build_system(spec)
+        for w in ball(system, radius):
+            assert ascend(system, w.inversion_set()) == w

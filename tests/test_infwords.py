@@ -4,7 +4,8 @@ import pytest
 
 from coxtw.biclosed import Complement, Explicit, HatForm, Twisted, act_on_biclosed
 from coxtw.elements import from_word, identity, simple, translation
-from coxtw.errors import DomainError, NotReducedError
+from coxtw import infwords
+from coxtw.errors import ClassificationError, DomainError, NotReducedError
 from coxtw.infwords import (WordInvSet, classify, limit_set, t_gamma_infinity,
                             validate_periodic)
 from coxtw.system import Root, build_system
@@ -25,6 +26,29 @@ def test_validate_periodic_accepts_translation_word():
     assert w.member(Root((1,), 3))
     assert not w.member(DMA)
     assert w.tail_limit_roots() == {ALPHA}
+
+
+def test_period_power_guard_is_not_an_assert(monkeypatch):
+    monkeypatch.setattr(infwords, "translation", lambda system, mu: identity(system))
+    with pytest.raises(DomainError, match="drift"):
+        validate_periodic(A1T, (), (0, 1))
+
+
+class _UnclosedLimits(Explicit):
+    """Reports the limit set {α1, α2}, which misses α1+α2 and so is not
+    closed in Φ(A2)."""
+
+    def limit_roots(self):
+        return frozenset({Root((1, 0)), Root((0, 1))})
+
+
+def test_limit_set_certificate():
+    orc = _UnclosedLimits(A2T, ())
+    for call in (limit_set, classify):
+        with pytest.raises(DomainError, match="not biclosed") as info:
+            call(orc)
+        # a ClassificationError would read as a verdict to join and check
+        assert not isinstance(info.value, ClassificationError)
 
 
 def test_validate_periodic_prefix():

@@ -1,9 +1,12 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxtw.biclosed import Complement, Explicit, HatForm
 from coxtw.elements import ball, from_word, identity, simple
-from coxtw.errors import JoinSearchError, OrderError
+from coxtw import order
+from coxtw.errors import DomainError, JoinSearchError, OrderError
 from coxtw.order import (chain, check_meet_semilattice, cover_neighbors,
                          hasse, interval, is_up_cover, join, le, lower_bound,
                          meet, ordinary_meet, twisted_length)
@@ -86,6 +89,25 @@ def test_ordinary_meet():
     assert ordinary_meet(el(B2, 0, 1), el(B2, 1, 0)).is_identity
     assert ordinary_meet(el(B2, 0, 1, 0, 1), el(B2, 0, 1, 0)).word == (0, 1, 0)
     assert ordinary_meet(el(A2, 0, 1), el(A2, 0)).word == (0,)
+    b3 = ball(build_system("B3"), 9)
+    for a, b in itertools.combinations_with_replacement(b3, 2):
+        shared = a.inversion_set() & b.inversion_set()
+        lower = [z for z in b3 if z.inversion_set() <= shared]
+        top = max(lower, key=lambda z: z.length)
+        assert all(z.inversion_set() <= top.inversion_set() for z in lower)
+        assert ordinary_meet(a, b) == top
+
+
+def test_chain_guard_is_not_an_assert(monkeypatch):
+    monkeypatch.setattr(order, "is_up_cover", lambda w, s, oracle: False)
+    with pytest.raises(DomainError, match="up-cover"):
+        chain(simple(A1T, 1), simple(A1T, 0), HAT_NEG)
+
+
+def test_lower_bound_guard_is_not_an_assert(monkeypatch):
+    monkeypatch.setattr(order, "le", lambda x, y, oracle: False)
+    with pytest.raises(DomainError, match="common lower bound"):
+        lower_bound(simple(A1T, 0), simple(A1T, 1), HAT_NEG)
 
 
 def test_meet_and_join():
