@@ -190,11 +190,10 @@ def from_word(system: CoxeterSystem, word) -> GroupElement:
 # from e adds one allowed inversion per step.
 
 
-def grow(level, keep) -> list[GroupElement]:
+def grow(system: CoxeterSystem, level, keep) -> list[GroupElement]:
     """One level up: the w·s (w in level) with w(α_s) positive and kept.
 
-    level must be nonempty.  De-duplicated by matrix, in first-found order."""
-    system = level[0].system
+    De-duplicated by matrix, in first-found order."""
     simples = [system.simple_root(s) for s in range(system.ngens)]
     grown = {}
     for w in level:
@@ -228,12 +227,9 @@ def ball(system: CoxeterSystem, radius: int) -> tuple[GroupElement, ...]:
     if radius < 0:
         raise DomainError("ball radius must be nonnegative")
     levels = system._caches.setdefault("ball_levels", [[identity(system)]])
-    while len(levels) <= radius:
-        level = sorted(grow(levels[-1], lambda rho: True), key=lambda el: el.word)
-        if not level:
-            levels.append([])
-            break
-        levels.append(level)
+    while len(levels) <= radius and levels[-1]:
+        levels.append(sorted(grow(system, levels[-1], lambda rho: True),
+                             key=lambda el: el.word))
     out = []
     for lv in levels[: radius + 1]:
         out.extend(lv)

@@ -318,7 +318,7 @@ def classify(oracle: BiclosedOracle,
                 else:
                     if depth >= max_prefix:
                         break
-                    frontier = sorted(grow(frontier, oracle.member),
+                    frontier = sorted(grow(system, frontier, oracle.member),
                                       key=lambda el: el.word)
                     depth += 1
             if result is None:

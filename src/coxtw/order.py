@@ -89,7 +89,7 @@ def interval(x: GroupElement, y: GroupElement,
     level = [identity(x.system)]
     while level:
         out.extend(x * z for z in level)
-        level = grow(level, target.__contains__)
+        level = grow(x.system, level, target.__contains__)
     out.sort(key=lambda w: (twisted_length(w, oracle), w.length, w.word))
     return tuple(out)
 
@@ -328,7 +328,7 @@ def check_meet_semilattice(system, oracle: BiclosedOracle,
                                          (zinv * elems[bi]).length)
         else:
             cut[ai, bi] = 3 * radius
-    mask = _MaskOrder(oracle, ball(system, max(cut.values(), default=0)))
+    mask = _MaskOrder(oracle, ball(system, max([radius, *cut.values()])))
     pos = {w.matrix: i for i, w in enumerate(mask.elements)}
     for checked, (ai, bi) in enumerate(pairs, 1):
         i, j = pos[elems[ai].matrix], pos[elems[bi].matrix]

@@ -130,6 +130,12 @@ def test_selftest(capsys):
     assert "0 mismatches" in out or "mismatches: 0" in out or "ok" in out
 
 
+def test_selftest_finite_past_longest_element(capsys):
+    code, _, err = run(capsys, "--type", "A1", "selftest")
+    assert code == 0
+    assert "Traceback" not in err
+
+
 def test_exit_codes(capsys):
     assert run(capsys, "--type", "Z9", "roots")[0] == 1        # unknown type
     assert run(capsys, "--type", "A2", "frobnicate")[0] == 1   # unknown command

@@ -47,6 +47,14 @@ def test_ball_sizes():
     assert len(ball(A1T, 9)) == 19
 
 
+def test_ball_grows_past_a_finite_group():
+    # A larger radius after the group ran out reuses the cached empty level.
+    a2 = build_system("A2")
+    assert len(ball(a2, 4)) == 6
+    assert len(ball(a2, 10)) == 6
+    assert [w.word for w in ball(a2, 5)] == [w.word for w in ball(A2, 3)]
+
+
 def test_inversion_sets():
     w = from_word(A1T, (1, 0))
     assert w.inversion_set() == {Root((-1,), 1), Root((-1,), 2)}

@@ -85,3 +85,9 @@ def test_run_selftest_clean():
     rep = run_selftest(A1T, radius=2)
     assert rep["mismatches"] == []
     assert rep["checked"] == 492
+
+
+def test_run_selftest_past_longest_element():
+    # The battery's ball reaches past w0, and the meet check asks again.
+    a1 = build_system("A1")
+    assert run_selftest(a1, radius=3)["mismatches"] == []

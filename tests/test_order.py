@@ -163,6 +163,15 @@ def test_check_meet_semilattice_verdicts():
     assert nothing.status in ("ok", "inconclusive")
 
 
+def test_check_meet_semilattice_finite_past_longest_element():
+    # Some per-pair cuts fall below the radius; the swept ball must still
+    # hold every element of the pairs.
+    for system in (A2, B2):
+        res = check_meet_semilattice(system, Explicit(system, set()), 4)
+        n = len(ball(system, 4))
+        assert (res.status, res.checked) == ("ok", n * (n - 1) // 2)
+
+
 def test_check_counterexample_a2t():
     full = Complement(Explicit(A2T, set()))
     res = check_meet_semilattice(A2T, full, 3)
