@@ -37,6 +37,7 @@ class BiclosedOracle:
         self.system = system
         self._memo: dict[Root, bool] = {}
         self._tlen_memo: dict = {}
+        self._raw_tlen: dict = {}
         self._classification = None
         self._limit_set_cache: frozenset[Root] | None = None
         self._complement_instance: Complement | None = None
@@ -216,44 +217,33 @@ def cone_contains(system: CoxeterSystem, generators, target: Root) -> bool:
     return solve_nonneg(rows, rhs) is not None
 
 
-def closure_check(system: CoxeterSystem, gamma, ambient,
-                  mode: str = "two_closure") -> ClosureReport:
-    """Check Γ against the roots of `ambient` under the chosen closure notion.
+def closure_check(system: CoxeterSystem, gamma, ambient) -> ClosureReport:
+    """Is Γ 2-closed inside the ambient set?
 
-    two_closure: every pair cone from Γ may only capture ambient roots in Γ.
-    cone_closure: the full cone of Γ may only capture ambient roots in Γ.
-    The witness is (generators, captured_root) for the first failure in
-    sorted order.
-    """
+    Γ is 2-closed when the cone of every pair of its roots captures only
+    ambient roots that lie in Γ.  The witness is ((g1, g2), captured_root)
+    for the first failure in sorted order."""
     gamma = frozenset(gamma)
     ambient = sorted(frozenset(ambient), key=lambda r: r.key)
     if not gamma <= set(ambient):
         raise DomainError("closure check needs gamma inside the ambient set")
     outside = [r for r in ambient if r not in gamma]
     members = sorted(gamma, key=lambda r: r.key)
-    if mode == "two_closure":
-        for g1, g2 in combinations(members, 2):
-            for t in outside:
-                if cone_contains(system, (g1, g2), t):
-                    return ClosureReport(False, ((g1, g2), t))
-        return ClosureReport(True, None)
-    if mode == "cone_closure":
+    for g1, g2 in combinations(members, 2):
         for t in outside:
-            if cone_contains(system, members, t):
-                return ClosureReport(False, (tuple(members), t))
-        return ClosureReport(True, None)
-    raise DomainError(f"unknown closure mode {mode!r}")
+            if cone_contains(system, (g1, g2), t):
+                return ClosureReport(False, ((g1, g2), t))
+    return ClosureReport(True, None)
 
 
-def biclosed_check(system: CoxeterSystem, gamma, ambient,
-                   mode: str = "two_closure") -> BiclosedReport:
+def biclosed_check(system: CoxeterSystem, gamma, ambient) -> BiclosedReport:
     """Closedness of Γ and of its complement inside the ambient set."""
     gamma = frozenset(gamma)
     ambient = frozenset(ambient)
-    first = closure_check(system, gamma, ambient, mode)
+    first = closure_check(system, gamma, ambient)
     if not first.closed:
         return BiclosedReport(False, "set", first.witness)
-    second = closure_check(system, ambient - gamma, ambient, mode)
+    second = closure_check(system, ambient - gamma, ambient)
     if not second.closed:
         return BiclosedReport(False, "complement", second.witness)
     return BiclosedReport(True, None, None)
@@ -262,34 +252,23 @@ def biclosed_check(system: CoxeterSystem, gamma, ambient,
 _ENUM_LIMIT = 24
 
 
-def enumerate_biclosed(system: CoxeterSystem, ambient,
-                       mode: str = "two_closure") -> tuple[frozenset[Root], ...]:
+def enumerate_biclosed(system: CoxeterSystem, ambient) -> tuple[frozenset[Root], ...]:
     """All biclosed subsets of a finite ambient root collection, by bitmask scan."""
     roots = sorted(frozenset(ambient), key=lambda r: r.key)
     n = len(roots)
     if n > _ENUM_LIMIT:
         raise ResourceError(f"ambient set of {n} roots exceeds the enumeration limit {_ENUM_LIMIT}")
-    if mode == "two_closure":
-        cones = {}
-        for i, j in combinations(range(n), 2):
-            mask = 0
-            for t in range(n):
-                if t in (i, j) or cone_contains(system, (roots[i], roots[j]), roots[t]):
-                    mask |= 1 << t
-            cones[(i, j)] = mask
+    cones = {}
+    for i, j in combinations(range(n), 2):
+        mask = 0
+        for t in range(n):
+            if t in (i, j) or cone_contains(system, (roots[i], roots[j]), roots[t]):
+                mask |= 1 << t
+        cones[(i, j)] = mask
 
-        def closed(s: int) -> bool:
-            idx = [t for t in range(n) if s >> t & 1]
-            return all(cones[(i, j)] & ~s == 0 for i, j in combinations(idx, 2))
-    elif mode == "cone_closure":
-        def closed(s: int) -> bool:
-            inside = [roots[t] for t in range(n) if s >> t & 1]
-            for t in range(n):
-                if not s >> t & 1 and cone_contains(system, inside, roots[t]):
-                    return False
-            return True
-    else:
-        raise DomainError(f"unknown closure mode {mode!r}")
+    def closed(s: int) -> bool:
+        idx = [t for t in range(n) if s >> t & 1]
+        return all(cones[(i, j)] & ~s == 0 for i, j in combinations(idx, 2))
 
     full = (1 << n) - 1
     found = []

@@ -48,28 +48,24 @@ class GroupElement:
 
     # -- multiplication ------------------------------------------------
 
+    def _times(self, b) -> "GroupElement":
+        """This element followed by the matrix b on the right."""
+        n = self.system.dim
+        a = self.matrix
+        return GroupElement(self.system, tuple(
+            tuple(sum(a[r][m] * b[m][c] for m in range(n)) for c in range(n))
+            for r in range(n)
+        ))
+
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         if not isinstance(other, GroupElement):
             return NotImplemented
         if self.system.key != other.system.key:
             raise DomainError("cannot multiply elements of different systems")
-        n = self.system.dim
-        a, b = self.matrix, other.matrix
-        prod = tuple(
-            tuple(sum(a[r][m] * b[m][c] for m in range(n)) for c in range(n))
-            for r in range(n)
-        )
-        return GroupElement(self.system, prod)
+        return self._times(other.matrix)
 
     def mul_simple(self, s: int) -> "GroupElement":
-        m = self.system.simple_matrix(s)
-        n = self.system.dim
-        a = self.matrix
-        prod = tuple(
-            tuple(sum(a[r][t] * m[t][c] for t in range(n)) for c in range(n))
-            for r in range(n)
-        )
-        return GroupElement(self.system, prod)
+        return self._times(self.system.simple_matrix(s))
 
     def inverse(self) -> "GroupElement":
         if self._inverse is None:
@@ -123,7 +119,8 @@ class GroupElement:
                     break
             else:
                 raise DomainError("word extraction did not terminate")
-            assert v.is_identity
+            if not v.is_identity:
+                raise DomainError("word extraction did not reach the identity")
             self._word = tuple(out)
         return self._word
 
@@ -145,11 +142,13 @@ class GroupElement:
             roots = []
             for s in self.word:
                 rho = prefix.apply(self.system.simple_root(s))
-                assert rho.is_positive
+                if not rho.is_positive:
+                    raise DomainError(f"inversion {rho} of a reduced word is not positive")
                 roots.append(rho)
                 prefix = prefix.mul_simple(s)
             inv = frozenset(roots)
-            assert len(inv) == len(roots)
+            if len(inv) != len(roots):
+                raise DomainError("inversions of a reduced word are not distinct")
             self._invset = inv
         return self._invset
 
@@ -226,7 +225,9 @@ def ball(system: CoxeterSystem, radius: int) -> tuple[GroupElement, ...]:
     """All elements of length <= radius, sorted by (length, ShortLex word)."""
     if radius < 0:
         raise DomainError("ball radius must be nonnegative")
-    levels = system._caches.setdefault("ball_levels", [[identity(system)]])
+    levels = system.ball_levels
+    if not levels:
+        levels.append([identity(system)])
     while len(levels) <= radius and levels[-1]:
         levels.append(sorted(grow(system, levels[-1], lambda rho: True),
                              key=lambda el: el.word))

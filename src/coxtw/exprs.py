@@ -49,7 +49,7 @@ def _word(text: str, system: CoxeterSystem) -> tuple[int, ...]:
     return letters
 
 
-def _indices(text: str, system: CoxeterSystem) -> tuple[int, ...]:
+def _indices(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
         return ()
@@ -100,8 +100,7 @@ def _parse(system, tokens, pos):
         if len(parts) != 3:
             raise ExprError("hat wants <u>:<d1>:<d2>")
         u = from_word(system, _word(parts[0], system))
-        return HatForm(system, u, _indices(parts[1], system),
-                       _indices(parts[2], system)), pos + 2
+        return HatForm(system, u, _indices(parts[1]), _indices(parts[2])), pos + 2
     if head == "word-inf":
         parts = _arg(tokens, pos + 1, head).split(";")
         if len(parts) != 2:

@@ -278,8 +278,7 @@ def _try_prefix(oracle: BiclosedOracle, limits, prefix: GroupElement,
 _PREFIX_SEARCH_LIMIT = 16
 
 
-def classify(oracle: BiclosedOracle,
-             max_prefix: int = _PREFIX_SEARCH_LIMIT) -> Classification:
+def classify(oracle: BiclosedOracle) -> Classification:
     """Decide whether B is Φ_x (finite x), Φ of an infinite word, or neither.
 
     Finite and empty-limit cases are settled by materializing the set up to
@@ -316,7 +315,7 @@ def classify(oracle: BiclosedOracle,
                         result = Classification("infinite", word=word)
                         break
                 else:
-                    if depth >= max_prefix:
+                    if depth >= _PREFIX_SEARCH_LIMIT:
                         break
                     frontier = sorted(grow(system, frontier, oracle.member),
                                       key=lambda el: el.word)

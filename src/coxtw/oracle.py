@@ -22,12 +22,9 @@ def oracle_tlen(w: GroupElement, oracle: BiclosedOracle) -> int:
     """Twisted length recomputed by scanning positive roots directly.
 
     An inversion of w has δ-level below 2·l(w), since each letter of a
-    reduced word moves levels by at most two; the scan asserts it saw
+    reduced word moves levels by at most two; the scan checks that it saw
     exactly l(w) of them."""
-    memo = getattr(oracle, "_raw_tlen", None)
-    if memo is None:
-        memo = {}
-        oracle._raw_tlen = memo
+    memo = oracle._raw_tlen
     hit = memo.get(w.matrix)
     if hit is not None:
         return hit
@@ -43,14 +40,15 @@ def oracle_tlen(w: GroupElement, oracle: BiclosedOracle) -> int:
             total += 1
             if oracle.member(rho):
                 inside += 1
-    assert total == w.length, "root scan level bound is wrong"
+    if total != w.length:
+        raise DomainError("root scan level bound is wrong")
     val = w.length - 2 * inside
     memo[w.matrix] = val
     return val
 
 
 def _neighbors(w: GroupElement):
-    adj = w.system._caches.setdefault("oracle_adj", {})
+    adj = w.system.oracle_adj
     hit = adj.get(w.matrix)
     if hit is None:
         hit = tuple(w.mul_simple(s) for s in range(w.system.ngens))
@@ -58,20 +56,15 @@ def _neighbors(w: GroupElement):
     return hit
 
 
-def oracle_le(x: GroupElement, y: GroupElement, oracle: BiclosedOracle,
-              radius: int | None = None) -> bool:
+def oracle_le(x: GroupElement, y: GroupElement, oracle: BiclosedOracle) -> bool:
     """x ≤_B y decided by searching for a chain of unit up-steps.
 
     Any element on a saturated chain from x to y has its inversion set
     inside Φ_x ∪ Φ_y, hence length at most l(x)+l(y); a search out to that
-    radius is therefore complete, and a smaller one is refused."""
+    radius is therefore complete."""
     if x.system.key != y.system.key or x.system.key != oracle.system.key:
         raise DomainError("comparability check needs a single common system")
-    floor = x.length + y.length
-    if radius is None:
-        radius = floor
-    elif radius < floor:
-        raise DomainError("radius below l(x)+l(y) cannot certify comparability")
+    radius = x.length + y.length
     if x == y:
         return True
     target = y.matrix
@@ -101,12 +94,11 @@ def oracle_meet(x: GroupElement, y: GroupElement, oracle: BiclosedOracle,
     Returned sorted by (length, word); a meet inside the ball shows up as a
     one-element tuple."""
     cands = [u for u in ball(x.system, radius)
-             if oracle_le(u, x, oracle, u.length + x.length)
-             and oracle_le(u, y, oracle, u.length + y.length)]
+             if oracle_le(u, x, oracle) and oracle_le(u, y, oracle)]
     cands.sort(key=lambda u: (-oracle_tlen(u, oracle), u.length, u.word))
     kept: list[GroupElement] = []
     for u in cands:
-        if not any(oracle_le(u, k, oracle, u.length + k.length) for k in kept):
+        if not any(oracle_le(u, k, oracle) for k in kept):
             kept.append(u)
     return tuple(sorted(kept, key=lambda u: (u.length, u.word)))
 

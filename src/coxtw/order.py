@@ -9,8 +9,8 @@ at z, and the result is verified before it is returned.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from itertools import combinations
 
 from .biclosed import BiclosedOracle, Complement
 from .elements import GroupElement, ascend, ball, grow, identity
@@ -94,19 +94,13 @@ def interval(x: GroupElement, y: GroupElement,
     return tuple(out)
 
 
-def _witness_truncations(oracle: BiclosedOracle):
+def _witness_letters(oracle: BiclosedOracle):
+    """The letters of a reduced witness word for B: finite, or prefix·period^∞."""
     cls = classify(oracle)
     if cls.kind == "finite":
-        word = cls.element.word
-        el = identity(oracle.system)
-        yield el
-        for s in word:
-            el = el.mul_simple(s)
-            yield el
-        return
+        return cls.element.word
     if cls.kind == "infinite":
-        yield from cls.word.truncations()
-        return
+        return itertools.chain(cls.word.prefix, itertools.cycle(cls.word.period))
     raise UnsupportedOracleError(
         "B is not an inversion set, so no witness word exists"
     )
@@ -114,22 +108,25 @@ def _witness_truncations(oracle: BiclosedOracle):
 
 def lower_bound(x: GroupElement, y: GroupElement,
                 oracle: BiclosedOracle) -> GroupElement:
-    """The first witness-word prefix z with Φ_z ⊇ (Φ_x ∪ Φ_y) ∩ B.
+    """The shortest witness-word prefix z with Φ_z ⊇ (Φ_x ∪ Φ_y) ∩ B.
 
-    Such a z satisfies z ≤_B x and z ≤_B y, and taking the first prefix
-    makes it deterministic."""
-    target = {r for r in x.inversion_set() | y.inversion_set()
-              if oracle.member(r)}
-    count = 0
-    for z in _witness_truncations(oracle):
-        count += 1
-        if count > _WITNESS_GUARD:
+    Such a z satisfies z ≤_B x and z ≤_B y, and taking the shortest prefix
+    makes it deterministic.  The word is reduced, so the letter s after a
+    prefix z adds exactly the inversion z(α_s)."""
+    letters = itertools.islice(_witness_letters(oracle), _WITNESS_GUARD)
+    missing = {r for r in x.inversion_set() | y.inversion_set()
+               if oracle.member(r)}
+    z = identity(x.system)
+    for s in letters:
+        if not missing:
             break
-        if target <= z.inversion_set():
-            if not (le(z, x, oracle) and le(z, y, oracle)):
-                raise DomainError("witness prefix is not a common lower bound")
-            return z
-    raise OrderError("witness word never covered the required inversions")
+        missing.discard(z.apply(x.system.simple_root(s)))
+        z = z.mul_simple(s)
+    if missing:
+        raise OrderError("witness word never covered the required inversions")
+    if not (le(z, x, oracle) and le(z, y, oracle)):
+        raise DomainError("witness prefix is not a common lower bound")
+    return z
 
 
 def ordinary_meet(a: GroupElement, b: GroupElement) -> GroupElement:
@@ -318,7 +315,7 @@ def check_meet_semilattice(system, oracle: BiclosedOracle,
         cls = None
     sound = cls is not None and cls.kind != "neither"
 
-    pairs = list(combinations(range(len(elems)), 2))
+    pairs = list(itertools.combinations(range(len(elems)), 2))
     cut = {}
     for ai, bi in pairs:
         if sound:

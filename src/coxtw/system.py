@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from . import linalg
@@ -33,10 +34,6 @@ class Root:
     @property
     def key(self) -> tuple:
         return (self.delta, self.coeffs)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.delta == 0 and not any(self.coeffs)
 
     @property
     def is_positive(self) -> bool:
@@ -235,7 +232,10 @@ class CoxeterSystem:
 
         self.key = (self.kind, self.cartan, self.symmetrizer)
         self._simple_matrices = tuple(self._build_simple_matrix(i) for i in range(self.ngens))
-        self._caches: dict = {}
+        # Grown on demand: the levels of `elements.ball`, and the right
+        # neighbours of each element for the brute-force `oracle` walks.
+        self.ball_levels: list = []
+        self.oracle_adj: dict = {}
 
     def __eq__(self, other):
         return isinstance(other, CoxeterSystem) and self.key == other.key
@@ -277,20 +277,15 @@ class CoxeterSystem:
 
     # -- roots ---------------------------------------------------------
 
-    @property
+    @cached_property
     def positive_roots(self) -> tuple[Root, ...]:
         """Positive roots of the finite part, sorted."""
-        if "pos_roots" not in self._caches:
-            self._caches["pos_roots"] = tuple(Root(v, 0) for v in self._pos_coeffs)
-        return self._caches["pos_roots"]
+        return tuple(Root(v, 0) for v in self._pos_coeffs)
 
-    @property
+    @cached_property
     def finite_roots(self) -> tuple[Root, ...]:
-        if "fin_roots" not in self._caches:
-            self._caches["fin_roots"] = tuple(
-                sorted((Root(v, 0) for v in self._root_coeff_set), key=lambda r: r.key)
-            )
-        return self._caches["fin_roots"]
+        return tuple(sorted((Root(v, 0) for v in self._root_coeff_set),
+                            key=lambda r: r.key))
 
     def is_root(self, rho: Root) -> bool:
         if len(rho.coeffs) != self.rank_finite:
@@ -329,14 +324,7 @@ class CoxeterSystem:
 
     def inner(self, u: Root, v: Root) -> Fraction:
         """(u, v); δ-components contribute nothing."""
-        total = Fraction(0)
-        for i, ci in enumerate(u.coeffs):
-            if ci:
-                row = self.form[i]
-                for j, cj in enumerate(v.coeffs):
-                    if cj:
-                        total += ci * cj * row[j]
-        return total
+        return self.inner_vec(u, v.coeffs)
 
     def inner_vec(self, u: Root, vec) -> Fraction:
         """(u, λ) for λ a rational vector in simple-root coordinates."""
@@ -349,36 +337,14 @@ class CoxeterSystem:
                         total += ci * row[j] * vec[j]
         return total
 
-    def pair_coroot(self, u: Root, v: Root) -> Fraction:
-        """(u, v^∨) = 2(u,v)/(v,v); v must have a nonzero finite part."""
-        vv = self.inner(v.fin(), v.fin())
-        if vv == 0:
-            raise DomainError("coroot pairing needs a root with nonzero finite part")
-        return 2 * self.inner(u, v) / vv
-
-    def coroot_vector(self, rho: Root) -> tuple[Fraction, ...]:
-        """2ρ/(ρ,ρ) in (simple-root, δ) coordinates; the δ-part is retained."""
-        norm = self.inner(rho, rho)
-        if norm == 0:
-            raise DomainError("cannot form the coroot of an isotropic vector")
-        scale = Fraction(2, 1) / norm
-        out = [scale * c for c in rho.coeffs]
-        if self.kind == "affine":
-            out.append(scale * rho.delta)
-        return tuple(out)
-
     # -- coweights -----------------------------------------------------
 
-    @property
+    @cached_property
     def fundamental_coweights(self) -> tuple[tuple[Fraction, ...], ...]:
         """ω_i with (ω_i, α_j) = δ_ij, as vectors in simple-root coordinates."""
-        if "coweights" not in self._caches:
-            inv = linalg.inverse(self.form)
-            self._caches["coweights"] = tuple(
-                tuple(inv[i][j] for j in range(self.rank_finite))
-                for i in range(self.rank_finite)
-            )
-        return self._caches["coweights"]
+        inv = linalg.inverse(self.form)
+        return tuple(tuple(inv[i][j] for j in range(self.rank_finite))
+                     for i in range(self.rank_finite))
 
     @property
     def connection_index(self) -> int:

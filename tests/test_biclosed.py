@@ -33,10 +33,9 @@ def test_closure_check_witnesses():
 
     # delta+alpha = 2*alpha + (delta-alpha) sits in the pair cone
     amb = A1T.positive_roots_up_to(2)
-    for mode in ("two_closure", "cone_closure"):
-        rep = closure_check(A1T, {ALPHA, DMA}, amb, mode=mode)
-        assert not rep.closed
-        assert rep.witness == ((ALPHA, DMA), Root((1,), 1))
+    rep = closure_check(A1T, {ALPHA, DMA}, amb)
+    assert not rep.closed
+    assert rep.witness == ((ALPHA, DMA), Root((1,), 1))
 
 
 def test_biclosed_check_sides():

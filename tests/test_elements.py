@@ -130,6 +130,8 @@ def test_length_parity_and_subadditivity(wu, wv):
     assert (w.length - u.length - v.length) % 2 == 0
     assert w.length <= u.length + v.length
     assert len(w.inversion_set()) == w.length
+    for s in range(sys3.ngens):
+        assert u.mul_simple(s) == u * simple(sys3, s)
 
 
 @settings(deadline=None, derandomize=True, max_examples=60)
@@ -147,3 +149,22 @@ def test_ascend_rebuilds_from_inversion_set():
         system = build_system(spec)
         for w in ball(system, radius):
             assert ascend(system, w.inversion_set()) == w
+
+
+def test_word_guard_is_not_an_assert(monkeypatch):
+    w = from_word(A2, (0, 1))
+    monkeypatch.setattr(GroupElement, "is_identity", property(lambda self: False))
+    with pytest.raises(DomainError, match="identity"):
+        w.word
+
+
+@pytest.mark.parametrize("image, message", [
+    (lambda self, rho: -rho, "not positive"),
+    (lambda self, rho: Root((1, 0)), "not distinct"),
+])
+def test_inversion_set_guards_are_not_asserts(monkeypatch, image, message):
+    w = from_word(A2, (0, 1))
+    assert w.word == (0, 1)
+    monkeypatch.setattr(GroupElement, "apply", image)
+    with pytest.raises(DomainError, match=message):
+        w.inversion_set()

@@ -26,17 +26,17 @@ def test_oracle_tlen_matches_order_module():
 
 def test_oracle_le():
     orc = Explicit(A2, {Root((1, 0))})
-    assert not oracle_le(identity(A2), from_word(A2, (0, 1)), orc, 6)
+    assert not oracle_le(identity(A2), from_word(A2, (0, 1)), orc)
     assert oracle_le(simple(A2, 0), identity(A2), orc)
     assert oracle_le(simple(A1T, 1), simple(A1T, 0), HAT_NEG)
     assert not oracle_le(simple(A1T, 0), simple(A1T, 1), HAT_NEG)
 
 
-def test_oracle_le_radius_floor():
-    x, y = simple(A2, 0), from_word(A2, (0, 1))
-    with pytest.raises(DomainError):
-        oracle_le(x, y, Explicit(A2, set()), 2)   # needs l(x)+l(y) = 3
-    assert oracle_le(x, y, Explicit(A2, set()), 3)
+def test_oracle_tlen_scan_guard_is_not_an_assert(monkeypatch):
+    system = build_system("A~1")
+    monkeypatch.setattr(system, "positive_roots_up_to", lambda level: ())
+    with pytest.raises(DomainError, match="level bound"):
+        oracle_tlen(simple(system, 0), Explicit(system, ()))
 
 
 def test_oracle_meet():

@@ -6,7 +6,10 @@ from hypothesis import given, settings, strategies as st
 from coxtw.biclosed import Complement, Explicit, HatForm
 from coxtw.elements import ball, from_word, identity, simple
 from coxtw import order
-from coxtw.errors import DomainError, JoinSearchError, OrderError
+from coxtw.errors import (DomainError, JoinSearchError, OrderError,
+                          UnsupportedOracleError)
+from coxtw.infwords import WordInvSet, classify, validate_periodic
+from coxtw.oracle import longest_finite
 from coxtw.order import (chain, check_meet_semilattice, cover_neighbors,
                          hasse, interval, is_up_cover, join, le, lower_bound,
                          meet, ordinary_meet, twisted_length)
@@ -83,6 +86,31 @@ def test_lower_bound():
     assert z == el(A1T, 1, 0)
     z = lower_bound(simple(A1T, 0), simple(A1T, 1), HAT_NEG)
     assert le(z, simple(A1T, 0), HAT_NEG) and le(z, simple(A1T, 1), HAT_NEG)
+
+    # z is the shortest prefix of the witness word that covers the target,
+    # and may end inside the word's prefix
+    for oracle in (HatForm(A1T, longest_finite(A1T), (), ()),
+                   HatForm(A2T, longest_finite(A2T), (), ()),
+                   WordInvSet(validate_periodic(A2T, (0,), (1, 0, 2, 1, 0, 2)))):
+        system = oracle.system
+        word = classify(oracle).word
+        letters = itertools.chain(word.prefix, itertools.cycle(word.period))
+        letters = list(itertools.islice(letters, 40))
+        for x, y in itertools.combinations_with_replacement(ball(system, 3), 2):
+            target = {r for r in x.inversion_set() | y.inversion_set()
+                      if oracle.member(r)}
+            z = lower_bound(x, y, oracle)
+            assert from_word(system, letters[:z.length]) == z
+            assert target <= z.inversion_set()
+            if z.length:
+                shorter = from_word(system, letters[:z.length - 1])
+                assert not target <= shorter.inversion_set()
+
+
+def test_meet_needs_an_inversion_set():
+    full = Complement(Explicit(A1T, set()))
+    with pytest.raises(UnsupportedOracleError):
+        meet(identity(A1T), identity(A1T), full)
 
 
 def test_ordinary_meet():
