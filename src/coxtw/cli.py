@@ -216,7 +216,7 @@ def _cmd_meet(args, system):
 def _cmd_hasse(args, system):
     radius = _cap_check(args.radius, "radius")
     oracle = parse_biclosed(system, args.biclosed)
-    graph = hasse(system, oracle, radius)
+    graph = hasse(oracle, ball(system, radius))
     if args.format == "json":
         return _json_line(graph.to_json()), 0
     return graph.to_dot(), 0

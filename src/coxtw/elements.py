@@ -266,9 +266,9 @@ def translation(system: CoxeterSystem, lam) -> GroupElement:
     if not system.in_coroot_lattice(vec):
         raise DomainError("translation vector is not in the coroot lattice")
     k = system.rank_finite
+    # (α_j, α_i^∨) = a_ij, so (α_j, λ) = Σ_i c_i·a_ij for λ = Σ_i c_i·α_i^∨
+    coords = [int(x) for x in system.coroot_coordinates(vec)]
     m = [[1 if r == c else 0 for c in range(k + 1)] for r in range(k + 1)]
     for j in range(k):
-        pairing = system.inner_vec(system.simple_root(j), vec)
-        assert pairing.denominator == 1
-        m[k][j] = int(pairing)
+        m[k][j] = sum(coords[i] * system.cartan[i][j] for i in range(k))
     return GroupElement(system, m)

@@ -23,7 +23,6 @@ class Figure:
     name: str
     type_string: str
     expr: str
-    radius: int
     gen_labels: tuple[str, ...]
     words: tuple[tuple[int, ...], ...]
     edges: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
@@ -77,7 +76,6 @@ FIGURES = {
         name="a1-twist",
         type_string="A~1",
         expr="hat 0::",
-        radius=3,
         gen_labels=("s_α", "s_{δ-α}"),
         words=_A1_WORDS,
         edges=_A1_EDGES,
@@ -86,7 +84,6 @@ FIGURES = {
         name="a2-twist",
         type_string="A~2",
         expr="hat 0,1,0::",
-        radius=4,
         gen_labels=("s_α", "s_β", "s_{δ-α-β}"),
         words=_A2_WORDS,
         edges=_A2_EDGES,
@@ -120,7 +117,7 @@ def emit_figure(name: str, system=None):
         labels[el] = " ".join(fig.gen_labels[s] for s in w) or "e"
     if len(set(elements)) != len(elements):
         raise DomainError("fixture words repeat an element")
-    graph = hasse(system, oracle, fig.radius, elements=elements)
+    graph = hasse(oracle, elements)
     want = {(from_word(system, a), from_word(system, b)) for a, b in fig.edges}
     got = {(graph.nodes[i][0], graph.nodes[j][0]) for i, j in graph.edges}
     if got != want:

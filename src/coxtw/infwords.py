@@ -2,9 +2,10 @@
 
 A word prefix·period^∞ is accepted only with a certificate: both parts
 reduced and l(prefix·period^k) = l(prefix) + k·l(period) for k up to twice
-the order of the period's Weyl part.  Past that point the period powers are
+the order m of the period's Weyl part.  Past that point the period powers are
 pure translations, whose lengths grow linearly, so a defect would already
-have shown up.
+have shown up.  The word keeps period^m = t_μ only as its integer δ-row
+((α_j, μ))_j, for the drift μ: membership needs nothing else.
 
 The classifier inverts this: given a biclosed oracle it decides whether the
 set is the inversion set of an element, of a validated infinite word, or of
@@ -14,12 +15,11 @@ nothing at all (witnessed by two roots whose finite parts are opposite).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .biclosed import (BiclosedOracle, HatForm, _decompose_psi,
                        _peel_inversion_set, level_displacement)
 from .elements import (GroupElement, from_word, grow, identity, translation,
-                       translation_vector, weyl_part)
+                       weyl_part)
 from .errors import ClassificationError, DomainError, NotReducedError
 from .system import CoxeterSystem, Root
 
@@ -35,32 +35,26 @@ def _weyl_order(el: GroupElement) -> int:
     raise DomainError("element order exceeded the search guard")
 
 
-def _apply_fin(el: GroupElement, vec) -> tuple[Fraction, ...]:
-    """Finite Weyl block acting on a rational vector in simple-root coordinates."""
-    k = el.system.rank_finite
-    m = el.matrix
-    return tuple(
-        sum((Fraction(m[r][c]) * vec[c] for c in range(k)), Fraction(0))
-        for r in range(k)
-    )
+def _pairing(drift, coeffs) -> int:
+    """(β, μ) for β with the given simple-root coordinates: Σ_j β_j·(α_j, μ)."""
+    return sum(c * d for c, d in zip(coeffs, drift))
 
 
 class PeriodicWord:
     """A validated reduced word prefix·period^∞ (period may be empty)."""
 
     __slots__ = ("system", "prefix", "period", "prefix_el", "period_el",
-                 "weyl_order", "lam", "mu", "_neg_powers")
+                 "weyl_order", "drift", "_neg_powers")
 
     def __init__(self, system, prefix, period, prefix_el, period_el,
-                 weyl_order, lam, mu, neg_powers):
+                 weyl_order, drift, neg_powers):
         self.system = system
         self.prefix = prefix
         self.period = period
         self.prefix_el = prefix_el
         self.period_el = period_el
         self.weyl_order = weyl_order
-        self.lam = lam
-        self.mu = mu
+        self.drift = drift
         self._neg_powers = neg_powers
 
     def __repr__(self):
@@ -69,12 +63,13 @@ class PeriodicWord:
     def tail_member(self, sigma: Root) -> bool:
         """Is the positive root σ in Φ_{period^∞}?
 
-        σ lies there iff some period^{-k} sends it negative; writing
-        k = i·m + j with m the Weyl order reduces that to finitely many j
-        plus the sign of (fin σ, μ) for the drift μ = Σ_j ū^{-j}λ."""
+        σ lies there iff some period^{-k} sends it negative.  Writing
+        k = i·m + j with m the Weyl order, period^{-k}(σ) is
+        period^{-j}(σ) − i·(σ, μ)·δ, so only the j < m and the sign of
+        (fin σ, μ), a dot product with the drift row, matter."""
         if not self.period:
             return False
-        if self.system.inner_vec(sigma.fin(), self.mu) > 0:
+        if _pairing(self.drift, sigma.coeffs) > 0:
             return True
         return any(p.apply(sigma).is_negative for p in self._neg_powers[1:])
 
@@ -86,25 +81,13 @@ class PeriodicWord:
         return self.tail_member(sigma)
 
     def tail_limit_roots(self) -> frozenset[Root]:
-        """Finite roots whose δ-string eventually lies in Φ_{period^∞}."""
+        """Finite roots β with (β, μ) > 0: their δ-strings end in Φ_{period^∞}."""
         if not self.period:
             return frozenset()
         return frozenset(
             beta for beta in self.system.finite_roots
-            if self.system.inner_vec(beta, self.mu) > 0
+            if _pairing(self.drift, beta.coeffs) > 0
         )
-
-    def truncations(self):
-        """The elements of the finite prefixes: prefix, then period letters forever."""
-        el = self.prefix_el
-        yield el
-        if not self.period:
-            return
-        i = 0
-        while True:
-            el = el.mul_simple(self.period[i % len(self.period)])
-            i += 1
-            yield el
 
 
 def validate_periodic(system: CoxeterSystem, prefix, period) -> PeriodicWord:
@@ -122,7 +105,7 @@ def validate_periodic(system: CoxeterSystem, prefix, period) -> PeriodicWord:
         raise NotReducedError("prefix word is not reduced", failing_power=0)
     if not period:
         return PeriodicWord(system, prefix, period, prefix_el, None, 0,
-                            None, None, ())
+                            None, ())
     period_el = from_word(system, period)
     if period_el.length != len(period):
         raise NotReducedError("period word is not reduced", failing_power=0)
@@ -139,27 +122,19 @@ def validate_periodic(system: CoxeterSystem, prefix, period) -> PeriodicWord:
                 failing_power=k,
             )
 
-    lam = translation_vector(period_el)
-    winv = weyl_part(period_el).inverse()
-    mu = list(lam)
-    vec = lam
-    for _ in range(1, order):
-        vec = _apply_fin(winv, vec)
-        mu = [a + b for a, b in zip(mu, vec)]
-    mu = tuple(mu)
-    # period^order must be the pure translation by the drift vector
     power = identity(system)
     for _ in range(order):
         power = power * period_el
-    if power != translation(system, mu):
-        raise DomainError("period power is not the translation by its drift")
+    if not weyl_part(power).is_identity:
+        raise DomainError("period power is not a translation, so it has no drift")
+    drift = power.matrix[system.rank_finite][:system.rank_finite]
 
     inv = period_el.inverse()
     neg_powers = [identity(system)]
     for _ in range(1, order):
         neg_powers.append(neg_powers[-1] * inv)
     return PeriodicWord(system, prefix, period, prefix_el, period_el,
-                        order, lam, mu, tuple(neg_powers))
+                        order, drift, tuple(neg_powers))
 
 
 class WordInvSet(BiclosedOracle):
@@ -252,15 +227,12 @@ def _try_prefix(oracle: BiclosedOracle, limits, prefix: GroupElement,
         u, d1, _ = _decompose_psi(system, j_set)
     except ClassificationError:
         return None
-    off = [i for i in range(system.rank_finite) if i not in d1]
-    gamma = [Fraction(0)] * system.rank_finite
-    n = system.connection_index
-    for i in off:
-        w_i = _apply_fin(u, system.fundamental_coweights[i])
-        gamma = [g + n * c for g, c in zip(gamma, w_i)]
-    if not any(gamma):
+    # t_{ū·λ} = u·t_λ·u⁻¹, for λ the dominant coweight vanishing on Δ1
+    t_gamma = (u * translation(system, system.dominant_coweight_for(d1))
+               * u.inverse())
+    if t_gamma.is_identity:
         return None
-    period = translation(system, gamma).word
+    period = t_gamma.word
     try:
         pword = validate_periodic(system, prefix.word, period)
     except NotReducedError:
@@ -332,14 +304,11 @@ def t_gamma_infinity(system: CoxeterSystem, gamma) -> tuple:
     """The inversion set of t_γ^∞ as a hat-form oracle, with its word.
 
     γ must be a nonzero coroot-lattice vector (simple-root coordinates)."""
-    vec = tuple(Fraction(x) for x in gamma)
     if system.kind != "affine":
         raise DomainError("infinite translation powers need an affine system")
-    if not any(vec):
+    t_el = translation(system, gamma)
+    if t_el.is_identity:
         raise DomainError("translation direction must be nonzero")
-    t_el = translation(system, vec)
-    j_set = frozenset(beta for beta in system.finite_roots
-                      if system.inner_vec(beta, vec) > 0)
-    oracle = HatForm(system, *_decompose_psi(system, j_set))
     word = validate_periodic(system, (), t_el.word)
+    oracle = HatForm(system, *_decompose_psi(system, word.tail_limit_roots()))
     return oracle, word

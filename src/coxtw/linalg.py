@@ -15,34 +15,6 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 Vector = tuple[Fraction, ...]
 
 
-def to_fractions(rows: Sequence[Sequence]) -> Matrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
-def identity(n: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
-        for i in range(n)
-    )
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0])
-    assert len(a[0]) == k
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m))
-        for i in range(n)
-    )
-
-
-def matvec(a: Matrix, v: Sequence) -> Vector:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
-
-
-def transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a))
-
-
 def det(a: Matrix) -> Fraction:
     n = len(a)
     m = [list(row) for row in a]

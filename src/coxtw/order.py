@@ -196,8 +196,6 @@ def join(x: GroupElement, y: GroupElement,
 
 @dataclass(frozen=True)
 class HasseGraph:
-    oracle_key: str
-    radius: int
     nodes: tuple  # (GroupElement, twisted length), sorted
     edges: tuple  # (i, j) index pairs, lower -> higher
 
@@ -224,11 +222,8 @@ class HasseGraph:
         return "\n".join(lines) + "\n"
 
 
-def hasse(system, oracle: BiclosedOracle, radius: int,
-          elements=None) -> HasseGraph:
-    """Cover graph of ≤_B restricted to the ball (or a given element set)."""
-    if elements is None:
-        elements = ball(system, radius)
+def hasse(oracle: BiclosedOracle, elements) -> HasseGraph:
+    """Cover graph of ≤_B restricted to the given elements."""
     nodes = sorted(
         ((w, twisted_length(w, oracle)) for w in elements),
         key=lambda pair: (pair[1], pair[0].length, pair[0].word),
@@ -236,13 +231,13 @@ def hasse(system, oracle: BiclosedOracle, radius: int,
     index = {w.matrix: i for i, (w, _) in enumerate(nodes)}
     edges = []
     for i, (w, _) in enumerate(nodes):
-        for s in range(system.ngens):
+        for s in range(oracle.system.ngens):
             if is_up_cover(w, s, oracle):
                 j = index.get(w.mul_simple(s).matrix)
                 if j is not None:
                     edges.append((i, j))
     edges.sort()
-    return HasseGraph(oracle.key(), radius, tuple(nodes), tuple(edges))
+    return HasseGraph(tuple(nodes), tuple(edges))
 
 
 # -- semilattice checking ----------------------------------------------

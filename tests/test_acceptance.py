@@ -131,11 +131,12 @@ def test_criterion_07_meet_semilattice_and_noncompleteness():
             if res.kind == "infinite":
                 rep = check_meet_semilattice(sys_, orc, 3)
                 assert rep.status == "ok", (sys_.type_string, name, rep)
-                truncs = []
-                for el_ in res.word.truncations():
-                    truncs.append(el_)
-                    if el_.length >= 7:
-                        break
+                w = res.word
+                letters = tuple(itertools.islice(
+                    itertools.chain(w.prefix, itertools.cycle(w.period)),
+                    max(7, len(w.prefix))))
+                truncs = [from_word(sys_, letters[:n])
+                          for n in range(len(w.prefix), len(letters) + 1)]
                 bounds = [z for z in ball(sys_, 6)
                           if all(le(z, tr, orc) for tr in truncs)]
                 assert not bounds, (sys_.type_string, name)

@@ -29,9 +29,32 @@ def test_validate_periodic_accepts_translation_word():
 
 
 def test_period_power_guard_is_not_an_assert(monkeypatch):
-    monkeypatch.setattr(infwords, "translation", lambda system, mu: identity(system))
+    # the Weyl part of s0 s1 s2 has order 2, so its first power is no translation
+    monkeypatch.setattr(infwords, "_weyl_order", lambda el: 1)
     with pytest.raises(DomainError, match="drift"):
-        validate_periodic(A1T, (), (0, 1))
+        validate_periodic(A2T, (), (0, 1, 2))
+
+
+def test_multi_term_drift_matches_long_truncations():
+    # periods whose Weyl part has order 2 or 3, so the drift sums several
+    # conjugates of the period's translation part
+    cases = [("A~2", (), (0, 1, 2)), ("C~2", (), (0, 1, 2)),
+             ("G~2", (), (0, 1, 2)), ("A~3", (), (0, 1, 2, 3)),
+             ("A~2", (1,), (2, 0, 1))]
+    for spec, prefix, period in cases:
+        system = build_system(spec)
+        word = validate_periodic(system, prefix, period)
+        assert word.weyl_order > 1
+        assert all(isinstance(d, int) for d in word.drift)
+
+        def truncation(n):
+            letters = itertools.islice(itertools.chain(prefix, itertools.cycle(period)), n)
+            return from_word(system, letters).inversion_set()
+
+        short, long = truncation(20), truncation(40)
+        for rho in system.positive_roots_up_to(2):
+            assert (rho in short) == (rho in long), (spec, rho)
+            assert word.member(rho) == (rho in long), (spec, rho)
 
 
 class _UnclosedLimits(Explicit):
@@ -57,7 +80,9 @@ def test_validate_periodic_prefix():
     assert w.member(DMA)
     assert w.member(Root((-1,), 2))
     assert not w.member(Root((1,), 1))
-    trunc = list(itertools.islice(w.truncations(), 4))
+    letters = tuple(itertools.islice(
+        itertools.chain(w.prefix, itertools.cycle(w.period)), 4))
+    trunc = [from_word(A1T, letters[:n]) for n in range(1, 5)]
     assert [t.length for t in trunc] == [1, 2, 3, 4]
 
 
@@ -78,7 +103,11 @@ def test_empty_period_on_finite_system():
     assert w.member(Root((1, 0)))
     assert not w.tail_member(Root((0, 1)))
     assert w.tail_limit_roots() == frozenset()
-    assert [t.word for t in itertools.islice(w.truncations(), 3)] == [(0, 1)]
+    # with no period the letters stop after the prefix
+    letters = tuple(itertools.islice(
+        itertools.chain(w.prefix, itertools.cycle(w.period)), 3))
+    assert letters == (0, 1)
+    assert from_word(A2, letters).word == (0, 1)
 
 
 def test_word_invset_oracle():
@@ -151,9 +180,11 @@ def test_t_gamma_infinity_dominant_a2():
     assert orc.limit_roots() == frozenset(A2T.positive_roots)
     assert len(word.period) == 12
     # truncation inversion sets grow inside the oracle
+    letters = tuple(itertools.islice(
+        itertools.chain(word.prefix, itertools.cycle(word.period)), 4))
     prev = frozenset()
-    for el in itertools.islice(word.truncations(), 5):
-        cur = el.inversion_set()
+    for n in range(5):
+        cur = from_word(A2T, letters[:n]).inversion_set()
         assert prev <= cur
         assert all(orc.member(r) for r in cur)
         prev = cur

@@ -7,57 +7,44 @@ from hypothesis import strategies as st
 from coxtw import linalg
 
 
-def test_identity_and_matmul():
-    i3 = linalg.identity(3)
-    a = linalg.to_fractions([[1, 2, 0], [0, 1, 4], [5, 0, 1]])
-    assert linalg.matmul(a, i3) == a
-    assert linalg.matmul(i3, a) == a
-
-
-def test_matvec():
-    a = linalg.to_fractions([[2, -1], [-1, 2]])
-    assert linalg.matvec(a, (1, 1)) == (Fraction(1), Fraction(1))
-
-
-def test_transpose():
-    a = linalg.to_fractions([[1, 2], [3, 4]])
-    assert linalg.transpose(a) == ((1, 3), (2, 4))
-
-
 def test_det_known_values():
-    assert linalg.det(linalg.to_fractions([[2]])) == 2
-    assert linalg.det(linalg.to_fractions([[2, -1], [-1, 2]])) == 3
-    assert linalg.det(linalg.to_fractions([[2, -1], [-3, 2]])) == 1
+    assert linalg.det([[2]]) == 2
+    assert linalg.det([[2, -1], [-1, 2]]) == 3
+    assert linalg.det([[2, -1], [-3, 2]]) == 1
     # type A Cartan determinants count n+1
     a3 = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
-    assert linalg.det(linalg.to_fractions(a3)) == 4
-    assert linalg.det(linalg.to_fractions([[1, 2], [2, 4]])) == 0
+    assert linalg.det(a3) == 4
+    assert linalg.det([[1, 2], [2, 4]]) == 0
 
 
 def test_solve_exact():
-    a = linalg.to_fractions([[2, -1], [-1, 2]])
+    a = [[2, -1], [-1, 2]]
     x = linalg.solve(a, (1, 0))
     assert x == (Fraction(2, 3), Fraction(1, 3))
 
 
 def test_solve_singular_raises():
-    a = linalg.to_fractions([[1, 1], [1, 1]])
+    a = [[1, 1], [1, 1]]
     with pytest.raises(ZeroDivisionError):
         linalg.solve(a, (1, 0))
 
 
 def test_inverse_roundtrip():
-    a = linalg.to_fractions([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
+    a = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
     inv = linalg.inverse(a)
-    assert linalg.matmul(a, inv) == linalg.identity(3)
+    assert inv == tuple(tuple(Fraction(x, 4) for x in row)
+                        for row in ((3, 2, 1), (2, 4, 2), (1, 2, 3)))
+    product = [[sum(a[i][t] * inv[t][j] for t in range(3)) for j in range(3)]
+               for i in range(3)]
+    assert product == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 @settings(deadline=None, derandomize=True, max_examples=40)
 @given(st.lists(st.lists(st.integers(-5, 5), min_size=3, max_size=3),
                 min_size=3, max_size=3))
 def test_det_transpose_invariant(rows):
-    a = linalg.to_fractions(rows)
-    assert linalg.det(a) == linalg.det(linalg.transpose(a))
+    transposed = [list(col) for col in zip(*rows)]
+    assert linalg.det(rows) == linalg.det(transposed)
 
 
 @settings(deadline=None, derandomize=True, max_examples=40)
@@ -65,8 +52,7 @@ def test_det_transpose_invariant(rows):
                 min_size=2, max_size=2),
        st.lists(st.integers(-4, 4), min_size=2, max_size=2))
 def test_solve_reconstructs(rows, rhs):
-    a = linalg.to_fractions(rows)
-    if linalg.det(a) == 0:
+    if linalg.det(rows) == 0:
         return
-    x = linalg.solve(a, rhs)
-    assert linalg.matvec(a, x) == tuple(Fraction(b) for b in rhs)
+    x = linalg.solve(rows, rhs)
+    assert [sum(a * xj for a, xj in zip(row, x)) for row in rows] == rhs

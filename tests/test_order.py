@@ -159,7 +159,7 @@ def test_meet_is_ordinary_under_empty_set():
 
 
 def test_hasse_chain_shape():
-    g = hasse(A1T, HAT_NEG, 3)
+    g = hasse(HAT_NEG, ball(A1T, 3))
     data = g.to_json()
     assert [n["tlen"] for n in data["nodes"]] == list(range(-3, 4))
     assert data["nodes"][0] == {"word": [1, 0, 1], "tlen": -3}
@@ -172,7 +172,7 @@ def test_hasse_chain_shape():
 
 def test_hasse_respects_element_filter():
     keep = [w for w in ball(A1T, 3) if w.length <= 1]
-    g = hasse(A1T, HAT_NEG, 3, elements=keep)
+    g = hasse(HAT_NEG, keep)
     assert len(g.nodes) == 3
     assert len(g.edges) == 2
 
