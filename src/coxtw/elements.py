@@ -9,8 +9,8 @@ never need to be compared up to braid moves.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
-from . import linalg
 from .errors import DomainError
 from .system import CoxeterSystem, Root
 
@@ -22,7 +22,7 @@ class GroupElement:
 
     def __init__(self, system: CoxeterSystem, matrix):
         self.system = system
-        self.matrix = tuple(tuple(int(x) for x in row) for row in matrix)
+        self.matrix = tuple(map(tuple, matrix))
         self._word = None
         self._inverse = None
         self._invset = None
@@ -50,12 +50,9 @@ class GroupElement:
 
     def _times(self, b) -> "GroupElement":
         """This element followed by the matrix b on the right."""
-        n = self.system.dim
-        a = self.matrix
-        return GroupElement(self.system, tuple(
-            tuple(sum(a[r][m] * b[m][c] for m in range(n)) for c in range(n))
-            for r in range(n)
-        ))
+        cols = list(zip(*b))
+        return GroupElement(self.system, [[sum(map(mul, row, col)) for col in cols]
+                                          for row in self.matrix])
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         if not isinstance(other, GroupElement):
@@ -65,15 +62,35 @@ class GroupElement:
         return self._times(other.matrix)
 
     def mul_simple(self, s: int) -> "GroupElement":
-        return self._times(self.system.simple_matrix(s))
+        """w·s, column by column: (w·s)(α_j) = w(α_j) − ⟨α_j, α_s^∨⟩·w(α_s)."""
+        pairs = self.system.reflection(s)[1]
+        rows = []
+        for row, x in zip(self.matrix, self._image(s)):
+            if x:
+                row = list(row)
+                for j, c in pairs:
+                    row[j] -= c * x
+                row = tuple(row)
+            rows.append(row)
+        return GroupElement(self.system, rows)
 
     def inverse(self) -> "GroupElement":
+        """w⁻¹ from the invariant form: w̄⁻¹ = H·w̄ᵀ·G / N on the finite block,
+        and [[w̄, 0], [r, 1]]⁻¹ = [[w̄⁻¹, 0], [−r·w̄⁻¹, 1]] for affine types."""
         if self._inverse is None:
-            frac = tuple(tuple(Fraction(x) for x in row) for row in self.matrix)
-            inv = linalg.inverse(frac)
-            for row in inv:
-                assert all(x.denominator == 1 for x in row)
-            el = GroupElement(self.system, tuple(tuple(int(x) for x in row) for row in inv))
+            gram, inv, n = self.system.integer_form
+            k = self.system.rank_finite
+            m = self.matrix
+            wcols = list(zip(*m[:k]))[:k]
+            gcols = [[sum(map(mul, c, g)) for c in wcols] for g in gram]  # columns of w̄ᵀ·G
+            qr = [[divmod(sum(map(mul, h, c)), n) for c in gcols] for h in inv]
+            if any(r for row in qr for _, r in row):
+                raise DomainError("matrix does not preserve the invariant form")
+            rows = [[q for q, _ in row] for row in qr]
+            if self.system.kind == "affine":
+                bottom = [-sum(map(mul, m[k][:k], col)) for col in zip(*rows)]
+                rows = [row + [0] for row in rows] + [bottom + [1]]
+            el = GroupElement(self.system, rows)
             el._inverse = self
             self._inverse = el
         return self._inverse
@@ -87,8 +104,7 @@ class GroupElement:
             vec = rho.coeffs + (rho.delta,)
         else:
             vec = rho.coeffs
-        m = self.matrix
-        out = [sum(m[r][c] * vec[c] for c in range(len(vec))) for r in range(len(vec))]
+        out = [sum(map(mul, row, vec)) for row in self.matrix]
         if self.system.kind == "affine":
             return Root(tuple(out[:k]), out[k])
         return Root(tuple(out), 0)
@@ -102,16 +118,30 @@ class GroupElement:
 
     # -- words and lengths ---------------------------------------------
 
+    def _image(self, s: int) -> list[int]:
+        """w(α_s) as an integer column: column s itself for a finite simple root."""
+        if s < self.system.rank_finite:
+            return [row[s] for row in self.matrix]
+        root = self.system.reflection(s)[0]
+        return [sum(row[r] * c for r, c in root) for row in self.matrix]
+
+    def _descends(self, s: int) -> bool:
+        """Whether w(α_s) is negative, read off its integer image: the sign of
+        the δ-entry when that is nonzero, else any negative entry."""
+        image = self._image(s)
+        if self.system.kind == "affine" and image[-1]:
+            return image[-1] < 0
+        return min(image) < 0
+
     @property
     def word(self) -> tuple[int, ...]:
         """The ShortLex-minimal reduced word, by smallest-left-descent peeling."""
         if self._word is None:
-            simples = [self.system.simple_root(s) for s in range(self.system.ngens)]
             v = self.inverse()
             out = []
             for _ in range(_WORD_GUARD):
                 for s in range(self.system.ngens):
-                    if v.apply(simples[s]).is_negative:
+                    if v._descends(s):
                         out.append(s)
                         v = v.mul_simple(s)
                         break
@@ -129,8 +159,7 @@ class GroupElement:
         return len(self.word)
 
     def right_descents(self) -> tuple[int, ...]:
-        return tuple(s for s in range(self.system.ngens)
-                     if self.apply(self.system.simple_root(s)).is_negative)
+        return tuple(s for s in range(self.system.ngens) if self._descends(s))
 
     def left_descents(self) -> tuple[int, ...]:
         return self.inverse().right_descents()
@@ -174,7 +203,7 @@ def identity(system: CoxeterSystem) -> GroupElement:
 
 
 def simple(system: CoxeterSystem, s: int) -> GroupElement:
-    return GroupElement(system, system.simple_matrix(s))
+    return identity(system).mul_simple(s)
 
 
 def from_word(system: CoxeterSystem, word) -> GroupElement:
@@ -245,15 +274,6 @@ def weyl_part(w: GroupElement) -> GroupElement:
     m = [[w.matrix[r][c] for c in range(k)] + [0] for r in range(k)]
     m.append([0] * k + [1])
     return GroupElement(w.system, m)
-
-
-def translation_vector(w: GroupElement) -> tuple[Fraction, ...]:
-    """λ with w = w̄·t_λ, in simple-root coordinates: read the δ-row of w."""
-    if w.system.kind != "affine":
-        raise DomainError("translation parts only exist in affine systems")
-    k = w.system.rank_finite
-    rhs = tuple(Fraction(w.matrix[k][j]) for j in range(k))
-    return tuple(linalg.solve(w.system.form, rhs))
 
 
 def translation(system: CoxeterSystem, lam) -> GroupElement:

@@ -12,7 +12,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm, prod
+from operator import mul
 
 from . import linalg
 from .errors import DomainError, ExprError, ValidationError
@@ -43,7 +44,9 @@ class Root:
 
     @property
     def is_negative(self) -> bool:
-        return (-self).is_positive
+        if self.delta != 0:
+            return self.delta < 0
+        return any(self.coeffs) and all(c <= 0 for c in self.coeffs)
 
     def __neg__(self) -> "Root":
         return Root(tuple(-c for c in self.coeffs), -self.delta)
@@ -141,15 +144,17 @@ def _auto_symmetrizer(cartan) -> tuple[Fraction, ...]:
     return tuple(d)
 
 
-def _check_positive_definite(form) -> None:
+def _check_positive_definite(form) -> Fraction:
+    """Raise unless every leading minor is positive; return det(form)."""
     k = len(form)
     for t in range(1, k + 1):
-        minor = tuple(row[:t] for row in form[:t])
-        if linalg.det(minor) <= 0:
+        minor = linalg.det(tuple(row[:t] for row in form[:t]))
+        if minor <= 0:
             raise ValidationError(
                 "symmetrized Cartan matrix is not positive definite "
                 f"(leading minor {t} is non-positive)"
             )
+    return minor
 
 
 def _generate_positive_roots(cartan) -> tuple[tuple[int, ...], ...]:
@@ -201,7 +206,14 @@ class CoxeterSystem:
             for j in range(k):
                 if self.form[i][j] != self.form[j][i]:
                     raise ValidationError("symmetrizer does not symmetrize the Cartan matrix")
-        _check_positive_definite(self.form)
+        # form = diag(d)·cartan, and det(cartan) is the connection index
+        det = _check_positive_definite(self.form) / prod(self.symmetrizer)
+        if det.denominator != 1:
+            raise DomainError(f"Cartan determinant {det} is not an integer")
+        self.connection_index = int(det)
+        # the form scaled to integers, for the reflection table and inverses
+        self.form_scale = lcm(*(x.denominator for row in self.form for x in row))
+        self.gram = tuple(tuple(int(x * self.form_scale) for x in row) for row in self.form)
 
         self.kind = "affine" if affine else "finite"
         self.type_string = type_string
@@ -231,7 +243,7 @@ class CoxeterSystem:
         self.simple_names = tuple(names)
 
         self.key = (self.kind, self.cartan, self.symmetrizer)
-        self._simple_matrices = tuple(self._build_simple_matrix(i) for i in range(self.ngens))
+        self._reflections = tuple(self._reflection(s) for s in range(self.ngens))
         # Grown on demand: the levels of `elements.ball`, and the right
         # neighbours of each element for the brute-force `oracle` walks.
         self.ball_levels: list = []
@@ -342,15 +354,17 @@ class CoxeterSystem:
     @cached_property
     def fundamental_coweights(self) -> tuple[tuple[Fraction, ...], ...]:
         """ω_i with (ω_i, α_j) = δ_ij, as vectors in simple-root coordinates."""
-        inv = linalg.inverse(self.form)
-        return tuple(tuple(inv[i][j] for j in range(self.rank_finite))
-                     for i in range(self.rank_finite))
+        return linalg.inverse(self.form)
 
-    @property
-    def connection_index(self) -> int:
-        det = linalg.det(tuple(tuple(Fraction(x) for x in row) for row in self.cartan))
-        assert det.denominator == 1 and det != 0
-        return abs(int(det))
+    @cached_property
+    def integer_form(self):
+        """(G, H, N): the integer Gram matrix G = `gram`, and H = N·G⁻¹ in
+        integers.  Every Weyl group element w̄ preserves the form, so
+        w̄⁻¹ = H·w̄ᵀ·G / N exactly."""
+        inv = self.fundamental_coweights
+        n = lcm(*(x.denominator for row in inv for x in row))
+        h = tuple(tuple(int(x * n) for x in row) for row in inv)
+        return self.gram, h, n * self.form_scale
 
     def dominant_coweight_for(self, avoid: frozenset | set) -> tuple[Fraction, ...]:
         """n·Σ_{i∉L} ω_i: vanishes on the simples in L, positive elsewhere,
@@ -372,32 +386,30 @@ class CoxeterSystem:
     def in_coroot_lattice(self, vec) -> bool:
         return all(c.denominator == 1 for c in self.coroot_coordinates(vec))
 
-    # -- reflection matrices -------------------------------------------
+    # -- simple reflections --------------------------------------------
 
-    def _build_simple_matrix(self, i: int):
-        k = self.rank_finite
-        dim = self.dim
-        m = [[1 if r == c else 0 for c in range(dim)] for r in range(dim)]
-        if i < k:
-            for j in range(k):
-                m[i][j] -= self.cartan[i][j]
-        else:
-            gamma = self.highest_root
-            d_gamma = self.inner(gamma, gamma) / 2
-            for j in range(k):
-                cj = self.inner(self.simple_root(j), gamma) / d_gamma
-                assert cj.denominator == 1
-                cj = int(cj)
-                if cj:
-                    for r in range(k):
-                        m[r][j] -= cj * gamma.coeffs[r]
-                    m[k][j] += cj
-        return tuple(tuple(row) for row in m)
+    def _reflection(self, s: int):
+        """(α_s, pairings) with s(α_j) = α_j − ⟨α_j, α_s^∨⟩·α_s: α_s as sparse
+        (basis index, coefficient) pairs, and the nonzero
+        ⟨α_j, α_s^∨⟩ = 2(α_j, α_s)/(α_s, α_s) as (j, value) pairs.  δ is
+        fixed by every reflection."""
+        alpha = self.simple_root(s)
+        root = tuple((r, c) for r, c in enumerate(alpha.coeffs + (alpha.delta,)) if c)
+        dots = [sum(map(mul, row, alpha.coeffs)) for row in self.gram]
+        norm = sum(map(mul, alpha.coeffs, dots))
+        pairs = []
+        for j, dot in enumerate(dots):
+            c, rem = divmod(2 * dot, norm)
+            if rem:
+                raise DomainError(f"coroot pairing of α_{j} with α_{s} is not an integer")
+            if c:
+                pairs.append((j, c))
+        return root, tuple(pairs)
 
-    def simple_matrix(self, i: int):
-        if not 0 <= i < self.ngens:
-            raise DomainError(f"no simple reflection with index {i}")
-        return self._simple_matrices[i]
+    def reflection(self, s: int):
+        if not 0 <= s < self.ngens:
+            raise DomainError(f"no simple reflection with index {s}")
+        return self._reflections[s]
 
     def metadata(self) -> dict:
         """Normalization notes for serialized output."""

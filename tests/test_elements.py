@@ -1,10 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coxtw import linalg
 from coxtw.elements import (GroupElement, ascend, ball, from_word, identity,
-                            simple, translation, translation_vector, weyl_part)
+                            simple, translation, weyl_part)
 from coxtw.errors import DomainError
 from coxtw.system import Root, build_system
 
@@ -17,6 +19,30 @@ def test_simple_matrices_affine_a1():
     assert simple(A1T, 0).matrix == ((-1, 0), (0, 1))
     assert simple(A1T, 1).matrix == ((-1, 0), (2, 1))
     assert from_word(A1T, (0, 1)).matrix == ((1, 0), (2, 1))
+
+
+def test_simple_reflections_are_reflections():
+    # s fixes δ, sends α_s to −α_s, moves every vector along α_s only and
+    # preserves the form; these pin s down as the reflection in α_s
+    for spec in ("A3", "B3", "C3", "F4", "G2", "A~1", "A~3", "B~3", "C~3",
+                 "D~4", "E~6", "F~4", "G~2"):
+        system = build_system(spec)
+        k = system.rank_finite
+        for s in range(system.ngens):
+            w, alpha = simple(system, s), system.simple_root(s)
+            a = alpha.coeffs + (alpha.delta,)
+            assert w.apply(alpha) == -alpha
+            if system.kind == "affine":
+                assert w.apply(Root((0,) * k, 1)) == Root((0,) * k, 1)
+            for i in range(k):
+                beta = system.simple_root(i)
+                moved = w.apply(beta)
+                v = tuple(x - y for x, y in zip(moved.coeffs + (moved.delta,),
+                                                beta.coeffs + (0,)))
+                assert all(v[p] * a[q] == v[q] * a[p] for p in range(k + 1) for q in range(k + 1))
+                for j in range(k):
+                    gamma = system.simple_root(j)
+                    assert system.inner(moved, w.apply(gamma)) == system.inner(beta, gamma)
 
 
 def test_word_canonicalization():
@@ -84,7 +110,8 @@ def test_labels_and_json():
 def test_translations():
     t = translation(A1T, (1,))
     assert t.word == (0, 1)
-    assert translation_vector(t) == (Fraction(1),)
+    # the δ-row of t_λ is ((α_j, λ))_j: (α, α^∨) = 2
+    assert t.matrix[1] == (2, 1)
     back = translation(A1T, (-1,))
     assert back.word == (1, 0)
     assert (t * back).is_identity
@@ -97,7 +124,8 @@ def test_translation_additivity_a2t():
     ta = translation(a2t, (3, 3))
     tb = translation(a2t, (2, 1))
     assert ta * tb == translation(a2t, (5, 4))
-    assert translation_vector(ta * tb) == (5, 4)
+    # λ = 5α_1 + 4α_2 pairs to (10 − 4, −5 + 8) with the simple roots
+    assert (ta * tb).matrix[2] == (6, 3, 1)
     assert ta.length == len(ta.word)
 
 
@@ -107,7 +135,35 @@ def test_translation_rejections():
     with pytest.raises(DomainError):
         translation(A1T, (Fraction(1, 2),))  # not in the coroot lattice
     with pytest.raises(DomainError):
-        translation_vector(simple(A2, 0))
+        translation(A1T, (1, 0))             # wrong length
+
+
+def test_integer_kernels_match_dense_referees():
+    rng = random.Random(2)
+    b3t = build_system(cartan=[[2, -1, 0], [-1, 2, -1], [0, -2, 2]],
+                       symmetrizer=(Fraction(1, 3), Fraction(1, 3), Fraction(1, 6)),
+                       affine=True)
+    for system in [build_system(spec) for spec in ("E8", "F4", "B~3", "G~2", "F~4", "E~8")] + [b3t]:
+        k = system.rank_finite
+        elements = [identity(system)]
+        for length in range(0, 31, 3):
+            elements.append(from_word(system, [rng.randrange(system.ngens) for _ in range(length)]))
+        if system.kind == "affine":
+            elements += [weyl_part(w) for w in elements[-4:]]
+            for _ in range(4):
+                coroot = [rng.randrange(-3, 4) for _ in range(k)]
+                elements.append(translation(system, [c / d for c, d in zip(coroot, system.symmetrizer)]))
+        for w in elements:
+            dense = linalg.inverse(tuple(tuple(Fraction(x) for x in row) for row in w.matrix))
+            assert w.inverse().matrix == dense, (system, w.matrix)
+            for s in range(system.ngens):
+                assert w.mul_simple(s) == w * simple(system, s), (system, s)
+
+
+def test_inverse_guard_is_not_an_assert():
+    # a matrix that does not preserve the form has no integer form inverse
+    with pytest.raises(DomainError, match="invariant form"):
+        GroupElement(A2, ((1, 1), (0, 1))).inverse()
 
 
 def test_group_laws():

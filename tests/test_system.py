@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from coxtw.errors import ExprError, ValidationError
-from coxtw.system import Root, build_system, parse_cartan_file, parse_root
+from coxtw import linalg
+from coxtw.errors import DomainError, ExprError, ValidationError
+from coxtw.system import (CoxeterSystem, Root, build_system, parse_cartan_file,
+                          parse_root)
 
 
 def test_type_strings_and_rank_bounds():
@@ -39,6 +41,20 @@ def test_connection_index():
     for spec, idx in (("A2", 3), ("A3", 4), ("B2", 2), ("D4", 4),
                       ("E6", 3), ("F4", 1), ("G2", 1)):
         assert build_system(spec).connection_index == idx, spec
+
+
+def test_connection_index_guard_is_not_an_assert(monkeypatch):
+    # a determinant of 1/2 passes the positive-definite minors
+    monkeypatch.setattr(linalg, "det", lambda a: Fraction(1, 2))
+    with pytest.raises(DomainError, match="determinant"):
+        build_system("A2")
+
+
+def test_affine_pairing_guard_is_not_an_assert(monkeypatch):
+    # 2a+b is no root of B2: its coroot pairs with a to 6/5
+    monkeypatch.setattr(CoxeterSystem, "_find_highest_root", lambda self: Root((2, 1)))
+    with pytest.raises(DomainError, match="not an integer"):
+        build_system("B~2")
 
 
 def test_simple_names_affine_label():
@@ -141,6 +157,10 @@ def test_root_ordering_and_signs():
     assert Root((1, 0), -1).is_negative
     assert -Root((1, 2), 1) == Root((-1, -2), -1)
     assert Root((1, 0), 1).fin() == Root((1, 0))
+    assert not Root((0, 0)).is_negative
+    for spec in ("A~2", "C~2", "G~2"):
+        for rho in build_system(spec).roots_up_to(2):
+            assert rho.is_negative == (-rho).is_positive, (spec, rho)
 
 
 def test_cartan_file():
