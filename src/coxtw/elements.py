@@ -197,9 +197,9 @@ class GroupElement:
 
 def identity(system: CoxeterSystem) -> GroupElement:
     n = system.dim
-    return GroupElement(system, tuple(
-        tuple(1 if r == c else 0 for c in range(n)) for r in range(n)
-    ))
+    el = GroupElement(system, [[int(r == c) for c in range(n)] for r in range(n)])
+    el._word = ()
+    return el
 
 
 def simple(system: CoxeterSystem, s: int) -> GroupElement:
@@ -218,18 +218,20 @@ def from_word(system: CoxeterSystem, word) -> GroupElement:
 # from e adds one allowed inversion per step.
 
 
-def grow(system: CoxeterSystem, level, keep) -> list[GroupElement]:
-    """One level up: the w·s (w in level) with w(α_s) positive and kept.
-
-    De-duplicated by matrix, in first-found order."""
-    simples = [system.simple_root(s) for s in range(system.ngens)]
+def grow(system: CoxeterSystem, level, keep=None) -> list[GroupElement]:
+    """One level up: the w·s (w in level) with w(α_s) positive and kept by keep
+    (None keeps all), de-duplicated by matrix.  level must hold every length-d
+    element whose inversions are all kept, in ShortLex order, as on any walk up
+    from e; then y is first found from its least (rank of w, s), so NF(y) =
+    NF(w)·s: each word is inherited and the result is again in ShortLex order."""
     grown = {}
     for w in level:
-        for s, alpha in enumerate(simples):
-            rho = w.apply(alpha)
-            if rho.is_positive and keep(rho):
-                y = w.mul_simple(s)
-                grown.setdefault(y.matrix, y)
+        for s in range(system.ngens):
+            if w._descends(s) or (keep and not keep(w.apply(system.simple_root(s)))):
+                continue
+            y = w.mul_simple(s)
+            if grown.setdefault(y.matrix, y) is y:
+                y._word = w.word + (s,)
     return list(grown.values())
 
 
@@ -258,8 +260,7 @@ def ball(system: CoxeterSystem, radius: int) -> tuple[GroupElement, ...]:
     if not levels:
         levels.append([identity(system)])
     while len(levels) <= radius and levels[-1]:
-        levels.append(sorted(grow(system, levels[-1], lambda rho: True),
-                             key=lambda el: el.word))
+        levels.append(grow(system, levels[-1]))
     out = []
     for lv in levels[: radius + 1]:
         out.extend(lv)

@@ -87,6 +87,8 @@ def _expect(tokens, pos, what):
 
 
 def _parse(system, tokens, pos):
+    if pos >= len(tokens):
+        raise ExprError("expression ended where a biclosed expression was expected")
     head = tokens[pos]
     if head == "empty":
         return Explicit(system, ()), pos + 1

@@ -289,8 +289,7 @@ def classify(oracle: BiclosedOracle) -> Classification:
                 else:
                     if depth >= _PREFIX_SEARCH_LIMIT:
                         break
-                    frontier = sorted(grow(system, frontier, oracle.member),
-                                      key=lambda el: el.word)
+                    frontier = grow(system, frontier, oracle.member)
                     depth += 1
             if result is None:
                 raise ClassificationError(

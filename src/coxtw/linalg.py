@@ -9,10 +9,8 @@ hash and cache freely.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
 
 Matrix = tuple[tuple[Fraction, ...], ...]
-Vector = tuple[Fraction, ...]
 
 
 def det(a: Matrix) -> Fraction:
@@ -36,10 +34,12 @@ def det(a: Matrix) -> Fraction:
     return result
 
 
-def solve(a: Matrix, b: Sequence) -> Vector:
-    """Solve a x = b for square invertible a.  Raises ZeroDivisionError if singular."""
+def solve(a: Matrix, b: Matrix) -> Matrix:
+    """Solve a x = b for square invertible a and an n×m right-hand side b,
+    all columns in one Gauss-Jordan pass.  Raises ZeroDivisionError if singular."""
     n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
+    m = [[Fraction(x) for x in row] + [Fraction(x) for x in rhs]
+         for row, rhs in zip(a, b)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
         if pivot is None:
@@ -52,10 +52,9 @@ def solve(a: Matrix, b: Sequence) -> Vector:
             if r != col and m[r][col]:
                 factor = m[r][col]
                 m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return tuple(row[n] for row in m)
+    return tuple(tuple(row[n:]) for row in m)
 
 
 def inverse(a: Matrix) -> Matrix:
     n = len(a)
-    cols = [solve(a, [Fraction(1) if i == j else Fraction(0) for i in range(n)]) for j in range(n)]
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+    return solve(a, [[1 if i == j else 0 for j in range(n)] for i in range(n)])

@@ -1,9 +1,19 @@
+import hashlib
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 from coxtw.cli import main
+from coxtw.errors import DomainError, ExprError, ResourceError, ValidationError
+from coxtw.exprs import parse_biclosed
+from coxtw.system import build_system
 
 GOLDEN = Path(__file__).parent / "data" / "a1_twist.dot"
+A2T = build_system("A~2")
 
 
 def run(capsys, *argv):
@@ -30,6 +40,13 @@ def test_ball_json(capsys):
     data = json.loads(out)
     assert data == {"count": 5, "elements": [[], [0], [1], [0, 1], [1, 0]]}
     assert out.endswith("\n") and "\n" not in out[:-1]
+
+
+def test_e8_ball_json_is_pinned(capsys):
+    # the 2,508 elements of E8 up to length 6, each with its ShortLex word
+    code, out, _ = run(capsys, "--type", "E8", "ball", "6", "--format", "json")
+    assert code == 0
+    assert hashlib.md5(out.encode()).hexdigest() == "21936c4219e1f1bc1a4c1072d3987c22"
 
 
 def test_invset(capsys):
@@ -190,3 +207,48 @@ def test_deep_nesting_is_a_usage_error(capsys):
     assert code == 1 and out == ""
     assert err.startswith("error:") and "nested too deeply" in err
     assert "Traceback" not in err
+
+
+def test_truncated_nesting_is_a_usage_error(capsys):
+    for expr in ("complement (", "twist 0 ("):
+        code, out, err = run(capsys, "--type", "A~2", "classify", "--biclosed", expr)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+
+# Expressions of the grammar built from its tokens, good and bad words and
+# arguments included, then cut short or spliced with stray tokens.
+_WORDS = ("e", "0", "1", "2", "0,1", "1,2,0", "0,0", "3", "x", "")
+_ARGS = {"invset": _WORDS,
+         "hat": ("0::", "e:0:", "::1", "e:0,1:", "0:5:", "0:1"),
+         "word-inf": (";0,1", "0;1,2", ";", "e;0,0", ";0,1,2", "0"),
+         "explicit": ("[]", "[1.0]", "[1.1:1]", "[0.1:-1, 1.0]", "[1.0:x]", "[")}
+_TOKENS = ("empty", "full", "twist", "complement", "(", ")", *_ARGS,
+           *{a for args in _ARGS.values() for a in args})
+_LEAVES = st.one_of(
+    st.sampled_from(("empty", "full")).map(lambda head: [head]),
+    *(st.sampled_from(args).map(lambda a, head=head: [head, a])
+      for head, args in _ARGS.items()))
+_EXPRS = st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.tuples(st.sampled_from(_WORDS), inner).map(
+        lambda p: ["twist", p[0], "(", *p[1], ")"]),
+    inner.map(lambda e: ["complement", "(", *e, ")"])), max_leaves=3)
+
+
+@settings(deadline=None, derandomize=True, max_examples=100,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_EXPRS, st.integers(0, 12), st.lists(st.sampled_from(_TOKENS), max_size=2),
+       st.booleans())
+def test_fuzzed_expressions_fail_cleanly(tokens, cut, noise, truncate):
+    tail = [] if truncate else tokens[cut:]
+    expr = " ".join(tokens[:cut] + noise + tail)
+    try:
+        parse_biclosed(A2T, expr)
+    except (ExprError, DomainError, ValidationError, ResourceError):
+        pass
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["--type", "A~2", "classify", "--biclosed", expr])
+    assert code in (0, 1, 2, 3), (expr, code)
+    assert "Traceback" not in err.getvalue()
+    assert (code == 0) == (not err.getvalue()), expr

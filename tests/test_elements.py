@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxtw import linalg
-from coxtw.elements import (GroupElement, ascend, ball, from_word, identity,
-                            simple, translation, weyl_part)
+from coxtw.elements import (GroupElement, ascend, ball, from_word, grow,
+                            identity, simple, translation, weyl_part)
 from coxtw.errors import DomainError
+from coxtw.infwords import WordInvSet, validate_periodic
 from coxtw.system import Root, build_system
 
 A1T = build_system("A~1")
@@ -205,6 +206,45 @@ def test_ascend_rebuilds_from_inversion_set():
         system = build_system(spec)
         for w in ball(system, radius):
             assert ascend(system, w.inversion_set()) == w
+
+
+def _assert_inherited_shortlex(system, level):
+    # every word was seeded by grow, equals a fresh peel, and the level is
+    # in ShortLex order
+    words = [w._word for w in level]
+    assert None not in words
+    assert words == sorted(words, key=lambda u: (len(u), u))
+    assert words == [GroupElement(system, w.matrix).word for w in level]
+
+
+@pytest.mark.parametrize("spec, radius", [
+    ("A3", 6), ("B3", 9), ("G2", 6), ("F4", 8), ("D4", 12), ("E6", 6),
+    ("E8", 5), ("A~2", 9), ("C~2", 9), ("G~2", 9), ("A~3", 7), ("B~3", 7),
+    ("F~4", 5)])
+def test_ball_words_are_inherited_in_shortlex_order(spec, radius):
+    system = build_system(spec)   # fresh, so ball grows every level here
+    _assert_inherited_shortlex(system, ball(system, radius))
+
+
+def _walk(system, keep, depth):
+    """The levels grow makes from e under keep, at most depth of them."""
+    level, levels = [identity(system)], []
+    while level and len(levels) < depth:
+        levels.append(level)
+        level = grow(system, level, keep)
+    return levels
+
+
+def test_grow_under_an_inversion_set_inherits_shortlex_words():
+    f4 = build_system("F4")
+    x = from_word(f4, (0, 1, 2, 3, 2, 1, 0, 2, 1, 2))
+    levels = _walk(f4, x.inversion_set().__contains__, 99)
+    assert levels[-1] == [x] and len(levels) == x.length + 1
+    b3t = build_system("B~3")
+    word = validate_periodic(b3t, (3,), translation(b3t, (1, 0, 0)).word)
+    levels += _walk(b3t, WordInvSet(word).member, 9)
+    for level in levels:
+        _assert_inherited_shortlex(level[0].system, level)
 
 
 def test_word_guard_is_not_an_assert(monkeypatch):

@@ -19,14 +19,14 @@ def test_det_known_values():
 
 def test_solve_exact():
     a = [[2, -1], [-1, 2]]
-    x = linalg.solve(a, (1, 0))
-    assert x == (Fraction(2, 3), Fraction(1, 3))
+    x = linalg.solve(a, ((1,), (0,)))
+    assert x == ((Fraction(2, 3),), (Fraction(1, 3),))
 
 
 def test_solve_singular_raises():
     a = [[1, 1], [1, 1]]
     with pytest.raises(ZeroDivisionError):
-        linalg.solve(a, (1, 0))
+        linalg.solve(a, ((1,), (0,)))
 
 
 def test_inverse_roundtrip():
@@ -54,5 +54,20 @@ def test_det_transpose_invariant(rows):
 def test_solve_reconstructs(rows, rhs):
     if linalg.det(rows) == 0:
         return
+    x = linalg.solve(rows, [[v] for v in rhs])
+    assert [sum(a * xj for a, (xj,) in zip(row, x)) for row in rows] == rhs
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3),
+                min_size=3, max_size=3),
+       st.lists(st.lists(st.integers(-4, 4), min_size=4, max_size=4),
+                min_size=3, max_size=3))
+def test_solve_many_columns(rows, rhs):
+    # one elimination over four right-hand sides agrees with a x = b for each
+    if linalg.det(rows) == 0:
+        return
     x = linalg.solve(rows, rhs)
-    assert [sum(a * xj for a, xj in zip(row, x)) for row in rows] == rhs
+    assert len(x) == 3 and all(len(row) == 4 for row in x)
+    assert [[sum(a * x[t][j] for t, a in enumerate(row)) for j in range(4)]
+            for row in rows] == rhs
