@@ -12,14 +12,14 @@ exposes everything as the `coxtw` command.
 from .biclosed import (BiclosedOracle, BiclosedReport, ClosureReport,
                        Complement, Explicit, HatForm, Twisted,
                        act_on_biclosed, biclosed_check, classify_finite_biclosed,
-                       closure_check, enumerate_biclosed, is_separable)
+                       closure_check, enumerate_biclosed)
 from .elements import (GroupElement, ball, from_word, identity, simple,
                        translation, weyl_part)
 from .errors import (ClassificationError, CoxtwError, DomainError, ExprError,
                      JoinSearchError, NotReducedError, OrderError,
                      ResourceError, UnsupportedOracleError, ValidationError)
 from .exprs import parse_biclosed
-from .figures import FIGURES, emit_figure, figure_dot
+from .figures import FIGURES, emit_figure
 from .infwords import (Classification, PeriodicWord, WordInvSet, classify,
                        limit_set, t_gamma_infinity, validate_periodic)
 from .oracle import (longest_finite, oracle_le, oracle_meet, oracle_tlen,
@@ -41,8 +41,8 @@ __all__ = [
     "ValidationError", "WordInvSet", "act_on_biclosed", "ball", "biclosed_check",
     "build_system", "chain", "check_meet_semilattice", "classify",
     "classify_finite_biclosed", "closure_check", "cover_neighbors",
-    "emit_figure", "enumerate_biclosed", "figure_dot", "from_word", "hasse",
-    "identity", "interval", "is_separable", "is_up_cover", "join", "le",
+    "emit_figure", "enumerate_biclosed", "from_word", "hasse",
+    "identity", "interval", "is_up_cover", "join", "le",
     "limit_set", "longest_finite", "lower_bound", "meet", "oracle_le",
     "oracle_meet", "oracle_tlen", "ordinary_meet", "parse_biclosed",
     "parse_cartan_file", "parse_root", "run_selftest", "simple",

@@ -39,14 +39,13 @@ class BiclosedOracle:
         self._tlen_memo: dict = {}
         self._raw_tlen: dict = {}
         self._classification = None
-        self._limit_set_cache: frozenset[Root] | None = None
         self._complement_instance: Complement | None = None
 
     def member(self, rho: Root) -> bool:
         hit = self._memo.get(rho)
         if hit is not None:
             return hit
-        if not rho.is_positive or not self.system.is_root(rho.fin()):
+        if not rho.is_positive or not self.system.is_root(rho):
             raise DomainError(f"{rho} is not a positive root of this system")
         val = self._member(rho)
         self._memo[rho] = val
@@ -77,7 +76,7 @@ class Explicit(BiclosedOracle):
         super().__init__(system)
         roots = frozenset(roots)
         for rho in roots:
-            if not rho.is_positive or not system.is_root(rho.fin()):
+            if not rho.is_positive or not system.is_root(rho):
                 raise ValidationError(f"{rho} is not a positive root of this system")
         self.roots = roots
 
@@ -276,41 +275,6 @@ def enumerate_biclosed(system: CoxeterSystem, ambient) -> tuple[frozenset[Root],
         if closed(s) and closed(full & ~s):
             found.append(frozenset(roots[t] for t in range(n) if s >> t & 1))
     return tuple(sorted(found, key=lambda f: (len(f), sorted(r.key for r in f))))
-
-
-def is_separable(system: CoxeterSystem, oracle: BiclosedOracle,
-                 level: int) -> tuple[bool, tuple | None]:
-    """Can Γ (truncated at δ-level `level`) be split from its complement by
-    a linear functional?  Equivalently: the two cones meet only at 0.
-    Returns (separable, common_point) where the point is a nonzero witness
-    in (simple-root, δ) coordinates when the cones overlap."""
-    trunc = system.positive_roots_up_to(level)
-    inside = [r for r in trunc if oracle.member(r)]
-    outside = [r for r in trunc if not oracle.member(r)]
-    dim = system.dim
-
-    def coords(r: Root):
-        out = [Fraction(c) for c in r.coeffs]
-        if dim > system.rank_finite:
-            out.append(Fraction(r.delta))
-        return out
-
-    nvars = len(inside) + len(outside)
-    rows = []
-    for d in range(dim):
-        row = [coords(r)[d] for r in inside] + [-coords(r)[d] for r in outside]
-        rows.append(row)
-    # normalize: a common ray can be scaled so the Γ-side coefficients sum to 1
-    rows.append([Fraction(1)] * len(inside) + [Fraction(0)] * len(outside))
-    rhs = [Fraction(0)] * dim + [Fraction(1)]
-    sol = solve_nonneg(rows, rhs)
-    if sol is None:
-        return True, None
-    point = [Fraction(0)] * dim
-    for x, r in zip(sol[: len(inside)], inside):
-        for d, c in enumerate(coords(r)):
-            point[d] += x * c
-    return False, tuple(point)
 
 
 # -- finite classification ---------------------------------------------

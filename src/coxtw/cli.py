@@ -141,13 +141,17 @@ def _json_line(obj) -> str:
     return json.dumps(obj, sort_keys=True) + "\n"
 
 
-def _cmd_roots(args, system):
-    level = _cap_check(args.level, "level")
-    roots = sorted(system.positive_roots_up_to(level), key=lambda r: r.key)
+def _root_list(args, roots):
+    roots = sorted(roots, key=lambda r: r.key)
     if args.format == "json":
         return _json_line({"count": len(roots),
                            "roots": [r.literal() for r in roots]}), 0
     return "".join(f"{r.literal()}\n" for r in roots), 0
+
+
+def _cmd_roots(args, system):
+    level = _cap_check(args.level, "level")
+    return _root_list(args, system.positive_roots_up_to(level))
 
 
 def _cmd_ball(args, system):
@@ -160,12 +164,7 @@ def _cmd_ball(args, system):
 
 
 def _cmd_invset(args, system):
-    el = _element(system, args.word)
-    roots = sorted(el.inversion_set(), key=lambda r: r.key)
-    if args.format == "json":
-        return _json_line({"count": len(roots),
-                           "roots": [r.literal() for r in roots]}), 0
-    return "".join(f"{r.literal()}\n" for r in roots), 0
+    return _root_list(args, _element(system, args.word).inversion_set())
 
 
 def _cmd_tlen(args, system):

@@ -109,13 +109,6 @@ class GroupElement:
             return Root(tuple(out[:k]), out[k])
         return Root(tuple(out), 0)
 
-    def act(self, rho: Root) -> Root:
-        """Like apply, but requires ρ to be a root (or a δ-multiple)."""
-        fin_ok = self.system.is_root(rho.fin()) or not any(rho.coeffs)
-        if not fin_ok or (self.system.kind == "finite" and rho.delta != 0):
-            raise DomainError(f"{rho} is not a root of this system")
-        return self.apply(rho)
-
     # -- words and lengths ---------------------------------------------
 
     def _image(self, s: int) -> list[int]:
@@ -158,12 +151,6 @@ class GroupElement:
     def length(self) -> int:
         return len(self.word)
 
-    def right_descents(self) -> tuple[int, ...]:
-        return tuple(s for s in range(self.system.ngens) if self._descends(s))
-
-    def left_descents(self) -> tuple[int, ...]:
-        return self.inverse().right_descents()
-
     def inversion_set(self) -> frozenset[Root]:
         """Φ_w = {positive roots sent negative by w^{-1}}, via any reduced word."""
         if self._invset is None:
@@ -190,9 +177,6 @@ class GroupElement:
             nm = names[s]
             parts.append(f"s_{nm}" if len(nm) == 1 else f"s_{{{nm}}}")
         return " ".join(parts)
-
-    def to_json(self) -> dict:
-        return {"word": list(self.word), "length": self.length}
 
 
 def identity(system: CoxeterSystem) -> GroupElement:

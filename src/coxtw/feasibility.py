@@ -2,8 +2,9 @@
 
 solve_nonneg decides whether A x = b has a solution with x >= 0, returning
 one such x or None.  It is a phase-1 simplex over Fractions with Bland's
-rule, which terminates without any degeneracy tricks.  Problem sizes here
-are tiny (tens of variables), so no effort is spent on sparsity.
+rule, which terminates without any degeneracy tricks.  Its only caller is
+`biclosed.cone_contains`, which asks whether a root lies in the cone of two
+roots, so problems are tiny and no effort is spent on sparsity.
 """
 
 from __future__ import annotations

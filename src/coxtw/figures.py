@@ -123,8 +123,3 @@ def emit_figure(name: str, system=None):
     if got != want:
         raise DomainError("computed covers disagree with the pinned figure")
     return graph, labels
-
-
-def figure_dot(name: str, system=None) -> str:
-    graph, labels = emit_figure(name, system)
-    return graph.to_dot(labels)

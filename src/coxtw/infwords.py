@@ -171,14 +171,11 @@ def limit_set(oracle: BiclosedOracle) -> frozenset[Root]:
     I_B is biclosed in the finite root system Φ, and the biclosed subsets of
     a finite Φ are exactly its twisted positive systems, so the limit set is
     certified by decomposing it as one."""
-    if oracle._limit_set_cache is not None:
-        return oracle._limit_set_cache
     raw = oracle.limit_roots()
     try:
         _decompose_psi(oracle.system, raw)
     except ClassificationError:
         raise DomainError(f"limit set of {oracle.key()} is not biclosed")
-    oracle._limit_set_cache = raw
     return raw
 
 

@@ -303,6 +303,8 @@ def check_meet_semilattice(system, oracle: BiclosedOracle,
     a proof over the ball ("ok").
     Otherwise lower bounds are only searched within ball(3·radius), and a
     clean sweep is merely "inconclusive"."""
+    if system.key != oracle.system.key:
+        raise OrderError("semilattice check needs a single common system")
     elems = ball(system, radius)
     try:
         cls = classify(oracle)

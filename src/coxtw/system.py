@@ -21,7 +21,7 @@ from .errors import DomainError, ExprError, ValidationError
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Root:
     """A real root β + nδ: finite coordinates over the simple basis, δ-level n."""
 
@@ -54,9 +54,6 @@ class Root:
     def fin(self) -> "Root":
         """The level-0 part β of β + nδ."""
         return Root(self.coeffs, 0)
-
-    def to_json(self) -> dict:
-        return {"coeffs": list(self.coeffs), "delta": self.delta}
 
     def literal(self) -> str:
         body = ".".join(str(c) for c in self.coeffs)
@@ -332,23 +329,6 @@ class CoxeterSystem:
             return self.positive_roots
         return tuple(r for r in roots if r.is_positive)
 
-    # -- bilinear form -------------------------------------------------
-
-    def inner(self, u: Root, v: Root) -> Fraction:
-        """(u, v); δ-components contribute nothing."""
-        return self.inner_vec(u, v.coeffs)
-
-    def inner_vec(self, u: Root, vec) -> Fraction:
-        """(u, λ) for λ a rational vector in simple-root coordinates."""
-        total = Fraction(0)
-        for i, ci in enumerate(u.coeffs):
-            if ci:
-                row = self.form[i]
-                for j in range(self.rank_finite):
-                    if vec[j]:
-                        total += ci * row[j] * vec[j]
-        return total
-
     # -- coweights -----------------------------------------------------
 
     @cached_property
@@ -410,16 +390,6 @@ class CoxeterSystem:
         if not 0 <= s < self.ngens:
             raise DomainError(f"no simple reflection with index {s}")
         return self._reflections[s]
-
-    def metadata(self) -> dict:
-        """Normalization notes for serialized output."""
-        return {
-            "kind": self.kind,
-            "type": self.type_string,
-            "cartan": [list(row) for row in self.cartan],
-            "symmetrizer": [str(d) for d in self.symmetrizer],
-            "simple_names": list(self.simple_names),
-        }
 
 
 _TYPE_RE = re.compile(r"^([A-G])(~?)([0-9]+)$")

@@ -116,8 +116,10 @@ def test_criterion_06_straight_translations():
             for small, big in zip(invs, invs[1:]):
                 assert small <= big, (sys_.type_string, keep)
             union6 = {r for r in invs[-1] if r.delta <= 6}
+            # (β, γ) from the form, independently of the translation matrix
             jset = {b for b in sys_.finite_roots
-                    if sys_.inner_vec(b, gamma) > 0}
+                    if sum(c * f * g for c, row in zip(b.coeffs, sys_.form)
+                           for f, g in zip(row, gamma)) > 0}
             hat6 = {r for r in sys_.positive_roots_up_to(6) if r.fin() in jset}
             assert union6 == hat6, (sys_.type_string, keep)
     _stamp(6, "t_gamma straight, union = hat form", t0, 60.0)

@@ -3,10 +3,10 @@ import pytest
 from coxtw.biclosed import (BiclosedOracle, Complement, Explicit, HatForm,
                             Twisted, act_on_biclosed, biclosed_check,
                             classify_finite_biclosed, closure_check,
-                            cone_contains, enumerate_biclosed, expand_psi,
-                            is_separable)
+                            cone_contains, enumerate_biclosed, expand_psi)
 from coxtw.elements import ball, from_word, identity, simple
-from coxtw.errors import ClassificationError, ResourceError, ValidationError
+from coxtw.errors import (ClassificationError, DomainError, ResourceError,
+                          ValidationError)
 from coxtw.system import Root, build_system
 
 A2 = build_system("A2")
@@ -84,6 +84,13 @@ def test_explicit_oracle():
         Explicit(A2, {Root((2, 0))})
 
 
+def test_finite_system_has_no_delta_levels():
+    with pytest.raises(ValidationError):
+        Explicit(A2, {Root((1, 0), 1)})
+    with pytest.raises(DomainError):
+        Explicit(A2, ()).member(Root((1, 0), 5))
+
+
 def test_hat_form_membership():
     neg = HatForm(A1T, simple(A1T, 0), (), ())     # hat of the negative system
     assert neg.member(DMA) and neg.member(Root((-1,), 2))
@@ -158,14 +165,6 @@ def test_complement():
     assert comp.inner is orc
     # explicit sets vanish at infinity, so the complement limit is everything
     assert comp.limit_roots() == frozenset(A2.finite_roots)
-
-
-def test_separability():
-    sep, point = is_separable(A1T, Explicit(A1T, {DMA}), 2)
-    assert sep and point is None
-    sep, point = is_separable(A1T, Explicit(A1T, {ALPHA, DMA}), 2)
-    assert not sep
-    assert point is not None and any(point)
 
 
 def test_expand_psi_identity_cases():

@@ -163,6 +163,13 @@ def test_exit_codes(capsys):
                "--biclosed", "word-inf ;0,0")[0] == 2          # not reduced
 
 
+def test_finite_system_rejects_delta_level_roots(capsys):
+    code, out, err = run(capsys, "--type", "A2", "classify",
+                         "--biclosed", "explicit [1.0:1]")
+    assert (code, out) == (2, "")
+    assert err == "error: 1.0:1 is not a positive root of this system\n"
+
+
 def test_ball_cap_override(capsys, monkeypatch):
     monkeypatch.setenv("COXTW_MAX_BALL", "99")
     code, out, _ = run(capsys, "--type", "A~1", "ball", "9", "--format", "json")

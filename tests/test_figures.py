@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from coxtw.errors import DomainError
-from coxtw.figures import FIGURES, emit_figure, figure_dot
+from coxtw.figures import FIGURES, emit_figure
 from coxtw.system import build_system
 
 GOLDEN = Path(__file__).parent / "data" / "a1_twist.dot"
@@ -51,11 +51,11 @@ def test_a2_twist_shape():
     assert (1, 0, 2, 0) in words
 
 
-def test_figure_dot_runs_standalone_and_with_system():
-    out = figure_dot("a2-twist")
-    assert out.count(" -> ") == 25
-    out = figure_dot("a1-twist", build_system("A~1"))
-    assert out == GOLDEN.read_text()
+def test_figure_to_dot_standalone_and_with_system():
+    graph, labels = emit_figure("a2-twist")
+    assert graph.to_dot(labels).count(" -> ") == 25
+    graph, labels = emit_figure("a1-twist", build_system("A~1"))
+    assert graph.to_dot(labels) == GOLDEN.read_text()
 
 
 def test_figure_rejections():

@@ -200,6 +200,11 @@ def test_check_meet_semilattice_finite_past_longest_element():
         assert (res.status, res.checked) == ("ok", n * (n - 1) // 2)
 
 
+def test_check_meet_semilattice_rejects_mixed_systems():
+    with pytest.raises(OrderError):
+        check_meet_semilattice(A2, Explicit(B2, {Root((1, 1))}), 2)
+
+
 def test_check_counterexample_a2t():
     full = Complement(Explicit(A2T, set()))
     res = check_meet_semilattice(A2T, full, 3)

@@ -101,12 +101,10 @@ def test_coroot_lattice_b2():
 
 def test_inner_products():
     a2 = build_system("A2")
-    a, b = a2.simple_root(0), a2.simple_root(1)
-    assert a2.inner(a, a) == 2
-    assert a2.inner(a, b) == -1
+    assert a2.form == ((2, -1), (-1, 2))
     g2 = build_system("G2")
-    assert g2.inner(g2.simple_root(0), g2.simple_root(0)) == 6
-    assert g2.inner(g2.simple_root(1), g2.simple_root(1)) == 2
+    assert g2.form[0][0] == 6
+    assert g2.form[1][1] == 2
 
 
 def test_is_root():
@@ -175,11 +173,11 @@ def test_cartan_file():
 
 
 def test_metadata_shape():
-    meta = build_system("B~2").metadata()
-    assert meta["kind"] == "affine"
-    assert meta["type"] == "B~2"
-    assert meta["cartan"] == [[2, -1], [-2, 2]]
-    assert meta["simple_names"] == ["a", "b", "d-a-2b"]
+    b2t = build_system("B~2")
+    assert b2t.kind == "affine"
+    assert b2t.type_string == "B~2"
+    assert b2t.cartan == ((2, -1), (-2, 2))
+    assert b2t.simple_names == ("a", "b", "d-a-2b")
 
 
 def test_system_equality_and_key():
