@@ -118,54 +118,61 @@ class GroupElement:
         root = self.system.reflection(s)[0]
         return [sum(row[r] * c for r, c in root) for row in self.matrix]
 
-    def _descends(self, s: int) -> bool:
-        """Whether w(α_s) is negative, read off its integer image: the sign of
-        the δ-entry when that is nonzero, else any negative entry."""
-        image = self._image(s)
+    def _negative(self, image) -> bool:
+        """Whether an integer image w(α_s) is negative: the sign of the
+        δ-entry when that is nonzero, else any negative entry."""
         if self.system.kind == "affine" and image[-1]:
             return image[-1] < 0
         return min(image) < 0
 
-    @property
-    def word(self) -> tuple[int, ...]:
-        """The ShortLex-minimal reduced word, by smallest-left-descent peeling."""
-        if self._word is None:
-            v = self.inverse()
-            out = []
-            for _ in range(_WORD_GUARD):
-                for s in range(self.system.ngens):
-                    if v._descends(s):
-                        out.append(s)
-                        v = v.mul_simple(s)
-                        break
-                else:
+    def _peel(self) -> tuple[tuple[int, ...], frozenset[Root]]:
+        """(ShortLex word of w⁻¹, Φ_w) from one walk down by smallest right
+        descent: with v_0 = w and v_{i+1} = v_i·s_i the letters s_i spell the
+        word, and the roots −v_i(α_{s_i}) are Φ_w = −w(Φ_{w⁻¹})."""
+        k, affine = self.system.rank_finite, self.system.kind == "affine"
+        v, out, roots = self, [], []
+        for _ in range(_WORD_GUARD):
+            for s in range(self.system.ngens):
+                image = v._image(s)
+                if v._negative(image):
+                    rho = Root([-c for c in image[:k]], -image[k] if affine else 0)
+                    if not rho.is_positive:
+                        raise DomainError(f"inversion {rho} of a reduced word is not positive")
+                    out.append(s)
+                    roots.append(rho)
+                    v = v.mul_simple(s)
                     break
             else:
-                raise DomainError("word extraction did not terminate")
-            if not v.is_identity:
-                raise DomainError("word extraction did not reach the identity")
-            self._word = tuple(out)
+                break
+        else:
+            raise DomainError("word extraction did not terminate")
+        if not v.is_identity:
+            raise DomainError("word extraction did not reach the identity")
+        inv = frozenset(roots)
+        if len(inv) != len(roots):
+            raise DomainError("inversions of a reduced word are not distinct")
+        return tuple(out), inv
+
+    @property
+    def word(self) -> tuple[int, ...]:
+        """The ShortLex-minimal reduced word, peeled off w⁻¹."""
+        if self._word is None:
+            self._word = self.inverse()._peel()[0]
         return self._word
 
     @property
     def length(self) -> int:
-        return len(self.word)
+        """l(w): the length of the word when that is known, else |Φ_w|."""
+        if self._word is not None:
+            return len(self._word)
+        return len(self.inversion_set())
 
     def inversion_set(self) -> frozenset[Root]:
-        """Φ_w = {positive roots sent negative by w^{-1}}, via any reduced word."""
+        """Φ_w = {positive roots sent negative by w^{-1}}, peeled off w."""
         if self._invset is None:
-            prefix = identity(self.system)
-            roots = []
-            for s in self.word:
-                rho = prefix.apply(self.system.simple_root(s))
-                if not rho.is_positive:
-                    raise DomainError(f"inversion {rho} of a reduced word is not positive")
-                roots.append(rho)
-                prefix = prefix.mul_simple(s)
-            inv = frozenset(roots)
-            if len(inv) != len(roots):
-                raise DomainError("inversions of a reduced word are not distinct")
-            self._invset = inv
+            word, self._invset = self._peel()
+            if self._inverse is not None and self._inverse._word is None:
+                self._inverse._word = word
         return self._invset
 
     def label(self) -> str:
@@ -211,7 +218,7 @@ def grow(system: CoxeterSystem, level, keep=None) -> list[GroupElement]:
     grown = {}
     for w in level:
         for s in range(system.ngens):
-            if w._descends(s) or (keep and not keep(w.apply(system.simple_root(s)))):
+            if w._negative(w._image(s)) or (keep and not keep(w.apply(system.simple_root(s)))):
                 continue
             y = w.mul_simple(s)
             if grown.setdefault(y.matrix, y) is y:

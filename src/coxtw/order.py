@@ -25,6 +25,8 @@ def twisted_length(w: GroupElement, oracle: BiclosedOracle) -> int:
     """l_B(w) = l(w) - 2|Φ_w ∩ B|."""
     hit = oracle._tlen_memo.get(w)
     if hit is None:
+        if w.system.key != oracle.system.key:
+            raise OrderError("twisted length needs a single common system")
         inside = sum(1 for rho in w.inversion_set() if oracle.member(rho))
         hit = w.length - 2 * inside
         oracle._tlen_memo[w] = hit
@@ -33,6 +35,8 @@ def twisted_length(w: GroupElement, oracle: BiclosedOracle) -> int:
 
 def is_up_cover(w: GroupElement, s: int, oracle: BiclosedOracle) -> bool:
     """Does w·s cover w (twisted length goes up by one)?"""
+    if w.system is not oracle.system and w.system.key != oracle.system.key:
+        raise OrderError("cover test needs a single common system")
     rho = w.apply(w.system.simple_root(s))
     if rho.is_positive:
         return not oracle.member(rho)

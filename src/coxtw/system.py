@@ -29,7 +29,7 @@ class Root:
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs, delta: int = 0):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(int, coeffs)))
         object.__setattr__(self, "delta", int(delta))
 
     @property
@@ -240,6 +240,10 @@ class CoxeterSystem:
         self.simple_names = tuple(names)
 
         self.key = (self.kind, self.cartan, self.symmetrizer)
+        simples = [Root([int(j == i) for j in range(k)], 0) for i in range(k)]
+        if affine:
+            simples.append(Root([-c for c in self.highest_root.coeffs], 1))
+        self._simple_roots = tuple(simples)
         self._reflections = tuple(self._reflection(s) for s in range(self.ngens))
         # Grown on demand: the levels of `elements.ball`, and the right
         # neighbours of each element for the brute-force `oracle` walks.
@@ -306,9 +310,7 @@ class CoxeterSystem:
     def simple_root(self, i: int) -> Root:
         if not 0 <= i < self.ngens:
             raise DomainError(f"no simple reflection with index {i}")
-        if i < self.rank_finite:
-            return Root(tuple(1 if j == i else 0 for j in range(self.rank_finite)), 0)
-        return Root(tuple(-c for c in self.highest_root.coeffs), 1)
+        return self._simple_roots[i]
 
     def roots_up_to(self, level: int) -> tuple[Root, ...]:
         """All roots; affine systems truncate to |δ-level| <= level."""
@@ -373,7 +375,7 @@ class CoxeterSystem:
         (basis index, coefficient) pairs, and the nonzero
         ⟨α_j, α_s^∨⟩ = 2(α_j, α_s)/(α_s, α_s) as (j, value) pairs.  δ is
         fixed by every reflection."""
-        alpha = self.simple_root(s)
+        alpha = self._simple_roots[s]
         root = tuple((r, c) for r, c in enumerate(alpha.coeffs + (alpha.delta,)) if c)
         dots = [sum(map(mul, row, alpha.coeffs)) for row in self.gram]
         norm = sum(map(mul, alpha.coeffs, dots))

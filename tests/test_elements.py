@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coxtw import linalg
+from coxtw import elements, linalg
 from coxtw.elements import (GroupElement, ascend, ball, from_word, grow,
                             identity, simple, translation, weyl_part)
 from coxtw.errors import DomainError
@@ -253,6 +253,50 @@ def test_grow_under_an_inversion_set_inherits_shortlex_words():
         _assert_inherited_shortlex(level[0].system, level)
 
 
+def _reduced_words(system, seed, count, lengths):
+    """count random reduced words, each grown by ascents to a length in lengths."""
+    rng, words = random.Random(seed), []
+    for _ in range(count):
+        w = identity(system)
+        for _ in range(rng.choice(lengths)):
+            w = w.mul_simple(rng.choice([s for s in range(system.ngens)
+                                         if w.apply(system.simple_root(s)).is_positive]))
+        words.append(w)
+    return words
+
+
+@pytest.mark.parametrize("spec, radius", [("F4", 6), ("B~3", 5), ("G~2", 6), ("E8", None)])
+def test_one_peel_agrees_with_the_definitions(spec, radius):
+    system = build_system(spec)
+    if radius is None:
+        elems = _reduced_words(system, 9, 4, range(30, 41))
+    else:
+        elems = ball(system, radius)
+    for w in elems:
+        m = w.matrix
+        # Φ_w as the walk up a reduced word makes it: the prefix images
+        prefix, walked = identity(system), set()
+        for s in GroupElement(system, m).word:
+            walked.add(prefix.apply(system.simple_root(s)))
+            prefix = prefix.mul_simple(s)
+        x = GroupElement(system, m)
+        xinv = x.inverse()
+        assert x.inversion_set() == walked
+        if system.kind == "finite":
+            assert walked == {b for b in system.positive_roots if xinv.apply(b).is_negative}
+        assert xinv.word == GroupElement(system, xinv.matrix).word   # by-product of the peel
+        before = GroupElement(system, m)
+        length = before.length
+        assert before.word == w.word and before.length == length == len(w.word)
+        after = GroupElement(system, m)
+        assert after.word == w.word and after.length == length
+    for i in range(system.ngens):
+        assert system.simple_root(i) is system.simple_root(i)
+    for i in (-1, system.ngens):
+        with pytest.raises(DomainError):
+            system.simple_root(i)
+
+
 def test_word_guard_is_not_an_assert(monkeypatch):
     w = from_word(A2, (0, 1))
     monkeypatch.setattr(GroupElement, "is_identity", property(lambda self: False))
@@ -260,13 +304,14 @@ def test_word_guard_is_not_an_assert(monkeypatch):
         w.word
 
 
-@pytest.mark.parametrize("image, message", [
-    (lambda self, rho: -rho, "not positive"),
-    (lambda self, rho: Root((1, 0)), "not distinct"),
+@pytest.mark.parametrize("root, message", [
+    (lambda coeffs, delta=0: Root((-1, 0)), "not positive"),
+    (lambda coeffs, delta=0: Root((1, 0)), "not distinct"),
 ])
-def test_inversion_set_guards_are_not_asserts(monkeypatch, image, message):
+def test_inversion_set_guards_are_not_asserts(monkeypatch, root, message):
+    # the peel builds each inversion from a descent column through `Root`
     w = from_word(A2, (0, 1))
     assert w.word == (0, 1)
-    monkeypatch.setattr(GroupElement, "apply", image)
+    monkeypatch.setattr(elements, "Root", root)
     with pytest.raises(DomainError, match=message):
         w.inversion_set()

@@ -8,6 +8,7 @@ from coxtw.elements import ball, from_word, identity, simple
 from coxtw import order
 from coxtw.errors import (DomainError, JoinSearchError, OrderError,
                           UnsupportedOracleError)
+from coxtw.exprs import parse_biclosed
 from coxtw.infwords import WordInvSet, classify, validate_periodic
 from coxtw.oracle import longest_finite
 from coxtw.order import (chain, check_meet_semilattice, cover_neighbors,
@@ -69,6 +70,16 @@ def test_le_and_chain():
 def test_le_rejects_mixed_systems():
     with pytest.raises(OrderError):
         le(identity(A2), identity(B2), Explicit(A2, set()))
+
+
+@pytest.mark.parametrize("query", [
+    lambda b: twisted_length(from_word(A2, (0, 1)), b),
+    lambda b: is_up_cover(from_word(A2, (0,)), 1, b),
+    lambda b: hasse(b, ball(A2, 2)),
+], ids=["twisted_length", "is_up_cover", "hasse"])
+def test_order_queries_reject_mixed_systems(query):
+    with pytest.raises(OrderError):
+        query(parse_biclosed(B2, "full"))
 
 
 def test_interval():
