@@ -9,7 +9,7 @@ which that eventual behaviour has set in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
@@ -191,17 +191,12 @@ def act_on_biclosed(w: GroupElement, oracle: BiclosedOracle) -> BiclosedOracle:
 # -- closure -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClosureReport:
-    closed: bool
-    witness: tuple | None
+class ClosureReport(namedtuple("ClosureReport", "closed witness")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BiclosedReport:
-    ok: bool
-    side: str | None
-    witness: tuple | None
+class BiclosedReport(namedtuple("BiclosedReport", "ok side witness")):
+    __slots__ = ()
 
 
 def cone_contains(system: CoxeterSystem, generators, target: Root) -> bool:

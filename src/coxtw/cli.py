@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
 
 from .elements import ball, from_word
 from .errors import (DomainError, ExprError, ResourceError, ValidationError)
@@ -111,7 +110,8 @@ def _system(args) -> CoxeterSystem:
         return build_system(args.type_string)
     if args.cartan_file:
         try:
-            text = Path(args.cartan_file).read_text()
+            with open(args.cartan_file) as fh:
+                text = fh.read()
         except OSError as exc:
             raise ExprError(f"cannot read Cartan file: {exc}")
         return parse_cartan_file(text)
@@ -303,7 +303,8 @@ def main(argv=None) -> int:
         return 2
     if args.out:
         try:
-            Path(args.out).write_text(text)
+            with open(args.out, "w") as fh:
+                fh.write(text)
         except OSError as exc:
             print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
             return 1

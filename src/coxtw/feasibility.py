@@ -10,7 +10,6 @@ roots, so problems are tiny and no effort is spent on sparsity.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
 
 
 def solve_nonneg(

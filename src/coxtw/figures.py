@@ -9,7 +9,7 @@ picture.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .elements import from_word
 from .errors import DomainError
@@ -18,14 +18,9 @@ from .order import HasseGraph, hasse
 from .system import build_system
 
 
-@dataclass(frozen=True)
-class Figure:
-    name: str
-    type_string: str
-    expr: str
-    gen_labels: tuple[str, ...]
-    words: tuple[tuple[int, ...], ...]
-    edges: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+class Figure(namedtuple("Figure", "name type_string expr gen_labels words edges")):
+    """words: the element words drawn; edges: (lower, upper) word pairs."""
+    __slots__ = ()
 
 
 _A1_WORDS = ((0, 1, 0), (0, 1), (0,), (), (1,), (1, 0))

@@ -14,7 +14,7 @@ nothing at all (witnessed by two roots whose finite parts are opposite).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .biclosed import (BiclosedOracle, HatForm, _decompose_psi,
                        _peel_inversion_set, level_displacement)
@@ -179,12 +179,10 @@ def limit_set(oracle: BiclosedOracle) -> frozenset[Root]:
     return raw
 
 
-@dataclass(frozen=True)
-class Classification:
-    kind: str  # "finite" | "infinite" | "neither"
-    element: GroupElement | None = None
-    word: PeriodicWord | None = None
-    bad_pair: tuple[Root, Root] | None = None
+class Classification(namedtuple("Classification", "kind element word bad_pair",
+                                 defaults=(None, None, None))):
+    """kind "finite" has an element, "infinite" a word, "neither" a bad_pair."""
+    __slots__ = ()
 
     def witness_json(self):
         if self.kind == "finite":

@@ -10,7 +10,7 @@ at z, and the result is verified before it is returned.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .biclosed import BiclosedOracle, Complement
 from .elements import GroupElement, ascend, ball, grow, identity
@@ -198,10 +198,9 @@ def join(x: GroupElement, y: GroupElement,
 # -- Hasse diagrams ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HasseGraph:
-    nodes: tuple  # (GroupElement, twisted length), sorted
-    edges: tuple  # (i, j) index pairs, lower -> higher
+class HasseGraph(namedtuple("HasseGraph", "nodes edges")):
+    """Sorted (element, twisted length) nodes; (i, j) edges, lower first."""
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -247,11 +246,9 @@ def hasse(oracle: BiclosedOracle, elements) -> HasseGraph:
 # -- semilattice checking ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    status: str  # "ok" | "counterexample" | "inconclusive"
-    pair: tuple | None
-    checked: int
+class CheckResult(namedtuple("CheckResult", "status pair checked")):
+    """status is "ok", "counterexample" or "inconclusive"."""
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -301,31 +298,27 @@ def check_meet_semilattice(system, oracle: BiclosedOracle,
     """Search ball(radius) pairs for a meet failure.
 
     When B is an inversion set the theory bounds where a meet must live:
-    z ≤_B m ≤_B x forces l(m) ≤ l(z) + l(z⁻¹x), so searching up to that
-    length catches it.  A pair whose bounded common lower bounds then have
-    two maximal elements is a genuine counterexample, and a clean sweep is
-    a proof over the ball ("ok").
+    z ≤_B m ≤_B x forces l(m) ≤ l(z) + l(z⁻¹x), and l(z⁻¹x) = |Φ_z △ Φ_x|,
+    so searching up to that length catches it.  A pair whose bounded common
+    lower bounds then have two maximal elements is a genuine counterexample,
+    and a clean sweep is a proof over the ball ("ok").
     Otherwise lower bounds are only searched within ball(3·radius), and a
     clean sweep is merely "inconclusive"."""
     if system.key != oracle.system.key:
         raise OrderError("semilattice check needs a single common system")
     elems = ball(system, radius)
     try:
-        cls = classify(oracle)
+        sound = classify(oracle).kind != "neither"
     except ClassificationError:
-        cls = None
-    sound = cls is not None and cls.kind != "neither"
+        sound = False
 
     pairs = list(itertools.combinations(range(len(elems)), 2))
-    cut = {}
-    for ai, bi in pairs:
-        if sound:
-            z = lower_bound(elems[ai], elems[bi], oracle)
-            zinv = z.inverse()
-            cut[ai, bi] = z.length + min((zinv * elems[ai]).length,
-                                         (zinv * elems[bi]).length)
-        else:
-            cut[ai, bi] = 3 * radius
+    cut = dict.fromkeys(pairs, 3 * radius)
+    if sound:
+        for ai, bi in pairs:
+            inv = lower_bound(elems[ai], elems[bi], oracle).inversion_set()
+            cut[ai, bi] = len(inv) + min(len(inv ^ elems[ai].inversion_set()),
+                                         len(inv ^ elems[bi].inversion_set()))
     mask = _MaskOrder(oracle, ball(system, max([radius, *cut.values()])))
     pos = {w.matrix: i for i, w in enumerate(mask.elements)}
     for checked, (ai, bi) in enumerate(pairs, 1):

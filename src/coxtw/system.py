@@ -9,7 +9,6 @@ Fractions), so root identities hold on the nose rather than up to epsilon.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
@@ -21,16 +20,35 @@ from .errors import DomainError, ExprError, ValidationError
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
-@dataclass(frozen=True)
 class Root:
-    """A real root β + nδ: finite coordinates over the simple basis, δ-level n."""
+    """A real root β + nδ (simple-basis coordinates, δ-level n); an immutable value."""
 
-    delta: int
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs", "delta", "_hash")
 
     def __init__(self, coeffs, delta: int = 0):
-        object.__setattr__(self, "coeffs", tuple(map(int, coeffs)))
-        object.__setattr__(self, "delta", int(delta))
+        coeffs, delta = tuple(map(int, coeffs)), int(delta)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "_hash", hash((delta, coeffs)))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"Root is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not Root:
+            return NotImplemented
+        return self.delta == other.delta and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"Root(delta={self.delta!r}, coeffs={self.coeffs!r})"
+
+    def __reduce__(self):
+        return Root, (self.coeffs, self.delta)
 
     @property
     def key(self) -> tuple:

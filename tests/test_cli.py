@@ -1,6 +1,8 @@
 import hashlib
 import io
 import json
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -13,6 +15,7 @@ from coxtw.exprs import parse_biclosed
 from coxtw.system import build_system
 
 GOLDEN = Path(__file__).parent / "data" / "a1_twist.dot"
+SRC = Path(__file__).resolve().parents[1] / "src"
 A2T = build_system("A~2")
 
 
@@ -206,6 +209,26 @@ def test_cartan_file(capsys, tmp_path):
                        "--format", "json")
     assert code == 0
     assert json.loads(out)["count"] == 8
+
+
+def test_unreadable_cartan_file(capsys, tmp_path):
+    code, out, err = run(capsys, "--cartan", str(tmp_path / "missing.cartan"),
+                         "roots")
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot read Cartan file:")
+    assert "Traceback" not in err
+
+
+def test_startup_imports_only_what_it_uses():
+    # -S keeps site-packages start-up hooks from preloading modules.
+    script = (f"import sys; sys.path.insert(0, {str(SRC)!r}); import coxtw.cli; "
+              "print(' '.join(sorted(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", script],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "coxtw.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "typing", "pathlib"}
 
 
 def test_deep_nesting_is_a_usage_error(capsys):

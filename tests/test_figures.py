@@ -68,10 +68,10 @@ def test_figure_rejections():
 def test_figure_gate_survives_optimized_mode():
     # python -O strips assert statements; the pinned-edge gate must still fire
     script = (
-        "import dataclasses, sys\n"
+        "import sys\n"
         "from coxtw import cli, figures\n"
         "fig = figures.FIGURES['a1-twist']\n"
-        "figures.FIGURES['a1-twist'] = dataclasses.replace(fig, edges=fig.edges[1:])\n"
+        "figures.FIGURES['a1-twist'] = fig._replace(edges=fig.edges[1:])\n"
         "sys.exit(cli.main(['figure', 'a1-twist']))\n"
     )
     env = dict(os.environ)

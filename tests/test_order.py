@@ -3,14 +3,16 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coxtw.biclosed import Complement, Explicit, HatForm
+from coxtw.biclosed import (Complement, Explicit, HatForm, biclosed_check,
+                            closure_check)
 from coxtw.elements import ball, from_word, identity, simple
 from coxtw import order
 from coxtw.errors import (DomainError, JoinSearchError, OrderError,
                           UnsupportedOracleError)
 from coxtw.exprs import parse_biclosed
-from coxtw.infwords import WordInvSet, classify, validate_periodic
-from coxtw.oracle import longest_finite
+from coxtw.figures import FIGURES
+from coxtw.infwords import Classification, WordInvSet, classify, validate_periodic
+from coxtw.oracle import longest_finite, standard_battery
 from coxtw.order import (chain, check_meet_semilattice, cover_neighbors,
                          hasse, interval, is_up_cover, join, le, lower_bound,
                          meet, ordinary_meet, twisted_length)
@@ -200,6 +202,75 @@ def test_check_meet_semilattice_verdicts():
 
     nothing = check_meet_semilattice(A1T, HAT_POS, 0)
     assert nothing.status in ("ok", "inconclusive")
+
+
+def test_inversion_set_symmetric_difference_is_length():
+    # l(u⁻¹v) = |Φ_u △ Φ_v|, which check_meet_semilattice uses for its cuts
+    for system, radius in ((A2T, 3), (build_system("G~2"), 3), (build_system("B3"), 9)):
+        elems = ball(system, radius)
+        for u, v in itertools.product(elems, repeat=2):
+            assert (len(u.inversion_set() ^ v.inversion_set())
+                    == (u.inverse() * v).length), (system.type_string, u, v)
+
+
+# Per system: the `checked` count of an "ok" sweep, and every other verdict.
+_BATTERY_VERDICTS = {
+    ("A~1", 3): (21, {"full": ("counterexample", ((0,), (1,)), 7),
+                      "hat-mixed": ("counterexample", ((0,), (1,)), 7)}),
+    ("A~2", 3): (171, {"full": ("counterexample", ((0,), (1, 2)), 24),
+                       "hat-mixed": ("counterexample", ((0,), (1, 2)), 24)}),
+    ("C~2", 3): (136, {"full": ("counterexample", ((0,), (1, 2)), 22),
+                       "hat-mixed": ("counterexample", ((0,), (1, 2, 0)), 29)}),
+    ("G~2", 2): (36, {"full": ("counterexample", ((0,), (1, 2)), 14),
+                      "hat-mixed": ("inconclusive", None, 36)}),
+}
+
+
+def test_check_meet_semilattice_battery_verdicts():
+    for (spec, radius), (checked, others) in _BATTERY_VERDICTS.items():
+        system = build_system(spec)
+        for name, orc in standard_battery(system):
+            res = check_meet_semilattice(system, orc, radius)
+            pair = None if res.pair is None else tuple(w.word for w in res.pair)
+            assert (res.status, pair, res.checked) == others.get(
+                name, ("ok", None, checked)), (spec, name)
+
+
+def test_records_are_immutable_values():
+    full = Complement(Explicit(A1T, set()))
+    res = check_meet_semilattice(A1T, full, 3)
+    assert res == check_meet_semilattice(A1T, full, 3)
+    assert res.to_json() == {"status": "counterexample", "pair": [[0], [1]],
+                             "checked": 7}
+    assert repr(res) == ("CheckResult(status='counterexample', pair=("
+                         "GroupElement([0]), GroupElement([1])), checked=7)")
+    graph = hasse(HAT_NEG, ball(A1T, 1))
+    assert graph == hasse(HAT_NEG, ball(A1T, 1))
+    assert graph.to_json() == {
+        "nodes": [{"word": [1], "tlen": -1}, {"word": [], "tlen": 0},
+                  {"word": [0], "tlen": 1}],
+        "edges": [[0, 1], [1, 2]]}
+    assert graph.to_dot() == (
+        'digraph hasse {\n  rankdir=BT;\n  node [shape=plaintext];\n'
+        '  n0 [label="s_{d-a}"];\n  n1 [label="e"];\n  n2 [label="s_a"];\n'
+        '  { rank=same; n0; }\n  { rank=same; n1; }\n  { rank=same; n2; }\n'
+        '  n0 -> n1;\n  n1 -> n2;\n}\n')
+    cls = classify(parse_biclosed(A2T, "full"))
+    assert cls == classify(parse_biclosed(A2T, "full"))
+    assert cls.witness_json() == [[0, 1, 1], [0, -1, 1]]
+    assert (classify(parse_biclosed(A2T, "explicit [1.0]"))
+            == Classification("finite", el(A2T, 0)))
+    closure = closure_check(A2, {Root((1, 0)), Root((0, 1))}, A2.positive_roots)
+    assert closure == closure_check(A2, [Root((0, 1)), Root((1, 0))],
+                                    A2.positive_roots)
+    report = biclosed_check(A2, {Root((1, 0))}, A2.positive_roots)
+    fig = FIGURES["a1-twist"]
+    for record, field in ((res, "status"), (graph, "edges"), (cls, "kind"),
+                          (closure, "closed"), (report, "ok"), (fig, "edges")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            record.extra = None
 
 
 def test_check_meet_semilattice_finite_past_longest_element():

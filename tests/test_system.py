@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,27 @@ def test_type_strings_and_rank_bounds():
     for bad in ("A0", "B1", "C1", "D3", "E5", "E9", "F3", "G3", "H3", "", "2A"):
         with pytest.raises(ExprError):
             build_system(bad)
+
+
+def test_root_is_an_immutable_value():
+    r = Root((1, -2), 3)
+    same = [Root([1, -2], 3), Root((1, -2), 3), Root((Fraction(1), Fraction(-4, 2)), Fraction(3))]
+    for other in same:
+        assert other == r and hash(other) == hash(r)
+        assert other.coeffs == (1, -2) and type(other.coeffs[0]) is int
+    assert r != Root((1, -2), 2) and r != Root((1, -1), 3)
+    assert r != ((1, -2), 3) and r != (3, (1, -2))
+    assert -(-r) == r and -r == Root((-1, 2), -3)
+    assert {r: "x"}[Root([1, -2], 3)] == "x"
+    assert Root((1, -2), 3) in frozenset({r}) and len({r, *same}) == 1
+    assert repr(r) == "Root(delta=3, coeffs=(1, -2))"
+    assert copy.deepcopy(r) == r and pickle.loads(pickle.dumps(r)) == r
+    for name in ("delta", "coeffs", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(r, name, 0)
+    with pytest.raises(AttributeError):
+        del r.delta
+    assert (r.delta, r.coeffs) == (3, (1, -2))
 
 
 def test_positive_root_counts():
