@@ -42,35 +42,28 @@ class GroupElement:
 
     @property
     def is_identity(self) -> bool:
-        n = self.system.dim
-        return all(self.matrix[r][c] == (1 if r == c else 0)
-                   for r in range(n) for c in range(n))
+        return self.matrix == identity(self.system).matrix
 
     # -- multiplication ------------------------------------------------
-
-    def _times(self, b) -> "GroupElement":
-        """This element followed by the matrix b on the right."""
-        cols = list(zip(*b))
-        return GroupElement(self.system, [[sum(map(mul, row, col)) for col in cols]
-                                          for row in self.matrix])
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         if not isinstance(other, GroupElement):
             return NotImplemented
         if self.system.key != other.system.key:
             raise DomainError("cannot multiply elements of different systems")
-        return self._times(other.matrix)
+        cols = list(zip(*other.matrix))
+        return GroupElement(self.system, [[sum(map(mul, row, col)) for col in cols]
+                                          for row in self.matrix])
 
     def mul_simple(self, s: int) -> "GroupElement":
         """w·s, column by column: (w·s)(α_j) = w(α_j) − ⟨α_j, α_s^∨⟩·w(α_s)."""
-        pairs = self.system.reflection(s)[1]
+        pairs = self.system.reflection(s)[0]
         rows = []
-        for row, x in zip(self.matrix, self._image(s)):
+        for row, x in zip(self.matrix, _image(self.system, self.matrix, s)):
             if x:
                 row = list(row)
                 for j, c in pairs:
                     row[j] -= c * x
-                row = tuple(row)
             rows.append(row)
         return GroupElement(self.system, rows)
 
@@ -100,53 +93,39 @@ class GroupElement:
     def apply(self, rho: Root) -> Root:
         """Image of a root-lattice vector; no root-validity check."""
         k = self.system.rank_finite
-        if self.system.kind == "affine":
-            vec = rho.coeffs + (rho.delta,)
-        else:
-            vec = rho.coeffs
+        vec = (rho.coeffs + (rho.delta,))[:self.system.dim]
         out = [sum(map(mul, row, vec)) for row in self.matrix]
-        if self.system.kind == "affine":
-            return Root(tuple(out[:k]), out[k])
-        return Root(tuple(out), 0)
+        return Root(out[:k], out[k] if len(out) > k else 0)
 
     # -- words and lengths ---------------------------------------------
-
-    def _image(self, s: int) -> list[int]:
-        """w(α_s) as an integer column: column s itself for a finite simple root."""
-        if s < self.system.rank_finite:
-            return [row[s] for row in self.matrix]
-        root = self.system.reflection(s)[0]
-        return [sum(row[r] * c for r, c in root) for row in self.matrix]
-
-    def _negative(self, image) -> bool:
-        """Whether an integer image w(α_s) is negative: the sign of the
-        δ-entry when that is nonzero, else any negative entry."""
-        if self.system.kind == "affine" and image[-1]:
-            return image[-1] < 0
-        return min(image) < 0
 
     def _peel(self) -> tuple[tuple[int, ...], frozenset[Root]]:
         """(ShortLex word of w⁻¹, Φ_w) from one walk down by smallest right
         descent: with v_0 = w and v_{i+1} = v_i·s_i the letters s_i spell the
-        word, and the roots −v_i(α_{s_i}) are Φ_w = −w(Φ_{w⁻¹})."""
-        k, affine = self.system.rank_finite, self.system.kind == "affine"
-        v, out, roots = self, [], []
+        word, and the roots −v_i(α_{s_i}) are Φ_w = −w(Φ_{w⁻¹}).  Only the images
+        v(α_t) are kept: v·s moves each t with ⟨α_t, α_s^∨⟩ ≠ 0 by
+        v(α_t) −= ⟨α_t, α_s^∨⟩·v(α_s), and v = e when every v(α_t) is α_t."""
+        system = self.system
+        k, gens = system.rank_finite, range(system.ngens)
+        images = [_image(system, self.matrix, t) for t in gens]
+        out, roots = [], []
         for _ in range(_WORD_GUARD):
-            for s in range(self.system.ngens):
-                image = v._image(s)
-                if v._negative(image):
-                    rho = Root([-c for c in image[:k]], -image[k] if affine else 0)
+            for s in gens:
+                a = images[s]
+                if _negative(system, a):
+                    rho = Root([-c for c in a[:k]], -a[k] if len(a) > k else 0)
                     if not rho.is_positive:
                         raise DomainError(f"inversion {rho} of a reduced word is not positive")
                     out.append(s)
                     roots.append(rho)
-                    v = v.mul_simple(s)
+                    for t, c in system.reflection(s)[1]:
+                        images[t] = [x - c * y for x, y in zip(images[t], a)]
                     break
             else:
                 break
         else:
             raise DomainError("word extraction did not terminate")
-        if not v.is_identity:
+        if tuple(map(tuple, images)) != system.simple_columns:
             raise DomainError("word extraction did not reach the identity")
         inv = frozenset(roots)
         if len(inv) != len(roots):
@@ -162,13 +141,13 @@ class GroupElement:
 
     @property
     def length(self) -> int:
-        """l(w): the length of the word when that is known, else |Φ_w|."""
+        """l(w) = |word| if the word is known, else |Φ_w| (recorded by `from_word`, or peeled)."""
         if self._word is not None:
             return len(self._word)
         return len(self.inversion_set())
 
     def inversion_set(self) -> frozenset[Root]:
-        """Φ_w = {positive roots sent negative by w^{-1}}, peeled off w."""
+        """Φ_w = {positive roots sent negative by w^{-1}}, from `from_word` or the peel."""
         if self._invset is None:
             word, self._invset = self._peel()
             if self._inverse is not None and self._inverse._word is None:
@@ -198,10 +177,42 @@ def simple(system: CoxeterSystem, s: int) -> GroupElement:
 
 
 def from_word(system: CoxeterSystem, word) -> GroupElement:
-    el = identity(system)
-    for s in word:
-        el = el.mul_simple(int(s))
+    """s_1⋯s_m by column updates on one mutable matrix, recording Φ_w on the way:
+    each letter s has w(α_s) in hand, and by the exchange property Φ_{ws} is
+    Φ_w ⊔ {w(α_s)} if w(α_s) > 0, else Φ_w ∖ {−w(α_s)}, for unreduced words too."""
+    k = system.rank_finite
+    rows = [list(row) for row in identity(system).matrix]
+    inv = set()
+    for s in map(int, word):
+        pairs = system.reflection(s)[0]   # validates s before any column read
+        image = _image(system, rows, s)
+        neg = _negative(system, image)
+        rho = tuple(-x for x in image) if neg else tuple(image)
+        if (rho in inv) != neg:
+            raise DomainError(f"the inversions of the word lost track at letter {s}")
+        inv ^= {rho}
+        for row, x in zip(rows, image):
+            if x:
+                for j, c in pairs:
+                    row[j] -= c * x
+    el = GroupElement(system, rows)
+    el._invset = frozenset(Root(rho[:k], rho[k] if len(rho) > k else 0) for rho in inv)
     return el
+
+
+def _image(system: CoxeterSystem, rows, s: int) -> list[int]:
+    """w(α_s) as an integer column of w's rows: column s itself for a finite simple root."""
+    if s < system.rank_finite:
+        return [row[s] for row in rows]
+    column = system.simple_columns[s]
+    return [sum(map(mul, row, column)) for row in rows]
+
+
+def _negative(system: CoxeterSystem, image) -> bool:
+    """Whether an integer image w(α_s) is negative: by its δ-entry if nonzero, else any entry < 0."""
+    if system.kind == "affine" and image[-1]:
+        return image[-1] < 0
+    return min(image) < 0
 
 
 # Weak-order walks.  In the right weak order x ≤ y iff Φ_x ⊆ Φ_y, and
@@ -218,7 +229,8 @@ def grow(system: CoxeterSystem, level, keep=None) -> list[GroupElement]:
     grown = {}
     for w in level:
         for s in range(system.ngens):
-            if w._negative(w._image(s)) or (keep and not keep(w.apply(system.simple_root(s)))):
+            if _negative(system, _image(system, w.matrix, s)) or (
+                    keep and not keep(w.apply(system.simple_root(s)))):
                 continue
             y = w.mul_simple(s)
             if grown.setdefault(y.matrix, y) is y:
@@ -263,9 +275,8 @@ def weyl_part(w: GroupElement) -> GroupElement:
     if w.system.kind != "affine":
         return w
     k = w.system.rank_finite
-    m = [[w.matrix[r][c] for c in range(k)] + [0] for r in range(k)]
-    m.append([0] * k + [1])
-    return GroupElement(w.system, m)
+    m = [list(row[:k]) + [0] for row in w.matrix[:k]]
+    return GroupElement(w.system, m + [[0] * k + [1]])
 
 
 def translation(system: CoxeterSystem, lam) -> GroupElement:

@@ -97,9 +97,6 @@ def validate_periodic(system: CoxeterSystem, prefix, period) -> PeriodicWord:
     the two finite words is itself not reduced)."""
     prefix = tuple(int(s) for s in prefix)
     period = tuple(int(s) for s in period)
-    for s in prefix + period:
-        if not 0 <= s < system.ngens:
-            raise DomainError(f"letter {s} is out of range")
     prefix_el = from_word(system, prefix)
     if prefix_el.length != len(prefix):
         raise NotReducedError("prefix word is not reduced", failing_power=0)

@@ -27,9 +27,9 @@ class Root:
 
     def __init__(self, coeffs, delta: int = 0):
         coeffs, delta = tuple(map(int, coeffs)), int(delta)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "_hash", hash((delta, coeffs)))
+        _set_coeffs(self, coeffs)
+        _set_delta(self, delta)
+        _set_hash(self, hash((delta, coeffs)))
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"Root is immutable: cannot change {name!r}")
@@ -79,6 +79,10 @@ class Root:
 
     def __str__(self) -> str:
         return self.literal()
+
+
+# __setattr__ refuses every write, so __init__ stores through the slots themselves
+_set_coeffs, _set_delta, _set_hash = (Root.__dict__[n].__set__ for n in Root.__slots__)
 
 
 def parse_root(text: str, rank: int) -> Root:
@@ -262,6 +266,8 @@ class CoxeterSystem:
         if affine:
             simples.append(Root([-c for c in self.highest_root.coeffs], 1))
         self._simple_roots = tuple(simples)
+        # the same as integer columns over the basis (simple roots, and δ if affine)
+        self.simple_columns = tuple((a.coeffs + (a.delta,))[:self.dim] for a in simples)
         self._reflections = tuple(self._reflection(s) for s in range(self.ngens))
         # Grown on demand: the levels of `elements.ball`, and the right
         # neighbours of each element for the brute-force `oracle` walks.
@@ -389,22 +395,21 @@ class CoxeterSystem:
     # -- simple reflections --------------------------------------------
 
     def _reflection(self, s: int):
-        """(α_s, pairings) with s(α_j) = α_j − ⟨α_j, α_s^∨⟩·α_s: α_s as sparse
-        (basis index, coefficient) pairs, and the nonzero
-        ⟨α_j, α_s^∨⟩ = 2(α_j, α_s)/(α_s, α_s) as (j, value) pairs.  δ is
-        fixed by every reflection."""
+        """(pairings, simple pairings) with s(α_j) = α_j − ⟨α_j, α_s^∨⟩·α_s: the
+        nonzero ⟨α_j, α_s^∨⟩ = 2(α_j, α_s)/(α_s, α_s) as (j, value) pairs, over
+        the basis and over the ngens simple roots.  δ is fixed by every
+        reflection and pairs to zero, so the affine α_k = δ − θ pairs as −θ."""
         alpha = self._simple_roots[s]
-        root = tuple((r, c) for r, c in enumerate(alpha.coeffs + (alpha.delta,)) if c)
         dots = [sum(map(mul, row, alpha.coeffs)) for row in self.gram]
         norm = sum(map(mul, alpha.coeffs, dots))
         pairs = []
-        for j, dot in enumerate(dots):
-            c, rem = divmod(2 * dot, norm)
+        for t, beta in enumerate(self._simple_roots):
+            c, rem = divmod(2 * sum(map(mul, beta.coeffs, dots)), norm)
             if rem:
-                raise DomainError(f"coroot pairing of α_{j} with α_{s} is not an integer")
+                raise DomainError(f"coroot pairing of α_{t} with α_{s} is not an integer")
             if c:
-                pairs.append((j, c))
-        return root, tuple(pairs)
+                pairs.append((t, c))
+        return tuple(p for p in pairs if p[0] < self.rank_finite), tuple(pairs)
 
     def reflection(self, s: int):
         if not 0 <= s < self.ngens:

@@ -282,6 +282,8 @@ def test_one_peel_agrees_with_the_definitions(spec, radius):
         x = GroupElement(system, m)
         xinv = x.inverse()
         assert x.inversion_set() == walked
+        recorded = from_word(system, w.word)
+        assert recorded.inversion_set() == walked and recorded.matrix == m
         if system.kind == "finite":
             assert walked == {b for b in system.positive_roots if xinv.apply(b).is_negative}
         assert xinv.word == GroupElement(system, xinv.matrix).word   # by-product of the peel
@@ -298,10 +300,17 @@ def test_one_peel_agrees_with_the_definitions(spec, radius):
 
 
 def test_word_guard_is_not_an_assert(monkeypatch):
-    w = from_word(A2, (0, 1))
-    monkeypatch.setattr(GroupElement, "is_identity", property(lambda self: False))
+    # matrices that are no group elements, peeled with no recorded Φ: −1 on
+    # A2 is w_0 times the diagram flip, which has no descent yet is not e; one
+    # has a descent column of mixed sign; and δ ↦ −δ on A~1 descends for ever
+    # through (1,1), (1,2), (1,3), ...
     with pytest.raises(DomainError, match="identity"):
-        w.word
+        GroupElement(A2, ((-1, 0), (0, -1))).word
+    with pytest.raises(DomainError, match="not positive"):
+        GroupElement(A2, ((1, 0), (-1, 1))).inversion_set()
+    monkeypatch.setattr(elements, "_WORD_GUARD", 1000)
+    with pytest.raises(DomainError, match="terminate"):
+        GroupElement(A1T, ((1, 0), (0, -1))).inversion_set()
 
 
 @pytest.mark.parametrize("root, message", [
@@ -309,9 +318,39 @@ def test_word_guard_is_not_an_assert(monkeypatch):
     (lambda coeffs, delta=0: Root((1, 0)), "not distinct"),
 ])
 def test_inversion_set_guards_are_not_asserts(monkeypatch, root, message):
-    # the peel builds each inversion from a descent column through `Root`
-    w = from_word(A2, (0, 1))
+    # the peel builds each inversion from a descent column through `Root`;
+    # from_word records Φ_w, so the peel runs on a bare matrix
+    w = GroupElement(A2, from_word(A2, (0, 1)).matrix)
     assert w.word == (0, 1)
     monkeypatch.setattr(elements, "Root", root)
     with pytest.raises(DomainError, match=message):
         w.inversion_set()
+
+
+def test_from_word_validates_letters_and_its_record(monkeypatch):
+    for system in (A2, build_system("A~2")):
+        for letter in (-1, system.ngens):
+            with pytest.raises(DomainError):
+                from_word(system, (0, letter))
+    # a corrupt reflection table: s_0 fixing everything adds α_0 twice, and
+    # s_0 sending α_1 to α_1 − 2α_0 makes −(2,−1) a descent never recorded
+    for pairs, word in (((), (0, 0)), (((0, 2), (1, 2)), (0, 1))):
+        system = build_system("A2")
+        monkeypatch.setattr(system, "_reflections", ((pairs, pairs),) + system._reflections[1:])
+        with pytest.raises(DomainError, match="lost track"):
+            from_word(system, word)
+
+
+REFEREE_SYSTEMS = [build_system(spec) for spec in
+                   ("A3", "B3", "G2", "E8", "A~2", "C~2", "G~2", "B~3", "D~4")]
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(st.sampled_from(REFEREE_SYSTEMS), st.lists(st.integers(0, 99), max_size=24))
+def test_recorded_inversion_set_matches_the_peel(system, letters):
+    # words are random, so mostly unreduced; the bare matrix has no record
+    w = from_word(system, [x % system.ngens for x in letters])
+    fresh = GroupElement(system, w.matrix)
+    assert w._invset is not None and fresh._invset is None
+    assert w.inversion_set() == fresh.inversion_set()
+    assert w.word == fresh.word and w.length == len(w.word)
