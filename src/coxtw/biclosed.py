@@ -39,7 +39,7 @@ class BiclosedOracle:
         self._tlen_memo: dict = {}
         self._raw_tlen: dict = {}
         self._classification = None
-        self._complement_instance: Complement | None = None
+        self._complement_classification = None   # kept for `order.join`
 
     def member(self, rho: Root) -> bool:
         hit = self._memo.get(rho)

@@ -15,16 +15,18 @@ from .errors import DomainError
 from .system import CoxeterSystem, Root
 
 _WORD_GUARD = 100000
+# Entries of a `CoxeterSystem.peels` or `.inverses` table before it is cleared: a
+# `queries` pass needs under 100 per system; at worst 512 E8 peels of 37 KB, 19 MB.
+_TABLE_BOUND = 512
 
 
 class GroupElement:
-    __slots__ = ("system", "matrix", "_word", "_inverse", "_invset")
+    __slots__ = ("system", "matrix", "_word", "_invset")
 
     def __init__(self, system: CoxeterSystem, matrix):
         self.system = system
         self.matrix = tuple(map(tuple, matrix))
         self._word = None
-        self._inverse = None
         self._invset = None
 
     # -- identity, equality --------------------------------------------
@@ -68,9 +70,9 @@ class GroupElement:
         return GroupElement(self.system, rows)
 
     def inverse(self) -> "GroupElement":
-        """w⁻¹ from the invariant form: w̄⁻¹ = H·w̄ᵀ·G / N on the finite block,
-        and [[w̄, 0], [r, 1]]⁻¹ = [[w̄⁻¹, 0], [−r·w̄⁻¹, 1]] for affine types."""
-        if self._inverse is None:
+        """w⁻¹, a fresh element read through the `inverses` table: w̄⁻¹ = H·w̄ᵀ·G / N on
+        the finite block, and [[w̄, 0], [r, 1]]⁻¹ = [[w̄⁻¹, 0], [−r·w̄⁻¹, 1]] if affine."""
+        if (rows := self.system.inverses.get(self.matrix)) is None:
             gram, inv, n = self.system.integer_form
             k = self.system.rank_finite
             m = self.matrix
@@ -79,14 +81,14 @@ class GroupElement:
             qr = [[divmod(sum(map(mul, h, c)), n) for c in gcols] for h in inv]
             if any(r for row in qr for _, r in row):
                 raise DomainError("matrix does not preserve the invariant form")
-            rows = [[q for q, _ in row] for row in qr]
+            rows = tuple(tuple(q for q, _ in row) for row in qr)
             if self.system.kind == "affine":
                 bottom = [-sum(map(mul, m[k][:k], col)) for col in zip(*rows)]
-                rows = [row + [0] for row in rows] + [bottom + [1]]
-            el = GroupElement(self.system, rows)
-            el._inverse = self
-            self._inverse = el
-        return self._inverse
+                rows = tuple(row + (0,) for row in rows) + (tuple(bottom) + (1,),)
+            if len(self.system.inverses) >= _TABLE_BOUND - 1:
+                self.system.inverses.clear()
+            self.system.inverses.update({m: rows, rows: m})
+        return GroupElement(self.system, rows)
 
     # -- action on roots -----------------------------------------------
 
@@ -104,8 +106,11 @@ class GroupElement:
         descent: with v_0 = w and v_{i+1} = v_i·s_i the letters s_i spell the
         word, and the roots −v_i(α_{s_i}) are Φ_w = −w(Φ_{w⁻¹}).  Only the images
         v(α_t) are kept: v·s moves each t with ⟨α_t, α_s^∨⟩ ≠ 0 by
-        v(α_t) −= ⟨α_t, α_s^∨⟩·v(α_s), and v = e when every v(α_t) is α_t."""
+        v(α_t) −= ⟨α_t, α_s^∨⟩·v(α_s), and v = e when every v(α_t) is α_t.
+        Read through the `peels` table, which keeps only walks past every guard."""
         system = self.system
+        if (hit := system.peels.get(self.matrix)) is not None:
+            return hit
         k, gens = system.rank_finite, range(system.ngens)
         images = [_image(system, self.matrix, t) for t in gens]
         out, roots = [], []
@@ -130,11 +135,14 @@ class GroupElement:
         inv = frozenset(roots)
         if len(inv) != len(roots):
             raise DomainError("inversions of a reduced word are not distinct")
-        return tuple(out), inv
+        if len(system.peels) >= _TABLE_BOUND:
+            system.peels.clear()
+        system.peels[self.matrix] = hit = tuple(out), inv
+        return hit
 
     @property
     def word(self) -> tuple[int, ...]:
-        """The ShortLex-minimal reduced word, peeled off w⁻¹."""
+        """The ShortLex-minimal reduced word: the peel of w⁻¹, through both tables."""
         if self._word is None:
             self._word = self.inverse()._peel()[0]
         return self._word
@@ -149,9 +157,7 @@ class GroupElement:
     def inversion_set(self) -> frozenset[Root]:
         """Φ_w = {positive roots sent negative by w^{-1}}, from `from_word` or the peel."""
         if self._invset is None:
-            word, self._invset = self._peel()
-            if self._inverse is not None and self._inverse._word is None:
-                self._inverse._word = word
+            self._invset = self._peel()[1]
         return self._invset
 
     def label(self) -> str:
@@ -256,17 +262,16 @@ def ascend(system: CoxeterSystem, roots) -> GroupElement:
 
 
 def ball(system: CoxeterSystem, radius: int) -> tuple[GroupElement, ...]:
-    """All elements of length <= radius, sorted by (length, ShortLex word)."""
+    """All elements of length <= radius in (length, ShortLex word) order, grown from e."""
     if radius < 0:
         raise DomainError("ball radius must be nonnegative")
-    levels = system.ball_levels
-    if not levels:
-        levels.append([identity(system)])
-    while len(levels) <= radius and levels[-1]:
-        levels.append(grow(system, levels[-1]))
-    out = []
-    for lv in levels[: radius + 1]:
-        out.extend(lv)
+    level = [identity(system)]
+    out = list(level)
+    for _ in range(radius):
+        level = grow(system, level)
+        if not level:
+            break
+        out.extend(level)
     return tuple(out)
 
 

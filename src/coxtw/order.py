@@ -173,11 +173,10 @@ def join(x: GroupElement, y: GroupElement,
     set this is a meet there.  Otherwise upper bounds are searched in a
     ball of radius l(x)+l(y)+4; a unique minimal one below all others is
     returned, anything else raises JoinSearchError."""
-    if oracle._complement_instance is None:
-        oracle._complement_instance = Complement(oracle)
-    comp = oracle._complement_instance
+    comp = Complement(oracle)   # fresh, so nothing of the oracle points back at it
+    comp._classification = oracle._complement_classification
     try:
-        cls = classify(comp)
+        cls = oracle._complement_classification = classify(comp)
     except ClassificationError:
         cls = None
     if cls is not None and cls.kind != "neither":

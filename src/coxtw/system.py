@@ -269,9 +269,10 @@ class CoxeterSystem:
         # the same as integer columns over the basis (simple roots, and δ if affine)
         self.simple_columns = tuple((a.coeffs + (a.delta,))[:self.dim] for a in simples)
         self._reflections = tuple(self._reflection(s) for s in range(self.ngens))
-        # Grown on demand: the levels of `elements.ball`, and the right
-        # neighbours of each element for the brute-force `oracle` walks.
-        self.ball_levels: list = []
+        # Filled on demand, by matrix: the bounded tables of `elements` (the peel of w,
+        # and w⁻¹ both ways), and each element's right neighbours for `oracle`.
+        self.peels: dict = {}
+        self.inverses: dict = {}
         self.oracle_adj: dict = {}
 
     def __eq__(self, other):

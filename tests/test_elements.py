@@ -84,10 +84,11 @@ def test_ball_sizes():
 
 
 def test_ball_grows_past_a_finite_group():
-    # A larger radius after the group ran out reuses the cached empty level.
+    # Growth stops at the first empty level, however large the radius.
     a2 = build_system("A2")
     assert len(ball(a2, 4)) == 6
     assert len(ball(a2, 10)) == 6
+    assert len(ball(a2, 10 ** 9)) == 6
     assert [w.word for w in ball(a2, 5)] == [w.word for w in ball(A2, 3)]
 
 
@@ -168,9 +169,11 @@ def test_integer_kernels_match_dense_referees():
 
 
 def test_inverse_guard_is_not_an_assert():
-    # a matrix that does not preserve the form has no integer form inverse
+    # a matrix that does not preserve the form has no integer form inverse;
+    # a fresh system, so no table entry can answer in place of the guard
+    a2 = build_system("A2")
     with pytest.raises(DomainError, match="invariant form"):
-        GroupElement(A2, ((1, 1), (0, 1))).inverse()
+        GroupElement(a2, ((1, 1), (0, 1))).inverse()
 
 
 def test_group_laws():
@@ -303,14 +306,16 @@ def test_word_guard_is_not_an_assert(monkeypatch):
     # matrices that are no group elements, peeled with no recorded Φ: −1 on
     # A2 is w_0 times the diagram flip, which has no descent yet is not e; one
     # has a descent column of mixed sign; and δ ↦ −δ on A~1 descends for ever
-    # through (1,1), (1,2), (1,3), ...
+    # through (1,1), (1,2), (1,3), ...  Fresh systems, so that no table
+    # entry filled by an earlier test can answer in place of the peel.
+    a2, a1t = build_system("A2"), build_system("A~1")
     with pytest.raises(DomainError, match="identity"):
-        GroupElement(A2, ((-1, 0), (0, -1))).word
+        GroupElement(a2, ((-1, 0), (0, -1))).word
     with pytest.raises(DomainError, match="not positive"):
-        GroupElement(A2, ((1, 0), (-1, 1))).inversion_set()
+        GroupElement(a2, ((1, 0), (-1, 1))).inversion_set()
     monkeypatch.setattr(elements, "_WORD_GUARD", 1000)
     with pytest.raises(DomainError, match="terminate"):
-        GroupElement(A1T, ((1, 0), (0, -1))).inversion_set()
+        GroupElement(a1t, ((1, 0), (0, -1))).inversion_set()
 
 
 @pytest.mark.parametrize("root, message", [
@@ -319,8 +324,10 @@ def test_word_guard_is_not_an_assert(monkeypatch):
 ])
 def test_inversion_set_guards_are_not_asserts(monkeypatch, root, message):
     # the peel builds each inversion from a descent column through `Root`;
-    # from_word records Φ_w, so the peel runs on a bare matrix
-    w = GroupElement(A2, from_word(A2, (0, 1)).matrix)
+    # from_word records Φ_w, so the peel runs on a bare matrix, and on a
+    # fresh system, so that no table entry holds Φ_w already
+    a2 = build_system("A2")
+    w = GroupElement(a2, from_word(a2, (0, 1)).matrix)
     assert w.word == (0, 1)
     monkeypatch.setattr(elements, "Root", root)
     with pytest.raises(DomainError, match=message):
@@ -341,14 +348,15 @@ def test_from_word_validates_letters_and_its_record(monkeypatch):
             from_word(system, word)
 
 
-REFEREE_SYSTEMS = [build_system(spec) for spec in
-                   ("A3", "B3", "G2", "E8", "A~2", "C~2", "G~2", "B~3", "D~4")]
+REFEREE_SPECS = ("A3", "B3", "G2", "E8", "A~2", "C~2", "G~2", "B~3", "D~4")
 
 
 @settings(deadline=None, derandomize=True, max_examples=200)
-@given(st.sampled_from(REFEREE_SYSTEMS), st.lists(st.integers(0, 99), max_size=24))
-def test_recorded_inversion_set_matches_the_peel(system, letters):
-    # words are random, so mostly unreduced; the bare matrix has no record
+@given(st.sampled_from(REFEREE_SPECS), st.lists(st.integers(0, 99), max_size=24))
+def test_recorded_inversion_set_matches_the_peel(spec, letters):
+    # words are random, so mostly unreduced; the bare matrix has no record,
+    # and the system is fresh, so its tables cannot answer for the peel
+    system = build_system(spec)
     w = from_word(system, [x % system.ngens for x in letters])
     fresh = GroupElement(system, w.matrix)
     assert w._invset is not None and fresh._invset is None

@@ -1,11 +1,14 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from coxtw.biclosed import Complement, Explicit, HatForm
+from coxtw.biclosed import (Complement, Explicit, HatForm, Twisted,
+                            act_on_biclosed)
 from coxtw.elements import from_word, identity, simple
-from coxtw.errors import DomainError
+from coxtw.errors import ClassificationError, DomainError
+from coxtw.infwords import classify
 from coxtw.oracle import (longest_finite, oracle_le, oracle_meet, oracle_tlen,
                           run_selftest, standard_battery)
-from coxtw.order import le, twisted_length
+from coxtw.order import join, le, meet, twisted_length
 from coxtw.system import Root, build_system
 
 A1T = build_system("A~1")
@@ -91,3 +94,46 @@ def test_run_selftest_past_longest_element():
     # The battery's ball reaches past w0, and the meet check asks again.
     a1 = build_system("A1")
     assert run_selftest(a1, radius=3)["mismatches"] == []
+
+
+def _random_form(system, index, twist, complement, act=act_on_biclosed):
+    """A battery form of the system, twisted by a word and maybe complemented;
+    the referee twists with a plain `Twisted`, with no collapse of nesting."""
+    form = act(from_word(system, twist), standard_battery(system)[index][1])
+    return Complement(form) if complement else form
+
+
+def _has_witness(form) -> bool:
+    try:
+        return classify(form).kind != "neither"
+    except ClassificationError:
+        return False
+
+
+SHORT_WORDS = st.lists(st.integers(0, 2), max_size=3).map(tuple)
+
+
+@settings(deadline=None, derandomize=True, max_examples=50)
+@given(st.sampled_from(("A~2", "C~2", "G~2")), st.integers(0, 13),
+       SHORT_WORDS, st.booleans(), SHORT_WORDS, SHORT_WORDS)
+def test_order_agrees_with_the_oracle_on_random_forms(spec, index, twist,
+                                                      complement, wx, wy):
+    # the referee works on a system of its own; the order layer answers twice
+    # on one system, first with its tables empty and then with them filled
+    ref_system = build_system(spec)
+    ref = _random_form(ref_system, index, twist, complement, Twisted)
+    rx, ry = from_word(ref_system, wx), from_word(ref_system, wy)
+    expect = (oracle_tlen(rx, ref), oracle_le(rx, ry, ref), oracle_le(ry, rx, ref))
+    system = build_system(spec)
+    bounds = {}
+    for run in ("cold", "warm"):
+        form = _random_form(system, index, twist, complement)
+        x, y = from_word(system, wx), from_word(system, wy)
+        assert (twisted_length(x, form), le(x, y, form), le(y, x, form)) == expect, run
+        for op, dual in ((meet, ref), (join, Complement(ref))):
+            if _has_witness(dual):
+                m = op(x, y, form)
+                if op not in bounds:
+                    radius = max(m.length, x.length + y.length) + 1
+                    bounds[op] = oracle_meet(rx, ry, dual, radius)
+                assert bounds[op] == (m,), (run, op.__name__)
