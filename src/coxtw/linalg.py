@@ -1,58 +1,72 @@
-"""Exact rational linear algebra on tiny dense matrices.
+"""Exact linear algebra on tiny dense matrices (rows of ints or Fractions).
 
-Matrices are tuples of tuples of Fractions (or ints where exactness is
-already guaranteed).  Everything here runs on rank <= 9 data, so the cubic
-algorithms are fine and keeping the representation immutable lets callers
-hash and cache freely.
+Each row is scaled to integers, and one fraction-free (Bareiss) Gauss-Jordan
+elimination runs on them: every entry it writes is a minor of the input, so
+each division is exact, and a Fraction is built only for the answer.  With
+no row swap its k-th pivot is the k-th leading principal minor.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm, prod
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 
+def _eliminate(rows, swap: bool = True):
+    """Eliminate the first len(rows) columns of the integer rows in place,
+    above and below each pivot.  Returns 1 and then the pivots, up to the
+    first zero one, so the last is the determinant up to sign; and the sign
+    of the row swaps (made only if swap is true, where a pivot is zero)."""
+    n, sign, pivots = len(rows), 1, [1]
+    for k in range(n):
+        if swap and not rows[k][k]:
+            r = next((r for r in range(k + 1, n) if rows[r][k]), k)
+            if r != k:
+                rows[k], rows[r], sign = rows[r], rows[k], -sign
+        p, prev, top = rows[k][k], pivots[-1], rows[k]
+        pivots.append(p)
+        if not p:
+            break
+        for i, row in enumerate(rows):
+            if i != k:
+                f = row[k]
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+    return pivots, sign
+
+
+def _integer_rows(a, b=None):
+    """The rows of a, each joined with that of b, scaled to integers by the
+    lcm of its denominators; and the list of those scales."""
+    rows = [[*row, *b[i]] if b else list(row) for i, row in enumerate(a)]
+    scales = [lcm(*(x.denominator for x in row)) for row in rows]
+    return [[x.numerator * (m // x.denominator) for x in row]
+            for row, m in zip(rows, scales)], scales
+
+
+def leading_minors(a) -> tuple[Fraction, ...]:
+    """The leading principal minors of a, in order, up to the first zero one."""
+    rows, scales = _integer_rows(a)
+    pivots = _eliminate(rows, swap=False)[0]
+    return tuple(Fraction(pivots[t], prod(scales[:t])) for t in range(1, len(pivots)))
+
+
 def det(a: Matrix) -> Fraction:
-    n = len(a)
-    m = [list(row) for row in a]
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            result = -result
-        result *= m[col][col]
-        inv = Fraction(1) / Fraction(m[col][col])
-        for r in range(col + 1, n):
-            factor = m[r][col] * inv
-            if factor:
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
-    return result
+    rows, scales = _integer_rows(a)
+    pivots, sign = _eliminate(rows)
+    return Fraction(sign * pivots[-1], prod(scales))
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix:
     """Solve a x = b for square invertible a and an n×m right-hand side b,
-    all columns in one Gauss-Jordan pass.  Raises ZeroDivisionError if singular."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(x) for x in rhs]
-         for row, rhs in zip(a, b)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular matrix")
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-        inv = Fraction(1) / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return tuple(tuple(row[n:]) for row in m)
+    all columns in one elimination.  Raises ZeroDivisionError if singular."""
+    rows, _ = _integer_rows(a, b)
+    n, d = len(rows), _eliminate(rows)[0][-1]
+    if not d:
+        raise ZeroDivisionError("singular matrix")
+    # a is now d·I, so each solution entry is one quotient
+    return tuple(tuple(Fraction(x, d) for x in row[n:]) for row in rows)
 
 
 def inverse(a: Matrix) -> Matrix:

@@ -2,8 +2,10 @@
 
 A system is either finite crystallographic or the untwisted affine
 extension of one.  Roots are integer coordinate vectors over the finite
-simple basis plus an integer δ-level; all arithmetic is exact (ints and
-Fractions), so root identities hold on the nose rather than up to epsilon.
+simple basis plus an integer δ-level, and Φ⁺ grows from the simple roots by
+integer raising.  Sylvester's test reads every leading minor of the form off
+one fraction-free elimination in `linalg`, and the form inverse takes one
+more, so all arithmetic is exact and root identities hold on the nose.
 """
 
 from __future__ import annotations
@@ -111,6 +113,8 @@ def _validate_cartan(cartan) -> tuple[tuple[int, ...], ...]:
     k = len(cartan)
     if k == 0 or any(len(row) != k for row in cartan):
         raise ValidationError("Cartan matrix must be square and nonempty")
+    if k > len(_LETTERS):
+        raise ValidationError(f"rank {k} exceeds the {len(_LETTERS)} simple-root names")
     a = tuple(tuple(int(x) for x in row) for row in cartan)
     for i in range(k):
         if a[i][i] != 2:
@@ -151,47 +155,43 @@ def _auto_symmetrizer(cartan) -> tuple[Fraction, ...]:
                     stack.append(j)
                 elif d[j] != val:
                     raise ValidationError("Cartan matrix admits no symmetrizer")
-        denom_lcm = 1
-        for i in component:
-            denom_lcm = denom_lcm * d[i].denominator // gcd(denom_lcm, d[i].denominator)
-        nums = [d[i] * denom_lcm for i in component]
-        g = 0
-        for x in nums:
-            g = gcd(g, int(x))
+        denom_lcm = lcm(*(d[i].denominator for i in component))
+        g = gcd(*(int(d[i] * denom_lcm) for i in component))
         for i in component:
             d[i] = d[i] * denom_lcm / g
     return tuple(d)
 
 
 def _check_positive_definite(form) -> Fraction:
-    """Raise unless every leading minor is positive; return det(form)."""
-    k = len(form)
-    for t in range(1, k + 1):
-        minor = linalg.det(tuple(row[:t] for row in form[:t]))
+    """Raise unless every leading minor is positive (Sylvester's test, all
+    minors from one elimination); return det(form)."""
+    minors = linalg.leading_minors(form)
+    for t, minor in enumerate(minors, 1):
         if minor <= 0:
             raise ValidationError(
                 "symmetrized Cartan matrix is not positive definite "
                 f"(leading minor {t} is non-positive)"
             )
-    return minor
+    return minors[-1]
 
 
 def _generate_positive_roots(cartan) -> tuple[tuple[int, ...], ...]:
+    # Φ⁺ by raising: s_i(v) = v − ⟨v, α_i^∨⟩α_i is taken only where the pairing
+    # is negative.  A non-simple β ∈ Φ⁺ pairs positively with some α_i, and is
+    # the raise of the lower root s_i(β), so every root is reached by height.
     k = len(cartan)
-    simples = [tuple(1 if j == i else 0 for j in range(k)) for i in range(k)]
-    seen = set(simples)
-    frontier = list(simples)
+    frontier = [tuple(int(j == i) for j in range(k)) for i in range(k)]
+    seen = set(frontier)
     while frontier:
         new = []
         for v in frontier:
-            for i in range(k):
-                c = sum(cartan[i][j] * v[j] for j in range(k))
-                w = list(v)
-                w[i] -= c
-                w = tuple(w)
-                if all(x >= 0 for x in w) and any(w) and w not in seen:
-                    seen.add(w)
-                    new.append(w)
+            for i, row in enumerate(cartan):
+                c = sum(map(mul, row, v))
+                if c < 0:
+                    w = v[:i] + (v[i] - c,) + v[i + 1:]
+                    if w not in seen:
+                        seen.add(w)
+                        new.append(w)
         frontier = new
     return tuple(sorted(seen))
 
@@ -217,14 +217,9 @@ class CoxeterSystem:
                 raise ValidationError("symmetrizer must be a positive vector of length rank")
             self.symmetrizer = d
         # form[i][j] = (α_i, α_j) = d_i a_ij
-        self.form = tuple(
-            tuple(self.symmetrizer[i] * self.cartan[i][j] for j in range(k))
-            for i in range(k)
-        )
-        for i in range(k):
-            for j in range(k):
-                if self.form[i][j] != self.form[j][i]:
-                    raise ValidationError("symmetrizer does not symmetrize the Cartan matrix")
+        self.form = tuple(tuple(d * a for a in row) for d, row in zip(self.symmetrizer, self.cartan))
+        if self.form != tuple(zip(*self.form)):
+            raise ValidationError("symmetrizer does not symmetrize the Cartan matrix")
         # form = diag(d)·cartan, and det(cartan) is the connection index
         det = _check_positive_definite(self.form) / prod(self.symmetrizer)
         if det.denominator != 1:
@@ -232,7 +227,8 @@ class CoxeterSystem:
         self.connection_index = int(det)
         # the form scaled to integers, for the reflection table and inverses
         self.form_scale = lcm(*(x.denominator for row in self.form for x in row))
-        self.gram = tuple(tuple(int(x * self.form_scale) for x in row) for row in self.form)
+        self.gram = tuple(tuple(x.numerator * (self.form_scale // x.denominator) for x in row)
+                          for row in self.form)
 
         self.kind = "affine" if affine else "finite"
         self.type_string = type_string
@@ -252,13 +248,10 @@ class CoxeterSystem:
             self.ngens = k
             self.dim = k
 
-        names = [_LETTERS[i] for i in range(k)]
+        names = list(_LETTERS[:k])
         if affine:
-            parts = []
-            for i, c in enumerate(self.highest_root.coeffs):
-                if c:
-                    parts.append(f"-{c if c > 1 else ''}{names[i]}")
-            names.append("d" + "".join(parts))
+            names.append("d" + "".join(f"-{c if c > 1 else ''}{names[i]}"
+                                       for i, c in enumerate(self.highest_root.coeffs) if c))
         self.simple_names = tuple(names)
 
         self.key = (self.kind, self.cartan, self.symmetrizer)
@@ -298,17 +291,10 @@ class CoxeterSystem:
         return len(seen) == k
 
     def _find_highest_root(self) -> Root:
-        candidates = []
-        for v in self._pos_coeffs:
-            ok = True
-            for i in range(self.rank_finite):
-                w = list(v)
-                w[i] += 1
-                if tuple(w) in self._root_coeff_set:
-                    ok = False
-                    break
-            if ok:
-                candidates.append(v)
+        # the roots that no α_i raises
+        candidates = [v for v in self._pos_coeffs
+                      if not any(v[:i] + (v[i] + 1,) + v[i + 1:] in self._root_coeff_set
+                                 for i in range(self.rank_finite))]
         if len(candidates) != 1:
             raise ValidationError("finite part has no unique highest root")
         return Root(candidates[0], 0)
@@ -370,7 +356,7 @@ class CoxeterSystem:
         w̄⁻¹ = H·w̄ᵀ·G / N exactly."""
         inv = self.fundamental_coweights
         n = lcm(*(x.denominator for row in inv for x in row))
-        h = tuple(tuple(int(x * n) for x in row) for row in inv)
+        h = tuple(tuple(x.numerator * (n // x.denominator) for x in row) for row in inv)
         return self.gram, h, n * self.form_scale
 
     def dominant_coweight_for(self, avoid: frozenset | set) -> tuple[Fraction, ...]:

@@ -211,6 +211,18 @@ def test_cartan_file(capsys, tmp_path):
     assert json.loads(out)["count"] == 8
 
 
+def test_cartan_file_above_rank_26(capsys, tmp_path):
+    # one letter names each simple root, so rank 27 is refused where the data enters
+    mat = tmp_path / "a27.cartan"
+    rows = [" ".join("2" if i == j else "-1" if abs(i - j) == 1 else "0" for j in range(27))
+            for i in range(27)]
+    mat.write_text("rank 27\n" + "\n".join(rows) + "\n")
+    code, out, err = run(capsys, "--cartan", str(mat), "roots")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "rank 27" in err
+    assert "Traceback" not in err
+
+
 def test_unreadable_cartan_file(capsys, tmp_path):
     code, out, err = run(capsys, "--cartan", str(tmp_path / "missing.cartan"),
                          "roots")

@@ -1,7 +1,9 @@
 import copy
 import pickle
 from fractions import Fraction
+from math import lcm, prod
 
+import dense_referee as dense
 import pytest
 
 from coxtw import linalg
@@ -67,10 +69,91 @@ def test_connection_index():
 
 
 def test_connection_index_guard_is_not_an_assert(monkeypatch):
-    # a determinant of 1/2 passes the positive-definite minors
-    monkeypatch.setattr(linalg, "det", lambda a: Fraction(1, 2))
+    # leading minors of 1/2 pass the positive-definite test, and the last is det(form)
+    monkeypatch.setattr(linalg, "leading_minors", lambda a: (Fraction(1, 2),) * len(a))
     with pytest.raises(DomainError, match="determinant"):
         build_system("A2")
+
+
+@pytest.mark.parametrize("cartan, t", [
+    ([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], 3),
+    ([[2, -2], [-2, 2]], 2),
+    ([[2, -3], [-3, 2]], 2),                  # a negative minor, not a zero one
+    ([[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -2], [0, 0, -2, 2]], 4),
+])
+def test_positive_definite_message_names_the_first_bad_minor(cartan, t):
+    with pytest.raises(ValidationError, match=rf"\(leading minor {t} is non-positive\)"):
+        build_system(cartan=cartan)
+
+
+def _a_chain(n):
+    return [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
+
+
+def test_rank_is_capped_where_cartan_data_enters():
+    # every simple root is named by one letter
+    assert build_system(cartan=_a_chain(26)).simple_names[-1] == "z"
+    with pytest.raises(ValidationError, match="rank 27"):
+        build_system(cartan=_a_chain(27))
+    text = "rank 27\n" + "".join(" ".join(map(str, row)) + "\n" for row in _a_chain(27))
+    with pytest.raises(ValidationError, match="rank 27"):
+        parse_cartan_file(text)
+
+
+REFEREE_SPECS = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+                 + [f"C{n}" for n in range(3, 9)] + [f"D{n}" for n in range(4, 9)]
+                 + ["E6", "E7", "E8", "F4", "G2", "A~1", "A~2", "A~3", "B~2", "B~3",
+                    "C~2", "C~3", "D~4", "E~6", "E~8", "F~4", "G~2"])
+
+
+def _referee_systems():
+    systems = [build_system(spec) for spec in REFEREE_SPECS]
+    # the finite part of B~3 with a rational symmetrizer
+    return systems + [build_system(cartan=[[2, -1, 0], [-1, 2, -1], [0, -2, 2]],
+                                   symmetrizer=(Fraction(1, 3), Fraction(1, 3), Fraction(1, 6)),
+                                   affine=True)]
+
+
+def test_system_build_matches_the_dense_referee():
+    for system in _referee_systems():
+        form, k = system.form, system.rank_finite
+        minors = dense.leading_minors(form)
+        assert len(minors) == k and all(m > 0 for m in minors), system
+        assert linalg.leading_minors(form) == minors, system
+        assert linalg.det(form) == minors[-1] == dense.det(form), system
+        assert system.connection_index == dense.det(system.cartan) == minors[-1] / prod(system.symmetrizer)
+        inverse = dense.inverse(form)
+        assert system.fundamental_coweights == inverse, system
+        # (G, H, N): G the form in integers, H = N·G⁻¹ with N the least such scale
+        g, h, n = system.integer_form
+        assert g == system.gram == tuple(tuple(int(x * system.form_scale) for x in row) for row in form)
+        assert tuple(tuple(Fraction(x, n) for x in row) for row in h) == dense.inverse(g), system
+        scale = lcm(*(x.denominator for row in inverse for x in row))
+        assert n == scale * system.form_scale, system
+
+
+def _positive_roots_by_closure(cartan):
+    # every root is a W-image of a simple root: close the simples under every s_i
+    k = len(cartan)
+    roots = {tuple(int(i == j) for j in range(k)) for i in range(k)}
+    todo = list(roots)
+    while todo:
+        v = todo.pop()
+        for i in range(k):
+            w = tuple(x - (j == i) * sum(a * y for a, y in zip(cartan[i], v)) for j, x in enumerate(v))
+            if w not in roots:
+                roots.add(w)
+                todo.append(w)
+    return sorted(v for v in roots if min(v) >= 0)
+
+
+def test_positive_roots_match_the_closure_of_the_simple_roots():
+    for system in _referee_systems():
+        want = _positive_roots_by_closure(system.cartan)
+        assert [r.coeffs for r in system.positive_roots] == want, system
+        assert all(r.delta == 0 for r in system.positive_roots)
+    for spec, count in (("A8", 36), ("B8", 64), ("C8", 64), ("D8", 56), ("E7", 63), ("E8", 120)):
+        assert len(build_system(spec).positive_roots) == count, spec
 
 
 def test_affine_pairing_guard_is_not_an_assert(monkeypatch):
