@@ -5,12 +5,15 @@ single object can describe an infinite subset of an affine positive system.
 Every oracle also reports its limit roots (the finite roots α whose string
 α + nδ eventually stays inside or outside the set) and a stable level from
 which that eventual behaviour has set in.
+
+The closure checks take roots of the system only, and ask of each pair of
+roots and each third root one question, whether the third lies in the cone
+of the pair, which `cone_contains` answers in integers.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from itertools import combinations
 
 from .errors import ClassificationError, DomainError, ResourceError, ValidationError
@@ -200,15 +203,18 @@ class BiclosedReport(namedtuple("BiclosedReport", "ok side witness")):
 
 
 def cone_contains(system: CoxeterSystem, generators, target: Root) -> bool:
-    """Is target a nonnegative rational combination of the generators?"""
-    gens = list(generators)
-    dim = system.dim
-    def coords(r: Root):
-        return list(r.coeffs) + ([Fraction(r.delta)] if dim > system.rank_finite else [])
-    cols = [coords(g) for g in gens]
-    rows = [[Fraction(cols[j][i]) for j in range(len(gens))] for i in range(dim)]
-    rhs = [Fraction(c) for c in coords(target)]
-    return solve_nonneg(rows, rhs) is not None
+    """Is target a nonnegative combination of the generators (at most two)?"""
+    rows = list(zip(*((*g.coeffs, g.delta) for g in generators)))
+    return solve_nonneg(rows, (*target.coeffs, target.delta)) is not None
+
+
+def _checked_roots(system: CoxeterSystem, roots) -> list[Root]:
+    """The distinct roots in sorted order; DomainError names one that is not a root."""
+    roots = sorted(frozenset(roots), key=lambda r: r.key)
+    bad = next((r for r in roots if not system.is_root(r)), None)
+    if bad is not None:
+        raise DomainError(f"{bad} is not a root of this system")
+    return roots
 
 
 def closure_check(system: CoxeterSystem, gamma, ambient) -> ClosureReport:
@@ -217,12 +223,12 @@ def closure_check(system: CoxeterSystem, gamma, ambient) -> ClosureReport:
     Γ is 2-closed when the cone of every pair of its roots captures only
     ambient roots that lie in Γ.  The witness is ((g1, g2), captured_root)
     for the first failure in sorted order."""
-    gamma = frozenset(gamma)
-    ambient = sorted(frozenset(ambient), key=lambda r: r.key)
+    members = _checked_roots(system, gamma)
+    ambient = _checked_roots(system, ambient)
+    gamma = frozenset(members)
     if not gamma <= set(ambient):
         raise DomainError("closure check needs gamma inside the ambient set")
     outside = [r for r in ambient if r not in gamma]
-    members = sorted(gamma, key=lambda r: r.key)
     for g1, g2 in combinations(members, 2):
         for t in outside:
             if cone_contains(system, (g1, g2), t):
@@ -248,7 +254,7 @@ _ENUM_LIMIT = 24
 
 def enumerate_biclosed(system: CoxeterSystem, ambient) -> tuple[frozenset[Root], ...]:
     """All biclosed subsets of a finite ambient root collection, by bitmask scan."""
-    roots = sorted(frozenset(ambient), key=lambda r: r.key)
+    roots = _checked_roots(system, ambient)
     n = len(roots)
     if n > _ENUM_LIMIT:
         raise ResourceError(f"ambient set of {n} roots exceeds the enumeration limit {_ENUM_LIMIT}")

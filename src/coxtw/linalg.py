@@ -16,15 +16,14 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 
 def _eliminate(rows, swap: bool = True):
     """Eliminate the first len(rows) columns of the integer rows in place,
-    above and below each pivot.  Returns 1 and then the pivots, up to the
-    first zero one, so the last is the determinant up to sign; and the sign
-    of the row swaps (made only if swap is true, where a pivot is zero)."""
-    n, sign, pivots = len(rows), 1, [1]
+    above and below each pivot, swapping rows where a pivot is zero if swap
+    is true.  Returns 1 and then the pivots, up to the first zero one, so
+    the last is the determinant up to sign."""
+    n, pivots = len(rows), [1]
     for k in range(n):
         if swap and not rows[k][k]:
             r = next((r for r in range(k + 1, n) if rows[r][k]), k)
-            if r != k:
-                rows[k], rows[r], sign = rows[r], rows[k], -sign
+            rows[k], rows[r] = rows[r], rows[k]
         p, prev, top = rows[k][k], pivots[-1], rows[k]
         pivots.append(p)
         if not p:
@@ -33,7 +32,7 @@ def _eliminate(rows, swap: bool = True):
             if i != k:
                 f = row[k]
                 rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
-    return pivots, sign
+    return pivots
 
 
 def _integer_rows(a, b=None):
@@ -48,21 +47,15 @@ def _integer_rows(a, b=None):
 def leading_minors(a) -> tuple[Fraction, ...]:
     """The leading principal minors of a, in order, up to the first zero one."""
     rows, scales = _integer_rows(a)
-    pivots = _eliminate(rows, swap=False)[0]
+    pivots = _eliminate(rows, swap=False)
     return tuple(Fraction(pivots[t], prod(scales[:t])) for t in range(1, len(pivots)))
-
-
-def det(a: Matrix) -> Fraction:
-    rows, scales = _integer_rows(a)
-    pivots, sign = _eliminate(rows)
-    return Fraction(sign * pivots[-1], prod(scales))
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix:
     """Solve a x = b for square invertible a and an n×m right-hand side b,
     all columns in one elimination.  Raises ZeroDivisionError if singular."""
     rows, _ = _integer_rows(a, b)
-    n, d = len(rows), _eliminate(rows)[0][-1]
+    n, d = len(rows), _eliminate(rows)[-1]
     if not d:
         raise ZeroDivisionError("singular matrix")
     # a is now d·I, so each solution entry is one quotient

@@ -1,3 +1,7 @@
+import re
+from itertools import combinations
+
+import dense_referee as dense
 import pytest
 
 from coxtw.biclosed import (BiclosedOracle, Complement, Explicit, HatForm,
@@ -22,6 +26,47 @@ def test_cone_contains():
     assert cone_contains(A2, (a, b), ab)
     assert not cone_contains(A2, (a, ab), b)
     assert cone_contains(A1T, (ALPHA, DMA), Root((1,), 1))
+    # opposite roots span a line: the rank-1 branch
+    for t in (b, -b):
+        assert cone_contains(A2, (b, -b), t)
+    assert not cone_contains(A2, (b, -b), a)
+    # the δ-entry counts on a finite system, and a vector of another rank is refused
+    assert not cone_contains(A2, (a, b), Root((1, 0), 1))
+    with pytest.raises(DomainError):
+        cone_contains(A2, (a, b), Root((1, 1, 5)))
+
+
+def test_cone_contains_matches_the_simplex_referee():
+    # every (pair, target) triple, against the Fraction simplex the kernel replaced
+    def coords(r):
+        return [*r.coeffs, r.delta]
+
+    for system, level in ((build_system("A3"), 0), (build_system("G2"), 0), (A1T, 3),
+                          (build_system("A~2"), 1)):
+        roots = system.roots_up_to(level)
+        for g1, g2 in combinations(roots, 2):
+            rows = [list(row) for row in zip(coords(g1), coords(g2))]
+            for t in roots:
+                if t not in (g1, g2):
+                    want = dense.solve_nonneg(rows, coords(t)) is not None
+                    assert cone_contains(system, (g1, g2), t) == want, (system, g1, g2, t)
+
+
+def test_closure_checks_take_roots_of_the_system_only():
+    # α+δ and α+3δ are no roots of the finite A2, nor is a vector of rank 3
+    a = Root((1, 0))
+    for bad in (Root((1, 0), 1), Root((1, 0), 3), Root((1, 1, 5))):
+        with pytest.raises(DomainError, match=re.escape(f"{bad} is not a root")):
+            enumerate_biclosed(A2, [a, bad])
+        with pytest.raises(DomainError):
+            closure_check(A2, [a], [a, bad])
+        with pytest.raises(DomainError):
+            closure_check(A2, [a, bad], A2.positive_roots)
+        with pytest.raises(DomainError):
+            biclosed_check(A2, [a], [a, bad])
+    # δ itself is no real root of A~1
+    with pytest.raises(DomainError):
+        enumerate_biclosed(A1T, [ALPHA, Root((0,), 1)])
 
 
 def test_closure_check_witnesses():
