@@ -39,7 +39,6 @@ class BiclosedOracle:
     def __init__(self, system: CoxeterSystem):
         self.system = system
         self._memo: dict[Root, bool] = {}
-        self._tlen_memo: dict = {}
         self._raw_tlen: dict = {}
         self._classification = None
         self._complement_classification = None   # kept for `order.join`
@@ -202,7 +201,7 @@ class BiclosedReport(namedtuple("BiclosedReport", "ok side witness")):
     __slots__ = ()
 
 
-def cone_contains(system: CoxeterSystem, generators, target: Root) -> bool:
+def cone_contains(generators, target: Root) -> bool:
     """Is target a nonnegative combination of the generators (at most two)?"""
     rows = list(zip(*((*g.coeffs, g.delta) for g in generators)))
     return solve_nonneg(rows, (*target.coeffs, target.delta)) is not None
@@ -231,7 +230,7 @@ def closure_check(system: CoxeterSystem, gamma, ambient) -> ClosureReport:
     outside = [r for r in ambient if r not in gamma]
     for g1, g2 in combinations(members, 2):
         for t in outside:
-            if cone_contains(system, (g1, g2), t):
+            if cone_contains((g1, g2), t):
                 return ClosureReport(False, ((g1, g2), t))
     return ClosureReport(True, None)
 
@@ -262,7 +261,7 @@ def enumerate_biclosed(system: CoxeterSystem, ambient) -> tuple[frozenset[Root],
     for i, j in combinations(range(n), 2):
         mask = 0
         for t in range(n):
-            if t in (i, j) or cone_contains(system, (roots[i], roots[j]), roots[t]):
+            if t in (i, j) or cone_contains((roots[i], roots[j]), roots[t]):
                 mask |= 1 << t
         cones[(i, j)] = mask
 

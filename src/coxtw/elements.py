@@ -93,8 +93,11 @@ class GroupElement:
     # -- action on roots -----------------------------------------------
 
     def apply(self, rho: Root) -> Root:
-        """Image of a root-lattice vector; no root-validity check."""
+        """Image of a root-lattice vector; no root-validity check, but the vector
+        must have rank_finite coefficients, and δ-level 0 on a finite system."""
         k = self.system.rank_finite
+        if len(rho.coeffs) != k or (rho.delta and self.system.kind == "finite"):
+            raise DomainError(f"{rho} is not in the root lattice of this system")
         vec = (rho.coeffs + (rho.delta,))[:self.system.dim]
         out = [sum(map(mul, row, vec)) for row in self.matrix]
         return Root(out[:k], out[k] if len(out) > k else 0)

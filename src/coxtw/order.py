@@ -10,6 +10,7 @@ at z, and the result is verified before it is returned.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from collections import namedtuple
 
 from .biclosed import BiclosedOracle, Complement
@@ -23,14 +24,9 @@ _WITNESS_GUARD = 100000
 
 def twisted_length(w: GroupElement, oracle: BiclosedOracle) -> int:
     """l_B(w) = l(w) - 2|Φ_w ∩ B|."""
-    hit = oracle._tlen_memo.get(w)
-    if hit is None:
-        if w.system.key != oracle.system.key:
-            raise OrderError("twisted length needs a single common system")
-        inside = sum(1 for rho in w.inversion_set() if oracle.member(rho))
-        hit = w.length - 2 * inside
-        oracle._tlen_memo[w] = hit
-    return hit
+    if w.system.key != oracle.system.key:
+        raise OrderError("twisted length needs a single common system")
+    return w.length - 2 * sum(1 for rho in w.inversion_set() if oracle.member(rho))
 
 
 def is_up_cover(w: GroupElement, s: int, oracle: BiclosedOracle) -> bool:
@@ -283,13 +279,12 @@ class _MaskOrder:
         a, b = self.inv[i], self.inv[j]
         return (a & ~b & ~self.bmask) == 0 and (b & ~a & self.bmask) == 0
 
-    def maximals(self, indices) -> list[int]:
-        order = sorted(indices, key=lambda i: -self.tlen[i])
-        kept: list[int] = []
-        for i in order:
-            if not any(self.le(i, j) for j in kept):
-                kept.append(i)
-        return kept
+    def has_greatest(self, indices) -> bool:
+        """Whether the indices hold a greatest element, which is then their one
+        maximal element.  Distinct comparable elements differ in l_B, so only
+        one of largest l_B can be it."""
+        top = max(indices, key=self.tlen.__getitem__)
+        return all(self.le(i, top) for i in indices)
 
 
 def check_meet_semilattice(system, oracle: BiclosedOracle,
@@ -314,16 +309,17 @@ def check_meet_semilattice(system, oracle: BiclosedOracle,
     pairs = list(itertools.combinations(range(len(elems)), 2))
     cut = dict.fromkeys(pairs, 3 * radius)
     if sound:
-        for ai, bi in pairs:
-            inv = lower_bound(elems[ai], elems[bi], oracle).inversion_set()
-            cut[ai, bi] = len(inv) + min(len(inv ^ elems[ai].inversion_set()),
-                                         len(inv ^ elems[bi].inversion_set()))
+        for i, j in pairs:
+            inv = lower_bound(elems[i], elems[j], oracle).inversion_set()
+            cut[i, j] = len(inv) + min(len(inv ^ elems[i].inversion_set()),
+                                       len(inv ^ elems[j].inversion_set()))
+    # ball(radius) starts every larger ball, so the pair indices carry over,
+    # and the ball is in length order, so each pair's candidates are a prefix
     mask = _MaskOrder(oracle, ball(system, max([radius, *cut.values()])))
-    pos = {w.matrix: i for i, w in enumerate(mask.elements)}
-    for checked, (ai, bi) in enumerate(pairs, 1):
-        i, j = pos[elems[ai].matrix], pos[elems[bi].matrix]
-        lower = [t for t, u in enumerate(mask.elements)
-                 if u.length <= cut[ai, bi] and mask.le(t, i) and mask.le(t, j)]
-        if not lower or len(mask.maximals(lower)) != 1:
-            return CheckResult("counterexample", (elems[ai], elems[bi]), checked)
+    lengths = [u.length for u in mask.elements]
+    for checked, (i, j) in enumerate(pairs, 1):
+        lower = [t for t in range(bisect_right(lengths, cut[i, j]))
+                 if mask.le(t, i) and mask.le(t, j)]
+        if not lower or not mask.has_greatest(lower):
+            return CheckResult("counterexample", (elems[i], elems[j]), checked)
     return CheckResult("ok" if sound else "inconclusive", None, len(pairs))

@@ -3,7 +3,8 @@
 A system is either finite crystallographic or the untwisted affine
 extension of one.  Roots are integer coordinate vectors over the finite
 simple basis plus an integer δ-level, and Φ⁺ grows from the simple roots by
-integer raising.  Sylvester's test reads every leading minor of the form off
+integer raising.  The symmetrizer is solved, and the form built, in
+integers; Sylvester's test reads the leading minors of the Cartan matrix off
 one fraction-free elimination in `linalg`, and the form inverse takes one
 more, so all arithmetic is exact and root identities hold on the nose.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import mul
 
 from . import linalg
@@ -132,47 +133,51 @@ def _validate_cartan(cartan) -> tuple[tuple[int, ...], ...]:
     return a
 
 
-def _auto_symmetrizer(cartan) -> tuple[Fraction, ...]:
+def _auto_symmetrizer(cartan) -> tuple[int, ...]:
     # d_i a_ij = d_j a_ji forces the ratios along every edge of the Coxeter
-    # graph; propagate per component, then scale to coprime positive ints.
+    # graph.  Propagate them per component in integers, scaling the component
+    # by the least factor that makes a ratio divide, so d stays the least solution.
     k = len(cartan)
-    d: list = [None] * k
+    d = [0] * k
     for start in range(k):
-        if d[start] is not None:
+        if d[start]:
             continue
-        d[start] = Fraction(1)
+        d[start] = 1
         component = [start]
         stack = [start]
         while stack:
             i = stack.pop()
             for j in range(k):
-                if cartan[i][j] == 0 or i == j:
+                a, b = cartan[i][j], cartan[j][i]
+                if not a or i == j:
                     continue
-                val = d[i] * Fraction(cartan[i][j], cartan[j][i])
-                if d[j] is None:
-                    d[j] = val
+                if not d[j]:
+                    scale = -b // gcd(d[i] * a, b)
+                    for c in component:
+                        d[c] *= scale
+                    d[j] = d[i] * a // b
                     component.append(j)
                     stack.append(j)
-                elif d[j] != val:
+                elif d[i] * a != d[j] * b:
                     raise ValidationError("Cartan matrix admits no symmetrizer")
-        denom_lcm = lcm(*(d[i].denominator for i in component))
-        g = gcd(*(int(d[i] * denom_lcm) for i in component))
-        for i in component:
-            d[i] = d[i] * denom_lcm / g
     return tuple(d)
 
 
-def _check_positive_definite(form) -> Fraction:
-    """Raise unless every leading minor is positive (Sylvester's test, all
-    minors from one elimination); return det(form)."""
-    minors = linalg.leading_minors(form)
+def _check_positive_definite(cartan) -> int:
+    """Raise unless the form diag(d)·cartan is positive definite, and return
+    det(cartan), the connection index.  The form's t-th leading minor is
+    d_1⋯d_t > 0 times that of cartan, so Sylvester's test reads the minors of
+    cartan off one elimination."""
+    minors = linalg.leading_minors(cartan)
     for t, minor in enumerate(minors, 1):
         if minor <= 0:
             raise ValidationError(
                 "symmetrized Cartan matrix is not positive definite "
                 f"(leading minor {t} is non-positive)"
             )
-    return minors[-1]
+    if minors[-1].denominator != 1:
+        raise DomainError(f"Cartan determinant {minors[-1]} is not an integer")
+    return int(minors[-1])
 
 
 def _generate_positive_roots(cartan) -> tuple[tuple[int, ...], ...]:
@@ -210,21 +215,17 @@ class CoxeterSystem:
         k = len(self.cartan)
         self.rank_finite = k
         if symmetrizer is None:
-            self.symmetrizer = _auto_symmetrizer(self.cartan)
+            d = _auto_symmetrizer(self.cartan)
         else:
             d = tuple(Fraction(x) for x in symmetrizer)
             if len(d) != k or any(x <= 0 for x in d):
                 raise ValidationError("symmetrizer must be a positive vector of length rank")
-            self.symmetrizer = d
-        # form[i][j] = (α_i, α_j) = d_i a_ij
-        self.form = tuple(tuple(d * a for a in row) for d, row in zip(self.symmetrizer, self.cartan))
+        self.symmetrizer = tuple(map(Fraction, d))
+        # form[i][j] = (α_i, α_j) = d_i a_ij, in integers unless d was given rational
+        self.form = tuple(tuple(x * a for a in row) for x, row in zip(d, self.cartan))
         if self.form != tuple(zip(*self.form)):
             raise ValidationError("symmetrizer does not symmetrize the Cartan matrix")
-        # form = diag(d)·cartan, and det(cartan) is the connection index
-        det = _check_positive_definite(self.form) / prod(self.symmetrizer)
-        if det.denominator != 1:
-            raise DomainError(f"Cartan determinant {det} is not an integer")
-        self.connection_index = int(det)
+        self.connection_index = _check_positive_definite(self.cartan)
         # the form scaled to integers, for the reflection table and inverses
         self.form_scale = lcm(*(x.denominator for row in self.form for x in row))
         self.gram = tuple(tuple(x.numerator * (self.form_scale // x.denominator) for x in row)
@@ -238,8 +239,6 @@ class CoxeterSystem:
         )
 
         if affine:
-            if not self._is_irreducible():
-                raise ValidationError("affine extension requires an irreducible finite part")
             self.highest_root = self._find_highest_root()
             self.ngens = k + 1
             self.dim = k + 1
@@ -254,7 +253,7 @@ class CoxeterSystem:
                                        for i, c in enumerate(self.highest_root.coeffs) if c))
         self.simple_names = tuple(names)
 
-        self.key = (self.kind, self.cartan, self.symmetrizer)
+        self.key = (self.kind, self.cartan, d)
         simples = [Root([int(j == i) for j in range(k)], 0) for i in range(k)]
         if affine:
             simples.append(Root([-c for c in self.highest_root.coeffs], 1))
@@ -278,25 +277,13 @@ class CoxeterSystem:
         tag = self.type_string or f"rank {self.rank_finite}"
         return f"CoxeterSystem({tag}, {self.kind})"
 
-    def _is_irreducible(self) -> bool:
-        k = self.rank_finite
-        seen = {0}
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            for j in range(k):
-                if j not in seen and self.cartan[i][j] != 0:
-                    seen.add(j)
-                    stack.append(j)
-        return len(seen) == k
-
     def _find_highest_root(self) -> Root:
-        # the roots that no α_i raises
+        # the roots that no α_i raises: one per component of the Coxeter graph
         candidates = [v for v in self._pos_coeffs
                       if not any(v[:i] + (v[i] + 1,) + v[i + 1:] in self._root_coeff_set
                                  for i in range(self.rank_finite))]
         if len(candidates) != 1:
-            raise ValidationError("finite part has no unique highest root")
+            raise ValidationError("affine extension requires an irreducible finite part")
         return Root(candidates[0], 0)
 
     # -- roots ---------------------------------------------------------

@@ -1,13 +1,46 @@
-"""Referee kernels for the tests: plain Fraction Gaussian elimination, and
-a Fraction phase-1 simplex.
+"""Referee kernels for the tests: plain Fraction Gaussian elimination, a
+Fraction phase-1 simplex, and a Fraction symmetrizer.
 
 These are the textbook algorithms that `coxtw.linalg` replaced with one
-fraction-free elimination, and `coxtw.feasibility` with an integer
-two-column test, kept here so that the kernels and everything built on them
-are checked against code that shares none of them.
+fraction-free elimination, `coxtw.feasibility` with an integer two-column
+test, and `coxtw.system` with an integer symmetrizer, kept here so that the
+kernels and everything built on them are checked against code that shares
+none of them.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
+
+
+def symmetrizer(cartan):
+    """The coprime positive d with d_i a_ij = d_j a_ji on each component of the
+    Coxeter graph, by propagating Fraction ratios along its edges; ValueError
+    if there is none."""
+    k = len(cartan)
+    d = [None] * k
+    for start in range(k):
+        if d[start] is not None:
+            continue
+        d[start] = Fraction(1)
+        component = [start]
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for j in range(k):
+                if cartan[i][j] == 0 or i == j:
+                    continue
+                val = d[i] * Fraction(cartan[i][j], cartan[j][i])
+                if d[j] is None:
+                    d[j] = val
+                    component.append(j)
+                    stack.append(j)
+                elif d[j] != val:
+                    raise ValueError("Cartan matrix admits no symmetrizer")
+        denom_lcm = lcm(*(d[i].denominator for i in component))
+        g = gcd(*(int(d[i] * denom_lcm) for i in component))
+        for i in component:
+            d[i] = d[i] * denom_lcm / g
+    return tuple(d)
 
 
 def det(a):

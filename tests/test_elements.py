@@ -110,6 +110,16 @@ def test_action():
     assert s0.apply(Root((2, 0))) == Root((-2, 0))
 
 
+def test_action_refuses_vectors_of_another_lattice():
+    # α+δ has a δ-level the finite A2 lacks, and (1, 1, 5) a third coefficient
+    s0 = simple(A2, 0)
+    for bad in (Root((1, 0), 1), Root((1, 1, 5))):
+        with pytest.raises(DomainError, match="root lattice"):
+            s0.apply(bad)
+    with pytest.raises(DomainError, match="root lattice"):
+        simple(A1T, 0).apply(Root((1, 0), 1))
+
+
 def test_labels_and_json():
     assert identity(A1T).label() == "e"
     assert simple(A1T, 1).label() == "s_{d-a}"

@@ -236,6 +236,16 @@ def test_check_meet_semilattice_battery_verdicts():
                 name, ("ok", None, checked)), (spec, name)
 
 
+def test_check_meet_semilattice_benchmark_checks():
+    # the checks the benchmark's searches workload runs, plus a radius past them
+    for spec, expr, radius, checked in (("A~2", "hat 0,1,0::", 3, 171),
+                                        ("G~2", "hat 0,1,0,1,0,1::", 3, 120),
+                                        ("A~2", "hat 0,1,0::", 4, 465)):
+        system = build_system(spec)
+        res = check_meet_semilattice(system, parse_biclosed(system, expr), radius)
+        assert (res.status, res.pair, res.checked) == ("ok", None, checked), (spec, radius)
+
+
 def test_records_are_immutable_values():
     full = Complement(Explicit(A1T, set()))
     res = check_meet_semilattice(A1T, full, 3)

@@ -1,6 +1,8 @@
 import copy
 import pickle
+import random
 from fractions import Fraction
+from itertools import combinations
 from math import lcm, prod
 
 import dense_referee as dense
@@ -8,8 +10,8 @@ import pytest
 
 from coxtw import linalg
 from coxtw.errors import DomainError, ExprError, ValidationError
-from coxtw.system import (CoxeterSystem, Root, build_system, parse_cartan_file,
-                          parse_root)
+from coxtw.system import (CoxeterSystem, Root, _auto_symmetrizer, build_system,
+                          parse_cartan_file, parse_root)
 
 
 def test_type_strings_and_rank_bounds():
@@ -69,7 +71,7 @@ def test_connection_index():
 
 
 def test_connection_index_guard_is_not_an_assert(monkeypatch):
-    # leading minors of 1/2 pass the positive-definite test, and the last is det(form)
+    # leading minors of 1/2 pass the positive-definite test, and the last is det(cartan)
     monkeypatch.setattr(linalg, "leading_minors", lambda a: (Fraction(1, 2),) * len(a))
     with pytest.raises(DomainError, match="determinant"):
         build_system("A2")
@@ -130,6 +132,69 @@ def test_system_build_matches_the_dense_referee():
         assert tuple(tuple(Fraction(x, n) for x in row) for row in h) == dense.inverse(g), system
         scale = lcm(*(x.denominator for row in inverse for x in row))
         assert n == scale * system.form_scale, system
+
+
+def _block_diagonal(*blocks):
+    n = sum(map(len, blocks))
+    out, at = [[0] * n for _ in range(n)], 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            out[at + i][at:at + len(row)] = row
+        at += len(block)
+    return out
+
+
+B2_, C3_, G2_ = ([[2, -1], [-2, 2]], [[2, -1, 0], [-1, 2, -2], [0, -1, 2]], [[2, -1], [-3, 2]])
+
+
+def test_integer_symmetrizer_matches_the_fraction_referee():
+    # reducible matrices are rescaled component by component
+    reducible = [_block_diagonal(*blocks) for blocks in
+                 (([[2]], [[2]]), (B2_, G2_), (C3_, G2_), (G2_, C3_), (G2_, B2_, [[2]]))]
+    for cartan in [system.cartan for system in _referee_systems()] + reducible:
+        d = _auto_symmetrizer(cartan)
+        assert d == dense.symmetrizer(cartan) and all(type(x) is int for x in d), cartan
+    for cartan in reducible:
+        assert build_system(cartan=cartan).symmetrizer == dense.symmetrizer(cartan)
+    # random symmetrizable matrices d_i a_ij = -m_ij lcm(d_i, d_j), cycles included,
+    # and each again with one entry doubled: on an edge of a cycle, that leaves none
+    rng = random.Random(5)
+    for _ in range(300):
+        k = rng.randrange(1, 7)
+        d = [rng.choice((1, 2, 3, 4, 6)) for _ in range(k)]
+        m = [[0] * k for _ in range(k)]
+        for i, j in combinations(range(k), 2):
+            m[i][j] = m[j][i] = rng.choice((0, 0, 1, 2))
+        cartan = [[2 if i == j else -m[i][j] * lcm(d[i], d[j]) // d[i] for j in range(k)]
+                  for i in range(k)]
+        assert _auto_symmetrizer(cartan) == dense.symmetrizer(cartan), cartan
+        i, j = rng.sample(range(k), 2) if k > 1 else (0, 0)
+        cartan[i][j] *= 2
+        try:
+            want = dense.symmetrizer(cartan)
+        except ValueError:
+            with pytest.raises(ValidationError, match="no symmetrizer"):
+                _auto_symmetrizer(cartan)
+        else:
+            assert _auto_symmetrizer(cartan) == want, cartan
+    no_symmetrizer = [[2, -1, -1], [-1, 2, -1], [-1, -2, 2]]
+    with pytest.raises(ValueError):
+        dense.symmetrizer(no_symmetrizer)
+    with pytest.raises(ValidationError, match="no symmetrizer"):
+        build_system(cartan=no_symmetrizer)
+
+
+def test_type_string_builds_are_integer():
+    for spec in REFEREE_SPECS:
+        system = build_system(spec)
+        _, cartan, d = system.key
+        assert all(type(x) is int for x in d), spec
+        assert all(type(x) is int for m in (system.form, system.gram) for row in m for x in row), spec
+        assert all(type(x) is Fraction for x in system.symmetrizer), spec
+        assert system.symmetrizer == dense.symmetrizer(cartan) == d, spec
+    a2 = [[2, -1], [-1, 2]]
+    given = build_system(cartan=a2, symmetrizer=(1, 1))
+    assert build_system("A2") == given and hash(build_system("A2")) == hash(given)
 
 
 def _positive_roots_by_closure(cartan):
@@ -232,7 +297,7 @@ def test_bad_cartan_rejected():
         build_system(cartan=[[1, 0], [0, 2]])      # diagonal not 2
     with pytest.raises(ValidationError):
         build_system(cartan=[[2, -2], [-2, 2]])    # not positive definite
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="irreducible"):
         build_system(cartan=[[2, 0], [0, 2]], affine=True)  # reducible
 
 
