@@ -34,24 +34,28 @@ def level_displacement(w: GroupElement) -> int:
 
 
 class BiclosedOracle:
-    """Base class: handles positivity validation and memoization."""
+    """Base class: validates roots, and memoizes membership in two root masks."""
 
     def __init__(self, system: CoxeterSystem):
         self.system = system
-        self._memo: dict[Root, bool] = {}
+        self._known = self._inside = 0   # the bits decided, and those in B
         self._raw_tlen: dict = {}
         self._classification = None
         self._complement_classification = None   # kept for `order.join`
 
     def member(self, rho: Root) -> bool:
-        hit = self._memo.get(rho)
-        if hit is not None:
-            return hit
-        if not rho.is_positive or not self.system.is_root(rho):
-            raise DomainError(f"{rho} is not a positive root of this system")
-        val = self._member(rho)
-        self._memo[rho] = val
-        return val
+        return bool(self.members(1 << self.system.root_bit(rho)))
+
+    def members(self, mask: int) -> int:
+        """The bits of mask whose roots lie in B, deciding the new ones one by one."""
+        todo = mask & ~self._known
+        while todo:
+            low = todo & -todo
+            if self._member(self.system.bit_root(low.bit_length() - 1)):
+                self._inside |= low
+            todo ^= low
+        self._known |= mask
+        return mask & self._inside
 
     def _member(self, rho: Root) -> bool:
         raise NotImplementedError
@@ -309,15 +313,14 @@ def expand_psi(system: CoxeterSystem, u: GroupElement, delta1, delta2) -> frozen
     return frozenset(out)
 
 
-def _peel_inversion_set(system: CoxeterSystem, roots) -> GroupElement:
-    """The element x with Φ_x equal to the given finite set of positive roots.
+def _peel_inversion_set(system: CoxeterSystem, mask: int) -> GroupElement:
+    """The element x with Φ_x equal to the given mask of finitely many positive roots.
 
     The greedy ascent inside the set ends at x when the set is Φ_x, and at
     some element with a smaller inversion set otherwise, so one comparison
     decides.  Raises ClassificationError when the set is no inversion set."""
-    roots = frozenset(roots)
-    x = ascend(system, roots)
-    if x.inversion_set() != roots:
+    x = ascend(system, mask)
+    if x.inversion_mask() != mask:
         raise ClassificationError("set is not the inversion set of an element")
     return x
 
@@ -330,8 +333,8 @@ def _decompose_psi(system: CoxeterSystem, gamma):
     u(Φ⁺), so Φ_u is the set of positive roots β with β ∉ Γ and −β ∈ Γ.
     Raises ClassificationError unless (u, Δ1, Δ2) expands back to Γ."""
     gamma = frozenset(gamma)
-    u = _peel_inversion_set(system, (beta for beta in system.positive_roots
-                                     if beta not in gamma and -beta in gamma))
+    u = _peel_inversion_set(system, sum(1 << system.root_bit(beta) for beta in system.positive_roots
+                                        if beta not in gamma and -beta in gamma))
     images = [u.apply(system.simple_root(i)) for i in range(system.rank_finite)]
     d1 = frozenset(i for i, image in enumerate(images) if image not in gamma)
     d2 = frozenset(i for i, image in enumerate(images) if -image in gamma)

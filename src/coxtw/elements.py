@@ -21,13 +21,12 @@ _TABLE_BOUND = 512
 
 
 class GroupElement:
-    __slots__ = ("system", "matrix", "_word", "_invset")
+    __slots__ = ("system", "matrix", "_word", "_mask")
 
     def __init__(self, system: CoxeterSystem, matrix):
         self.system = system
         self.matrix = tuple(map(tuple, matrix))
-        self._word = None
-        self._invset = None
+        self._word = self._mask = None
 
     # -- identity, equality --------------------------------------------
 
@@ -57,11 +56,12 @@ class GroupElement:
         return GroupElement(self.system, [[sum(map(mul, row, col)) for col in cols]
                                           for row in self.matrix])
 
-    def mul_simple(self, s: int) -> "GroupElement":
-        """w·s, column by column: (w·s)(α_j) = w(α_j) − ⟨α_j, α_s^∨⟩·w(α_s)."""
-        pairs = self.system.reflection(s)[0]
+    def mul_simple(self, s: int, image=None) -> "GroupElement":
+        """w·s, column by column: (w·s)(α_j) = w(α_j) − ⟨α_j, α_s^∨⟩·w(α_s), where
+        image is w(α_s) if the caller has it in hand."""
+        pairs = self.system.reflection(s)[0]   # validates s before any column read
         rows = []
-        for row, x in zip(self.matrix, _image(self.system, self.matrix, s)):
+        for row, x in zip(self.matrix, image or _image(self.system, self.matrix, s)):
             if x:
                 row = list(row)
                 for j, c in pairs:
@@ -104,28 +104,30 @@ class GroupElement:
 
     # -- words and lengths ---------------------------------------------
 
-    def _peel(self) -> tuple[tuple[int, ...], frozenset[Root]]:
-        """(ShortLex word of w⁻¹, Φ_w) from one walk down by smallest right
-        descent: with v_0 = w and v_{i+1} = v_i·s_i the letters s_i spell the
-        word, and the roots −v_i(α_{s_i}) are Φ_w = −w(Φ_{w⁻¹}).  Only the images
-        v(α_t) are kept: v·s moves each t with ⟨α_t, α_s^∨⟩ ≠ 0 by
+    def _peel(self) -> tuple[tuple[int, ...], int]:
+        """(ShortLex word of w⁻¹, Φ_w as a mask) from one walk down by smallest
+        right descent: with v_0 = w and v_{i+1} = v_i·s_i the letters s_i spell
+        the word, and the roots −v_i(α_{s_i}) are Φ_w = −w(Φ_{w⁻¹}).  Only the
+        images v(α_t) are kept: v·s moves each t with ⟨α_t, α_s^∨⟩ ≠ 0 by
         v(α_t) −= ⟨α_t, α_s^∨⟩·v(α_s), and v = e when every v(α_t) is α_t.
         Read through the `peels` table, which keeps only walks past every guard."""
         system = self.system
         if (hit := system.peels.get(self.matrix)) is not None:
             return hit
-        k, gens = system.rank_finite, range(system.ngens)
+        gens = range(system.ngens)
         images = [_image(system, self.matrix, t) for t in gens]
-        out, roots = [], []
+        out, mask = [], 0
         for _ in range(_WORD_GUARD):
             for s in gens:
                 a = images[s]
                 if _negative(system, a):
-                    rho = Root([-c for c in a[:k]], -a[k] if len(a) > k else 0)
-                    if not rho.is_positive:
+                    rho = [-c for c in a]
+                    if (bit := system.column_bit(rho)) < 0:
                         raise DomainError(f"inversion {rho} of a reduced word is not positive")
+                    if mask >> bit & 1:
+                        raise DomainError("inversions of a reduced word are not distinct")
                     out.append(s)
-                    roots.append(rho)
+                    mask |= 1 << bit
                     for t, c in system.reflection(s)[1]:
                         images[t] = [x - c * y for x, y in zip(images[t], a)]
                     break
@@ -135,12 +137,9 @@ class GroupElement:
             raise DomainError("word extraction did not terminate")
         if tuple(map(tuple, images)) != system.simple_columns:
             raise DomainError("word extraction did not reach the identity")
-        inv = frozenset(roots)
-        if len(inv) != len(roots):
-            raise DomainError("inversions of a reduced word are not distinct")
         if len(system.peels) >= _TABLE_BOUND:
             system.peels.clear()
-        system.peels[self.matrix] = hit = tuple(out), inv
+        system.peels[self.matrix] = hit = tuple(out), mask
         return hit
 
     @property
@@ -152,32 +151,31 @@ class GroupElement:
 
     @property
     def length(self) -> int:
-        """l(w) = |word| if the word is known, else |Φ_w| (recorded by `from_word`, or peeled)."""
+        """l(w) = |word| if the word is known, else |Φ_w|."""
         if self._word is not None:
             return len(self._word)
-        return len(self.inversion_set())
+        return self.inversion_mask().bit_count()
+
+    def inversion_mask(self) -> int:
+        """Φ_w over the system's root index, as recorded by the walk that built w, or peeled."""
+        if self._mask is None:
+            self._mask = self._peel()[1]
+        return self._mask
 
     def inversion_set(self) -> frozenset[Root]:
-        """Φ_w = {positive roots sent negative by w^{-1}}, from `from_word` or the peel."""
-        if self._invset is None:
-            self._invset = self._peel()[1]
-        return self._invset
+        """Φ_w = {positive roots sent negative by w^{-1}}, decoded from the mask."""
+        mask, bit_root = self.inversion_mask(), self.system.bit_root
+        return frozenset(bit_root(b) for b in range(mask.bit_length()) if mask >> b & 1)
 
     def label(self) -> str:
-        if self.is_identity:
-            return "e"
-        names = self.system.simple_names
-        parts = []
-        for s in self.word:
-            nm = names[s]
-            parts.append(f"s_{nm}" if len(nm) == 1 else f"s_{{{nm}}}")
-        return " ".join(parts)
+        names = [self.system.simple_names[s] for s in self.word]
+        return " ".join(f"s_{nm}" if len(nm) == 1 else f"s_{{{nm}}}" for nm in names) or "e"
 
 
 def identity(system: CoxeterSystem) -> GroupElement:
     n = system.dim
     el = GroupElement(system, [[int(r == c) for c in range(n)] for r in range(n)])
-    el._word = ()
+    el._word, el._mask = (), 0
     return el
 
 
@@ -189,23 +187,22 @@ def from_word(system: CoxeterSystem, word) -> GroupElement:
     """s_1⋯s_m by column updates on one mutable matrix, recording Φ_w on the way:
     each letter s has w(α_s) in hand, and by the exchange property Φ_{ws} is
     Φ_w ⊔ {w(α_s)} if w(α_s) > 0, else Φ_w ∖ {−w(α_s)}, for unreduced words too."""
-    k = system.rank_finite
     rows = [list(row) for row in identity(system).matrix]
-    inv = set()
+    mask = 0
     for s in map(int, word):
         pairs = system.reflection(s)[0]   # validates s before any column read
         image = _image(system, rows, s)
         neg = _negative(system, image)
-        rho = tuple(-x for x in image) if neg else tuple(image)
-        if (rho in inv) != neg:
+        bit = system.column_bit([-x for x in image] if neg else image)
+        if bit < 0 or (mask >> bit & 1) != neg:
             raise DomainError(f"the inversions of the word lost track at letter {s}")
-        inv ^= {rho}
+        mask ^= 1 << bit
         for row, x in zip(rows, image):
             if x:
                 for j, c in pairs:
                     row[j] -= c * x
     el = GroupElement(system, rows)
-    el._invset = frozenset(Root(rho[:k], rho[k] if len(rho) > k else 0) for rho in inv)
+    el._mask = mask
     return el
 
 
@@ -226,7 +223,16 @@ def _negative(system: CoxeterSystem, image) -> bool:
 
 # Weak-order walks.  In the right weak order x ≤ y iff Φ_x ⊆ Φ_y, and
 # Φ_{ws} = Φ_w ⊔ {w(α_s)} whenever w(α_s) is positive, so every walk up
-# from e adds one allowed inversion per step.
+# from e adds one allowed inversion per step, and records it.
+
+
+def step_up(w: GroupElement, s: int) -> GroupElement:
+    """w·s for an ascent s, recording Φ_{ws} = Φ_w ⊔ {w(α_s)}."""
+    y = w.mul_simple(s)   # validates s before any column read
+    if (bit := w.system.column_bit(_image(w.system, w.matrix, s))) < 0:
+        raise DomainError(f"letter {s} is not an ascent")
+    y._mask = w.inversion_mask() | 1 << bit
+    return y
 
 
 def grow(system: CoxeterSystem, level, keep=None) -> list[GroupElement]:
@@ -236,29 +242,31 @@ def grow(system: CoxeterSystem, level, keep=None) -> list[GroupElement]:
     from e; then y is first found from its least (rank of w, s), so NF(y) =
     NF(w)·s: each word is inherited and the result is again in ShortLex order."""
     grown = {}
+    gens = range(system.ngens)
     for w in level:
-        for s in range(system.ngens):
-            if _negative(system, _image(system, w.matrix, s)) or (
+        mask, word = w.inversion_mask(), w.word
+        for s in gens:
+            image = _image(system, w.matrix, s)
+            if _negative(system, image) or (
                     keep and not keep(w.apply(system.simple_root(s)))):
                 continue
-            y = w.mul_simple(s)
+            y = w.mul_simple(s, image)
             if grown.setdefault(y.matrix, y) is y:
-                y._word = w.word + (s,)
+                y._word, y._mask = word + (s,), mask | 1 << system.column_bit(image)
     return list(grown.values())
 
 
-def ascend(system: CoxeterSystem, roots) -> GroupElement:
-    """Greedy ascent from e: step to w·s, smallest s first, while w(α_s) ∈ roots.
+def ascend(system: CoxeterSystem, mask: int) -> GroupElement:
+    """Greedy ascent from e: step to w·s, smallest s first, while w(α_s) is in mask.
 
-    roots must be a finite set of positive roots.  The walk ends at a
-    maximal element whose inversion set lies inside roots: x itself on Φ_x,
+    mask must be a finite set of positive roots.  The walk ends at a
+    maximal element whose inversion set lies inside mask: x itself on Φ_x,
     and the ordinary meet of a and b on Φ_a ∩ Φ_b."""
-    simples = [system.simple_root(s) for s in range(system.ngens)]
     w = identity(system)
     while True:
-        for s, alpha in enumerate(simples):
-            if w.apply(alpha) in roots:
-                w = w.mul_simple(s)
+        for s in range(system.ngens):
+            if (bit := system.column_bit(_image(system, w.matrix, s))) >= 0 and mask >> bit & 1:
+                w = step_up(w, s)
                 break
         else:
             return w

@@ -190,12 +190,6 @@ class Classification(namedtuple("Classification", "kind element word bad_pair",
         return [list(r.coeffs) + [r.delta] for r in self.bad_pair]
 
 
-def _materialize_finite(oracle: BiclosedOracle) -> frozenset[Root]:
-    level = max(oracle.stable_level(), 1)
-    return frozenset(r for r in oracle.system.positive_roots_up_to(level)
-                     if oracle.member(r))
-
-
 def _find_bad_pair(oracle: BiclosedOracle, overlap) -> tuple[Root, Root]:
     bound = max(oracle.stable_level(), 1) + 1
     alphas = sorted((a for a in overlap if a.is_positive), key=lambda r: r.key)
@@ -232,11 +226,8 @@ def _try_prefix(oracle: BiclosedOracle, limits, prefix: GroupElement,
     cand = WordInvSet(pword)
     if cand.limit_roots() != limits:
         return None
-    horizon = max(stable, cand.stable_level())
-    for rho in system.positive_roots_up_to(horizon):
-        if oracle.member(rho) != cand.member(rho):
-            return None
-    return pword
+    full = system.level_mask(max(stable, cand.stable_level()))
+    return pword if oracle.members(full) == cand.members(full) else None
 
 
 _PREFIX_SEARCH_LIMIT = 16
@@ -245,8 +236,8 @@ _PREFIX_SEARCH_LIMIT = 16
 def classify(oracle: BiclosedOracle) -> Classification:
     """Decide whether B is Φ_x (finite x), Φ of an infinite word, or neither.
 
-    Finite and empty-limit cases are settled by materializing the set up to
-    its stable level and peeling.  Otherwise prefixes p with Φ_p ⊆ B are
+    Finite systems and empty limits are settled by reading the set's mask up
+    to its stable level and peeling.  Otherwise prefixes p with Φ_p ⊆ B are
     searched in ShortLex order; each one proposes a translation period read
     off the limit set, and the first proposal whose inversion set matches B
     exactly (equal limits, equal membership up to both stable levels) wins.
@@ -255,38 +246,32 @@ def classify(oracle: BiclosedOracle) -> Classification:
         return oracle._classification
     system = oracle.system
     result = None
-    if system.kind == "finite":
-        roots = frozenset(r for r in system.positive_roots if oracle.member(r))
-        result = Classification("finite", element=_peel_inversion_set(system, roots))
+    limits = limit_set(oracle) if system.kind == "affine" else frozenset()
+    overlap = limits & {-r for r in limits}
+    if overlap:
+        result = Classification("neither", bad_pair=_find_bad_pair(oracle, overlap))
+    elif not limits:   # the level is moot on a finite system
+        mask = oracle.members(system.level_mask(max(oracle.stable_level(), 1)))
+        result = Classification("finite", element=_peel_inversion_set(system, mask))
     else:
-        limits = limit_set(oracle)
-        overlap = limits & {-r for r in limits}
-        if overlap:
-            pair = _find_bad_pair(oracle, overlap)
-            result = Classification("neither", bad_pair=pair)
-        elif not limits:
-            roots = _materialize_finite(oracle)
-            result = Classification("finite",
-                                    element=_peel_inversion_set(system, roots))
-        else:
-            stable = max(oracle.stable_level(), 1)
-            frontier = [identity(system)]
-            depth = 0
-            while frontier and result is None:
-                for p in frontier:
-                    word = _try_prefix(oracle, limits, p, stable)
-                    if word is not None:
-                        result = Classification("infinite", word=word)
-                        break
-                else:
-                    if depth >= _PREFIX_SEARCH_LIMIT:
-                        break
-                    frontier = grow(system, frontier, oracle.member)
-                    depth += 1
-            if result is None:
-                raise ClassificationError(
-                    "no eventually periodic witness found within the prefix bound"
-                )
+        stable = max(oracle.stable_level(), 1)
+        frontier = [identity(system)]
+        depth = 0
+        while frontier and result is None:
+            for p in frontier:
+                word = _try_prefix(oracle, limits, p, stable)
+                if word is not None:
+                    result = Classification("infinite", word=word)
+                    break
+            else:
+                if depth >= _PREFIX_SEARCH_LIMIT:
+                    break
+                frontier = grow(system, frontier, oracle.member)
+                depth += 1
+        if result is None:
+            raise ClassificationError(
+                "no eventually periodic witness found within the prefix bound"
+            )
     oracle._classification = result
     return result
 

@@ -107,7 +107,7 @@ def longest_finite(system: CoxeterSystem) -> GroupElement:
     """Longest element w0 of the finite Weyl group, whose inversion set is
     all of the finite Φ⁺.  The affine generator never enters: w(α_0) has
     δ-level 1 for w in the finite Weyl group."""
-    return ascend(system, frozenset(system.positive_roots))
+    return ascend(system, system.level_mask(0))
 
 
 def standard_battery(system: CoxeterSystem):

@@ -9,12 +9,14 @@ at z, and the result is verified before it is returned.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from bisect import bisect_right
 from collections import namedtuple
 
 from .biclosed import BiclosedOracle, Complement
-from .elements import GroupElement, ascend, ball, grow, identity
+from .elements import GroupElement, ascend, ball, grow, identity, step_up
 from .errors import (ClassificationError, DomainError, JoinSearchError,
                      OrderError, UnsupportedOracleError)
 from .infwords import classify
@@ -26,7 +28,7 @@ def twisted_length(w: GroupElement, oracle: BiclosedOracle) -> int:
     """l_B(w) = l(w) - 2|Φ_w ∩ B|."""
     if w.system.key != oracle.system.key:
         raise OrderError("twisted length needs a single common system")
-    return w.length - 2 * sum(1 for rho in w.inversion_set() if oracle.member(rho))
+    return w.length - 2 * oracle.members(w.inversion_mask()).bit_count()
 
 
 def is_up_cover(w: GroupElement, s: int, oracle: BiclosedOracle) -> bool:
@@ -34,28 +36,30 @@ def is_up_cover(w: GroupElement, s: int, oracle: BiclosedOracle) -> bool:
     if w.system is not oracle.system and w.system.key != oracle.system.key:
         raise OrderError("cover test needs a single common system")
     rho = w.apply(w.system.simple_root(s))
-    if rho.is_positive:
-        return not oracle.member(rho)
-    return oracle.member(-rho)
+    up = rho.is_positive
+    return up != oracle.member(rho if up else -rho)
 
 
 def cover_neighbors(w: GroupElement, oracle: BiclosedOracle):
     """(covers above w, covers below w), each sorted by generator index."""
     ups, downs = [], []
     for s in range(w.system.ngens):
-        y = w.mul_simple(s)
-        (ups if is_up_cover(w, s, oracle) else downs).append(y)
+        (ups if is_up_cover(w, s, oracle) else downs).append(w.mul_simple(s))
     return tuple(ups), tuple(downs)
+
+
+def _below(a: int, b: int, inside: int) -> bool:
+    """x ≤_B y, that is Φ_x ∖ Φ_y ⊆ B and (Φ_y ∖ Φ_x) ∩ B = ∅, for a = Φ_x, b = Φ_y
+    and inside the B-bits of (at least) Φ_x △ Φ_y."""
+    return not (a & ~b & ~inside or b & ~a & inside)
 
 
 def le(x: GroupElement, y: GroupElement, oracle: BiclosedOracle) -> bool:
     """x ≤_B y."""
     if x.system.key != y.system.key or x.system.key != oracle.system.key:
         raise OrderError("order comparison needs a single common system")
-    inv_x = x.inversion_set()
-    inv_y = y.inversion_set()
-    return (all(oracle.member(r) for r in inv_x - inv_y)
-            and not any(oracle.member(r) for r in inv_y - inv_x))
+    a, b = x.inversion_mask(), y.inversion_mask()
+    return _below(a, b, oracle.members(a ^ b))
 
 
 def chain(x: GroupElement, y: GroupElement,
@@ -114,15 +118,13 @@ def lower_bound(x: GroupElement, y: GroupElement,
     makes it deterministic.  The word is reduced, so the letter s after a
     prefix z adds exactly the inversion z(α_s)."""
     letters = itertools.islice(_witness_letters(oracle), _WITNESS_GUARD)
-    missing = {r for r in x.inversion_set() | y.inversion_set()
-               if oracle.member(r)}
+    missing = oracle.members(x.inversion_mask() | y.inversion_mask())
     z = identity(x.system)
     for s in letters:
-        if not missing:
+        if not missing & ~z.inversion_mask():
             break
-        missing.discard(z.apply(x.system.simple_root(s)))
-        z = z.mul_simple(s)
-    if missing:
+        z = step_up(z, s)
+    if missing & ~z.inversion_mask():
         raise OrderError("witness word never covered the required inversions")
     if not (le(z, x, oracle) and le(z, y, oracle)):
         raise DomainError("witness prefix is not a common lower bound")
@@ -135,7 +137,7 @@ def ordinary_meet(a: GroupElement, b: GroupElement) -> GroupElement:
     The common lower bounds of a and b are the elements whose inversion
     sets lie inside Φ_a ∩ Φ_b, and the weak order is a meet-semilattice, so
     the greedy ascent inside that intersection ends at the meet."""
-    return ascend(a.system, a.inversion_set() & b.inversion_set())
+    return ascend(a.system, a.inversion_mask() & b.inversion_mask())
 
 
 def meet(x: GroupElement, y: GroupElement,
@@ -254,39 +256,6 @@ class CheckResult(namedtuple("CheckResult", "status pair checked")):
         }
 
 
-class _MaskOrder:
-    """Bitmask views of inversion sets for fast ≤_B sweeps over a ball."""
-
-    def __init__(self, oracle: BiclosedOracle, elements):
-        self.elements = list(elements)
-        roots = sorted({r for w in self.elements for r in w.inversion_set()},
-                       key=lambda r: r.key)
-        bit = {r: 1 << i for i, r in enumerate(roots)}
-        self.inv = [0] * len(self.elements)
-        for idx, w in enumerate(self.elements):
-            m = 0
-            for r in w.inversion_set():
-                m |= bit[r]
-            self.inv[idx] = m
-        self.bmask = 0
-        for r in roots:
-            if oracle.member(r):
-                self.bmask |= bit[r]
-        self.tlen = [w.length - 2 * (self.inv[i] & self.bmask).bit_count()
-                     for i, w in enumerate(self.elements)]
-
-    def le(self, i: int, j: int) -> bool:
-        a, b = self.inv[i], self.inv[j]
-        return (a & ~b & ~self.bmask) == 0 and (b & ~a & self.bmask) == 0
-
-    def has_greatest(self, indices) -> bool:
-        """Whether the indices hold a greatest element, which is then their one
-        maximal element.  Distinct comparable elements differ in l_B, so only
-        one of largest l_B can be it."""
-        top = max(indices, key=self.tlen.__getitem__)
-        return all(self.le(i, top) for i in indices)
-
-
 def check_meet_semilattice(system, oracle: BiclosedOracle,
                            radius: int) -> CheckResult:
     """Search ball(radius) pairs for a meet failure.
@@ -310,16 +279,22 @@ def check_meet_semilattice(system, oracle: BiclosedOracle,
     cut = dict.fromkeys(pairs, 3 * radius)
     if sound:
         for i, j in pairs:
-            inv = lower_bound(elems[i], elems[j], oracle).inversion_set()
-            cut[i, j] = len(inv) + min(len(inv ^ elems[i].inversion_set()),
-                                       len(inv ^ elems[j].inversion_set()))
+            z = lower_bound(elems[i], elems[j], oracle).inversion_mask()
+            cut[i, j] = z.bit_count() + min((z ^ elems[i].inversion_mask()).bit_count(),
+                                            (z ^ elems[j].inversion_mask()).bit_count())
     # ball(radius) starts every larger ball, so the pair indices carry over,
     # and the ball is in length order, so each pair's candidates are a prefix
-    mask = _MaskOrder(oracle, ball(system, max([radius, *cut.values()])))
-    lengths = [u.length for u in mask.elements]
+    big = ball(system, max([radius, *cut.values()]))
+    masks = [u.inversion_mask() for u in big]
+    inside = oracle.members(functools.reduce(operator.or_, masks))
+    lengths = [u.length for u in big]
+    tlen = [n - 2 * (m & inside).bit_count() for n, m in zip(lengths, masks)]
     for checked, (i, j) in enumerate(pairs, 1):
         lower = [t for t in range(bisect_right(lengths, cut[i, j]))
-                 if mask.le(t, i) and mask.le(t, j)]
-        if not lower or not mask.has_greatest(lower):
+                 if _below(masks[t], masks[i], inside) and _below(masks[t], masks[j], inside)]
+        # distinct comparable elements differ in l_B, so only one of largest
+        # l_B can be the greatest lower bound
+        top = max(lower, key=tlen.__getitem__, default=None)
+        if top is None or not all(_below(masks[t], masks[top], inside) for t in lower):
             return CheckResult("counterexample", (elems[i], elems[j]), checked)
     return CheckResult("ok" if sound else "inconclusive", None, len(pairs))

@@ -234,9 +234,13 @@ class CoxeterSystem:
         self.kind = "affine" if affine else "finite"
         self.type_string = type_string
         self._pos_coeffs = _generate_positive_roots(self.cartan)
-        self._root_coeff_set = frozenset(self._pos_coeffs) | frozenset(
-            tuple(-c for c in v) for v in self._pos_coeffs
-        )
+        # The root index of every inversion mask (Kac, ch. 6): for α the i-th of
+        # the N in _pos_coeffs, α+kδ is bit 2Nk+i and −α+kδ bit 2Nk−N+i, so the
+        # positive roots up to δ-level L are the bits below 2NL+N.  Keyed by Φ.
+        n = len(self._pos_coeffs)
+        self._level_bits = 2 * n if affine else 0
+        self._offsets = {v: i for i, v in enumerate(self._pos_coeffs)}
+        self._offsets.update((tuple(-c for c in v), i - n) for i, v in enumerate(self._pos_coeffs))
 
         if affine:
             self.highest_root = self._find_highest_root()
@@ -280,7 +284,7 @@ class CoxeterSystem:
     def _find_highest_root(self) -> Root:
         # the roots that no α_i raises: one per component of the Coxeter graph
         candidates = [v for v in self._pos_coeffs
-                      if not any(v[:i] + (v[i] + 1,) + v[i + 1:] in self._root_coeff_set
+                      if not any(v[:i] + (v[i] + 1,) + v[i + 1:] in self._offsets
                                  for i in range(self.rank_finite))]
         if len(candidates) != 1:
             raise ValidationError("affine extension requires an irreducible finite part")
@@ -295,15 +299,12 @@ class CoxeterSystem:
 
     @cached_property
     def finite_roots(self) -> tuple[Root, ...]:
-        return tuple(sorted((Root(v, 0) for v in self._root_coeff_set),
+        return tuple(sorted((Root(v, 0) for v in self._offsets),
                             key=lambda r: r.key))
 
     def is_root(self, rho: Root) -> bool:
-        if len(rho.coeffs) != self.rank_finite:
-            return False
-        if self.kind == "finite" and rho.delta != 0:
-            return False
-        return rho.coeffs in self._root_coeff_set
+        return (len(rho.coeffs) == self.rank_finite and rho.coeffs in self._offsets
+                and not (rho.delta and self.kind == "finite"))
 
     def simple_root(self, i: int) -> Root:
         if not 0 <= i < self.ngens:
@@ -328,6 +329,34 @@ class CoxeterSystem:
         if self.kind == "finite":
             return self.positive_roots
         return tuple(r for r in roots if r.is_positive)
+
+    # -- the root index ------------------------------------------------
+
+    def column_bit(self, column) -> int:
+        """The bit of the root with an integer column over (simple roots, δ if
+        affine), or a negative number if it is no positive root."""
+        off = self._offsets.get(tuple(column[:self.rank_finite]))
+        return -1 if off is None else off + self._level_bits * column[-1]
+
+    def root_bit(self, rho: Root) -> int:
+        """The bit of a positive root; DomainError for any other vector."""
+        bit = self.column_bit(rho.coeffs + (rho.delta,)) if self.is_root(rho) else -1
+        if bit < 0:
+            raise DomainError(f"{rho} is not a positive root of this system")
+        return bit
+
+    def bit_root(self, bit: int) -> Root:
+        """The positive root of a bit, the inverse of `root_bit`."""
+        n = len(self._pos_coeffs)
+        level, i = divmod(bit + n, 2 * n)
+        if bit < 0 or (level and self.kind == "finite"):
+            raise DomainError(f"bit {bit} indexes no positive root of this system")
+        return Root(self._pos_coeffs[i - n] if i >= n else [-c for c in self._pos_coeffs[i]], level)
+
+    def level_mask(self, level: int) -> int:
+        """The bits of the positive roots up to δ-level `level` (all of Φ⁺ if finite)."""
+        n = len(self._pos_coeffs)
+        return (1 << (n if self.kind == "finite" else 2 * n * level + n)) - 1
 
     # -- coweights -----------------------------------------------------
 

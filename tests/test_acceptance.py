@@ -7,12 +7,14 @@ its runtime budget, so a slow regression fails even when the math is right.
 import itertools
 import random
 import time
+from collections import Counter
 from pathlib import Path
 
 from coxtw.biclosed import (Complement, Explicit, HatForm, act_on_biclosed,
                             classify_finite_biclosed, enumerate_biclosed,
                             expand_psi)
 from coxtw.elements import ball, from_word, identity, translation
+from coxtw.errors import ClassificationError
 from coxtw.figures import emit_figure
 from coxtw.infwords import classify
 from coxtw.oracle import (longest_finite, oracle_le, oracle_meet,
@@ -242,3 +244,46 @@ def test_criterion_10_invariant_suite():
             assert all(acted.member(rho) == (rho in target)
                        for rho in A2T.positive_roots_up_to(w.length + u.length + 1))
     _stamp(10, "parity/covers/duality/chains/action laws", t0, 120.0)
+
+
+# Per affine rank-2 type: the number of hat forms, one per twisted positive
+# system of the finite Φ, and their (classify kind, check status) counts.
+_DICHOTOMY = {
+    "A~2": (20, {("finite", "ok"): 1, ("infinite", "ok"): 12,
+                 ("neither", "counterexample"): 7}),
+    "C~2": (26, {("finite", "ok"): 1, ("infinite", "ok"): 16,
+                 ("neither", "counterexample"): 9}),
+    "G~2": (38, {("finite", "ok"): 1, ("infinite", "ok"): 24,
+                 ("neither", "counterexample"): 10, ("neither", "inconclusive"): 3}),
+}
+
+
+def test_criterion_11_rank2_hat_form_dichotomy():
+    # the paper's dichotomy on every hat form of rank 2: ≤_B is a meet
+    # semilattice exactly when B is an inversion set, and the hat form is one
+    # exactly when Δ2 = ∅; at radius 3 the check proves "ok" or finds a
+    # counterexample for all but three G~2 forms
+    t0 = time.time()
+    inconclusive = set()
+    for spec, (forms, counts) in _DICHOTOMY.items():
+        affine, finite = build_system(spec), build_system(spec.replace("~", ""))
+        full = finite.positive_roots + tuple(-r for r in finite.positive_roots)
+        seen = Counter()
+        for gamma in enumerate_biclosed(finite, full):
+            u, d1, d2 = classify_finite_biclosed(finite, gamma)
+            hat = HatForm(affine, from_word(affine, u.word), d1, d2)
+            try:
+                kind = classify(hat).kind
+            except ClassificationError:
+                kind = "unclassified"
+            status = check_meet_semilattice(affine, hat, 3).status
+            seen[kind, status] += 1
+            assert (not d2) == (kind != "neither") == (status == "ok"), (spec, u.word, d1, d2)
+            if status == "inconclusive":
+                inconclusive.add((spec, u.word, tuple(sorted(d1)), tuple(sorted(d2))))
+        assert sum(seen.values()) == forms and seen == counts, (spec, seen)
+    # left for a certificate that these three have no meet-semilattice
+    assert inconclusive == {("G~2", (0, 1, 0, 1, 0), (), (1,)),
+                            ("G~2", (1, 0, 1, 0), (), (1,)),
+                            ("G~2", (), (), (1,))}
+    _stamp(11, "rank-2 hat forms: inversion set <=> meet semilattice", t0, 60.0)

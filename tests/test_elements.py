@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 from coxtw import elements
 from coxtw.elements import (GroupElement, ascend, ball, from_word, grow,
                             identity, simple, translation, weyl_part)
-from coxtw.errors import DomainError
-from coxtw.infwords import WordInvSet, validate_periodic
+from coxtw.errors import ClassificationError, DomainError
+from coxtw.infwords import WordInvSet, classify, validate_periodic
+from coxtw.oracle import standard_battery
+from coxtw.order import lower_bound
 from coxtw.system import Root, build_system
 
 A1T = build_system("A~1")
@@ -225,7 +227,7 @@ def test_ascend_rebuilds_from_inversion_set():
     for spec, radius in (("B3", 9), ("G~2", 5)):
         system = build_system(spec)
         for w in ball(system, radius):
-            assert ascend(system, w.inversion_set()) == w
+            assert ascend(system, w.inversion_mask()) == w
 
 
 def _assert_inherited_shortlex(system, level):
@@ -329,18 +331,19 @@ def test_word_guard_is_not_an_assert(monkeypatch):
         GroupElement(a1t, ((1, 0), (0, -1))).inversion_set()
 
 
-@pytest.mark.parametrize("root, message", [
-    (lambda coeffs, delta=0: Root((-1, 0)), "not positive"),
-    (lambda coeffs, delta=0: Root((1, 0)), "not distinct"),
+@pytest.mark.parametrize("column_bit, message", [
+    (lambda column: -1, "not positive"),
+    (lambda column: 0, "not distinct"),
 ])
-def test_inversion_set_guards_are_not_asserts(monkeypatch, root, message):
-    # the peel builds each inversion from a descent column through `Root`;
-    # from_word records Φ_w, so the peel runs on a bare matrix, and on a
-    # fresh system, so that no table entry holds Φ_w already
+def test_inversion_set_guards_are_not_asserts(monkeypatch, column_bit, message):
+    # the peel reads each inversion's bit off a descent column through
+    # `column_bit`, corrupted here to no positive root or to one repeated
+    # root; from_word records Φ_w, so the peel runs on a bare matrix, and on
+    # a fresh system, so that no table entry holds Φ_w already
     a2 = build_system("A2")
     w = GroupElement(a2, from_word(a2, (0, 1)).matrix)
     assert w.word == (0, 1)
-    monkeypatch.setattr(elements, "Root", root)
+    monkeypatch.setattr(a2, "column_bit", column_bit)
     with pytest.raises(DomainError, match=message):
         w.inversion_set()
 
@@ -370,6 +373,60 @@ def test_recorded_inversion_set_matches_the_peel(spec, letters):
     system = build_system(spec)
     w = from_word(system, [x % system.ngens for x in letters])
     fresh = GroupElement(system, w.matrix)
-    assert w._invset is not None and fresh._invset is None
+    assert w._mask is not None and fresh._mask is None
+    assert w.inversion_mask() == fresh.inversion_mask()
     assert w.inversion_set() == fresh.inversion_set()
     assert w.word == fresh.word and w.length == len(w.word)
+
+
+@pytest.mark.parametrize("spec", REFEREE_SPECS)
+def test_root_bits_are_the_positive_roots_by_level(spec):
+    system = build_system(spec)
+    roots = system.positive_roots_up_to(3)
+    bits = [system.root_bit(rho) for rho in roots]
+    # the positive roots up to δ-level 3 are exactly the bits below 2N·3 + N
+    assert sorted(bits) == list(range(len(roots)))
+    assert sum(1 << b for b in bits) == system.level_mask(3)
+    assert [system.bit_root(b) for b in bits] == list(roots)
+    k = system.rank_finite
+    bad = [Root((0,) * k), -roots[0], -roots[-1], Root((1,) * (k + 1)), Root((1,) * (k - 1))]
+    if system.kind == "finite":
+        bad.append(Root(roots[0].coeffs, 1))
+    else:
+        bad.append(Root((0,) * k, 1))   # δ is an imaginary root
+    for rho in bad:
+        with pytest.raises(DomainError, match="not a positive root"):
+            system.root_bit(rho)
+    for b in (-1, system.level_mask(0).bit_length() if system.kind == "finite" else -2):
+        with pytest.raises(DomainError, match="no positive root"):
+            system.bit_root(b)
+
+
+@pytest.mark.parametrize("spec", REFEREE_SPECS)
+def test_every_walk_records_the_peeled_mask(spec):
+    # each recorded mask against a peel of the bare matrix in a fresh system,
+    # whose tables hold nothing the walks could have filled
+    system, cold = build_system(spec), build_system(spec)
+
+    def check(w):
+        assert w._mask is not None
+        assert w.inversion_mask() == GroupElement(cold, w.matrix).inversion_mask(), w.matrix
+
+    elems = ball(system, 4)
+    for w in elems:
+        check(w)                                   # grow
+        check(from_word(system, w.word))
+        check(ascend(system, w.inversion_mask()))
+    rng = random.Random(spec)
+    for _ in range(20):
+        check(from_word(system, [rng.randrange(system.ngens) for _ in range(rng.randrange(30))]))
+    few = elems[:8]
+    for name, orc in standard_battery(system):
+        try:
+            if classify(orc).kind == "neither":
+                continue
+        except ClassificationError:
+            continue
+        for x in few:
+            for y in few:
+                check(lower_bound(x, y, orc))

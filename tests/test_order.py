@@ -3,12 +3,12 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coxtw.biclosed import (Complement, Explicit, HatForm, biclosed_check,
-                            closure_check)
+from coxtw.biclosed import (Complement, Explicit, HatForm, act_on_biclosed,
+                            biclosed_check, closure_check)
 from coxtw.elements import ball, from_word, identity, simple
 from coxtw import order
-from coxtw.errors import (DomainError, JoinSearchError, OrderError,
-                          UnsupportedOracleError)
+from coxtw.errors import (ClassificationError, DomainError, JoinSearchError,
+                          OrderError, UnsupportedOracleError)
 from coxtw.exprs import parse_biclosed
 from coxtw.figures import FIGURES
 from coxtw.infwords import Classification, WordInvSet, classify, validate_periodic
@@ -244,6 +244,32 @@ def test_check_meet_semilattice_benchmark_checks():
         system = build_system(spec)
         res = check_meet_semilattice(system, parse_biclosed(system, expr), radius)
         assert (res.status, res.pair, res.checked) == ("ok", None, checked), (spec, radius)
+
+
+def _kind(oracle):
+    try:
+        return classify(oracle).kind
+    except ClassificationError as exc:
+        return f"ClassificationError: {exc}"
+
+
+def test_twisting_is_an_order_isomorphism():
+    # x ↦ wx carries ≤_B onto ≤_{w·B}, and w·B is an inversion set (of a
+    # finite or an infinite word) exactly when B is
+    compared = 0
+    for spec in ("A2", "B2", "A~2", "C~2", "G~2"):
+        system = build_system(spec)
+        elems = ball(system, 2)
+        for name, orc in standard_battery(system):
+            for w in elems[1:6]:
+                moved = act_on_biclosed(w, orc)
+                assert _kind(moved) == _kind(orc), (spec, name, w.word)
+                images = [w * x for x in elems]
+                for x, wx in zip(elems, images):
+                    for y, wy in zip(elems, images):
+                        assert le(wx, wy, moved) == le(x, y, orc), (spec, name, w.word, x.word, y.word)
+                        compared += 1
+    assert compared == 20140
 
 
 def test_records_are_immutable_values():

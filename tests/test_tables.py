@@ -114,12 +114,12 @@ def test_tables_stay_within_their_bound(monkeypatch):
 ])
 def test_a_failed_peel_stores_nothing(monkeypatch, spec, matrix, message):
     # the four guards of the peel, on matrices that are no group elements,
-    # and on a real one whose inversions are corrupted to one repeated root
+    # and on a real one whose inversions are corrupted to one repeated bit
     system = build_system(spec)
     monkeypatch.setattr(elements, "_WORD_GUARD", 1000)
     if matrix is None:
         matrix = from_word(system, (0, 1)).matrix
-        monkeypatch.setattr(elements, "Root", lambda coeffs, delta=0: Root((1, 0)))
+        monkeypatch.setattr(system, "column_bit", lambda column: 0)
     for _ in range(2):
         with pytest.raises(DomainError, match=message):
             GroupElement(system, matrix).inversion_set()
