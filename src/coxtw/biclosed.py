@@ -256,28 +256,44 @@ _ENUM_LIMIT = 24
 
 
 def enumerate_biclosed(system: CoxeterSystem, ambient) -> tuple[frozenset[Root], ...]:
-    """All biclosed subsets of a finite ambient root collection, by bitmask scan."""
+    """All biclosed subsets of a finite ambient root collection, by size and
+    then root keys: over a finite Φ⁺ the inversion sets, over a finite Φ the
+    twisted positive systems (Dyer, "On the weak order of Coxeter groups").
+
+    Backtracks over the sorted roots, putting each in the set or in its
+    complement; a root that joins a side brings its pair cone with each root
+    there until the side is closed, and a branch ends where the sides meet.
+    So every full assignment is biclosed, and the cost follows the output."""
     roots = _checked_roots(system, ambient)
     n = len(roots)
     if n > _ENUM_LIMIT:
         raise ResourceError(f"ambient set of {n} roots exceeds the enumeration limit {_ENUM_LIMIT}")
-    cones = {}
+    cones = [[1 << i] * n for i in range(n)]
     for i, j in combinations(range(n), 2):
-        mask = 0
-        for t in range(n):
-            if t in (i, j) or cone_contains((roots[i], roots[j]), roots[t]):
-                mask |= 1 << t
-        cones[(i, j)] = mask
+        cones[i][j] = cones[j][i] = sum(1 << t for t in range(n) if t in (i, j)
+                                        or cone_contains((roots[i], roots[j]), roots[t]))
 
-    def closed(s: int) -> bool:
-        idx = [t for t in range(n) if s >> t & 1]
-        return all(cones[(i, j)] & ~s == 0 for i, j in combinations(idx, 2))
+    def close(side: int, new: int) -> int:
+        while new:
+            low = new & -new
+            side |= low
+            for u, cone in enumerate(cones[low.bit_length() - 1]):
+                if side >> u & 1:
+                    new |= cone
+            new &= ~side
+        return side
 
-    full = (1 << n) - 1
-    found = []
-    for s in range(1 << n):
-        if closed(s) and closed(full & ~s):
-            found.append(frozenset(roots[t] for t in range(n) if s >> t & 1))
+    found, stack = [], [(0, 0)]
+    while stack:
+        inside, outside = stack.pop()
+        low = ~(taken := inside | outside) & (taken + 1)   # the first root on neither side
+        if low >> n:
+            found.append(frozenset(roots[t] for t in range(n) if inside >> t & 1))
+            continue
+        if not (grown := close(inside, low)) & outside:
+            stack.append((grown, outside))
+        if not (grown := close(outside, low)) & inside:
+            stack.append((inside, grown))
     return tuple(sorted(found, key=lambda f: (len(f), sorted(r.key for r in f))))
 
 

@@ -108,16 +108,16 @@ def validate_periodic(system: CoxeterSystem, prefix, period) -> PeriodicWord:
         raise NotReducedError("period word is not reduced", failing_power=0)
 
     order = _weyl_order(weyl_part(period_el))
-    acc = prefix_el
-    # In a finite system this always fails by k = order, since period^order
-    # is the identity there; no separate rejection path is needed.
-    for k in range(1, 2 * order + 1):
-        acc = acc * period_el
-        if acc.length != len(prefix) + k * len(period):
-            raise NotReducedError(
-                f"word stops being reduced at period power {k}",
-                failing_power=k,
-            )
+
+    def reduced(k):   # from_word records Φ as it walks, so no peel reads the length
+        return from_word(system, prefix + period * k).length == len(prefix) + k * len(period)
+
+    # One walk decides, as every prefix of a reduced word is reduced.  In a
+    # finite system this fails by k = order, since period^order is the identity.
+    if not reduced(2 * order):
+        k = next(k for k in range(1, 2 * order + 1) if not reduced(k))
+        raise NotReducedError(f"word stops being reduced at period power {k}",
+                              failing_power=k)
 
     power = identity(system)
     for _ in range(order):

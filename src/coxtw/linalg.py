@@ -1,9 +1,9 @@
 """Exact linear algebra on tiny dense matrices (rows of ints or Fractions).
 
-Each row is scaled to integers, and one fraction-free (Bareiss) Gauss-Jordan
-elimination runs on them: every entry it writes is a minor of the input, so
-each division is exact, and a Fraction is built only for the answer.  With
-no row swap its k-th pivot is the k-th leading principal minor.
+Each row is scaled to integers, and one fraction-free (Bareiss) elimination
+runs on them: every entry it writes is a minor of the input, so each
+division is exact, and a Fraction is built only for the answer.  With no row
+swap its k-th pivot is the k-th leading principal minor.
 """
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 
 
 def _eliminate(rows, swap: bool = True):
-    """Eliminate the first len(rows) columns of the integer rows in place,
-    above and below each pivot, swapping rows where a pivot is zero if swap
-    is true.  Returns 1 and then the pivots, up to the first zero one, so
-    the last is the determinant up to sign."""
+    """Eliminate the first len(rows) columns of the integer rows in place: as
+    Gauss-Jordan, swapping rows where a pivot is zero, if swap is true, else
+    below each pivot only.  Returns 1 and then the pivots, up to the first
+    zero one, so the last is the determinant up to sign."""
     n, pivots = len(rows), [1]
     for k in range(n):
         if swap and not rows[k][k]:
@@ -28,10 +28,10 @@ def _eliminate(rows, swap: bool = True):
         pivots.append(p)
         if not p:
             break
-        for i, row in enumerate(rows):
+        for i in range(0 if swap else k + 1, n):
             if i != k:
-                f = row[k]
-                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+                f = rows[i][k]
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], top)]
     return pivots
 
 

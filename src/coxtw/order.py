@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 
 from .biclosed import BiclosedOracle, Complement
@@ -110,25 +110,40 @@ def _witness_letters(oracle: BiclosedOracle):
     )
 
 
+def _lower_bounds(oracle: BiclosedOracle, masks, pairs) -> list[GroupElement]:
+    """For each pair (i, j) of indices into masks, the shortest prefix z of
+    B's witness word with Φ_z ⊇ (Φ_i ∪ Φ_j) ∩ B, checked to lie ≤_B both,
+    all off one walk.  The word is reduced, so the letter s after z adds
+    exactly the inversion z(α_s), and the prefixes' Φ are nested: bisect."""
+    union = functools.reduce(operator.or_, masks, 0)
+    need = oracle.members(union)
+    prefixes = [identity(oracle.system)]
+    letters = itertools.islice(_witness_letters(oracle), _WITNESS_GUARD)
+    while need & ~prefixes[-1].inversion_mask():
+        if (s := next(letters, None)) is None:
+            raise OrderError("witness word never covered the required inversions")
+        prefixes.append(step_up(prefixes[-1], s))
+    covers = [z.inversion_mask() for z in prefixes]
+    inside = oracle.members(union | covers[-1])
+    out = []
+    for i, j in pairs:
+        miss = (masks[i] | masks[j]) & inside
+        n = bisect_left(covers, True, key=lambda c: not miss & ~c)
+        if not (_below(covers[n], masks[i], inside) and _below(covers[n], masks[j], inside)):
+            raise DomainError("witness prefix is not a common lower bound")
+        out.append(prefixes[n])
+    return out
+
+
 def lower_bound(x: GroupElement, y: GroupElement,
                 oracle: BiclosedOracle) -> GroupElement:
     """The shortest witness-word prefix z with Φ_z ⊇ (Φ_x ∪ Φ_y) ∩ B.
 
     Such a z satisfies z ≤_B x and z ≤_B y, and taking the shortest prefix
-    makes it deterministic.  The word is reduced, so the letter s after a
-    prefix z adds exactly the inversion z(α_s)."""
-    letters = itertools.islice(_witness_letters(oracle), _WITNESS_GUARD)
-    missing = oracle.members(x.inversion_mask() | y.inversion_mask())
-    z = identity(x.system)
-    for s in letters:
-        if not missing & ~z.inversion_mask():
-            break
-        z = step_up(z, s)
-    if missing & ~z.inversion_mask():
-        raise OrderError("witness word never covered the required inversions")
-    if not (le(z, x, oracle) and le(z, y, oracle)):
-        raise DomainError("witness prefix is not a common lower bound")
-    return z
+    makes it deterministic."""
+    if x.system.key != y.system.key or x.system.key != oracle.system.key:
+        raise OrderError("order comparison needs a single common system")
+    return _lower_bounds(oracle, (x.inversion_mask(), y.inversion_mask()), ((0, 1),))[0]
 
 
 def ordinary_meet(a: GroupElement, b: GroupElement) -> GroupElement:
@@ -278,10 +293,10 @@ def check_meet_semilattice(system, oracle: BiclosedOracle,
     pairs = list(itertools.combinations(range(len(elems)), 2))
     cut = dict.fromkeys(pairs, 3 * radius)
     if sound:
-        for i, j in pairs:
-            z = lower_bound(elems[i], elems[j], oracle).inversion_mask()
-            cut[i, j] = z.bit_count() + min((z ^ elems[i].inversion_mask()).bit_count(),
-                                            (z ^ elems[j].inversion_mask()).bit_count())
+        masks = [u.inversion_mask() for u in elems]
+        for (i, j), z in zip(pairs, _lower_bounds(oracle, masks, pairs)):
+            z = z.inversion_mask()
+            cut[i, j] = z.bit_count() + min((z ^ masks[i]).bit_count(), (z ^ masks[j]).bit_count())
     # ball(radius) starts every larger ball, so the pair indices carry over,
     # and the ball is in length order, so each pair's candidates are a prefix
     big = ball(system, max([radius, *cut.values()]))

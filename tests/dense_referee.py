@@ -1,14 +1,17 @@
 """Referee kernels for the tests: plain Fraction Gaussian elimination, a
-Fraction phase-1 simplex, and a Fraction symmetrizer.
+Fraction phase-1 simplex, a Fraction symmetrizer, and a scan of all 2ⁿ
+subsets for the biclosed ones.
 
 These are the textbook algorithms that `coxtw.linalg` replaced with one
 fraction-free elimination, `coxtw.feasibility` with an integer two-column
-test, and `coxtw.system` with an integer symmetrizer, kept here so that the
-kernels and everything built on them are checked against code that shares
-none of them.
+test, `coxtw.system` with an integer symmetrizer, and
+`coxtw.biclosed.enumerate_biclosed` with a backtracking search, kept here
+so that the kernels and everything built on them are checked against code
+that shares none of them.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 
 
@@ -172,3 +175,23 @@ def solve_nonneg(rows, rhs):
             # objective is impossible; keep the honest answer if it happens.
             return None
     return x
+
+
+def biclosed_subsets(roots, in_cone):
+    """Every subset S of the roots (a list) with S and its complement both
+    2-closed, as sorted tuples of indices, by scanning all 2ⁿ bitmasks.
+    in_cone(g1, g2, t) says whether root t is a nonnegative combination of
+    roots g1 and g2."""
+    n = len(roots)
+    cones = {}
+    for i, j in combinations(range(n), 2):
+        cones[i, j] = sum(1 << t for t in range(n)
+                          if t in (i, j) or in_cone(roots[i], roots[j], roots[t]))
+
+    def closed(s):
+        idx = [t for t in range(n) if s >> t & 1]
+        return all(cones[i, j] & ~s == 0 for i, j in combinations(idx, 2))
+
+    full = (1 << n) - 1
+    return [tuple(t for t in range(n) if s >> t & 1)
+            for s in range(1 << n) if closed(s) and closed(full & ~s)]

@@ -1,3 +1,4 @@
+import random
 import re
 from itertools import combinations
 
@@ -109,6 +110,41 @@ def test_enumerate_full_root_system_counts():
         system = build_system(spec)
         assert (set(enumerate_biclosed(system, system.finite_roots))
                 == set(_reference_witnesses(system)))
+
+
+def test_enumerate_matches_the_subset_scan_referee():
+    # seeded ambient subsets of a finite Φ and of an affine Φ⁺ up to level 2,
+    # against a scan of every subset whose cones come from the simplex
+    rng = random.Random(17)
+    cone = {}
+
+    def in_cone(g1, g2, t):
+        if (g1, g2, t) not in cone:
+            rows = list(zip((*g1.coeffs, g1.delta), (*g2.coeffs, g2.delta)))
+            cone[g1, g2, t] = dense.solve_nonneg(rows, (*t.coeffs, t.delta)) is not None
+        return cone[g1, g2, t]
+
+    for spec in ("A2", "B2", "G2", "A3", "B3", "A~1", "A~2", "C~2", "G~2", "B~3"):
+        system = build_system(spec)
+        pool = sorted(system.finite_roots if system.kind == "finite"
+                      else system.positive_roots_up_to(2), key=lambda r: r.key)
+        for _ in range(15):
+            roots = sorted(rng.sample(pool, rng.randint(1, min(11, len(pool)))),
+                           key=lambda r: r.key)
+            scan = sorted(dense.biclosed_subsets(roots, in_cone), key=lambda idx: (len(idx), idx))
+            assert enumerate_biclosed(system, roots) == tuple(
+                frozenset(roots[t] for t in idx) for idx in scan), (spec, roots)
+
+
+def test_enumerate_past_the_subset_scan():
+    # D4 Φ has exactly _ENUM_LIMIT roots, and A5 Φ⁺ has 720 inversion sets
+    d4 = build_system("D4")
+    assert len(d4.finite_roots) == 24
+    found = enumerate_biclosed(d4, d4.finite_roots)
+    assert len(found) == 1970 and set(found) == set(_reference_witnesses(d4))
+    a5 = build_system("A5")
+    found = enumerate_biclosed(a5, a5.positive_roots)
+    assert len(found) == 720 and set(found) == {w.inversion_set() for w in ball(a5, 15)}
 
 
 def test_enumerate_limit():

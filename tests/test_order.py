@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from coxtw.biclosed import (Complement, Explicit, HatForm, act_on_biclosed,
                             biclosed_check, closure_check)
-from coxtw.elements import ball, from_word, identity, simple
+from coxtw.elements import ball, from_word, identity, simple, step_up
 from coxtw import order
 from coxtw.errors import (ClassificationError, DomainError, JoinSearchError,
                           OrderError, UnsupportedOracleError)
@@ -146,9 +146,12 @@ def test_chain_guard_is_not_an_assert(monkeypatch):
 
 
 def test_lower_bound_guard_is_not_an_assert(monkeypatch):
-    monkeypatch.setattr(order, "le", lambda x, y, oracle: False)
+    # the guard compares masks, and the semilattice check shares it
+    monkeypatch.setattr(order, "_below", lambda a, b, inside: False)
     with pytest.raises(DomainError, match="common lower bound"):
         lower_bound(simple(A1T, 0), simple(A1T, 1), HAT_NEG)
+    with pytest.raises(DomainError, match="common lower bound"):
+        check_meet_semilattice(A1T, HAT_NEG, 2)
 
 
 def test_meet_and_join():
@@ -316,6 +319,58 @@ def test_check_meet_semilattice_finite_past_longest_element():
         res = check_meet_semilattice(system, Explicit(system, set()), 4)
         n = len(ball(system, 4))
         assert (res.status, res.checked) == ("ok", n * (n - 1) // 2)
+
+
+def _walked_lower_bound(x, y, oracle):
+    """lower_bound with a walk of its own: the witness word from e, letter by
+    letter, until Φ_z covers (Φ_x ∪ Φ_y) ∩ B."""
+    cls = classify(oracle)
+    letters = (cls.element.word if cls.kind == "finite" else
+               itertools.chain(cls.word.prefix, itertools.cycle(cls.word.period)))
+    missing = oracle.members(x.inversion_mask() | y.inversion_mask())
+    z = identity(x.system)
+    for s in letters:
+        if not missing & ~z.inversion_mask():
+            break
+        z = step_up(z, s)
+    assert not missing & ~z.inversion_mask()
+    assert le(z, x, oracle) and le(z, y, oracle)
+    return z
+
+
+def _per_pair_check(system, oracle, radius):
+    """The semilattice check for an inversion set B, one walk per pair, each
+    pair's lower bounds swept with le in a ball cut at l(z) + l(z⁻¹x)."""
+    elems = ball(system, radius)
+    pairs = list(itertools.combinations(elems, 2))
+    cuts = []
+    for x, y in pairs:
+        z = _walked_lower_bound(x, y, oracle)
+        cuts.append(z.length + min(len((z.inverse() * x).word), len((z.inverse() * y).word)))
+    big = ball(system, max([radius, *cuts]))
+    for checked, ((x, y), cut) in enumerate(zip(pairs, cuts), 1):
+        lower = [t for t in big if t.length <= cut and le(t, x, oracle) and le(t, y, oracle)]
+        top = max(lower, key=lambda t: twisted_length(t, oracle))
+        if not all(le(t, top, oracle) for t in lower):
+            return "counterexample", (x.word, y.word), checked
+    return "ok", None, len(pairs)
+
+
+def test_check_meet_semilattice_matches_a_walk_per_pair():
+    # a finite witness word and an infinite one, at radius 3
+    for spec, expr in (("A~2", "invset 0,1,2,0,1"), ("B2", "invset 0,1,0"),
+                       ("A~2", "hat 0,1,0::"), ("C~2", "hat 1,0::")):
+        system = build_system(spec)
+        res = check_meet_semilattice(system, parse_biclosed(system, expr), 3)
+        pair = None if res.pair is None else tuple(w.word for w in res.pair)
+        assert (res.status, pair, res.checked) == _per_pair_check(
+            system, parse_biclosed(system, expr), 3), (spec, expr)
+        # and the one shared walk gives each pair the z of its own walk
+        oracle = parse_biclosed(system, expr)
+        elems = ball(system, 3)
+        pairs = list(itertools.combinations(range(len(elems)), 2))
+        assert order._lower_bounds(oracle, [u.inversion_mask() for u in elems], pairs) == [
+            _walked_lower_bound(elems[i], elems[j], oracle) for i, j in pairs], (spec, expr)
 
 
 def test_check_meet_semilattice_rejects_mixed_systems():
