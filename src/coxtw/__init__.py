@@ -26,7 +26,7 @@ from .oracle import (longest_finite, oracle_le, oracle_meet, oracle_tlen,
                      run_selftest, standard_battery)
 from .order import (CheckResult, HasseGraph, chain, check_meet_semilattice,
                     cover_neighbors, hasse, interval, is_up_cover, join, le,
-                    lower_bound, meet, ordinary_meet, twisted_length)
+                    lower_bound, meet, twisted_length)
 from .system import (CoxeterSystem, Root, build_system, parse_cartan_file,
                      parse_root)
 
@@ -44,7 +44,7 @@ __all__ = [
     "emit_figure", "enumerate_biclosed", "from_word", "hasse",
     "identity", "interval", "is_up_cover", "join", "le",
     "limit_set", "longest_finite", "lower_bound", "meet", "oracle_le",
-    "oracle_meet", "oracle_tlen", "ordinary_meet", "parse_biclosed",
+    "oracle_meet", "oracle_tlen", "parse_biclosed",
     "parse_cartan_file", "parse_root", "run_selftest", "simple",
     "standard_battery", "t_gamma_infinity", "translation",
     "twisted_length", "validate_periodic", "weyl_part",

@@ -184,11 +184,17 @@ def simple(system: CoxeterSystem, s: int) -> GroupElement:
 
 
 def from_word(system: CoxeterSystem, word) -> GroupElement:
-    """s_1⋯s_m by column updates on one mutable matrix, recording Φ_w on the way:
+    """s_1⋯s_m, walked from e."""
+    return walk(identity(system), word)
+
+
+def walk(w: GroupElement, word) -> GroupElement:
+    """w·s_1⋯s_m by column updates on one mutable matrix, recording Φ on the way:
     each letter s has w(α_s) in hand, and by the exchange property Φ_{ws} is
     Φ_w ⊔ {w(α_s)} if w(α_s) > 0, else Φ_w ∖ {−w(α_s)}, for unreduced words too."""
-    rows = [list(row) for row in identity(system).matrix]
-    mask = 0
+    system = w.system
+    rows = [list(row) for row in w.matrix]
+    mask = w.inversion_mask()
     for s in map(int, word):
         pairs = system.reflection(s)[0]   # validates s before any column read
         image = _image(system, rows, s)
@@ -222,17 +228,8 @@ def _negative(system: CoxeterSystem, image) -> bool:
 
 
 # Weak-order walks.  In the right weak order x ≤ y iff Φ_x ⊆ Φ_y, and
-# Φ_{ws} = Φ_w ⊔ {w(α_s)} whenever w(α_s) is positive, so every walk up
-# from e adds one allowed inversion per step, and records it.
-
-
-def step_up(w: GroupElement, s: int) -> GroupElement:
-    """w·s for an ascent s, recording Φ_{ws} = Φ_w ⊔ {w(α_s)}."""
-    y = w.mul_simple(s)   # validates s before any column read
-    if (bit := w.system.column_bit(_image(w.system, w.matrix, s))) < 0:
-        raise DomainError(f"letter {s} is not an ascent")
-    y._mask = w.inversion_mask() | 1 << bit
-    return y
+# Φ_{ws} = Φ_w ⊔ {w(α_s)} whenever w(α_s) is positive: a walk up from e
+# adds one inversion per step, so each step is an ascent iff Φ only grows.
 
 
 def grow(system: CoxeterSystem, level, keep=None) -> list[GroupElement]:
@@ -266,7 +263,7 @@ def ascend(system: CoxeterSystem, mask: int) -> GroupElement:
     while True:
         for s in range(system.ngens):
             if (bit := system.column_bit(_image(system, w.matrix, s))) >= 0 and mask >> bit & 1:
-                w = step_up(w, s)
+                w = walk(w, (s,))
                 break
         else:
             return w

@@ -2,9 +2,9 @@
 
 All comparisons reduce to finite symmetric-difference conditions on
 inversion sets: x ≤_B y iff Φ_x ∖ Φ_y ⊆ B and (Φ_y ∖ Φ_x) ∩ B = ∅.
-Meets are constructed, not searched: a common lower bound z is read off a
-witness word for B, the problem is translated to the ordinary weak order
-at z, and the result is verified before it is returned.
+Chains, intervals and meets walk the up-covers w·s that `le` keeps below a
+top.  For z ≤_B x, [z, x]_B = z·[e, z⁻¹x] is an ordinary weak-order
+interval, so inside it every element but the top has an up-cover.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 
 from .biclosed import BiclosedOracle, Complement
-from .elements import GroupElement, ascend, ball, grow, identity, step_up
+from .elements import GroupElement, ball, identity, walk
 from .errors import (ClassificationError, DomainError, JoinSearchError,
                      OrderError, UnsupportedOracleError)
 from .infwords import classify
@@ -44,7 +44,7 @@ def cover_neighbors(w: GroupElement, oracle: BiclosedOracle):
     """(covers above w, covers below w), each sorted by generator index."""
     ups, downs = [], []
     for s in range(w.system.ngens):
-        (ups if is_up_cover(w, s, oracle) else downs).append(w.mul_simple(s))
+        (ups if is_up_cover(w, s, oracle) else downs).append(walk(w, (s,)))
     return tuple(ups), tuple(downs)
 
 
@@ -62,20 +62,28 @@ def le(x: GroupElement, y: GroupElement, oracle: BiclosedOracle) -> bool:
     return _below(a, b, oracle.members(a ^ b))
 
 
+def _ups_below(w: GroupElement, oracle: BiclosedOracle, tops):
+    """The up-covers w·s that lie ≤_B every element of tops, by generator index."""
+    for s in range(w.system.ngens):
+        if is_up_cover(w, s, oracle):
+            u = walk(w, (s,))
+            if all(le(u, t, oracle) for t in tops):
+                yield u
+
+
 def chain(x: GroupElement, y: GroupElement,
           oracle: BiclosedOracle) -> tuple[GroupElement, ...]:
     """A saturated cover chain from x up to y; fails unless x ≤_B y.
 
-    Walking any reduced word of x⁻¹y does the job: the interval [x,y]_B is
-    a translate of an ordinary weak order interval."""
+    Each step takes the first up-cover of z lying ≤_B y: the smallest s with
+    z·s in [z, y]_B = z·[e, z⁻¹y] is the smallest left descent of z⁻¹y, so
+    the chain spells the ShortLex word of x⁻¹y."""
     if not le(x, y, oracle):
         raise OrderError("chain endpoints are not comparable in this order")
     out = [x]
-    z = x
-    for s in (x.inverse() * y).word:
-        if not is_up_cover(z, s, oracle):
-            raise DomainError("chain step is not an up-cover")
-        z = z.mul_simple(s)
+    while out[-1] != y:
+        if (z := next(_ups_below(out[-1], oracle, (y,)), None)) is None:
+            raise DomainError("no up-cover of the chain lies below its top")
         out.append(z)
     return tuple(out)
 
@@ -84,16 +92,14 @@ def interval(x: GroupElement, y: GroupElement,
              oracle: BiclosedOracle) -> tuple[GroupElement, ...]:
     """All z with x ≤_B z ≤_B y, sorted by (twisted length, length, word).
 
-    The interval equals x·[e, x⁻¹y] in the ordinary right weak order, so it
-    is collected by the usual inversion-subset search below x⁻¹y."""
+    [x, y]_B = x·[e, x⁻¹y] is graded by l_B, so its level k + 1 is the set of
+    up-covers of level k that lie ≤_B y: the levels grow from x."""
     if not le(x, y, oracle):
         raise OrderError("interval endpoints are not comparable in this order")
-    target = (x.inverse() * y).inversion_set()
-    out = []
-    level = [identity(x.system)]
+    out, level = [x], [x]
     while level:
-        out.extend(x * z for z in level)
-        level = grow(x.system, level, target.__contains__)
+        level = list({u.matrix: u for w in level for u in _ups_below(w, oracle, (y,))}.values())
+        out += level
     out.sort(key=lambda w: (twisted_length(w, oracle), w.length, w.word))
     return tuple(out)
 
@@ -113,8 +119,8 @@ def _witness_letters(oracle: BiclosedOracle):
 def _lower_bounds(oracle: BiclosedOracle, masks, pairs) -> list[GroupElement]:
     """For each pair (i, j) of indices into masks, the shortest prefix z of
     B's witness word with Φ_z ⊇ (Φ_i ∪ Φ_j) ∩ B, checked to lie ≤_B both,
-    all off one walk.  The word is reduced, so the letter s after z adds
-    exactly the inversion z(α_s), and the prefixes' Φ are nested: bisect."""
+    all off one walk.  Every letter must be an ascent, adding the inversion
+    z(α_s), so the prefixes' Φ are nested: bisect."""
     union = functools.reduce(operator.or_, masks, 0)
     need = oracle.members(union)
     prefixes = [identity(oracle.system)]
@@ -122,7 +128,10 @@ def _lower_bounds(oracle: BiclosedOracle, masks, pairs) -> list[GroupElement]:
     while need & ~prefixes[-1].inversion_mask():
         if (s := next(letters, None)) is None:
             raise OrderError("witness word never covered the required inversions")
-        prefixes.append(step_up(prefixes[-1], s))
+        z = walk(prefixes[-1], (s,))
+        if prefixes[-1].inversion_mask() & ~z.inversion_mask():
+            raise DomainError(f"witness letter {s} is not an ascent")
+        prefixes.append(z)
     covers = [z.inversion_mask() for z in prefixes]
     inside = oracle.members(union | covers[-1])
     out = []
@@ -146,32 +155,16 @@ def lower_bound(x: GroupElement, y: GroupElement,
     return _lower_bounds(oracle, (x.inversion_mask(), y.inversion_mask()), ((0, 1),))[0]
 
 
-def ordinary_meet(a: GroupElement, b: GroupElement) -> GroupElement:
-    """Meet in the ordinary right weak order.
-
-    The common lower bounds of a and b are the elements whose inversion
-    sets lie inside Φ_a ∩ Φ_b, and the weak order is a meet-semilattice, so
-    the greedy ascent inside that intersection ends at the meet."""
-    return ascend(a.system, a.inversion_mask() & b.inversion_mask())
-
-
 def meet(x: GroupElement, y: GroupElement,
          oracle: BiclosedOracle) -> GroupElement:
     """Greatest lower bound of {x, y} in ≤_B, for B an inversion set.
 
-    Construction: pick the witness prefix z below both, pull the problem to
-    the ordinary weak order at z, meet there, and push back.  The result is
-    re-verified as a common lower bound with no common upper cover."""
-    z = lower_bound(x, y, oracle)
-    zinv = z.inverse()
-    m = z * ordinary_meet(zinv * x, zinv * y)
-    if not (le(m, x, oracle) and le(m, y, oracle)):
-        raise OrderError("meet construction produced a non lower bound")
-    for s in range(m.system.ngens):
-        if is_up_cover(m, s, oracle):
-            u = m.mul_simple(s)
-            if le(u, x, oracle) and le(u, y, oracle):
-                raise OrderError("meet construction was not maximal")
+    From z = `lower_bound(x, y)`, climb by up-covers lying ≤_B x and y.  They
+    stay in [z, x]_B ∩ [z, y]_B = z·[e, z⁻¹x ∧ z⁻¹y], where only the top has
+    no up-cover inside, so the climb ends at z·(z⁻¹x ∧ z⁻¹y)."""
+    m = lower_bound(x, y, oracle)
+    while (u := next(_ups_below(m, oracle, (x, y)), None)) is not None:
+        m = u
     return m
 
 

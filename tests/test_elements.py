@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from coxtw import elements
 from coxtw.elements import (GroupElement, ascend, ball, from_word, grow,
-                            identity, simple, translation, weyl_part)
+                            identity, simple, translation, walk, weyl_part)
 from coxtw.errors import ClassificationError, DomainError
 from coxtw.infwords import WordInvSet, classify, validate_periodic
 from coxtw.oracle import standard_battery
-from coxtw.order import lower_bound
+from coxtw.order import chain, cover_neighbors, interval, le, lower_bound, meet
 from coxtw.system import Root, build_system
 
 A1T = build_system("A~1")
@@ -366,17 +366,23 @@ REFEREE_SPECS = ("A3", "B3", "G2", "E8", "A~2", "C~2", "G~2", "B~3", "D~4")
 
 
 @settings(deadline=None, derandomize=True, max_examples=200)
-@given(st.sampled_from(REFEREE_SPECS), st.lists(st.integers(0, 99), max_size=24))
-def test_recorded_inversion_set_matches_the_peel(spec, letters):
+@given(st.sampled_from(REFEREE_SPECS), st.lists(st.integers(0, 99), max_size=24),
+       st.lists(st.integers(0, 99), max_size=12))
+def test_recorded_inversion_set_matches_the_peel(spec, letters, more):
     # words are random, so mostly unreduced; the bare matrix has no record,
     # and the system is fresh, so its tables cannot answer for the peel
     system = build_system(spec)
-    w = from_word(system, [x % system.ngens for x in letters])
+    a = [x % system.ngens for x in letters]
+    b = [x % system.ngens for x in more]
+    w = from_word(system, a)
     fresh = GroupElement(system, w.matrix)
     assert w._mask is not None and fresh._mask is None
     assert w.inversion_mask() == fresh.inversion_mask()
     assert w.inversion_set() == fresh.inversion_set()
     assert w.word == fresh.word and w.length == len(w.word)
+    # a walk from w continues the walk that built it
+    walked, whole = walk(w, b), from_word(system, a + b)
+    assert walked == whole and walked._mask == whole._mask
 
 
 @pytest.mark.parametrize("spec", REFEREE_SPECS)
@@ -430,3 +436,30 @@ def test_every_walk_records_the_peeled_mask(spec):
         for x in few:
             for y in few:
                 check(lower_bound(x, y, orc))
+
+
+@pytest.mark.parametrize("spec", ["A2", "B3", "A~2", "G~2"])
+def test_order_answers_record_the_peeled_mask(spec):
+    # chain, interval, meet and cover_neighbors walk covers, so each element
+    # they return carries Φ, equal to a peel in a fresh system
+    system, cold = build_system(spec), build_system(spec)
+
+    def check(w):
+        assert w._mask is not None
+        assert w.inversion_mask() == GroupElement(cold, w.matrix).inversion_mask(), w.matrix
+
+    few = ball(system, 2)
+    for _, orc in standard_battery(system):
+        try:
+            sound = classify(orc).kind != "neither"
+        except ClassificationError:
+            sound = False
+        for x in few:
+            for u in sum(cover_neighbors(x, orc), ()):
+                check(u)
+            for y in few:
+                if sound:
+                    check(meet(x, y, orc))
+                if le(x, y, orc):
+                    for u in chain(x, y, orc) + interval(x, y, orc):
+                        check(u)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from coxtw.biclosed import (Complement, Explicit, HatForm, act_on_biclosed,
                             biclosed_check, closure_check)
-from coxtw.elements import ball, from_word, identity, simple, step_up
+from coxtw.elements import ascend, ball, from_word, grow, identity, simple, walk
 from coxtw import order
 from coxtw.errors import (ClassificationError, DomainError, JoinSearchError,
                           OrderError, UnsupportedOracleError)
@@ -15,7 +15,7 @@ from coxtw.infwords import Classification, WordInvSet, classify, validate_period
 from coxtw.oracle import longest_finite, standard_battery
 from coxtw.order import (chain, check_meet_semilattice, cover_neighbors,
                          hasse, interval, is_up_cover, join, le, lower_bound,
-                         meet, ordinary_meet, twisted_length)
+                         meet, twisted_length)
 from coxtw.system import Root, build_system
 
 A1T = build_system("A~1")
@@ -126,6 +126,58 @@ def test_meet_needs_an_inversion_set():
         meet(identity(A1T), identity(A1T), full)
 
 
+# Referees: chain, interval and meet built from products, each rebuilding a
+# translate z·[e, z⁻¹x] of an ordinary weak-order interval by hand, so that
+# they share no cover walk with `order`.
+
+
+def ordinary_meet(a, b):
+    """Meet in the ordinary right weak order: the common lower bounds of a and
+    b are the elements whose inversion sets lie inside Φ_a ∩ Φ_b, so the
+    greedy ascent inside that intersection ends at the meet."""
+    return ascend(a.system, a.inversion_mask() & b.inversion_mask())
+
+
+def _product_chain(x, y, oracle):
+    """x, then x·s_1⋯s_i along the ShortLex word of x⁻¹y, each step an up-cover."""
+    out = [x]
+    for s in (x.inverse() * y).word:
+        assert is_up_cover(out[-1], s, oracle)
+        out.append(out[-1].mul_simple(s))
+    return out
+
+
+def _product_interval(x, y, oracle):
+    """x·[e, x⁻¹y], grown from e inside Φ_{x⁻¹y}, sorted as `interval` sorts."""
+    target = (x.inverse() * y).inversion_set()
+    out, level = [], [identity(x.system)]
+    while level:
+        out.extend(x * z for z in level)
+        level = grow(x.system, level, target.__contains__)
+    return sorted(out, key=lambda w: (twisted_length(w, oracle), w.length, w.word))
+
+
+def _product_meet(x, y, oracle):
+    """z·(z⁻¹x ∧ z⁻¹y) for the witness prefix z = lower_bound(x, y)."""
+    z = lower_bound(x, y, oracle)
+    zinv = z.inverse()
+    return z * ordinary_meet(zinv * x, zinv * y)
+
+
+@pytest.mark.parametrize("spec", ["A~2", "C~2", "G~2", "B3"])
+def test_cover_walks_match_the_product_referees(spec):
+    system = build_system(spec)
+    elems = ball(system, 3)
+    for name, orc in standard_battery(system):
+        sound = _kind(orc) in ("finite", "infinite")
+        for x, y in itertools.product(elems, repeat=2):
+            if sound:
+                assert meet(x, y, orc) == _product_meet(x, y, orc), (spec, name, x, y)
+            if le(x, y, orc):
+                assert list(chain(x, y, orc)) == _product_chain(x, y, orc), (spec, name, x, y)
+                assert list(interval(x, y, orc)) == _product_interval(x, y, orc), (spec, name, x, y)
+
+
 def test_ordinary_meet():
     assert ordinary_meet(el(B2, 0, 1), el(B2, 1, 0)).is_identity
     assert ordinary_meet(el(B2, 0, 1, 0, 1), el(B2, 0, 1, 0)).word == (0, 1, 0)
@@ -152,6 +204,14 @@ def test_lower_bound_guard_is_not_an_assert(monkeypatch):
         lower_bound(simple(A1T, 0), simple(A1T, 1), HAT_NEG)
     with pytest.raises(DomainError, match="common lower bound"):
         check_meet_semilattice(A1T, HAT_NEG, 2)
+
+
+def test_lower_bounds_rejects_a_descent_letter(monkeypatch):
+    # a witness word whose second letter undoes its first would leave the
+    # prefix masks unnested, and the bisection over them wrong
+    monkeypatch.setattr(order, "_witness_letters", lambda oracle: itertools.repeat(1))
+    with pytest.raises(DomainError, match="not an ascent"):
+        lower_bound(el(A1T, 1, 0), simple(A1T, 1), HAT_NEG)
 
 
 def test_meet_and_join():
@@ -332,7 +392,9 @@ def _walked_lower_bound(x, y, oracle):
     for s in letters:
         if not missing & ~z.inversion_mask():
             break
-        z = step_up(z, s)
+        u = walk(z, (s,))
+        assert not z.inversion_mask() & ~u.inversion_mask()   # an ascent
+        z = u
     assert not missing & ~z.inversion_mask()
     assert le(z, x, oracle) and le(z, y, oracle)
     return z
