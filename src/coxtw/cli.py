@@ -3,8 +3,9 @@
 Exit codes are part of the contract: 0 success, 1 usage or expression
 syntax problems and an --out file that cannot be written, 2 domain errors
 (non-reduced words, incomparable endpoints, invalid constructions), 3
-resource caps.  JSON output is a single sorted-key line so byte-level
-golden tests stay stable.
+resource caps.  Each subcommand returns its JSON object and its text (and
+`selftest` its exit code); `main` alone picks one by --format, and writes
+JSON as a single sorted-key line so byte-level golden tests stay stable.
 """
 
 from __future__ import annotations
@@ -137,129 +138,95 @@ def _element(system, text):
     return from_word(system, _parse_word(text, system))
 
 
-def _json_line(obj) -> str:
-    return json.dumps(obj, sort_keys=True) + "\n"
+def _lines(items) -> str:
+    return "".join(f"{x}\n" for x in items)
 
 
-def _root_list(args, roots):
-    roots = sorted(roots, key=lambda r: r.key)
-    if args.format == "json":
-        return _json_line({"count": len(roots),
-                           "roots": [r.literal() for r in roots]}), 0
-    return "".join(f"{r.literal()}\n" for r in roots), 0
+def _root_list(roots):
+    literals = [r.literal() for r in sorted(roots, key=lambda r: r.key)]
+    return {"count": len(literals), "roots": literals}, _lines(literals)
 
 
 def _cmd_roots(args, system):
-    level = _cap_check(args.level, "level")
-    return _root_list(args, system.positive_roots_up_to(level))
+    return _root_list(system.positive_roots_up_to(_cap_check(args.level, "level")))
 
 
 def _cmd_ball(args, system):
-    radius = _cap_check(args.radius, "radius")
-    elems = ball(system, radius)
-    if args.format == "json":
-        return _json_line({"count": len(elems),
-                           "elements": [list(w.word) for w in elems]}), 0
-    return "".join(f"{w.label()}\n" for w in elems), 0
+    elems = ball(system, _cap_check(args.radius, "radius"))
+    return ({"count": len(elems), "elements": [list(w.word) for w in elems]},
+            _lines(w.label() for w in elems))
 
 
 def _cmd_invset(args, system):
-    return _root_list(args, _element(system, args.word).inversion_set())
+    return _root_list(_element(system, args.word).inversion_set())
 
 
 def _cmd_tlen(args, system):
     el = _element(system, args.word)
-    oracle = parse_biclosed(system, args.biclosed)
-    value = twisted_length(el, oracle)
-    if args.format == "json":
-        return _json_line({"tlen": value, "word": list(el.word)}), 0
-    return f"{value}\n", 0
+    value = twisted_length(el, parse_biclosed(system, args.biclosed))
+    return {"tlen": value, "word": list(el.word)}, f"{value}\n"
 
 
 def _cmd_le(args, system):
     oracle = parse_biclosed(system, args.biclosed)
     verdict = le(_element(system, args.x), _element(system, args.y), oracle)
-    if args.format == "json":
-        return _json_line({"le": verdict}), 0
-    return ("true" if verdict else "false") + "\n", 0
+    return {"le": verdict}, ("true" if verdict else "false") + "\n"
 
 
 def _cmd_chain(args, system):
     oracle = parse_biclosed(system, args.biclosed)
     ch = chain(_element(system, args.x), _element(system, args.y), oracle)
-    if args.format == "json":
-        return _json_line({"chain": [list(w.word) for w in ch]}), 0
-    return "".join(f"{w.label()}\n" for w in ch), 0
+    return {"chain": [list(w.word) for w in ch]}, _lines(w.label() for w in ch)
 
 
 def _cmd_interval(args, system):
     oracle = parse_biclosed(system, args.biclosed)
     iv = interval(_element(system, args.x), _element(system, args.y), oracle)
-    if args.format == "json":
-        return _json_line({"elements": [
-            {"word": list(w.word), "tlen": twisted_length(w, oracle)}
-            for w in iv]}), 0
-    return "".join(f"{w.label()}\n" for w in iv), 0
+    return ({"elements": [{"word": list(w.word), "tlen": twisted_length(w, oracle)}
+                          for w in iv]},
+            _lines(w.label() for w in iv))
 
 
 def _cmd_meet(args, system):
     oracle = parse_biclosed(system, args.biclosed)
     op = join if args.join else meet
     m = op(_element(system, args.x), _element(system, args.y), oracle)
-    if args.format == "json":
-        return _json_line({"word": list(m.word),
-                           "tlen": twisted_length(m, oracle)}), 0
-    return f"{m.label()}\n", 0
+    return {"word": list(m.word), "tlen": twisted_length(m, oracle)}, f"{m.label()}\n"
 
 
 def _cmd_hasse(args, system):
     radius = _cap_check(args.radius, "radius")
-    oracle = parse_biclosed(system, args.biclosed)
-    graph = hasse(oracle, ball(system, radius))
-    if args.format == "json":
-        return _json_line(graph.to_json()), 0
-    return graph.to_dot(), 0
+    graph = hasse(parse_biclosed(system, args.biclosed), ball(system, radius))
+    return graph.to_json(), graph.to_dot()
 
 
 def _cmd_classify(args, system):
-    oracle = parse_biclosed(system, args.biclosed)
-    cls = classify(oracle)
-    payload = {"kind": cls.kind, "witness": cls.witness_json()}
-    if args.format == "json":
-        return _json_line(payload), 0
-    return f"kind: {cls.kind}\nwitness: {json.dumps(payload['witness'])}\n", 0
+    cls = classify(parse_biclosed(system, args.biclosed))
+    witness = cls.witness_json()
+    return ({"kind": cls.kind, "witness": witness},
+            f"kind: {cls.kind}\nwitness: {json.dumps(witness)}\n")
 
 
 def _cmd_check(args, system):
     radius = _cap_check(args.radius, "radius")
-    oracle = parse_biclosed(system, args.biclosed)
-    result = check_meet_semilattice(system, oracle, radius)
-    if args.format == "json":
-        return _json_line(result.to_json()), 0
+    result = check_meet_semilattice(system, parse_biclosed(system, args.biclosed), radius)
     lines = [f"status: {result.status}", f"checked: {result.checked}"]
     if result.pair is not None:
         lines.append(f"pair: {result.pair[0].label()} | {result.pair[1].label()}")
-    return "".join(f"{ln}\n" for ln in lines), 0
+    return result.to_json(), _lines(lines)
 
 
 def _cmd_figure(args, system):
     graph, labels = emit_figure(args.name, system)
-    if args.format == "json":
-        return _json_line(graph.to_json()), 0
-    return graph.to_dot(labels), 0
+    return graph.to_json(), graph.to_dot(labels)
 
 
 def _cmd_selftest(args, system):
-    radius = _cap_check(args.radius, "radius")
-    report = run_selftest(system, radius)
-    code = 0 if not report["mismatches"] else 2
-    if args.format == "json":
-        return _json_line(report), code
-    lines = [f"checked: {report['checked']}",
-             f"mismatches: {len(report['mismatches'])}"]
-    for m in report["mismatches"][:10]:
-        lines.append(json.dumps(m, sort_keys=True))
-    return "".join(f"{ln}\n" for ln in lines), code
+    report = run_selftest(system, _cap_check(args.radius, "radius"))
+    mismatches = report["mismatches"]
+    text = _lines([f"checked: {report['checked']}", f"mismatches: {len(mismatches)}",
+                   *(json.dumps(m, sort_keys=True) for m in mismatches[:10])])
+    return report, text, 2 if mismatches else 0
 
 
 _COMMANDS = {
@@ -291,7 +258,7 @@ def main(argv=None) -> int:
             system = None
         else:
             system = _system(args)
-        text, code = _COMMANDS[args.command](args, system)
+        obj, text, *code = _COMMANDS[args.command](args, system)   # selftest adds a code
     except ResourceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -301,6 +268,8 @@ def main(argv=None) -> int:
     except (DomainError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.format == "json":
+        text = json.dumps(obj, sort_keys=True) + "\n"
     if args.out:
         try:
             with open(args.out, "w") as fh:
@@ -310,7 +279,7 @@ def main(argv=None) -> int:
             return 1
     else:
         sys.stdout.write(text)
-    return code
+    return code[0] if code else 0
 
 
 if __name__ == "__main__":

@@ -43,7 +43,7 @@ class GroupElement:
 
     @property
     def is_identity(self) -> bool:
-        return self.matrix == identity(self.system).matrix
+        return self.matrix == self.system.identity_matrix
 
     # -- multiplication ------------------------------------------------
 
@@ -173,8 +173,7 @@ class GroupElement:
 
 
 def identity(system: CoxeterSystem) -> GroupElement:
-    n = system.dim
-    el = GroupElement(system, [[int(r == c) for c in range(n)] for r in range(n)])
+    el = GroupElement(system, system.identity_matrix)
     el._word, el._mask = (), 0
     return el
 

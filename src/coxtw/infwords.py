@@ -19,20 +19,11 @@ from collections import namedtuple
 from .biclosed import (BiclosedOracle, HatForm, _decompose_psi,
                        _peel_inversion_set, level_displacement)
 from .elements import (GroupElement, from_word, grow, identity, translation,
-                       weyl_part)
+                       walk, weyl_part)
 from .errors import ClassificationError, DomainError, NotReducedError
 from .system import CoxeterSystem, Root
 
 _ORDER_GUARD = 10000
-
-
-def _weyl_order(el: GroupElement) -> int:
-    acc = el
-    for m in range(1, _ORDER_GUARD + 1):
-        if acc.is_identity:
-            return m
-        acc = acc * el
-    raise DomainError("element order exceeded the search guard")
 
 
 def _pairing(drift, coeffs) -> int:
@@ -107,23 +98,22 @@ def validate_periodic(system: CoxeterSystem, prefix, period) -> PeriodicWord:
     if period_el.length != len(period):
         raise NotReducedError("period word is not reduced", failing_power=0)
 
-    order = _weyl_order(weyl_part(period_el))
+    # one power loop: the order m of the period's Weyl part, and period^m = t_μ
+    power, order = period_el, 1
+    while not weyl_part(power).is_identity:
+        if order >= _ORDER_GUARD:
+            raise DomainError("element order exceeded the search guard")
+        power, order = power * period_el, order + 1
 
-    def reduced(k):   # from_word records Φ as it walks, so no peel reads the length
-        return from_word(system, prefix + period * k).length == len(prefix) + k * len(period)
-
-    # One walk decides, as every prefix of a reduced word is reduced.  In a
-    # finite system this fails by k = order, since period^order is the identity.
-    if not reduced(2 * order):
-        k = next(k for k in range(1, 2 * order + 1) if not reduced(k))
-        raise NotReducedError(f"word stops being reduced at period power {k}",
-                              failing_power=k)
-
-    power = identity(system)
-    for _ in range(order):
-        power = power * period_el
-    if not weyl_part(power).is_identity:
-        raise DomainError("period power is not a translation, so it has no drift")
+    # Each walk records Φ, so no peel reads the length.  Every prefix of a
+    # reduced word is reduced, so the first short walk names the failing
+    # power; in a finite system one fails by k = m, as period^m is the identity.
+    el = prefix_el
+    for k in range(1, 2 * order + 1):
+        el = walk(el, period)
+        if el.length != len(prefix) + k * len(period):
+            raise NotReducedError(f"word stops being reduced at period power {k}",
+                                  failing_power=k)
     drift = power.matrix[system.rank_finite][:system.rank_finite]
 
     inv = period_el.inverse()

@@ -237,14 +237,8 @@ def hasse(oracle: BiclosedOracle, elements) -> HasseGraph:
         key=lambda pair: (pair[1], pair[0].length, pair[0].word),
     )
     index = {w.matrix: i for i, (w, _) in enumerate(nodes)}
-    edges = []
-    for i, (w, _) in enumerate(nodes):
-        for s in range(oracle.system.ngens):
-            if is_up_cover(w, s, oracle):
-                j = index.get(w.mul_simple(s).matrix)
-                if j is not None:
-                    edges.append((i, j))
-    edges.sort()
+    edges = sorted((i, index[u.matrix]) for i, (w, _) in enumerate(nodes)
+                   for u in _ups_below(w, oracle, ()) if u.matrix in index)
     return HasseGraph(tuple(nodes), tuple(edges))
 
 

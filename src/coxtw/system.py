@@ -264,6 +264,8 @@ class CoxeterSystem:
         self._simple_roots = tuple(simples)
         # the same as integer columns over the basis (simple roots, and δ if affine)
         self.simple_columns = tuple((a.coeffs + (a.delta,))[:self.dim] for a in simples)
+        self.identity_matrix = tuple(tuple(int(r == c) for c in range(self.dim))
+                                     for r in range(self.dim))
         self._reflections = tuple(self._reflection(s) for s in range(self.ngens))
         # Filled on demand, by matrix: the bounded tables of `elements` (the peel of w,
         # and w⁻¹ both ways), and each element's right neighbours for `oracle`.

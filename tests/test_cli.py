@@ -6,6 +6,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +16,13 @@ from coxtw.exprs import parse_biclosed
 from coxtw.system import build_system
 
 GOLDEN = Path(__file__).parent / "data" / "a1_twist.dot"
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+# the benchmark's fixed invocations with their exit codes and stdout hashes,
+# and the same invocations in the other format: text and json swapped, and
+# dot or no --format made json
+CLI_ROWS = {"golden": ROOT / "perfbench" / "cli_golden.json",
+            "flipped": Path(__file__).parent / "data" / "cli_flipped.json"}
 A2T = build_system("A~2")
 
 
@@ -144,10 +151,17 @@ def test_check_counterexample(capsys):
     assert data["pair"] == [[0], [1]]
 
 
-def test_selftest(capsys):
+def test_selftest(capsys, monkeypatch):
     code, out, _ = run(capsys, "--type", "A2", "selftest", "--radius", "1")
     assert code == 0
     assert "0 mismatches" in out or "mismatches: 0" in out or "ok" in out
+    # a mismatch exits 2 in either format
+    report = {"checked": 3, "mismatches": [{"y": [1], "x": [0]}]}
+    monkeypatch.setattr("coxtw.cli.run_selftest", lambda system, radius: report)
+    code, out, _ = run(capsys, "--type", "A2", "selftest")
+    assert (code, out) == (2, 'checked: 3\nmismatches: 1\n{"x": [0], "y": [1]}\n')
+    code, out, _ = run(capsys, "--type", "A2", "selftest", "--format", "json")
+    assert code == 2 and json.loads(out) == report
 
 
 def test_selftest_finite_past_longest_element(capsys):
@@ -186,6 +200,10 @@ def test_out_flag(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text() == "0.1\n1.0\n1.1\n"
+    code, out, _ = run(capsys, "--type", "A2", "roots", "--format", "json",
+                       "--out", str(target))
+    assert code == 0 and out == ""
+    assert target.read_text() == '{"count": 3, "roots": ["0.1", "1.0", "1.1"]}\n'
 
 
 def test_out_into_missing_directory(capsys, tmp_path):
@@ -194,6 +212,18 @@ def test_out_into_missing_directory(capsys, tmp_path):
     assert code == 1 and out == ""
     assert err.startswith(f"error: cannot write {target}")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("table", sorted(CLI_ROWS))
+def test_recorded_invocations_in_process(capsys, monkeypatch, table):
+    monkeypatch.delenv("COXTW_MAX_BALL", raising=False)
+    monkeypatch.chdir(ROOT)   # the Cartan-file row names its file from the repo root
+    rows = json.loads(CLI_ROWS[table].read_text())
+    assert len(rows) == 29
+    for row in rows:
+        code, out, _ = run(capsys, *row["args"])
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (
+            row["exit"], row["sha256"]), row["args"]
 
 
 def test_roots_negative_level(capsys):

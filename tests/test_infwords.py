@@ -29,9 +29,9 @@ def test_validate_periodic_accepts_translation_word():
 
 
 def test_period_power_guard_is_not_an_assert(monkeypatch):
-    # the Weyl part of s0 s1 s2 has order 2, so its first power is no translation
-    monkeypatch.setattr(infwords, "_weyl_order", lambda el: 1)
-    with pytest.raises(DomainError, match="drift"):
+    # the Weyl part of s0 s1 s2 has order 2, past a guard of one power
+    monkeypatch.setattr(infwords, "_ORDER_GUARD", 1)
+    with pytest.raises(DomainError, match="search guard"):
         validate_periodic(A2T, (), (0, 1, 2))
 
 

@@ -1,19 +1,24 @@
 """A/B pairs of the benchmark: python3 tools/ab.py --rev REV --workload W [--pairs 10]
 
-Runs `perfbench/run.py` (untraced) on this checkout ("change") and on a
-`git worktree` of REV ("parent") in alternating pairs, seeds 1..N, the
-parent first on odd seeds and the change first on even ones, so that a
-drift of host speed falls on both sides alike.  Prints, for each
-end-to-end metric of BENCHMARK.json, the median of each side, their ratio,
-the parent's interquartile range, and in how many pairs the change was
-better; then the failed-op counts.  --parent DIR uses an existing checkout
-instead of a worktree.  Stdlib only.
+Runs `perfbench/run.py` (untraced) on a clean export of this checkout's
+working tree ("change": tracked and untracked files, none that .gitignore
+names) and on a `git archive` of REV ("parent") in alternating pairs, seeds
+1..N, the parent first on odd seeds and the change first on even ones, so
+that a drift of host speed falls on both sides alike.  Exporting both sides
+keeps an ignored `src/**/__pycache__` of this tree out of the change side:
+under PYTHONDONTWRITEBYTECODE=1 only the side without one would recompile
+`src/` on every import.  Prints, for each end-to-end metric of
+BENCHMARK.json, the median of each side, their ratio, the parent's
+interquartile range, and in how many pairs the change was better; then the
+failed-op counts.  --parent DIR uses an existing checkout instead, and is
+refused if its `src/` holds a `__pycache__`.  Stdlib only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -34,16 +39,36 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
-def run_pairs(parent: Path, workload: str, pairs: int, seconds: float):
+def run_pairs(parent: Path, change: Path, workload: str, pairs: int, seconds: float):
     """{side: [result per seed]}, the parent first on odd seeds."""
     results = {"parent": [], "change": []}
     for seed in range(1, pairs + 1):
         order = ("parent", "change") if seed % 2 else ("change", "parent")
         for side in order:
-            results[side].append(run_once(parent if side == "parent" else ROOT,
+            results[side].append(run_once(parent if side == "parent" else change,
                                           workload, seed, seconds))
         print(f"  pair {seed}/{pairs} done", file=sys.stderr, flush=True)
     return results
+
+
+def git(*args) -> bytes:
+    out = subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True)
+    if out.returncode:
+        sys.exit(f"git {' '.join(args)} failed:\n{out.stderr.decode()}")
+    return out.stdout
+
+
+def export(dest: Path, rev: str | None = None) -> Path:
+    """A clean copy of REV, or of the working tree if rev is None, at dest."""
+    dest.mkdir()
+    if rev is not None:
+        subprocess.run(["tar", "-x", "-C", str(dest)], input=git("archive", rev), check=True)
+        return dest
+    for name in git("ls-files", "-z", "-c", "-o", "--exclude-standard").decode().split("\0"):
+        if name and (ROOT / name).is_file():   # a tracked file may be deleted
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, dest / name)
+    return dest
 
 
 def report(results, metrics) -> list[str]:
@@ -74,20 +99,14 @@ def main() -> int:
     parser.add_argument("--seconds", type=float, default=26)
     args = parser.parse_args()
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    if args.parent is not None:
-        results = run_pairs(args.parent.resolve(), args.workload, args.pairs, args.seconds)
-    else:
-        with tempfile.TemporaryDirectory(prefix="ab-parent-") as tmp:
-            tree = Path(tmp) / "tree"
-            made = subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach",
-                                   str(tree), args.rev], capture_output=True, text=True)
-            if made.returncode:
-                sys.exit(f"git worktree add {args.rev} failed:\n{made.stderr}")
-            try:
-                results = run_pairs(tree, args.workload, args.pairs, args.seconds)
-            finally:
-                subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
-                                str(tree)], check=False, capture_output=True)
+    if args.parent is not None and any((args.parent / "src").rglob("__pycache__")):
+        sys.exit(f"{args.parent}/src holds a __pycache__, which the change side lacks; "
+                 "remove it or pass --rev")
+    with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
+        change = export(Path(tmp) / "change")
+        parent = (args.parent.resolve() if args.parent is not None
+                  else export(Path(tmp) / "parent", args.rev))
+        results = run_pairs(parent, change, args.workload, args.pairs, args.seconds)
     print(f"{args.workload}: {args.pairs} alternating pairs of {args.seconds:g} s runs")
     print("\n".join(report(results, metrics)))
     return 0
