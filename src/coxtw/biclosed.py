@@ -2,9 +2,10 @@
 
 Oracles answer membership for arbitrary positive roots of the system, so a
 single object can describe an infinite subset of an affine positive system.
-Every oracle also reports its limit roots (the finite roots α whose string
-α + nδ eventually stays inside or outside the set) and a stable level from
-which that eventual behaviour has set in.
+Past some level α + nδ lies in the set iff α is a limit root, so every
+oracle is two masks fixed at construction: its limit roots, extended
+δ-periodically, and the finitely many roots where the set differs from that
+extension.  One past the last of those is its stable level.
 
 The closure checks take roots of the system only, and ask of each pair of
 roots and each third root one question, whether the third lies in the cone
@@ -26,19 +27,15 @@ def _support(rho: Root) -> frozenset[int]:
     return frozenset(i for i, c in enumerate(rho.coeffs) if c)
 
 
-def level_displacement(w: GroupElement) -> int:
-    """max |δ-level of w(β)| over the finite roots β."""
-    if w.system.kind != "affine":
-        return 0
-    return max(abs(w.apply(beta).delta) for beta in w.system.finite_roots)
-
-
 class BiclosedOracle:
-    """Base class: validates roots, and memoizes membership in two root masks."""
+    """Base class: B as a pattern of limit roots, extended δ-periodically, and
+    the finitely many roots where B differs from that extension, both masks
+    over the root index (`CoxeterSystem.pattern` and `root_bit`)."""
 
-    def __init__(self, system: CoxeterSystem):
+    def __init__(self, system: CoxeterSystem, pattern: int, exceptions: int):
         self.system = system
-        self._known = self._inside = 0   # the bits decided, and those in B
+        self.pattern = pattern
+        self.exceptions = exceptions
         self._raw_tlen: dict = {}
         self._classification = None
         self._complement_classification = None   # kept for `order.join`
@@ -47,29 +44,21 @@ class BiclosedOracle:
         return bool(self.members(1 << self.system.root_bit(rho)))
 
     def members(self, mask: int) -> int:
-        """The bits of mask whose roots lie in B, deciding the new ones one by one."""
-        todo = mask & ~self._known
-        while todo:
-            low = todo & -todo
-            if self._member(self.system.bit_root(low.bit_length() - 1)):
-                self._inside |= low
-            todo ^= low
-        self._known |= mask
-        return mask & self._inside
-
-    def _member(self, rho: Root) -> bool:
-        raise NotImplementedError
+        """The bits of mask whose roots lie in B."""
+        return mask & (self.exceptions ^ self.system.periodic(self.pattern, mask))
 
     def key(self) -> str:
         raise NotImplementedError
 
     def limit_roots(self) -> frozenset[Root]:
         """Finite roots whose δ-string is eventually inside the set."""
-        raise NotImplementedError
+        return self.system.pattern_roots(self.pattern)
 
     def stable_level(self) -> int:
-        """Level L so that for n >= L, membership of α + nδ matches limit_roots."""
-        raise NotImplementedError
+        """Level L so that for n >= L, membership of α + nδ matches limit_roots:
+        one past the level of the last exception, as bit b is at level ⌊(b+N)/2N⌋."""
+        n = len(self.system.positive_roots)
+        return (self.exceptions.bit_length() - 1 + n) // (2 * n) + 1
 
     def __repr__(self):
         return self.key()
@@ -79,25 +68,16 @@ class Explicit(BiclosedOracle):
     """A finite, explicitly listed set of positive roots."""
 
     def __init__(self, system: CoxeterSystem, roots):
-        super().__init__(system)
         roots = frozenset(roots)
         for rho in roots:
             if not rho.is_positive or not system.is_root(rho):
                 raise ValidationError(f"{rho} is not a positive root of this system")
+        super().__init__(system, 0, sum(1 << system.root_bit(rho) for rho in roots))
         self.roots = roots
-
-    def _member(self, rho: Root) -> bool:
-        return rho in self.roots
 
     def key(self) -> str:
         body = ",".join(r.literal() for r in sorted(self.roots, key=lambda r: r.key))
         return f"explicit[{body}]"
-
-    def limit_roots(self) -> frozenset[Root]:
-        return frozenset()
-
-    def stable_level(self) -> int:
-        return max((r.delta for r in self.roots), default=0) + 1
 
 
 class HatForm(BiclosedOracle):
@@ -108,7 +88,6 @@ class HatForm(BiclosedOracle):
     """
 
     def __init__(self, system: CoxeterSystem, u: GroupElement, delta1, delta2):
-        super().__init__(system)
         if system.kind != "affine":
             raise ValidationError("hat-form oracles require an affine system")
         if u.system.key != system.key:
@@ -119,9 +98,7 @@ class HatForm(BiclosedOracle):
         self.delta1 = frozenset(int(i) for i in delta1)
         self.delta2 = frozenset(int(i) for i in delta2)
         self.positive_system = expand_psi(system, u, self.delta1, self.delta2)
-
-    def _member(self, rho: Root) -> bool:
-        return rho.fin() in self.positive_system
+        super().__init__(system, system.pattern(self.positive_system), 0)
 
     def key(self) -> str:
         word = ",".join(str(s) for s in self.u.word)
@@ -129,60 +106,50 @@ class HatForm(BiclosedOracle):
         d2 = ",".join(str(i) for i in sorted(self.delta2))
         return f"hat[{word}|{d1}|{d2}]"
 
-    def limit_roots(self) -> frozenset[Root]:
-        return self.positive_system
-
-    def stable_level(self) -> int:
-        return 1
-
 
 class Twisted(BiclosedOracle):
-    """w·B = (Φ_w ∖ w(-B)) ∪ (w(B) ∖ -Φ_w), answered through w⁻¹."""
+    """w·B = (Φ_w ∖ w(-B)) ∪ (w(B) ∖ -Φ_w): ρ lies in it iff σ = w⁻¹ρ is in B
+    when positive, and −σ is not in B when negative.
+
+    The limits are w̄ times those of B.  Past the level L of B's stable level
+    plus the largest |δ-level| of w⁻¹(β) over the finite roots β, every σ is
+    positive and itself past B's stable level, so B is asked once for each
+    root up to L."""
 
     def __init__(self, w: GroupElement, inner: BiclosedOracle):
-        super().__init__(inner.system)
-        if w.system.key != inner.system.key:
+        system = inner.system
+        if w.system.key != system.key:
             raise DomainError("element and oracle belong to different systems")
         self.w = w
         self.inner = inner
-        self._w_inv = w.inverse()
-
-    def _member(self, rho: Root) -> bool:
-        sigma = self._w_inv.apply(rho)
-        if sigma.is_positive:
-            return self.inner.member(sigma)
-        return not self.inner.member(-sigma)
+        w_inv = w.inverse()
+        shift = max(abs(w_inv.apply(beta).delta) for beta in system.finite_roots)
+        top = system.level_mask(inner.stable_level() + shift)
+        held = 0
+        for b in range(top.bit_length()):
+            sigma = w_inv.apply(system.bit_root(b))
+            up = sigma.is_positive
+            if up == inner.member(sigma if up else -sigma):
+                held |= 1 << b
+        wbar = weyl_part(w)
+        pattern = system.pattern(wbar.apply(alpha) for alpha in inner.limit_roots())
+        super().__init__(system, pattern, held ^ system.periodic(pattern, top))
 
     def key(self) -> str:
         word = ",".join(str(s) for s in self.w.word)
         return f"twist[{word}]({self.inner.key()})"
 
-    def limit_roots(self) -> frozenset[Root]:
-        wbar = weyl_part(self.w)
-        return frozenset(wbar.apply(alpha) for alpha in self.inner.limit_roots())
-
-    def stable_level(self) -> int:
-        return self.inner.stable_level() + level_displacement(self._w_inv)
-
 
 class Complement(BiclosedOracle):
-    """Φ⁺ ∖ B."""
+    """Φ⁺ ∖ B: the other limit roots, and the same exceptions."""
 
     def __init__(self, inner: BiclosedOracle):
-        super().__init__(inner.system)
+        full = (1 << 2 * len(inner.system.positive_roots)) - 1
+        super().__init__(inner.system, full ^ inner.pattern, inner.exceptions)
         self.inner = inner
-
-    def _member(self, rho: Root) -> bool:
-        return not self.inner.member(rho)
 
     def key(self) -> str:
         return f"complement({self.inner.key()})"
-
-    def limit_roots(self) -> frozenset[Root]:
-        return frozenset(self.system.finite_roots) - self.inner.limit_roots()
-
-    def stable_level(self) -> int:
-        return self.inner.stable_level()
 
 
 def act_on_biclosed(w: GroupElement, oracle: BiclosedOracle) -> BiclosedOracle:

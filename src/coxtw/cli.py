@@ -16,7 +16,7 @@ import os
 import sys
 
 from .elements import ball, from_word
-from .errors import (DomainError, ExprError, ResourceError, ValidationError)
+from .errors import CoxtwError, ExprError, ResourceError
 from .exprs import _word as _parse_word
 from .exprs import parse_biclosed
 from .figures import FIGURES, emit_figure
@@ -259,15 +259,9 @@ def main(argv=None) -> int:
         else:
             system = _system(args)
         obj, text, *code = _COMMANDS[args.command](args, system)   # selftest adds a code
-    except ResourceError as exc:
+    except CoxtwError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ExprError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (DomainError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, ResourceError) else 1 if isinstance(exc, ExprError) else 2
     if args.format == "json":
         text = json.dumps(obj, sort_keys=True) + "\n"
     if args.out:

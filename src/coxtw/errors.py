@@ -1,8 +1,8 @@
 """Exception taxonomy shared across the package.
 
 The CLI maps these onto exit codes: ExprError and bad type strings are
-usage-level (exit 1), DomainError and its subclasses are exit 2, and
-ResourceError is exit 3.
+usage-level (exit 1), ResourceError is exit 3, and every other error, from
+DomainError and its subclasses or ValidationError, is exit 2.
 """
 
 

@@ -14,7 +14,7 @@ from collections import namedtuple
 from .elements import from_word
 from .errors import DomainError
 from .exprs import parse_biclosed
-from .order import HasseGraph, hasse
+from .order import hasse
 from .system import build_system
 
 

@@ -5,7 +5,8 @@ reduced and l(prefix·period^k) = l(prefix) + k·l(period) for k up to twice
 the order m of the period's Weyl part.  Past that point the period powers are
 pure translations, whose lengths grow linearly, so a defect would already
 have shown up.  The word keeps period^m = t_μ only as its integer δ-row
-((α_j, μ))_j, for the drift μ: membership needs nothing else.
+((α_j, μ))_j, for the drift μ, and the roots pairing positively with
+prefix·μ as a pattern: with Φ_prefix, they are its whole inversion set.
 
 The classifier inverts this: given a biclosed oracle it decides whether the
 set is the inversion set of an element, of a validated infinite word, or of
@@ -17,7 +18,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .biclosed import (BiclosedOracle, HatForm, _decompose_psi,
-                       _peel_inversion_set, level_displacement)
+                       _peel_inversion_set)
 from .elements import (GroupElement, from_word, grow, identity, translation,
                        walk, weyl_part)
 from .errors import ClassificationError, DomainError, NotReducedError
@@ -26,19 +27,20 @@ from .system import CoxeterSystem, Root
 _ORDER_GUARD = 10000
 
 
-def _pairing(drift, coeffs) -> int:
-    """(β, μ) for β with the given simple-root coordinates: Σ_j β_j·(α_j, μ)."""
-    return sum(c * d for c, d in zip(coeffs, drift))
-
-
 class PeriodicWord:
-    """A validated reduced word prefix·period^∞ (period may be empty)."""
+    """A validated reduced word x = prefix·period^∞ (period may be empty).
+
+    Φ_x is Φ_prefix with the positive roots whose finite part is in `pattern`,
+    those pairing positively with prefix·μ.  For σ > 0 and k = i·m + j, with m
+    the Weyl order, period^{-k}(σ) is period^{-j}(σ) − i·(σ, μ)·δ; and Φ of
+    period^j lies in Φ_{t_μ} for j ≤ m, whose roots all pair positively with
+    μ.  So σ is in Φ_{period^∞} iff (σ, μ) > 0."""
 
     __slots__ = ("system", "prefix", "period", "prefix_el", "period_el",
-                 "weyl_order", "drift", "_neg_powers")
+                 "weyl_order", "drift", "pattern")
 
     def __init__(self, system, prefix, period, prefix_el, period_el,
-                 weyl_order, drift, neg_powers):
+                 weyl_order, drift, pattern):
         self.system = system
         self.prefix = prefix
         self.period = period
@@ -46,39 +48,25 @@ class PeriodicWord:
         self.period_el = period_el
         self.weyl_order = weyl_order
         self.drift = drift
-        self._neg_powers = neg_powers
+        self.pattern = pattern
 
     def __repr__(self):
         return f"PeriodicWord({list(self.prefix)}; {list(self.period)})"
 
-    def tail_member(self, sigma: Root) -> bool:
-        """Is the positive root σ in Φ_{period^∞}?
-
-        σ lies there iff some period^{-k} sends it negative.  Writing
-        k = i·m + j with m the Weyl order, period^{-k}(σ) is
-        period^{-j}(σ) − i·(σ, μ)·δ, so only the j < m and the sign of
-        (fin σ, μ), a dot product with the drift row, matter."""
-        if not self.period:
-            return False
-        if _pairing(self.drift, sigma.coeffs) > 0:
-            return True
-        return any(p.apply(sigma).is_negative for p in self._neg_powers[1:])
-
     def member(self, rho: Root) -> bool:
         """Is the positive root ρ an inversion of this infinite word?"""
-        sigma = self.prefix_el.inverse().apply(rho)
-        if sigma.is_negative:
-            return True
-        return self.tail_member(sigma)
+        bit = 1 << self.system.root_bit(rho)
+        return bool(bit & (self.prefix_el.inversion_mask() | self.system.periodic(self.pattern, bit)))
 
     def tail_limit_roots(self) -> frozenset[Root]:
         """Finite roots β with (β, μ) > 0: their δ-strings end in Φ_{period^∞}."""
-        if not self.period:
-            return frozenset()
-        return frozenset(
-            beta for beta in self.system.finite_roots
-            if _pairing(self.drift, beta.coeffs) > 0
-        )
+        return _positive(self.system, self.drift) if self.period else frozenset()
+
+
+def _positive(system: CoxeterSystem, row) -> frozenset[Root]:
+    """The finite roots β with (β, λ) > 0, for λ given by its δ-row ((α_j, λ))_j."""
+    return frozenset(beta for beta in system.finite_roots
+                     if sum(c * d for c, d in zip(beta.coeffs, row)) > 0)
 
 
 def validate_periodic(system: CoxeterSystem, prefix, period) -> PeriodicWord:
@@ -92,8 +80,7 @@ def validate_periodic(system: CoxeterSystem, prefix, period) -> PeriodicWord:
     if prefix_el.length != len(prefix):
         raise NotReducedError("prefix word is not reduced", failing_power=0)
     if not period:
-        return PeriodicWord(system, prefix, period, prefix_el, None, 0,
-                            None, ())
+        return PeriodicWord(system, prefix, period, prefix_el, None, 0, None, 0)
     period_el = from_word(system, period)
     if period_el.length != len(period):
         raise NotReducedError("period word is not reduced", failing_power=0)
@@ -114,42 +101,26 @@ def validate_periodic(system: CoxeterSystem, prefix, period) -> PeriodicWord:
         if el.length != len(prefix) + k * len(period):
             raise NotReducedError(f"word stops being reduced at period power {k}",
                                   failing_power=k)
-    drift = power.matrix[system.rank_finite][:system.rank_finite]
-
-    inv = period_el.inverse()
-    neg_powers = [identity(system)]
-    for _ in range(1, order):
-        neg_powers.append(neg_powers[-1] * inv)
+    rank = system.rank_finite
+    conjugate = prefix_el * power * prefix_el.inverse()   # t_{prefix·μ}
+    pattern = system.pattern(_positive(system, conjugate.matrix[rank][:rank]))
     return PeriodicWord(system, prefix, period, prefix_el, period_el,
-                        order, drift, tuple(neg_powers))
+                        order, power.matrix[rank][:rank], pattern)
 
 
 class WordInvSet(BiclosedOracle):
     """The inversion set Φ_x of a validated eventually periodic word x."""
 
     def __init__(self, word: PeriodicWord):
-        super().__init__(word.system)
+        mask = word.prefix_el.inversion_mask()
+        super().__init__(word.system, word.pattern,
+                         mask & ~word.system.periodic(word.pattern, mask))
         self.word = word
-
-    def _member(self, rho: Root) -> bool:
-        return self.word.member(rho)
 
     def key(self) -> str:
         pre = ",".join(str(s) for s in self.word.prefix)
         per = ",".join(str(s) for s in self.word.period)
         return f"word-inf[{pre};{per}]"
-
-    def limit_roots(self) -> frozenset[Root]:
-        pbar = weyl_part(self.word.prefix_el)
-        return frozenset(pbar.apply(beta) for beta in self.word.tail_limit_roots())
-
-    def stable_level(self) -> int:
-        word = self.word
-        disp = level_displacement(word.prefix_el.inverse())
-        tail_disp = 0
-        for p in word._neg_powers[1:]:
-            tail_disp = max(tail_disp, level_displacement(p))
-        return disp + tail_disp + 1
 
 
 def limit_set(oracle: BiclosedOracle) -> frozenset[Root]:
@@ -181,7 +152,7 @@ class Classification(namedtuple("Classification", "kind element word bad_pair",
 
 
 def _find_bad_pair(oracle: BiclosedOracle, overlap) -> tuple[Root, Root]:
-    bound = max(oracle.stable_level(), 1) + 1
+    bound = oracle.stable_level() + 1
     alphas = sorted((a for a in overlap if a.is_positive), key=lambda r: r.key)
     for total in range(2, 2 * bound + 1):
         for k in range(max(1, total - bound), min(bound, total - 1) + 1):
@@ -194,8 +165,7 @@ def _find_bad_pair(oracle: BiclosedOracle, overlap) -> tuple[Root, Root]:
     raise ClassificationError("limit overlap without a witnessing pair")
 
 
-def _try_prefix(oracle: BiclosedOracle, limits, prefix: GroupElement,
-                stable: int):
+def _try_prefix(oracle: BiclosedOracle, limits, prefix: GroupElement):
     system = oracle.system
     pbar_inv = weyl_part(prefix).inverse()
     j_set = frozenset(pbar_inv.apply(beta) for beta in limits)
@@ -213,11 +183,9 @@ def _try_prefix(oracle: BiclosedOracle, limits, prefix: GroupElement,
         pword = validate_periodic(system, prefix.word, period)
     except NotReducedError:
         return None
-    cand = WordInvSet(pword)
-    if cand.limit_roots() != limits:
-        return None
-    full = system.level_mask(max(stable, cand.stable_level()))
-    return pword if oracle.members(full) == cand.members(full) else None
+    cand = WordInvSet(pword)   # both pairs are canonical, so this is B = Φ_x
+    same = (cand.pattern, cand.exceptions) == (oracle.pattern, oracle.exceptions)
+    return pword if same else None
 
 
 _PREFIX_SEARCH_LIMIT = 16
@@ -229,8 +197,8 @@ def classify(oracle: BiclosedOracle) -> Classification:
     Finite systems and empty limits are settled by reading the set's mask up
     to its stable level and peeling.  Otherwise prefixes p with Φ_p ⊆ B are
     searched in ShortLex order; each one proposes a translation period read
-    off the limit set, and the first proposal whose inversion set matches B
-    exactly (equal limits, equal membership up to both stable levels) wins.
+    off the limit set, and the first proposal whose inversion set is B (the
+    same pattern and exceptions) wins.
     """
     if oracle._classification is not None:
         return oracle._classification
@@ -241,15 +209,14 @@ def classify(oracle: BiclosedOracle) -> Classification:
     if overlap:
         result = Classification("neither", bad_pair=_find_bad_pair(oracle, overlap))
     elif not limits:   # the level is moot on a finite system
-        mask = oracle.members(system.level_mask(max(oracle.stable_level(), 1)))
+        mask = oracle.members(system.level_mask(oracle.stable_level()))
         result = Classification("finite", element=_peel_inversion_set(system, mask))
     else:
-        stable = max(oracle.stable_level(), 1)
         frontier = [identity(system)]
         depth = 0
         while frontier and result is None:
             for p in frontier:
-                word = _try_prefix(oracle, limits, p, stable)
+                word = _try_prefix(oracle, limits, p)
                 if word is not None:
                     result = Classification("infinite", word=word)
                     break

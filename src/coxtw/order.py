@@ -31,20 +31,26 @@ def twisted_length(w: GroupElement, oracle: BiclosedOracle) -> int:
     return w.length - 2 * oracle.members(w.inversion_mask()).bit_count()
 
 
+def _steps_up(w: GroupElement, u: GroupElement, oracle: BiclosedOracle) -> bool:
+    """Does u = w·s cover w?  The walk flipped one bit of Φ: u covers w iff that
+    root left Φ_w while in B, or entered Φ_w while not in B."""
+    flip = w.inversion_mask() ^ u.inversion_mask()
+    return bool(w.inversion_mask() & flip) == bool(oracle.members(flip))
+
+
 def is_up_cover(w: GroupElement, s: int, oracle: BiclosedOracle) -> bool:
     """Does w·s cover w (twisted length goes up by one)?"""
     if w.system is not oracle.system and w.system.key != oracle.system.key:
         raise OrderError("cover test needs a single common system")
-    rho = w.apply(w.system.simple_root(s))
-    up = rho.is_positive
-    return up != oracle.member(rho if up else -rho)
+    return _steps_up(w, walk(w, (s,)), oracle)
 
 
 def cover_neighbors(w: GroupElement, oracle: BiclosedOracle):
     """(covers above w, covers below w), each sorted by generator index."""
     ups, downs = [], []
     for s in range(w.system.ngens):
-        (ups if is_up_cover(w, s, oracle) else downs).append(walk(w, (s,)))
+        u = walk(w, (s,))
+        (ups if _steps_up(w, u, oracle) else downs).append(u)
     return tuple(ups), tuple(downs)
 
 
@@ -65,10 +71,9 @@ def le(x: GroupElement, y: GroupElement, oracle: BiclosedOracle) -> bool:
 def _ups_below(w: GroupElement, oracle: BiclosedOracle, tops):
     """The up-covers w·s that lie ≤_B every element of tops, by generator index."""
     for s in range(w.system.ngens):
-        if is_up_cover(w, s, oracle):
-            u = walk(w, (s,))
-            if all(le(u, t, oracle) for t in tops):
-                yield u
+        u = walk(w, (s,))
+        if _steps_up(w, u, oracle) and all(le(u, t, oracle) for t in tops):
+            yield u
 
 
 def chain(x: GroupElement, y: GroupElement,

@@ -360,6 +360,28 @@ class CoxeterSystem:
         n = len(self._pos_coeffs)
         return (1 << (n if self.kind == "finite" else 2 * n * level + n)) - 1
 
+    # A pattern is a set of finite roots as 2N bits, −α_i at bit i and α_i at bit
+    # N+i, so the root of index bit b has its finite part at bit (b + N) mod 2N.
+
+    def pattern(self, roots) -> int:
+        """The pattern of some finite roots."""
+        n = len(self._pos_coeffs)
+        return sum(1 << self._offsets[r.coeffs] + n for r in roots)
+
+    def pattern_roots(self, pattern: int) -> frozenset[Root]:
+        """The finite roots of a pattern, the inverse of `pattern`."""
+        n = len(self._pos_coeffs)
+        return frozenset(Root(self._pos_coeffs[b - n]) if b >= n else -Root(self._pos_coeffs[b])
+                         for b in range(2 * n) if pattern >> b & 1)
+
+    def periodic(self, pattern: int, mask: int) -> int:
+        """The bits of mask whose finite part lies in the pattern: the pattern
+        repeated every 2N bits (once on a finite system), shifted down by N."""
+        n = len(self._pos_coeffs)
+        reps = -(-mask.bit_length() // (2 * n)) + 1 if self.kind == "affine" else 1
+        repeated = pattern * ((1 << 2 * n * reps) - 1) // ((1 << 2 * n) - 1)
+        return mask & repeated >> n
+
     # -- coweights -----------------------------------------------------
 
     @cached_property

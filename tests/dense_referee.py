@@ -1,18 +1,23 @@
 """Referee kernels for the tests: plain Fraction Gaussian elimination, a
-Fraction phase-1 simplex, a Fraction symmetrizer, and a scan of all 2ⁿ
-subsets for the biclosed ones.
+Fraction phase-1 simplex, a Fraction symmetrizer, a scan of all 2ⁿ
+subsets for the biclosed ones, and root-by-root oracle membership.
 
 These are the textbook algorithms that `coxtw.linalg` replaced with one
 fraction-free elimination, `coxtw.feasibility` with an integer two-column
-test, `coxtw.system` with an integer symmetrizer, and
-`coxtw.biclosed.enumerate_biclosed` with a backtracking search, kept here
-so that the kernels and everything built on them are checked against code
-that shares none of them.
+test, `coxtw.system` with an integer symmetrizer,
+`coxtw.biclosed.enumerate_biclosed` with a backtracking search, and the
+oracles with one periodic pattern and one exception mask, kept here so that
+the kernels and everything built on them are checked against code that
+shares none of them.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+
+from coxtw.biclosed import Complement, Explicit, HatForm, Twisted
+from coxtw.elements import weyl_part
+from coxtw.infwords import WordInvSet
 
 
 def symmetrizer(cartan):
@@ -195,3 +200,56 @@ def biclosed_subsets(roots, in_cone):
     full = (1 << n) - 1
     return [tuple(t for t in range(n) if s >> t & 1)
             for s in range(1 << n) if closed(s) and closed(full & ~s)]
+
+
+def member(oracle, rho) -> bool:
+    """Is the positive root ρ in B?  Asked of each kind by its own definition."""
+    if isinstance(oracle, Explicit):
+        return rho in oracle.roots
+    if isinstance(oracle, HatForm):
+        return rho.fin() in oracle.positive_system
+    if isinstance(oracle, Complement):
+        return not member(oracle.inner, rho)
+    if isinstance(oracle, Twisted):   # w·B through w⁻¹
+        sigma = oracle.w.inverse().apply(rho)
+        return member(oracle.inner, sigma) if sigma.is_positive else not member(oracle.inner, -sigma)
+    if isinstance(oracle, WordInvSet):
+        return _word_member(oracle.word, rho)
+    raise TypeError(f"no referee for {type(oracle).__name__}")
+
+
+def _word_member(word, rho) -> bool:
+    """ρ ∈ Φ_x for x = prefix·period^∞: ρ ∈ Φ_prefix, or σ = prefix⁻¹ρ is sent
+    negative by some period^{-k}.  With k = i·m + j, period^{-k}(σ) is
+    period^{-j}(σ) − i·(σ, μ)·δ, so (σ, μ) > 0 or some j < m decides."""
+    sigma = word.prefix_el.inverse().apply(rho)
+    if sigma.is_negative:
+        return True
+    if not word.period:
+        return False
+    if sum(c * d for c, d in zip(sigma.coeffs, word.drift)) > 0:
+        return True
+    step = power = word.period_el.inverse()
+    for _ in range(1, word.weyl_order):
+        if power.apply(sigma).is_negative:
+            return True
+        power = power * step
+    return False
+
+
+def limit_roots(oracle) -> frozenset:
+    """The finite roots whose δ-strings end inside B, kind by kind."""
+    system = oracle.system
+    if isinstance(oracle, Explicit):
+        return frozenset()
+    if isinstance(oracle, HatForm):
+        return oracle.positive_system
+    if isinstance(oracle, Complement):
+        return frozenset(system.finite_roots) - limit_roots(oracle.inner)
+    if isinstance(oracle, Twisted):
+        wbar = weyl_part(oracle.w)
+        return frozenset(wbar.apply(alpha) for alpha in limit_roots(oracle.inner))
+    if isinstance(oracle, WordInvSet):
+        pbar = weyl_part(oracle.word.prefix_el)
+        return frozenset(pbar.apply(beta) for beta in oracle.word.tail_limit_roots())
+    raise TypeError(f"no referee for {type(oracle).__name__}")

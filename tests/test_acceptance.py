@@ -5,6 +5,7 @@ its runtime budget, so a slow regression fails even when the math is right.
 """
 
 import itertools
+import json
 import random
 import time
 from collections import Counter
@@ -256,6 +257,32 @@ _DICHOTOMY = {
     "G~2": (38, {("finite", "ok"): 1, ("infinite", "ok"): 24,
                  ("neither", "counterexample"): 10, ("neither", "inconclusive"): 3}),
 }
+# Every row of `_rank2_rows()`, one JSON object a line, recorded once; rewrite
+# it only where a change of verdict is meant.
+RANK2 = Path(__file__).parent / "data" / "rank2_hat_forms.json"
+
+
+def _rank2_rows():
+    """One row per hat form of A~2, C~2 and G~2: its expression, d2 = Δ2, the
+    `classify` kind and witness, and `check_meet_semilattice` at radius 3."""
+    rows = []
+    for spec in _DICHOTOMY:
+        affine, finite = build_system(spec), build_system(spec.replace("~", ""))
+        full = finite.positive_roots + tuple(-r for r in finite.positive_roots)
+        for gamma in enumerate_biclosed(finite, full):
+            u, d1, d2 = classify_finite_biclosed(finite, gamma)
+            hat = HatForm(affine, from_word(affine, u.word), d1, d2)
+            try:
+                cls = classify(hat)
+                kind, witness = cls.kind, cls.witness_json()
+            except ClassificationError:
+                kind, witness = "unclassified", None
+            word = ",".join(map(str, u.word)) or "e"
+            d1, d2 = (",".join(map(str, sorted(d))) for d in (d1, d2))
+            rows.append({"type": spec, "form": f"hat {word}:{d1}:{d2}",
+                         "d2": d2, "kind": kind, "witness": witness,
+                         "check": check_meet_semilattice(affine, hat, 3).to_json()})
+    return rows
 
 
 def test_criterion_11_rank2_hat_form_dichotomy():
@@ -264,26 +291,16 @@ def test_criterion_11_rank2_hat_form_dichotomy():
     # exactly when Δ2 = ∅; at radius 3 the check proves "ok" or finds a
     # counterexample for all but three G~2 forms
     t0 = time.time()
-    inconclusive = set()
+    rows = _rank2_rows()
     for spec, (forms, counts) in _DICHOTOMY.items():
-        affine, finite = build_system(spec), build_system(spec.replace("~", ""))
-        full = finite.positive_roots + tuple(-r for r in finite.positive_roots)
-        seen = Counter()
-        for gamma in enumerate_biclosed(finite, full):
-            u, d1, d2 = classify_finite_biclosed(finite, gamma)
-            hat = HatForm(affine, from_word(affine, u.word), d1, d2)
-            try:
-                kind = classify(hat).kind
-            except ClassificationError:
-                kind = "unclassified"
-            status = check_meet_semilattice(affine, hat, 3).status
-            seen[kind, status] += 1
-            assert (not d2) == (kind != "neither") == (status == "ok"), (spec, u.word, d1, d2)
-            if status == "inconclusive":
-                inconclusive.add((spec, u.word, tuple(sorted(d1)), tuple(sorted(d2))))
+        seen = Counter((r["kind"], r["check"]["status"]) for r in rows if r["type"] == spec)
         assert sum(seen.values()) == forms and seen == counts, (spec, seen)
+    for r in rows:
+        status = r["check"]["status"]
+        assert (not r["d2"]) == (r["kind"] != "neither") == (status == "ok"), r
+        assert (status == "counterexample") == (r["check"]["pair"] is not None), r
     # left for a certificate that these three have no meet-semilattice
-    assert inconclusive == {("G~2", (0, 1, 0, 1, 0), (), (1,)),
-                            ("G~2", (1, 0, 1, 0), (), (1,)),
-                            ("G~2", (), (), (1,))}
+    assert {(r["type"], r["form"]) for r in rows if r["check"]["status"] == "inconclusive"} == {
+        ("G~2", "hat 0,1,0,1,0::1"), ("G~2", "hat 1,0,1,0::1"), ("G~2", "hat e::1")}
+    assert rows == json.loads(RANK2.read_text())
     _stamp(11, "rank-2 hat forms: inversion set <=> meet semilattice", t0, 60.0)

@@ -9,9 +9,12 @@ from coxtw.biclosed import (BiclosedOracle, Complement, Explicit, HatForm,
                             Twisted, act_on_biclosed, biclosed_check,
                             classify_finite_biclosed, closure_check,
                             cone_contains, enumerate_biclosed, expand_psi)
-from coxtw.elements import ball, from_word, identity, simple
-from coxtw.errors import (ClassificationError, DomainError, ResourceError,
-                          ValidationError)
+from coxtw.elements import ball, from_word, identity, simple, translation
+from coxtw.errors import (ClassificationError, DomainError, NotReducedError,
+                          ResourceError, ValidationError)
+from coxtw.exprs import parse_biclosed
+from coxtw.infwords import validate_periodic
+from coxtw.oracle import standard_battery
 from coxtw.system import Root, build_system
 
 A2 = build_system("A2")
@@ -368,3 +371,76 @@ def test_oracle_keys_distinct():
     ]
     keys = [o.key() for o in oracles]
     assert len(set(keys)) == len(keys)
+
+
+def _random_expression(rng, system, words, periods, hats, depth):
+    """A seeded nested expression: twists and complements over the leaf kinds."""
+    pick = rng.random()
+    if depth and pick < 0.35:
+        inner = _random_expression(rng, system, words, periods, hats, depth - 1)
+        return f"twist {rng.choice(words)} ({inner})"
+    if depth and pick < 0.5:
+        return f"complement ({_random_expression(rng, system, words, periods, hats, depth - 1)})"
+    leaf = rng.choice(("empty", "full", "invset", "explicit", "word-inf", "hat", "hat"))
+    if leaf == "invset":
+        return f"invset {rng.choice(words)}"
+    if leaf == "explicit":
+        roots = rng.sample(system.positive_roots_up_to(2), 2)
+        return f"explicit [{','.join(r.literal() for r in roots)}]"
+    if leaf == "word-inf":   # may fail to stay reduced after the prefix
+        return f"word-inf {rng.choice(words)};{rng.choice(periods)}"
+    if leaf == "hat":
+        return rng.choice(hats)
+    return leaf
+
+
+def _periods(system):
+    """Periods that stay reduced from e: translation words, and each word of
+    length at most 4 that does, some with a Weyl part of order 2."""
+    out = [translation(system, system.dominant_coweight_for({i})).word
+           for i in range(system.rank_finite)]
+    for w in ball(system, 4):
+        try:
+            out.append(validate_periodic(system, (), w.word).period)
+        except NotReducedError:
+            pass
+    return [",".join(map(str, p)) for p in out if p]
+
+
+def _hat_expressions(spec):
+    finite = build_system(spec.replace("~", ""))
+    out = []
+    for gamma in enumerate_biclosed(finite, finite.finite_roots):
+        u, d1, d2 = classify_finite_biclosed(finite, gamma)
+        out.append("hat " + ":".join(",".join(map(str, x)) for x in (u.word, sorted(d1), sorted(d2))))
+    return out
+
+
+def test_members_match_the_per_root_referee():
+    # each kind's membership by its own definition, root by root, against the
+    # one pattern and exception mask; and past the stable level, the limits
+    rng = random.Random(20)
+    cases = []
+    for spec in ("A2", "B2", "A~1", "A~2", "C~2", "G~2", "B~3"):
+        system = build_system(spec)
+        cases += [(system, oracle) for _, oracle in standard_battery(system)]
+        if system.kind == "affine":
+            words = [",".join(map(str, w.word)) or "e" for w in ball(system, 3)]
+            periods, hats = _periods(system), _hat_expressions(spec)
+            for _ in range(60):
+                expr = _random_expression(rng, system, words, periods, hats, 3)
+                try:
+                    oracle = parse_biclosed(system, expr)
+                except NotReducedError:
+                    continue
+                cases.append((system, oracle))
+    assert len(cases) > 200
+    for system, oracle in cases:
+        roots = system.positive_roots_up_to(6)
+        want = [dense.member(oracle, r) for r in roots]
+        inside = oracle.members(system.level_mask(6))
+        assert [bool(inside >> system.root_bit(r) & 1) for r in roots] == want, oracle.key()
+        limits = dense.limit_roots(oracle)
+        assert oracle.limit_roots() == limits, oracle.key()
+        assert all(got == (r.fin() in limits) for r, got in zip(roots, want)
+                   if r.delta >= oracle.stable_level()), oracle.key()

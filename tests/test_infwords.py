@@ -101,7 +101,7 @@ def test_empty_period_on_finite_system():
     w = validate_periodic(A2, (0, 1), ())
     assert w.period == ()
     assert w.member(Root((1, 0)))
-    assert not w.tail_member(Root((0, 1)))
+    assert not w.member(Root((0, 1)))
     assert w.tail_limit_roots() == frozenset()
     # with no period the letters stop after the prefix
     letters = tuple(itertools.islice(

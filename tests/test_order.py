@@ -192,7 +192,7 @@ def test_ordinary_meet():
 
 
 def test_chain_guard_is_not_an_assert(monkeypatch):
-    monkeypatch.setattr(order, "is_up_cover", lambda w, s, oracle: False)
+    monkeypatch.setattr(order, "_steps_up", lambda w, u, oracle: False)
     with pytest.raises(DomainError, match="up-cover"):
         chain(simple(A1T, 1), simple(A1T, 0), HAT_NEG)
 
