@@ -2,9 +2,9 @@
 
 All comparisons reduce to finite symmetric-difference conditions on
 inversion sets: x ≤_B y iff Φ_x ∖ Φ_y ⊆ B and (Φ_y ∖ Φ_x) ∩ B = ∅.
-Chains, intervals and meets walk the up-covers w·s that `le` keeps below a
-top.  For z ≤_B x, [z, x]_B = z·[e, z⁻¹x] is an ordinary weak-order
-interval, so inside it every element but the top has an up-cover.
+Chains, intervals, meets and the semilattice check walk the up-covers w·s
+that `le` keeps below a top: for z ≤_B x, [z, x]_B = z·[e, z⁻¹x] is an
+ordinary weak-order interval, where every element but the top has one.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from bisect import bisect_left, bisect_right
 from collections import namedtuple
 
 from .biclosed import BiclosedOracle, Complement
@@ -93,20 +92,26 @@ def chain(x: GroupElement, y: GroupElement,
     return tuple(out)
 
 
-def interval(x: GroupElement, y: GroupElement,
-             oracle: BiclosedOracle) -> tuple[GroupElement, ...]:
-    """All z with x ≤_B z ≤_B y, sorted by (twisted length, length, word).
+def _up_set(x: GroupElement, oracle: BiclosedOracle, tops) -> list[GroupElement]:
+    """x and every w with x ≤_B w ≤_B some element of tops, level by level.
 
-    [x, y]_B = x·[e, x⁻¹y] is graded by l_B, so its level k + 1 is the set of
-    up-covers of level k that lie ≤_B y: the levels grow from x."""
-    if not le(x, y, oracle):
-        raise OrderError("interval endpoints are not comparable in this order")
+    Each [x, t]_B = x·[e, x⁻¹t] is graded by l_B, so level k + 1 of their
+    union is the set of up-covers of level k that lie ≤_B some top."""
     out, level = [x], [x]
     while level:
-        level = list({u.matrix: u for w in level for u in _ups_below(w, oracle, (y,))}.values())
+        ups = {u.matrix: u for w in level for u in _ups_below(w, oracle, ())}
+        level = [u for u in ups.values() if any(le(u, t, oracle) for t in tops)]
         out += level
-    out.sort(key=lambda w: (twisted_length(w, oracle), w.length, w.word))
-    return tuple(out)
+    return out
+
+
+def interval(x: GroupElement, y: GroupElement,
+             oracle: BiclosedOracle) -> tuple[GroupElement, ...]:
+    """All z with x ≤_B z ≤_B y, sorted by (twisted length, length, word)."""
+    if not le(x, y, oracle):
+        raise OrderError("interval endpoints are not comparable in this order")
+    return tuple(sorted(_up_set(x, oracle, (y,)),
+                        key=lambda w: (twisted_length(w, oracle), w.length, w.word)))
 
 
 def _witness_letters(oracle: BiclosedOracle):
@@ -121,32 +126,25 @@ def _witness_letters(oracle: BiclosedOracle):
     )
 
 
-def _lower_bounds(oracle: BiclosedOracle, masks, pairs) -> list[GroupElement]:
-    """For each pair (i, j) of indices into masks, the shortest prefix z of
-    B's witness word with Φ_z ⊇ (Φ_i ∪ Φ_j) ∩ B, checked to lie ≤_B both,
-    all off one walk.  Every letter must be an ascent, adding the inversion
-    z(α_s), so the prefixes' Φ are nested: bisect."""
+def _lower_bound(oracle: BiclosedOracle, masks) -> GroupElement:
+    """The shortest prefix z of B's witness word with Φ_z ⊇ (∪ masks) ∩ B,
+    checked to lie ≤_B each mask's element.  Every letter must be an ascent,
+    adding the inversion z(α_s) ∈ B, so each prefix lies ≤_B the last."""
     union = functools.reduce(operator.or_, masks, 0)
     need = oracle.members(union)
-    prefixes = [identity(oracle.system)]
+    z = identity(oracle.system)
     letters = itertools.islice(_witness_letters(oracle), _WITNESS_GUARD)
-    while need & ~prefixes[-1].inversion_mask():
+    while need & ~z.inversion_mask():
         if (s := next(letters, None)) is None:
             raise OrderError("witness word never covered the required inversions")
-        z = walk(prefixes[-1], (s,))
-        if prefixes[-1].inversion_mask() & ~z.inversion_mask():
+        u = walk(z, (s,))
+        if z.inversion_mask() & ~u.inversion_mask():
             raise DomainError(f"witness letter {s} is not an ascent")
-        prefixes.append(z)
-    covers = [z.inversion_mask() for z in prefixes]
-    inside = oracle.members(union | covers[-1])
-    out = []
-    for i, j in pairs:
-        miss = (masks[i] | masks[j]) & inside
-        n = bisect_left(covers, True, key=lambda c: not miss & ~c)
-        if not (_below(covers[n], masks[i], inside) and _below(covers[n], masks[j], inside)):
-            raise DomainError("witness prefix is not a common lower bound")
-        out.append(prefixes[n])
-    return out
+        z = u
+    inside = oracle.members(union | z.inversion_mask())
+    if not all(_below(z.inversion_mask(), m, inside) for m in masks):
+        raise DomainError("witness prefix is not a common lower bound")
+    return z
 
 
 def lower_bound(x: GroupElement, y: GroupElement,
@@ -157,7 +155,7 @@ def lower_bound(x: GroupElement, y: GroupElement,
     makes it deterministic."""
     if x.system.key != y.system.key or x.system.key != oracle.system.key:
         raise OrderError("order comparison needs a single common system")
-    return _lower_bounds(oracle, (x.inversion_mask(), y.inversion_mask()), ((0, 1),))[0]
+    return _lower_bound(oracle, (x.inversion_mask(), y.inversion_mask()))
 
 
 def meet(x: GroupElement, y: GroupElement,
@@ -267,11 +265,15 @@ def check_meet_semilattice(system, oracle: BiclosedOracle,
                            radius: int) -> CheckResult:
     """Search ball(radius) pairs for a meet failure.
 
-    When B is an inversion set the theory bounds where a meet must live:
-    z ≤_B m ≤_B x forces l(m) ≤ l(z) + l(z⁻¹x), and l(z⁻¹x) = |Φ_z △ Φ_x|,
-    so searching up to that length catches it.  A pair whose bounded common
-    lower bounds then have two maximal elements is a genuine counterexample,
-    and a clean sweep is a proof over the ball ("ok").
+    When B is an inversion set the theory says where a meet must live.  Let z
+    be a witness prefix ≤_B every element of the ball, x and y two of them,
+    and t a common lower bound.  A longer prefix z′ is ≤_B t, z, x and y, so
+    [z′, x]_B ∩ [z′, y]_B = z′·([e, z′⁻¹x] ∩ [e, z′⁻¹y]) has a top m, the
+    ordinary weak order being a meet semilattice.  That m is ≥_B t and ≥_B z,
+    so it is also the top of the common lower bounds above z.  So the universe
+    is the up-set of z below the ball; a pair whose lower bounds there have
+    two maximal elements is a genuine counterexample, and a clean sweep is a
+    proof over the ball ("ok").
     Otherwise lower bounds are only searched within ball(3·radius), and a
     clean sweep is merely "inconclusive"."""
     if system.key != oracle.system.key:
@@ -283,25 +285,22 @@ def check_meet_semilattice(system, oracle: BiclosedOracle,
         sound = False
 
     pairs = list(itertools.combinations(range(len(elems)), 2))
-    cut = dict.fromkeys(pairs, 3 * radius)
-    if sound:
-        masks = [u.inversion_mask() for u in elems]
-        for (i, j), z in zip(pairs, _lower_bounds(oracle, masks, pairs)):
-            z = z.inversion_mask()
-            cut[i, j] = z.bit_count() + min((z ^ masks[i]).bit_count(), (z ^ masks[j]).bit_count())
-    # ball(radius) starts every larger ball, so the pair indices carry over,
-    # and the ball is in length order, so each pair's candidates are a prefix
-    big = ball(system, max([radius, *cut.values()]))
-    masks = [u.inversion_mask() for u in big]
-    inside = oracle.members(functools.reduce(operator.or_, masks))
-    lengths = [u.length for u in big]
-    tlen = [n - 2 * (m & inside).bit_count() for n, m in zip(lengths, masks)]
+    masks = [u.inversion_mask() for u in elems]
+    # either universe holds the ball, so `inside` covers the ball's masks too
+    universe = [u.inversion_mask() for u in (_up_set(_lower_bound(oracle, masks), oracle, elems)
+                                             if sound else ball(system, 3 * radius))]
+    inside = oracle.members(functools.reduce(operator.or_, universe))
+    universe.sort(key=lambda m: m.bit_count() - 2 * (m & inside).bit_count())
+
+    @functools.cache
+    def under(b: int) -> int:
+        """The indices t with universe[t] ≤_B b, as one bitmask."""
+        return sum(1 << t for t, a in enumerate(universe) if _below(a, b, inside))
+
     for checked, (i, j) in enumerate(pairs, 1):
-        lower = [t for t in range(bisect_right(lengths, cut[i, j]))
-                 if _below(masks[t], masks[i], inside) and _below(masks[t], masks[j], inside)]
+        lower = under(masks[i]) & under(masks[j])
         # distinct comparable elements differ in l_B, so only one of largest
-        # l_B can be the greatest lower bound
-        top = max(lower, key=tlen.__getitem__, default=None)
-        if top is None or not all(_below(masks[t], masks[top], inside) for t in lower):
+        # l_B, such as the last in l_B order, can be the greatest lower bound
+        if not lower or lower & ~under(universe[lower.bit_length() - 1]):
             return CheckResult("counterexample", (elems[i], elems[j]), checked)
     return CheckResult("ok" if sound else "inconclusive", None, len(pairs))

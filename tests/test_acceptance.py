@@ -257,16 +257,17 @@ _DICHOTOMY = {
     "G~2": (38, {("finite", "ok"): 1, ("infinite", "ok"): 24,
                  ("neither", "counterexample"): 10, ("neither", "inconclusive"): 3}),
 }
-# Every row of `_rank2_rows()`, one JSON object a line, recorded once; rewrite
-# it only where a change of verdict is meant.
+# Every row of `_hat_rows(_DICHOTOMY, 3)`, one JSON object a line, recorded
+# once; rewrite it only where a change of verdict is meant.
 RANK2 = Path(__file__).parent / "data" / "rank2_hat_forms.json"
 
 
-def _rank2_rows():
-    """One row per hat form of A~2, C~2 and G~2: its expression, d2 = Δ2, the
-    `classify` kind and witness, and `check_meet_semilattice` at radius 3."""
+def _hat_rows(specs, radius):
+    """One row per hat form of each affine type in specs: its expression,
+    d2 = Δ2, the `classify` kind and witness, and `check_meet_semilattice` at
+    the given radius."""
     rows = []
-    for spec in _DICHOTOMY:
+    for spec in specs:
         affine, finite = build_system(spec), build_system(spec.replace("~", ""))
         full = finite.positive_roots + tuple(-r for r in finite.positive_roots)
         for gamma in enumerate_biclosed(finite, full):
@@ -281,8 +282,20 @@ def _rank2_rows():
             d1, d2 = (",".join(map(str, sorted(d))) for d in (d1, d2))
             rows.append({"type": spec, "form": f"hat {word}:{d1}:{d2}",
                          "d2": d2, "kind": kind, "witness": witness,
-                         "check": check_meet_semilattice(affine, hat, 3).to_json()})
+                         "check": check_meet_semilattice(affine, hat, radius).to_json()})
     return rows
+
+
+def _assert_dichotomy(rows, table):
+    """Each type's form count and (kind, status) counts are as in table, and
+    every row has Δ2 = ∅ ⇔ kind ≠ neither ⇔ ok, and a pair ⇔ counterexample."""
+    for spec, (forms, counts) in table.items():
+        seen = Counter((r["kind"], r["check"]["status"]) for r in rows if r["type"] == spec)
+        assert sum(seen.values()) == forms and seen == counts, (spec, seen)
+    for r in rows:
+        status = r["check"]["status"]
+        assert (not r["d2"]) == (r["kind"] != "neither") == (status == "ok"), r
+        assert (status == "counterexample") == (r["check"]["pair"] is not None), r
 
 
 def test_criterion_11_rank2_hat_form_dichotomy():
@@ -291,16 +304,33 @@ def test_criterion_11_rank2_hat_form_dichotomy():
     # exactly when Δ2 = ∅; at radius 3 the check proves "ok" or finds a
     # counterexample for all but three G~2 forms
     t0 = time.time()
-    rows = _rank2_rows()
-    for spec, (forms, counts) in _DICHOTOMY.items():
-        seen = Counter((r["kind"], r["check"]["status"]) for r in rows if r["type"] == spec)
-        assert sum(seen.values()) == forms and seen == counts, (spec, seen)
-    for r in rows:
-        status = r["check"]["status"]
-        assert (not r["d2"]) == (r["kind"] != "neither") == (status == "ok"), r
-        assert (status == "counterexample") == (r["check"]["pair"] is not None), r
+    rows = _hat_rows(_DICHOTOMY, 3)
+    _assert_dichotomy(rows, _DICHOTOMY)
     # left for a certificate that these three have no meet-semilattice
     assert {(r["type"], r["form"]) for r in rows if r["check"]["status"] == "inconclusive"} == {
         ("G~2", "hat 0,1,0,1,0::1"), ("G~2", "hat 1,0,1,0::1"), ("G~2", "hat e::1")}
     assert rows == json.loads(RANK2.read_text())
     _stamp(11, "rank-2 hat forms: inversion set <=> meet semilattice", t0, 60.0)
+
+
+# As `_DICHOTOMY`, for the affine rank-3 types at radius 2.
+_DICHOTOMY3 = {
+    "A~3": (138, {("finite", "ok"): 1, ("infinite", "ok"): 74,
+                  ("neither", "counterexample"): 27, ("neither", "inconclusive"): 36}),
+    "B~3": (270, {("finite", "ok"): 1, ("infinite", "ok"): 146,
+                  ("neither", "counterexample"): 66, ("neither", "inconclusive"): 57}),
+    "C~3": (270, {("finite", "ok"): 1, ("infinite", "ok"): 146,
+                  ("neither", "counterexample"): 79, ("neither", "inconclusive"): 44}),
+}
+# Every row of `_hat_rows(_DICHOTOMY3, 2)`, recorded as RANK2 is.
+RANK3 = Path(__file__).parent / "data" / "rank3_hat_forms.json"
+
+
+def test_criterion_12_rank3_hat_form_dichotomy():
+    # criterion 11's dichotomy on every hat form of rank 3, at radius 2; the
+    # 137 forms left "inconclusive" are all "neither", left for a certificate
+    t0 = time.time()
+    rows = _hat_rows(_DICHOTOMY3, 2)
+    _assert_dichotomy(rows, _DICHOTOMY3)
+    assert rows == json.loads(RANK3.read_text())
+    _stamp(12, "rank-3 hat forms: inversion set <=> meet semilattice", t0, 30.0)

@@ -207,8 +207,8 @@ def test_lower_bound_guard_is_not_an_assert(monkeypatch):
 
 
 def test_lower_bounds_rejects_a_descent_letter(monkeypatch):
-    # a witness word whose second letter undoes its first would leave the
-    # prefix masks unnested, and the bisection over them wrong
+    # a witness word whose second letter undoes its first is not reduced, and
+    # its prefixes would no longer lie ≤_B one another
     monkeypatch.setattr(order, "_witness_letters", lambda oracle: itertools.repeat(1))
     with pytest.raises(DomainError, match="not an ascent"):
         lower_bound(el(A1T, 1, 0), simple(A1T, 1), HAT_NEG)
@@ -268,7 +268,8 @@ def test_check_meet_semilattice_verdicts():
 
 
 def test_inversion_set_symmetric_difference_is_length():
-    # l(u⁻¹v) = |Φ_u △ Φ_v|, which check_meet_semilattice uses for its cuts
+    # l(u⁻¹v) = |Φ_u △ Φ_v|: no check cuts a ball any more, but the referee
+    # `_per_pair_check` cuts at l(z) + l(z⁻¹x), a length read off masks
     for system, radius in ((A2T, 3), (build_system("G~2"), 3), (build_system("B3"), 9)):
         elems = ball(system, radius)
         for u, v in itertools.product(elems, repeat=2):
@@ -427,12 +428,16 @@ def test_check_meet_semilattice_matches_a_walk_per_pair():
         pair = None if res.pair is None else tuple(w.word for w in res.pair)
         assert (res.status, pair, res.checked) == _per_pair_check(
             system, parse_biclosed(system, expr), 3), (spec, expr)
-        # and the one shared walk gives each pair the z of its own walk
+        # and the one prefix below the whole ball is the longest of the pairs' own
         oracle = parse_biclosed(system, expr)
         elems = ball(system, 3)
-        pairs = list(itertools.combinations(range(len(elems)), 2))
-        assert order._lower_bounds(oracle, [u.inversion_mask() for u in elems], pairs) == [
-            _walked_lower_bound(elems[i], elems[j], oracle) for i, j in pairs], (spec, expr)
+        z = order._lower_bound(oracle, [u.inversion_mask() for u in elems])
+        assert z == max(
+            (_walked_lower_bound(x, y, oracle) for x, y in itertools.combinations(elems, 2)),
+            key=lambda z: z.length), (spec, expr)
+        # and the universe above it is the union of the intervals [z, x]_B
+        assert sorted(w.matrix for w in order._up_set(z, oracle, elems)) == sorted(
+            {w.matrix for x in elems for w in _product_interval(z, x, oracle)}), (spec, expr)
 
 
 def test_check_meet_semilattice_rejects_mixed_systems():
@@ -445,6 +450,18 @@ def test_check_counterexample_a2t():
     res = check_meet_semilattice(A2T, full, 3)
     assert res.status == "counterexample"
     assert tuple(w.word for w in res.pair) == ((0,), (1, 2))
+
+
+def test_check_reports_a_universe_that_lost_a_meet(monkeypatch):
+    # the sound branch keeps the two-top test, so a walk bug still shows: with
+    # s0 dropped from the up-set, the lower bounds of s0 and s0·s1 left there
+    # have two maximal elements
+    up_set = order._up_set
+    monkeypatch.setattr(order, "_up_set", lambda x, oracle, tops: [
+        u for u in up_set(x, oracle, tops) if u.word != (0,)])
+    res = check_meet_semilattice(A2T, parse_biclosed(A2T, "hat 0,1,0::"), 3)
+    assert (res.status, tuple(w.word for w in res.pair), res.checked) == (
+        "counterexample", ((0,), (0, 1)), 21)
 
 
 WORDS1 = st.lists(st.integers(min_value=0, max_value=1), max_size=5).map(tuple)
