@@ -2,11 +2,11 @@
 
 A word prefix·period^∞ is accepted only with a certificate: both parts
 reduced and l(prefix·period^k) = l(prefix) + k·l(period) for k up to twice
-the order m of the period's Weyl part.  Past that point the period powers are
-pure translations, whose lengths grow linearly, so a defect would already
-have shown up.  The word keeps period^m = t_μ only as its integer δ-row
-((α_j, μ))_j, for the drift μ, and the roots pairing positively with
-prefix·μ as a pattern: with Φ_prefix, they are its whole inversion set.
+the order m of the period's Weyl part, read off the same walk.  Past that
+point the period powers are pure translations, whose lengths grow linearly,
+so a defect would already have shown up.  Of period^m = t_μ the word keeps
+only the finite roots pairing positively with prefix·μ, as a pattern: with
+Φ_prefix, they are its whole inversion set.
 
 The classifier inverts this: given a biclosed oracle it decides whether the
 set is the inversion set of an element, of a validated infinite word, or of
@@ -27,46 +27,19 @@ from .system import CoxeterSystem, Root
 _ORDER_GUARD = 10000
 
 
-class PeriodicWord:
+class PeriodicWord(namedtuple("PeriodicWord", "system prefix period prefix_el pattern")):
     """A validated reduced word x = prefix·period^∞ (period may be empty).
 
     Φ_x is Φ_prefix with the positive roots whose finite part is in `pattern`,
-    those pairing positively with prefix·μ.  For σ > 0 and k = i·m + j, with m
-    the Weyl order, period^{-k}(σ) is period^{-j}(σ) − i·(σ, μ)·δ; and Φ of
-    period^j lies in Φ_{t_μ} for j ≤ m, whose roots all pair positively with
-    μ.  So σ is in Φ_{period^∞} iff (σ, μ) > 0."""
-
-    __slots__ = ("system", "prefix", "period", "prefix_el", "period_el",
-                 "weyl_order", "drift", "pattern")
-
-    def __init__(self, system, prefix, period, prefix_el, period_el,
-                 weyl_order, drift, pattern):
-        self.system = system
-        self.prefix = prefix
-        self.period = period
-        self.prefix_el = prefix_el
-        self.period_el = period_el
-        self.weyl_order = weyl_order
-        self.drift = drift
-        self.pattern = pattern
+    those pairing positively with prefix·μ, for period^m = t_μ and m the order
+    of the period's Weyl part.  For σ > 0 and k = i·m + j, period^{-k}(σ) is
+    period^{-j}(σ) − i·(σ, μ)·δ; and Φ of period^j lies in Φ_{t_μ} for j ≤ m,
+    whose roots all pair positively with μ.  So σ is in Φ_{period^∞} iff
+    (σ, μ) > 0."""
+    __slots__ = ()
 
     def __repr__(self):
         return f"PeriodicWord({list(self.prefix)}; {list(self.period)})"
-
-    def member(self, rho: Root) -> bool:
-        """Is the positive root ρ an inversion of this infinite word?"""
-        bit = 1 << self.system.root_bit(rho)
-        return bool(bit & (self.prefix_el.inversion_mask() | self.system.periodic(self.pattern, bit)))
-
-    def tail_limit_roots(self) -> frozenset[Root]:
-        """Finite roots β with (β, μ) > 0: their δ-strings end in Φ_{period^∞}."""
-        return _positive(self.system, self.drift) if self.period else frozenset()
-
-
-def _positive(system: CoxeterSystem, row) -> frozenset[Root]:
-    """The finite roots β with (β, λ) > 0, for λ given by its δ-row ((α_j, λ))_j."""
-    return frozenset(beta for beta in system.finite_roots
-                     if sum(c * d for c, d in zip(beta.coeffs, row)) > 0)
 
 
 def validate_periodic(system: CoxeterSystem, prefix, period) -> PeriodicWord:
@@ -80,32 +53,33 @@ def validate_periodic(system: CoxeterSystem, prefix, period) -> PeriodicWord:
     if prefix_el.length != len(prefix):
         raise NotReducedError("prefix word is not reduced", failing_power=0)
     if not period:
-        return PeriodicWord(system, prefix, period, prefix_el, None, 0, None, 0)
-    period_el = from_word(system, period)
-    if period_el.length != len(period):
+        return PeriodicWord(system, prefix, period, prefix_el, 0)
+    if from_word(system, period).length != len(period):
         raise NotReducedError("period word is not reduced", failing_power=0)
 
-    # one power loop: the order m of the period's Weyl part, and period^m = t_μ
-    power, order = period_el, 1
-    while not weyl_part(power).is_identity:
-        if order >= _ORDER_GUARD:
-            raise DomainError("element order exceeded the search guard")
-        power, order = power * period_el, order + 1
-
-    # Each walk records Φ, so no peel reads the length.  Every prefix of a
-    # reduced word is reduced, so the first short walk names the failing
-    # power; in a finite system one fails by k = m, as period^m is the identity.
-    el = prefix_el
-    for k in range(1, 2 * order + 1):
+    # One walk of prefix·period^k for k ≤ 2m.  Each step records Φ, so no peel
+    # reads the length, and every prefix of a reduced word is reduced, so the
+    # first short step names the failing power; in a finite system one fails
+    # by k = m, as period^m is the identity.  The Weyl part is a homomorphism,
+    # so m is the first k at which the finite block is the prefix's again.
+    rank = system.rank_finite
+    el, order, k = prefix_el, 0, 0
+    while not order or k < 2 * order:
+        k += 1
         el = walk(el, period)
         if el.length != len(prefix) + k * len(period):
             raise NotReducedError(f"word stops being reduced at period power {k}",
                                   failing_power=k)
-    rank = system.rank_finite
-    conjugate = prefix_el * power * prefix_el.inverse()   # t_{prefix·μ}
-    pattern = system.pattern(_positive(system, conjugate.matrix[rank][:rank]))
-    return PeriodicWord(system, prefix, period, prefix_el, period_el,
-                        order, power.matrix[rank][:rank], pattern)
+        if order:
+            continue
+        if el.matrix[:rank] == prefix_el.matrix[:rank]:
+            order, shifted = k, el   # prefix·t_μ
+        elif k >= _ORDER_GUARD:
+            raise DomainError("element order exceeded the search guard")
+    row = (shifted * prefix_el.inverse()).matrix[rank][:rank]   # t_{prefix·μ}
+    pattern = system.pattern(beta for beta in system.finite_roots
+                             if sum(c * d for c, d in zip(beta.coeffs, row)) > 0)
+    return PeriodicWord(system, prefix, period, prefix_el, pattern)
 
 
 class WordInvSet(BiclosedOracle):
@@ -176,8 +150,6 @@ def _try_prefix(oracle: BiclosedOracle, limits, prefix: GroupElement):
     # t_{ū·λ} = u·t_λ·u⁻¹, for λ the dominant coweight vanishing on Δ1
     t_gamma = (u * translation(system, system.dominant_coweight_for(d1))
                * u.inverse())
-    if t_gamma.is_identity:
-        return None
     period = t_gamma.word
     try:
         pword = validate_periodic(system, prefix.word, period)
@@ -243,5 +215,5 @@ def t_gamma_infinity(system: CoxeterSystem, gamma) -> tuple:
     if t_el.is_identity:
         raise DomainError("translation direction must be nonzero")
     word = validate_periodic(system, (), t_el.word)
-    oracle = HatForm(system, *_decompose_psi(system, word.tail_limit_roots()))
+    oracle = HatForm(system, *_decompose_psi(system, system.pattern_roots(word.pattern)))
     return oracle, word

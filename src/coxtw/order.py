@@ -96,11 +96,19 @@ def _up_set(x: GroupElement, oracle: BiclosedOracle, tops) -> list[GroupElement]
     """x and every w with x ≤_B w ≤_B some element of tops, level by level.
 
     Each [x, t]_B = x·[e, x⁻¹t] is graded by l_B, so level k + 1 of their
-    union is the set of up-covers of level k that lie ≤_B some top."""
+    union is the set of up-covers of level k that lie ≤_B some top; one
+    `members` call per cover, over its mask and every top's, serves them all."""
+    masks = [t.inversion_mask() for t in tops]
+    union = functools.reduce(operator.or_, masks, 0)
     out, level = [x], [x]
     while level:
         ups = {u.matrix: u for w in level for u in _ups_below(w, oracle, ())}
-        level = [u for u in ups.values() if any(le(u, t, oracle) for t in tops)]
+        level = []
+        for u in ups.values():
+            a = u.inversion_mask()
+            inside = oracle.members(a | union)
+            if any(_below(a, b, inside) for b in masks):
+                level.append(u)
         out += level
     return out
 

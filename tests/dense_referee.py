@@ -1,6 +1,7 @@
 """Referee kernels for the tests: plain Fraction Gaussian elimination, a
 Fraction phase-1 simplex, a Fraction symmetrizer, a scan of all 2ⁿ
-subsets for the biclosed ones, and root-by-root oracle membership.
+subsets for the biclosed ones, and root-by-root oracle membership, with a
+periodic word's Weyl order and translation from its own period powers.
 
 These are the textbook algorithms that `coxtw.linalg` replaced with one
 fraction-free elimination, `coxtw.feasibility` with an integer two-column
@@ -16,7 +17,7 @@ from itertools import combinations
 from math import gcd, lcm
 
 from coxtw.biclosed import Complement, Explicit, HatForm, Twisted
-from coxtw.elements import weyl_part
+from coxtw.elements import from_word, weyl_part
 from coxtw.infwords import WordInvSet
 
 
@@ -218,19 +219,38 @@ def member(oracle, rho) -> bool:
     raise TypeError(f"no referee for {type(oracle).__name__}")
 
 
+def period_translation(word):
+    """(m, t_μ): the order m of the period's Weyl part and period^m = t_μ, by
+    products of the period's element with itself; (0, None) with no period."""
+    if not word.period:
+        return 0, None
+    step = from_word(word.system, word.period)
+    power, order = step, 1
+    while not weyl_part(power).is_identity:
+        power, order = power * step, order + 1
+    return order, power
+
+
+def _pairs_positively(beta, t_mu) -> bool:
+    """(β, μ) > 0, read off the δ-row ((α_j, μ))_j of t_μ."""
+    row = t_mu.matrix[-1]
+    return sum(c * d for c, d in zip(beta.coeffs, row)) > 0
+
+
 def _word_member(word, rho) -> bool:
     """ρ ∈ Φ_x for x = prefix·period^∞: ρ ∈ Φ_prefix, or σ = prefix⁻¹ρ is sent
     negative by some period^{-k}.  With k = i·m + j, period^{-k}(σ) is
     period^{-j}(σ) − i·(σ, μ)·δ, so (σ, μ) > 0 or some j < m decides."""
-    sigma = word.prefix_el.inverse().apply(rho)
+    sigma = from_word(word.system, word.prefix).inverse().apply(rho)
     if sigma.is_negative:
         return True
-    if not word.period:
+    order, t_mu = period_translation(word)
+    if not order:
         return False
-    if sum(c * d for c, d in zip(sigma.coeffs, word.drift)) > 0:
+    if _pairs_positively(sigma, t_mu):
         return True
-    step = power = word.period_el.inverse()
-    for _ in range(1, word.weyl_order):
+    step = power = from_word(word.system, word.period).inverse()
+    for _ in range(1, order):
         if power.apply(sigma).is_negative:
             return True
         power = power * step
@@ -250,6 +270,9 @@ def limit_roots(oracle) -> frozenset:
         wbar = weyl_part(oracle.w)
         return frozenset(wbar.apply(alpha) for alpha in limit_roots(oracle.inner))
     if isinstance(oracle, WordInvSet):
-        pbar = weyl_part(oracle.word.prefix_el)
-        return frozenset(pbar.apply(beta) for beta in oracle.word.tail_limit_roots())
+        word = oracle.word
+        order, t_mu = period_translation(word)
+        pbar = weyl_part(from_word(system, word.prefix))
+        return frozenset(pbar.apply(beta) for beta in system.finite_roots
+                         if order and _pairs_positively(beta, t_mu))
     raise TypeError(f"no referee for {type(oracle).__name__}")

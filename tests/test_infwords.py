@@ -1,9 +1,10 @@
 import itertools
 
+import dense_referee as dense
 import pytest
 
 from coxtw.biclosed import Complement, Explicit, HatForm, Twisted, act_on_biclosed
-from coxtw.elements import from_word, identity, simple, translation
+from coxtw.elements import GroupElement, from_word, identity, simple, translation
 from coxtw import infwords
 from coxtw.errors import ClassificationError, DomainError, NotReducedError
 from coxtw.infwords import (WordInvSet, classify, limit_set, t_gamma_infinity,
@@ -21,11 +22,12 @@ DMA = Root((-1,), 1)
 def test_validate_periodic_accepts_translation_word():
     w = validate_periodic(A1T, (), (0, 1))
     assert w.period == (0, 1)
-    assert w.period_el == translation(A1T, (1,))
-    assert w.member(ALPHA)
-    assert w.member(Root((1,), 3))
-    assert not w.member(DMA)
-    assert w.tail_limit_roots() == {ALPHA}
+    assert from_word(A1T, w.period) == translation(A1T, (1,))
+    member = WordInvSet(w).member
+    assert member(ALPHA)
+    assert member(Root((1,), 3))
+    assert not member(DMA)
+    assert A1T.pattern_roots(w.pattern) == {ALPHA}
 
 
 def test_period_power_guard_is_not_an_assert(monkeypatch):
@@ -33,6 +35,30 @@ def test_period_power_guard_is_not_an_assert(monkeypatch):
     monkeypatch.setattr(infwords, "_ORDER_GUARD", 1)
     with pytest.raises(DomainError, match="search guard"):
         validate_periodic(A2T, (), (0, 1, 2))
+    # the guard bounds only the search for m: with m = 1 the walk goes on to k = 2
+    word = validate_periodic(A1T, (), (0, 1))
+    assert dense.period_translation(word)[0] == 1
+    assert word.pattern == A1T.pattern({ALPHA})
+
+
+def test_validate_periodic_makes_one_product(monkeypatch):
+    # m and prefix·t_μ come off the reducedness walk; only t_{prefix·μ} is a product
+    calls = []
+    product = GroupElement.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return product(self, other)
+
+    cases = [(A2T, (), (0, 1, 2)), (A2T, (1,), (2, 0, 1)),
+             (build_system("A~3"), (), (0, 1, 2, 3))]
+    for system, prefix, period in cases:
+        want = validate_periodic(system, prefix, period).pattern
+        monkeypatch.setattr(GroupElement, "__mul__", counted)
+        calls.clear()
+        assert validate_periodic(system, prefix, period).pattern == want
+        assert len(calls) == 1, (system, prefix, period)
+        monkeypatch.undo()
 
 
 def test_multi_term_drift_matches_long_truncations():
@@ -44,8 +70,11 @@ def test_multi_term_drift_matches_long_truncations():
     for spec, prefix, period in cases:
         system = build_system(spec)
         word = validate_periodic(system, prefix, period)
-        assert word.weyl_order > 1
-        assert all(isinstance(d, int) for d in word.drift)
+        order, t_mu = dense.period_translation(word)
+        assert order > 1
+        assert all(isinstance(d, int) for d in t_mu.matrix[-1])
+        oracle = WordInvSet(word)
+        assert system.pattern_roots(word.pattern) == dense.limit_roots(oracle)
 
         def truncation(n):
             letters = itertools.islice(itertools.chain(prefix, itertools.cycle(period)), n)
@@ -54,7 +83,7 @@ def test_multi_term_drift_matches_long_truncations():
         short, long = truncation(20), truncation(40)
         for rho in system.positive_roots_up_to(2):
             assert (rho in short) == (rho in long), (spec, rho)
-            assert word.member(rho) == (rho in long), (spec, rho)
+            assert oracle.member(rho) == (rho in long), (spec, rho)
 
 
 class _UnclosedLimits(Explicit):
@@ -77,9 +106,10 @@ def test_limit_set_certificate():
 def test_validate_periodic_prefix():
     # s1 (s0 s1)^inf spells the same word as (s1 s0)^inf
     w = validate_periodic(A1T, (1,), (0, 1))
-    assert w.member(DMA)
-    assert w.member(Root((-1,), 2))
-    assert not w.member(Root((1,), 1))
+    member = WordInvSet(w).member
+    assert member(DMA)
+    assert member(Root((-1,), 2))
+    assert not member(Root((1,), 1))
     letters = tuple(itertools.islice(
         itertools.chain(w.prefix, itertools.cycle(w.period)), 4))
     trunc = [from_word(A1T, letters[:n]) for n in range(1, 5)]
@@ -100,9 +130,10 @@ def test_validate_periodic_rejections():
 def test_empty_period_on_finite_system():
     w = validate_periodic(A2, (0, 1), ())
     assert w.period == ()
-    assert w.member(Root((1, 0)))
-    assert not w.member(Root((0, 1)))
-    assert w.tail_limit_roots() == frozenset()
+    member = WordInvSet(w).member
+    assert member(Root((1, 0)))
+    assert not member(Root((0, 1)))
+    assert A2.pattern_roots(w.pattern) == frozenset()
     # with no period the letters stop after the prefix
     letters = tuple(itertools.islice(
         itertools.chain(w.prefix, itertools.cycle(w.period)), 3))
@@ -202,6 +233,6 @@ def test_word_oracle_agrees_with_classifier_witness():
     orc = WordInvSet(base)
     res = classify(orc)
     assert res.kind == "infinite"
-    other = res.word
+    other = WordInvSet(res.word)
     for rho in A2T.positive_roots_up_to(3):
-        assert base.member(rho) == other.member(rho)
+        assert orc.member(rho) == other.member(rho)
