@@ -1,17 +1,14 @@
-"""Exact linear algebra on tiny dense matrices (rows of ints or Fractions).
+"""Exact linear algebra on tiny dense integer matrices, whose entries are
+read through `operator.index` (so a Fraction entry raises TypeError).
 
-Each row is scaled to integers, and one fraction-free (Bareiss) elimination
-runs on them: every entry it writes is a minor of the input, so each
-division is exact, and a Fraction is built only for the answer.  With no row
-swap its k-th pivot is the k-th leading principal minor.
+One fraction-free (Bareiss) elimination: every entry it writes is a minor of
+the input, so each division is exact.  With no row swap its k-th pivot is
+the k-th leading principal minor.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm, prod
-
-Matrix = tuple[tuple[Fraction, ...], ...]
+from operator import index
 
 
 def _eliminate(rows, swap: bool = True):
@@ -35,33 +32,23 @@ def _eliminate(rows, swap: bool = True):
     return pivots
 
 
-def _integer_rows(a, b=None):
-    """The rows of a, each joined with that of b, scaled to integers by the
-    lcm of its denominators; and the list of those scales."""
-    rows = [[*row, *b[i]] if b else list(row) for i, row in enumerate(a)]
-    scales = [lcm(*(x.denominator for x in row)) for row in rows]
-    return [[x.numerator * (m // x.denominator) for x in row]
-            for row, m in zip(rows, scales)], scales
-
-
-def leading_minors(a) -> tuple[Fraction, ...]:
+def leading_minors(a) -> tuple[int, ...]:
     """The leading principal minors of a, in order, up to the first zero one."""
-    rows, scales = _integer_rows(a)
-    pivots = _eliminate(rows, swap=False)
-    return tuple(Fraction(pivots[t], prod(scales[:t])) for t in range(1, len(pivots)))
+    return tuple(_eliminate([list(map(index, row)) for row in a], swap=False)[1:])
 
 
-def solve(a: Matrix, b: Matrix) -> Matrix:
-    """Solve a x = b for square invertible a and an n×m right-hand side b,
-    all columns in one elimination.  Raises ZeroDivisionError if singular."""
-    rows, _ = _integer_rows(a, b)
+def solve(a, b) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(d, X) with a·X = d·b and d = ±det a, for square a and n×m b, all
+    columns in one elimination.  Raises ZeroDivisionError if a is singular."""
+    rows = [[*map(index, row), *map(index, rhs)] for row, rhs in zip(a, b, strict=True)]
     n, d = len(rows), _eliminate(rows)[-1]
     if not d:
         raise ZeroDivisionError("singular matrix")
-    # a is now d·I, so each solution entry is one quotient
-    return tuple(tuple(Fraction(x, d) for x in row[n:]) for row in rows)
+    # a is now d·I, so X is what is left of b
+    return d, tuple(tuple(row[n:]) for row in rows)
 
 
-def inverse(a: Matrix) -> Matrix:
+def inverse(a) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(d, X) with a·X = d·I: d = ±det a and X = ±adj a."""
     n = len(a)
-    return solve(a, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+    return solve(a, [[int(i == j) for j in range(n)] for i in range(n)])

@@ -9,6 +9,7 @@ over a battery of oracles is evidence that both sides are right.
 
 from __future__ import annotations
 
+from . import elements
 from .biclosed import BiclosedOracle, Complement, Explicit, HatForm, Twisted
 from .elements import (GroupElement, ascend, ball, identity, simple,
                        translation)
@@ -43,16 +44,24 @@ def oracle_tlen(w: GroupElement, oracle: BiclosedOracle) -> int:
     if total != w.length:
         raise DomainError("root scan level bound is wrong")
     val = w.length - 2 * inside
+    if len(memo) >= elements._TABLE_BOUND:
+        memo.clear()
     memo[w.matrix] = val
     return val
 
 
+# Right neighbours by (system key, matrix), bounded as the tables of `elements`:
+# held here, not on the system, so that no system points at its own elements.
+_NEIGHBORS: dict = {}
+
+
 def _neighbors(w: GroupElement):
-    adj = w.system.oracle_adj
-    hit = adj.get(w.matrix)
+    key = (w.system.key, w.matrix)
+    hit = _NEIGHBORS.get(key)
     if hit is None:
-        hit = tuple(w.mul_simple(s) for s in range(w.system.ngens))
-        adj[w.matrix] = hit
+        if len(_NEIGHBORS) >= elements._TABLE_BOUND:
+            _NEIGHBORS.clear()
+        hit = _NEIGHBORS[key] = tuple(w.mul_simple(s) for s in range(w.system.ngens))
     return hit
 
 

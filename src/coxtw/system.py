@@ -5,8 +5,9 @@ extension of one.  Roots are integer coordinate vectors over the finite
 simple basis plus an integer δ-level, and Φ⁺ grows from the simple roots by
 integer raising.  The symmetrizer is solved, and the form built, in
 integers; Sylvester's test reads the leading minors of the Cartan matrix off
-one fraction-free elimination in `linalg`, and the form inverse takes one
-more, so all arithmetic is exact and root identities hold on the nose.
+one fraction-free elimination in `linalg`, and one more on the integer Gram
+matrix gives its determinant and adjugate, the form's inverse in integers,
+so all arithmetic is exact and root identities hold on the nose.
 """
 
 from __future__ import annotations
@@ -267,11 +268,9 @@ class CoxeterSystem:
         self.identity_matrix = tuple(tuple(int(r == c) for c in range(self.dim))
                                      for r in range(self.dim))
         self._reflections = tuple(self._reflection(s) for s in range(self.ngens))
-        # Filled on demand, by matrix: the bounded tables of `elements` (the peel of w,
-        # and w⁻¹ both ways), and each element's right neighbours for `oracle`.
+        # the bounded tables of `elements`, by matrix: the peel of w, and w⁻¹ both ways
         self.peels: dict = {}
         self.inverses: dict = {}
-        self.oracle_adj: dict = {}
 
     def __eq__(self, other):
         return isinstance(other, CoxeterSystem) and self.key == other.key
@@ -385,32 +384,27 @@ class CoxeterSystem:
     # -- coweights -----------------------------------------------------
 
     @cached_property
-    def fundamental_coweights(self) -> tuple[tuple[Fraction, ...], ...]:
-        """ω_i with (ω_i, α_j) = δ_ij, as vectors in simple-root coordinates."""
-        return linalg.inverse(self.form)
+    def integer_form(self):
+        """(G, H, N): the integer Gram matrix G = `gram`, N = det G and
+        H = adj G = N·G⁻¹, from one elimination in integers.  Every Weyl group
+        element w̄ preserves the form, so w̄⁻¹ = H·w̄ᵀ·G / N exactly."""
+        n, h = linalg.inverse(self.gram)
+        return self.gram, h, n
 
     @cached_property
-    def integer_form(self):
-        """(G, H, N): the integer Gram matrix G = `gram`, and H = N·G⁻¹ in
-        integers.  Every Weyl group element w̄ preserves the form, so
-        w̄⁻¹ = H·w̄ᵀ·G / N exactly."""
-        inv = self.fundamental_coweights
-        n = lcm(*(x.denominator for row in inv for x in row))
-        h = tuple(tuple(x.numerator * (n // x.denominator) for x in row) for row in inv)
-        return self.gram, h, n * self.form_scale
+    def fundamental_coweights(self) -> tuple[tuple[Fraction, ...], ...]:
+        """ω_i with (ω_i, α_j) = δ_ij, as vectors in simple-root coordinates:
+        the rows of form⁻¹ = form_scale·H/N."""
+        _, h, n = self.integer_form
+        return tuple(tuple(Fraction(self.form_scale * x, n) for x in row) for row in h)
 
     def dominant_coweight_for(self, avoid: frozenset | set) -> tuple[Fraction, ...]:
-        """n·Σ_{i∉L} ω_i: vanishes on the simples in L, positive elsewhere,
-        and lies in the coroot lattice thanks to the connection-index scale."""
-        n = self.connection_index
-        k = self.rank_finite
-        total = [Fraction(0)] * k
-        for i in range(k):
-            if i not in avoid:
-                w = self.fundamental_coweights[i]
-                for j in range(k):
-                    total[j] += n * w[j]
-        return tuple(total)
+        """c·Σ_{i∉L} ω_i, c the connection index: vanishes on the simples in L,
+        positive elsewhere, and lies in the coroot lattice thanks to c."""
+        _, h, n = self.integer_form
+        scale = self.connection_index * self.form_scale
+        return tuple(Fraction(scale * sum(x for i, x in enumerate(column) if i not in avoid), n)
+                     for column in zip(*h))
 
     def coroot_coordinates(self, vec) -> tuple[Fraction, ...]:
         """Coordinates of a vector over the simple coroots: c_i = λ_i d_i."""

@@ -123,6 +123,10 @@ def test_validate_periodic_rejections():
     with pytest.raises(NotReducedError) as info:
         validate_periodic(A2, (0, 0), (1,))
     assert info.value.failing_power == 0
+    # a period that is not reduced fails on the walk from the prefix, at power 1
+    with pytest.raises(NotReducedError) as info:
+        validate_periodic(A2, (), (0, 0))
+    assert info.value.failing_power == 1
     with pytest.raises(NotReducedError):
         validate_periodic(A1T, (0,), (0, 1))   # s0 s0 s1 ... collapses
 

@@ -12,7 +12,7 @@ from coxtw.errors import (ClassificationError, DomainError, JoinSearchError,
 from coxtw.exprs import parse_biclosed
 from coxtw.figures import FIGURES
 from coxtw.infwords import Classification, WordInvSet, classify, validate_periodic
-from coxtw.oracle import longest_finite, standard_battery
+from coxtw.oracle import longest_finite, oracle_meet, standard_battery
 from coxtw.order import (chain, check_meet_semilattice, cover_neighbors,
                          hasse, interval, is_up_cover, join, le, lower_bound,
                          meet, twisted_length)
@@ -225,6 +225,30 @@ def test_meet_and_join():
 
     with pytest.raises(JoinSearchError):
         join(simple(A1T, 0), simple(A1T, 1), Explicit(A1T, set()))
+
+
+@pytest.mark.parametrize("spec", ["A~1", "A~2"])
+def test_join_search_matches_the_brute_force_meet(spec):
+    # the complement of hat e:0: classifies as neither, so join searches its
+    # bounded ball; a join in ≤_B is a meet in the reverse order ≤_{Φ⁺∖B}
+    system = build_system(spec)
+    oracle = parse_biclosed(system, "hat e:0:")
+    comp = Complement(oracle)
+    assert classify(comp).kind == "neither"
+    elems = ball(system, 2)
+    found = errors = 0
+    for i, x in enumerate(elems):
+        for y in elems[i:]:
+            want = oracle_meet(x, y, comp, x.length + y.length + 4)
+            try:
+                got = join(x, y, oracle)
+            except JoinSearchError:
+                assert want == (), (x, y)
+                errors += 1
+            else:
+                assert want == (got,), (x, y)
+                found += 1
+    assert found and errors
 
 
 def test_meet_is_ordinary_under_empty_set():

@@ -121,17 +121,27 @@ def test_system_build_matches_the_dense_referee():
         form, k = system.form, system.rank_finite
         minors = dense.leading_minors(form)
         assert len(minors) == k and all(m > 0 for m in minors), system
-        assert linalg.leading_minors(form) == minors, system
+        assert linalg.leading_minors(system.gram) == dense.leading_minors(system.gram), system
         assert minors[-1] == dense.det(form), system
         assert system.connection_index == dense.det(system.cartan) == minors[-1] / prod(system.symmetrizer)
         inverse = dense.inverse(form)
         assert system.fundamental_coweights == inverse, system
-        # (G, H, N): G the form in integers, H = N·G⁻¹ with N the least such scale
+        # (G, H, N): G the form in integers, N = det G and H = N·G⁻¹ = adj G
         g, h, n = system.integer_form
         assert g == system.gram == tuple(tuple(int(x * system.form_scale) for x in row) for row in form)
         assert tuple(tuple(Fraction(x, n) for x in row) for row in h) == dense.inverse(g), system
-        scale = lcm(*(x.denominator for row in inverse for x in row))
-        assert n == scale * system.form_scale, system
+        assert n == dense.det(g), system
+
+
+def test_dominant_coweights_match_the_dense_referee():
+    # c·Σ_{i∉L} ω_i, c the connection index, for L empty, one simple, and all but one
+    for system in _referee_systems():
+        k, inverse = system.rank_finite, dense.inverse(system.form)
+        singles = [{i} for i in range(k)]
+        for avoid in [set()] + singles + [set(range(k)) - s for s in singles]:
+            want = tuple(system.connection_index * sum(inverse[i][j] for i in range(k) if i not in avoid)
+                         for j in range(k))
+            assert system.dominant_coweight_for(avoid) == want, (system, avoid)
 
 
 def _block_diagonal(*blocks):

@@ -8,11 +8,13 @@ import random
 import pytest
 
 from coxtw import elements
+from coxtw import oracle as referee
 from coxtw.biclosed import BiclosedOracle
 from coxtw.elements import GroupElement, ball, from_word
 from coxtw.errors import DomainError
 from coxtw.exprs import parse_biclosed
 from coxtw.infwords import classify
+from coxtw.oracle import oracle_le, oracle_tlen
 from coxtw.order import (chain, check_meet_semilattice, interval, is_up_cover,
                          join, le, meet, twisted_length)
 from coxtw.system import CoxeterSystem, Root, build_system
@@ -33,6 +35,7 @@ def _session():
         for oracle in (negative, positive):
             twisted_length(x, oracle)
             le(x, y, oracle)
+            oracle_le(x, y, oracle)
         z = x
         for _ in range(2):   # two up-covers in ≤_B
             z = z.mul_simple(next(s for s in range(system.ngens)
@@ -104,6 +107,21 @@ def test_tables_stay_within_their_bound(monkeypatch):
         assert (w * v).is_identity
     ball(system, 6)
     assert len(system.peels) <= 5 and len(system.inverses) <= 5
+
+
+def test_referee_tables_stay_within_the_bound(monkeypatch):
+    # the brute-force referee's neighbour table and twisted-length memo
+    monkeypatch.setattr(elements, "_TABLE_BOUND", 5)
+    monkeypatch.setattr(referee, "_NEIGHBORS", {})
+    system = build_system("C~2")
+    oracle = parse_biclosed(system, "hat e::")
+    elems = ball(system, 2)
+    for x in elems:
+        oracle_tlen(x, oracle)
+        oracle_le(elems[0], x, oracle)
+        assert len(referee._NEIGHBORS) <= 5 and len(oracle._raw_tlen) <= 5
+    assert referee._NEIGHBORS
+    assert all(oracle_le(elems[0], x, oracle) == le(elems[0], x, oracle) for x in elems)
 
 
 @pytest.mark.parametrize("spec, matrix, message", [

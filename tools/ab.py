@@ -9,9 +9,11 @@ keeps an ignored `src/**/__pycache__` of this tree out of the change side:
 under PYTHONDONTWRITEBYTECODE=1 only the side without one would recompile
 `src/` on every import.  Prints, for each end-to-end metric of
 BENCHMARK.json, the median of each side, their ratio, the parent's
-interquartile range, and in how many pairs the change was better; then the
-failed-op counts.  --parent DIR uses an existing checkout instead, and is
-refused if its `src/` holds a `__pycache__`.  Stdlib only.
+interquartile range, and in how many pairs the change was better, marking
+with BREACH a change median worse than the parent's by more than the
+metric's bound; then the failed-op counts, and one line naming the breaches.
+--parent DIR uses an existing checkout instead, and is refused if its `src/`
+holds a `__pycache__`.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -74,6 +76,7 @@ def export(dest: Path, rev: str | None = None) -> Path:
 def report(results, metrics) -> list[str]:
     lines = [f"{'metric':<14}{'parent':>11}{'change':>11}{'ratio':>8}"
              f"{'parent IQR':>22}{'better':>8}"]
+    breaches = []
     for metric in metrics:
         name, higher = metric["name"], metric["better"] == "higher"
         par = [r["metrics"][name]["value"] for r in results["parent"]]
@@ -81,11 +84,16 @@ def report(results, metrics) -> list[str]:
         q1, _, q3 = statistics.quantiles(par, n=4) if len(par) > 1 else (par[0],) * 3
         better = sum((c > p) if higher else (c < p) for p, c in zip(par, chg))
         mp, mc = statistics.median(par), statistics.median(chg)
+        breach = (mp - mc if higher else mc - mp) / mp > metric["bound"]
+        if breach:
+            breaches.append(name)
         lines.append(f"{name:<14}{mp:>11.4g}{mc:>11.4g}{mc / mp:>8.3f}"
-                     f"{f'{q1:.4g}–{q3:.4g}':>22}{f'{better}/{len(par)}':>8}")
+                     f"{f'{q1:.4g}–{q3:.4g}':>22}{f'{better}/{len(par)}':>8}"
+                     + ("  BREACH" if breach else ""))
     for side in ("parent", "change"):
         failed = sum(r["failed"] for r in results[side])
         lines.append(f"{side} failed ops: {failed}")
+    lines.append(f"bound breaches: {', '.join(breaches) or 'none'}")
     return lines
 
 
