@@ -7,15 +7,18 @@ oracle is two masks fixed at construction: its limit roots, extended
 δ-periodically, and the finitely many roots where the set differs from that
 extension.  One past the last of those is its stable level.
 
-The closure checks take roots of the system only, and ask of each pair of
-roots and each third root one question, whether the third lies in the cone
-of the pair, which `cone_contains` answers in integers.
+The closure checks take roots of the system only, and read one cone table:
+for each pair of roots, the roots of the list in the cone of the pair.  A
+root lies in that cone only if it lies in the pair's plane, so the pairs are
+grouped by plane and `cone_contains` is asked, in integers, only of the
+other roots of that plane.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from itertools import combinations
+from math import gcd
 
 from .errors import ClassificationError, DomainError, ResourceError, ValidationError
 from .feasibility import solve_nonneg
@@ -187,22 +190,53 @@ def _checked_roots(system: CoxeterSystem, roots) -> list[Root]:
     return roots
 
 
+def _cone_table(roots: list[Root]) -> list[list[int]]:
+    """cones[i][j]: the bits of the roots in the cone of roots i and j, both included.
+
+    The pairs are grouped by plane, keyed by the integer Plücker vector of
+    (α, β) over (*coeffs, delta), divided by its gcd and made positive in its
+    first nonzero entry; the roots of a plane are the ends of its pairs.  A
+    parallel pair (β = −α) spans a line, whose cone holds just the pair, as
+    no other multiple of a root is a root."""
+    n = len(roots)
+    vecs = [(*r.coeffs, r.delta) for r in roots]
+    cones = [[1 << i] * n for i in range(n)]
+    planes = {}
+    places = list(combinations(range(len(vecs[0])), 2)) if n else []
+    for i, j in combinations(range(n), 2):
+        cones[i][j] = cones[j][i] = 1 << i | 1 << j
+        a, b = vecs[i], vecs[j]
+        p = [a[k] * b[m] - a[m] * b[k] for k, m in places]
+        if g := gcd(*p):
+            g = g if next(x for x in p if x) > 0 else -g
+            planes.setdefault(tuple(x // g for x in p), []).append((i, j))
+    for pairs in planes.values():
+        plane = {t for pair in pairs for t in pair}
+        for i, j in pairs:
+            cones[i][j] = cones[j][i] = cones[i][j] | sum(
+                1 << t for t in plane - {i, j} if cone_contains((roots[i], roots[j]), roots[t]))
+    return cones
+
+
 def closure_check(system: CoxeterSystem, gamma, ambient) -> ClosureReport:
     """Is Γ 2-closed inside the ambient set?
 
     Γ is 2-closed when the cone of every pair of its roots captures only
-    ambient roots that lie in Γ.  The witness is ((g1, g2), captured_root)
+    ambient roots that lie in Γ; the cones are read off the table of the
+    ambient set, asked per plane.  The witness is ((g1, g2), captured_root)
     for the first failure in sorted order."""
     members = _checked_roots(system, gamma)
     ambient = _checked_roots(system, ambient)
-    gamma = frozenset(members)
-    if not gamma <= set(ambient):
+    index = {r: t for t, r in enumerate(ambient)}
+    if any(r not in index for r in members):
         raise DomainError("closure check needs gamma inside the ambient set")
-    outside = [r for r in ambient if r not in gamma]
-    for g1, g2 in combinations(members, 2):
-        for t in outside:
-            if cone_contains((g1, g2), t):
-                return ClosureReport(False, ((g1, g2), t))
+    inside = [index[r] for r in members]
+    outside = ((1 << len(ambient)) - 1) ^ sum(1 << t for t in inside)
+    cones = _cone_table(ambient)
+    for i, j in combinations(inside, 2):   # ambient is sorted: a lowest bit is a first root
+        if hit := cones[i][j] & outside:
+            return ClosureReport(False, ((ambient[i], ambient[j]),
+                                         ambient[(hit & -hit).bit_length() - 1]))
     return ClosureReport(True, None)
 
 
@@ -230,15 +264,14 @@ def enumerate_biclosed(system: CoxeterSystem, ambient) -> tuple[frozenset[Root],
     Backtracks over the sorted roots, putting each in the set or in its
     complement; a root that joins a side brings its pair cone with each root
     there until the side is closed, and a branch ends where the sides meet.
-    So every full assignment is biclosed, and the cost follows the output."""
+    So every full assignment is biclosed, and the cost follows the output.
+    The pair cones come from one table, which asks the cone question only
+    inside each pair's plane."""
     roots = _checked_roots(system, ambient)
     n = len(roots)
     if n > _ENUM_LIMIT:
         raise ResourceError(f"ambient set of {n} roots exceeds the enumeration limit {_ENUM_LIMIT}")
-    cones = [[1 << i] * n for i in range(n)]
-    for i, j in combinations(range(n), 2):
-        cones[i][j] = cones[j][i] = sum(1 << t for t in range(n) if t in (i, j)
-                                        or cone_contains((roots[i], roots[j]), roots[t]))
+    cones = _cone_table(roots)
 
     def close(side: int, new: int) -> int:
         while new:

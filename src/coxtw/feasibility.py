@@ -1,9 +1,11 @@
 """Exact cone membership for the 2-closure checks.
 
 solve_nonneg returns one x >= 0 with A x = b, or None, for A of at most two
-columns: does b lie in the cone of two roots (`biclosed.cone_contains`)?
-Integers decide, by Cramer's rule on a nonzero 2×2 minor, else by a ray test
-on each column alone; a Fraction is built only for the answer.
+columns: does b lie in the cone of two roots?  Its one caller is
+`biclosed.cone_contains`, which the cone table of the closure checks asks
+only of the roots in each pair's plane.  Integers decide, by Cramer's rule
+on a nonzero 2×2 minor, else by a ray test on each column alone; a Fraction
+is built only for the answer.
 """
 
 from __future__ import annotations

@@ -50,8 +50,9 @@ def oracle_tlen(w: GroupElement, oracle: BiclosedOracle) -> int:
     return val
 
 
-# Right neighbours by (system key, matrix), bounded as the tables of `elements`:
-# held here, not on the system, so that no system points at its own elements.
+# The right neighbours' matrices by (system key, matrix), bounded as the tables
+# of `elements`: held here, not on the system, and as matrices, not elements, so
+# that no system points at its own elements and the table keeps no system alive.
 _NEIGHBORS: dict = {}
 
 
@@ -61,8 +62,8 @@ def _neighbors(w: GroupElement):
     if hit is None:
         if len(_NEIGHBORS) >= elements._TABLE_BOUND:
             _NEIGHBORS.clear()
-        hit = _NEIGHBORS[key] = tuple(w.mul_simple(s) for s in range(w.system.ngens))
-    return hit
+        hit = _NEIGHBORS[key] = tuple(w.mul_simple(s).matrix for s in range(w.system.ngens))
+    return tuple(GroupElement(w.system, m) for m in hit)
 
 
 def oracle_le(x: GroupElement, y: GroupElement, oracle: BiclosedOracle) -> bool:

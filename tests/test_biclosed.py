@@ -5,6 +5,7 @@ from itertools import combinations
 import dense_referee as dense
 import pytest
 
+from coxtw import biclosed
 from coxtw.biclosed import (BiclosedOracle, Complement, Explicit, HatForm,
                             Twisted, act_on_biclosed, biclosed_check,
                             classify_finite_biclosed, closure_check,
@@ -54,6 +55,45 @@ def test_cone_contains_matches_the_simplex_referee():
                 if t not in (g1, g2):
                     want = dense.solve_nonneg(rows, coords(t)) is not None
                     assert cone_contains((g1, g2), t) == want, (system, g1, g2, t)
+
+
+def _ambient_sets():
+    """Finite Φ, which hold α with −α; affine Φ⁺ up to a level; and affine
+    roots of both signs, where α+kδ and −α−kδ are parallel."""
+    for spec in ("A1", "A2", "B2", "G2", "A3", "B3"):
+        yield pytest.param(build_system(spec).finite_roots, id=f"{spec}-full")
+    for spec, level in (("A~1", 3), ("A~2", 2), ("C~2", 2), ("G~2", 2)):
+        yield pytest.param(build_system(spec).positive_roots_up_to(level),
+                           id=f"{spec}-positive-{level}")
+    yield pytest.param(build_system("A~2").roots_up_to(1), id="A~2-both-signs-1")
+
+
+@pytest.mark.parametrize("ambient", _ambient_sets())
+def test_cone_table_matches_the_all_triples_table(ambient):
+    # the plane-keyed table against every (pair, third root) asked of the simplex
+    roots = sorted(ambient, key=lambda r: r.key)
+    coords = [(*r.coeffs, r.delta) for r in roots]
+    n = len(roots)
+    want = [[1 << i] * n for i in range(n)]
+    for i, j in combinations(range(n), 2):
+        rows = list(zip(coords[i], coords[j]))
+        want[i][j] = want[j][i] = sum(1 << t for t in range(n) if t in (i, j)
+                                      or dense.solve_nonneg(rows, coords[t]) is not None)
+    assert biclosed._cone_table(roots) == want
+
+
+def test_cone_table_asks_only_inside_each_plane(monkeypatch):
+    # D4 Φ⁺: 660 cone questions over all triples, 48 inside the 16 A2 planes
+    calls = []
+
+    def counting(generators, target):
+        calls.append(target)
+        return cone_contains(generators, target)
+
+    monkeypatch.setattr(biclosed, "cone_contains", counting)
+    d4 = build_system("D4")
+    assert len(enumerate_biclosed(d4, d4.positive_roots)) == 192
+    assert len(calls) < 100
 
 
 def test_closure_checks_take_roots_of_the_system_only():
@@ -148,6 +188,14 @@ def test_enumerate_past_the_subset_scan():
     a5 = build_system("A5")
     found = enumerate_biclosed(a5, a5.positive_roots)
     assert len(found) == 720 and set(found) == {w.inversion_set() for w in ball(a5, 15)}
+
+
+def test_enumerate_counts_the_weyl_group():
+    # over a finite Φ⁺ the biclosed sets are the inversion sets, one per element;
+    # F4 Φ⁺ has 24 roots, as many as the enumeration takes
+    for spec, order in (("F4", 1152), ("D5", 1920)):
+        system = build_system(spec)
+        assert len(enumerate_biclosed(system, system.positive_roots)) == order
 
 
 def test_enumerate_limit():

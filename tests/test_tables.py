@@ -4,6 +4,7 @@ elements, oracles and systems into reference cycles."""
 
 import gc
 import random
+import weakref
 
 import pytest
 
@@ -24,9 +25,12 @@ LONGEST = {"A~2": "0,1,0", "B~3": "0,1,2,0,1,2,0,1,2"}
 
 
 def _session():
-    """One library session on A~2 and B~3, dropped on return."""
+    """One library session on A~2 and B~3, dropped on return; weak references
+    to its systems."""
+    systems = []
     for spec, w0 in LONGEST.items():
         system = build_system(spec)
+        systems.append(weakref.ref(system))
         negative = parse_biclosed(system, f"hat {w0}::")   # meets exist
         positive = parse_biclosed(system, "hat e::")       # joins exist
         x, y = from_word(system, (0, 1, 2)), from_word(system, (2, 1))
@@ -48,6 +52,7 @@ def _session():
         classify(negative)
         ball(system, 3)
         check_meet_semilattice(system, negative, 1)
+    return systems
 
 
 def test_a_session_leaves_no_reference_cycles():
@@ -68,6 +73,16 @@ def test_a_session_leaves_no_reference_cycles():
         if enabled:
             gc.enable()
     assert not cyclic
+
+
+def test_a_dropped_session_frees_its_systems(monkeypatch):
+    # no module-level table, the referee's neighbours included, may keep a
+    # system, and with it its peel and inverse tables, alive; the neighbour
+    # table starts empty, so that this session's systems fill it
+    monkeypatch.setattr(referee, "_NEIGHBORS", {})
+    systems = _session()
+    gc.collect()
+    assert [ref() for ref in systems] == [None] * len(LONGEST)
 
 
 def _random_words(system, seed, count=40, longest=14):
