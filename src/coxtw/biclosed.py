@@ -22,12 +22,8 @@ from math import gcd
 
 from .errors import ClassificationError, DomainError, ResourceError, ValidationError
 from .feasibility import solve_nonneg
-from .elements import GroupElement, ascend, weyl_part
+from .elements import GroupElement, ascend
 from .system import CoxeterSystem, Root
-
-
-def _support(rho: Root) -> frozenset[int]:
-    return frozenset(i for i, c in enumerate(rho.coeffs) if c)
 
 
 class BiclosedOracle:
@@ -95,13 +91,9 @@ class HatForm(BiclosedOracle):
             raise ValidationError("hat-form oracles require an affine system")
         if u.system.key != system.key:
             raise DomainError("element belongs to a different system")
-        if weyl_part(u) != u:
-            raise ValidationError("hat-form element must lie in the finite Weyl subgroup")
         self.u = u
-        self.delta1 = frozenset(int(i) for i in delta1)
-        self.delta2 = frozenset(int(i) for i in delta2)
-        self.positive_system = expand_psi(system, u, self.delta1, self.delta2)
-        super().__init__(system, system.pattern(self.positive_system), 0)
+        self.delta1, self.delta2 = (frozenset(int(i) for i in d) for d in (delta1, delta2))
+        super().__init__(system, _psi_pattern(system, u, self.delta1, self.delta2), 0)
 
     def key(self) -> str:
         word = ",".join(str(s) for s in self.u.word)
@@ -134,8 +126,7 @@ class Twisted(BiclosedOracle):
             up = sigma.is_positive
             if up == inner.member(sigma if up else -sigma):
                 held |= 1 << b
-        wbar = weyl_part(w)
-        pattern = system.pattern(wbar.apply(alpha) for alpha in inner.limit_roots())
+        pattern = system.moved_pattern(w.matrix, inner.pattern)
         super().__init__(system, pattern, held ^ system.periodic(pattern, top))
 
     def key(self) -> str:
@@ -193,11 +184,12 @@ def _checked_roots(system: CoxeterSystem, roots) -> list[Root]:
 def _cone_table(roots: list[Root]) -> list[list[int]]:
     """cones[i][j]: the bits of the roots in the cone of roots i and j, both included.
 
-    The pairs are grouped by plane, keyed by the integer Plücker vector of
-    (α, β) over (*coeffs, delta), divided by its gcd and made positive in its
-    first nonzero entry; the roots of a plane are the ends of its pairs.  A
-    parallel pair (β = −α) spans a line, whose cone holds just the pair, as
-    no other multiple of a root is a root."""
+    The pairs i < j are grouped by oriented plane, keyed by the integer
+    Plücker vector α∧β over (*coeffs, delta) divided by its gcd.  A root t
+    in the cone is aα + bβ with a, b > 0, so α∧t and t∧β are positive
+    multiples of α∧β: t is an end of a pair of the same key, and only those
+    ends are asked.  A parallel pair (β = −α) spans a line, whose cone holds
+    just the pair, as no other multiple of a root is a root."""
     n = len(roots)
     vecs = [(*r.coeffs, r.delta) for r in roots]
     cones = [[1 << i] * n for i in range(n)]
@@ -208,7 +200,6 @@ def _cone_table(roots: list[Root]) -> list[list[int]]:
         a, b = vecs[i], vecs[j]
         p = [a[k] * b[m] - a[m] * b[k] for k, m in places]
         if g := gcd(*p):
-            g = g if next(x for x in p if x) > 0 else -g
             planes.setdefault(tuple(x // g for x in p), []).append((i, j))
     for pairs in planes.values():
         plane = {t for pair in pairs for t in pair}
@@ -218,6 +209,23 @@ def _cone_table(roots: list[Root]) -> list[list[int]]:
     return cones
 
 
+def _first_captures(system: CoxeterSystem, gamma, ambient):
+    """For Γ and then for its complement inside the ambient set, read off one
+    cone table: ((g1, g2), captured) for the side's first pair in sorted order
+    whose cone holds a root off the side, or None if the side is 2-closed."""
+    members = _checked_roots(system, gamma)
+    ambient = _checked_roots(system, ambient)
+    index = {r: t for t, r in enumerate(ambient)}
+    if any(r not in index for r in members):
+        raise DomainError("closure check needs gamma inside the ambient set")
+    cones, full = _cone_table(ambient), (1 << len(ambient)) - 1
+    inside = sum(1 << index[r] for r in members)
+    for side in (inside, full ^ inside):   # ambient is sorted: a lowest bit is a first root
+        pairs = combinations([t for t in range(len(ambient)) if side >> t & 1], 2)
+        yield next((((ambient[i], ambient[j]), ambient[(hit & -hit).bit_length() - 1])
+                    for i, j in pairs if (hit := cones[i][j] & full & ~side)), None)
+
+
 def closure_check(system: CoxeterSystem, gamma, ambient) -> ClosureReport:
     """Is Γ 2-closed inside the ambient set?
 
@@ -225,31 +233,15 @@ def closure_check(system: CoxeterSystem, gamma, ambient) -> ClosureReport:
     ambient roots that lie in Γ; the cones are read off the table of the
     ambient set, asked per plane.  The witness is ((g1, g2), captured_root)
     for the first failure in sorted order."""
-    members = _checked_roots(system, gamma)
-    ambient = _checked_roots(system, ambient)
-    index = {r: t for t, r in enumerate(ambient)}
-    if any(r not in index for r in members):
-        raise DomainError("closure check needs gamma inside the ambient set")
-    inside = [index[r] for r in members]
-    outside = ((1 << len(ambient)) - 1) ^ sum(1 << t for t in inside)
-    cones = _cone_table(ambient)
-    for i, j in combinations(inside, 2):   # ambient is sorted: a lowest bit is a first root
-        if hit := cones[i][j] & outside:
-            return ClosureReport(False, ((ambient[i], ambient[j]),
-                                         ambient[(hit & -hit).bit_length() - 1]))
-    return ClosureReport(True, None)
+    witness = next(_first_captures(system, gamma, ambient))
+    return ClosureReport(witness is None, witness)
 
 
 def biclosed_check(system: CoxeterSystem, gamma, ambient) -> BiclosedReport:
-    """Closedness of Γ and of its complement inside the ambient set."""
-    gamma = frozenset(gamma)
-    ambient = frozenset(ambient)
-    first = closure_check(system, gamma, ambient)
-    if not first.closed:
-        return BiclosedReport(False, "set", first.witness)
-    second = closure_check(system, ambient - gamma, ambient)
-    if not second.closed:
-        return BiclosedReport(False, "complement", second.witness)
+    """Closedness of Γ and of its complement inside the ambient set, read off one cone table."""
+    for side, witness in zip(("set", "complement"), _first_captures(system, gamma, ambient)):
+        if witness:
+            return BiclosedReport(False, side, witness)
     return BiclosedReport(True, None, None)
 
 
@@ -301,66 +293,59 @@ def enumerate_biclosed(system: CoxeterSystem, ambient) -> tuple[frozenset[Root],
 
 
 def expand_psi(system: CoxeterSystem, u: GroupElement, delta1, delta2) -> frozenset[Root]:
-    """The twisted positive system u((Φ⁺ ∖ R≥0Δ1) ∪ RΔ2∩Φ) of the finite roots.
+    """The twisted positive system u((Φ⁺ ∖ R≥0Δ1) ∪ RΔ2∩Φ) of the finite
+    roots, decoded from its pattern (`_psi_pattern`, which validates)."""
+    d1, d2 = (frozenset(int(i) for i in d) for d in (delta1, delta2))
+    return system.pattern_roots(_psi_pattern(system, u, d1, d2))
 
-    This is the one place that validates (u, Δ1, Δ2): the index sets must be
-    in range, disjoint and orthogonal to each other."""
-    d1 = frozenset(int(i) for i in delta1)
-    d2 = frozenset(int(i) for i in delta2)
-    k = system.rank_finite
+
+def _psi_pattern(system: CoxeterSystem, u: GroupElement, d1: frozenset, d2: frozenset) -> int:
+    """The pattern of u((Φ⁺ ∖ R≥0Δ1) ∪ RΔ2∩Φ), −α_i at bit i and α_i at bit N+i.
+
+    u(Φ⁺) is the β > 0 outside Φ_u and the −β for β in Φ_u: two bit operations
+    on Φ_u's mask, which for a finite u lies in bits 0..N−1.  Then u(Φ⁺_Δ1)
+    leaves and ±u(Φ_Δ2) joins, so u's matrix meets those roots only.  This is
+    the one place that validates (u, Δ1, Δ2): u must lie in the finite Weyl
+    group, and Δ1, Δ2 be in range, disjoint and orthogonal to each other."""
+    k, n = system.rank_finite, len(system.positive_roots)
     if any(not 0 <= i < k for i in d1 | d2):
         raise ValidationError("simple-root index out of range")
     if d1 & d2:
         raise ValidationError("subsets must be disjoint")
-    for i in d1:
-        for j in d2:
-            if system.form[i][j] != 0:
-                raise ValidationError(
-                    f"subsets must be orthogonal; ({i},{j}) pair is not"
-                )
-    out = set()
-    for beta in system.positive_roots:
-        image = u.apply(beta)
-        if not _support(beta) <= d1:
-            out.add(image)
-        if _support(beta) <= d2:
-            out.add(image)
-            out.add(-image)
-    return frozenset(out)
+    if bad := next(((i, j) for i in d1 for j in d2 if system.form[i][j]), None):
+        raise ValidationError(f"subsets must be orthogonal; ({bad[0]},{bad[1]}) pair is not")
+    if (mask := u.inversion_mask()) >> n:
+        raise ValidationError("element must lie in the finite Weyl subgroup")
+    # Φ⁺_Δ1 and Φ⁺_Δ2 at bits N+b: the positive roots with support inside each
+    sub1, sub2 = (sum(1 << n + b for b, beta in enumerate(system.positive_roots)
+                      if all(i in d for i, c in enumerate(beta.coeffs) if c)) if d else 0
+                  for d in (d1, d2))
+    out = ((1 << n) - 1 ^ mask) << n | mask
+    out &= ~system.moved_pattern(u.matrix, sub1)
+    return out | system.moved_pattern(u.matrix, sub2 | sub2 >> n)
 
 
-def _peel_inversion_set(system: CoxeterSystem, mask: int) -> GroupElement:
-    """The element x with Φ_x equal to the given mask of finitely many positive roots.
-
-    The greedy ascent inside the set ends at x when the set is Φ_x, and at
-    some element with a smaller inversion set otherwise, so one comparison
-    decides.  Raises ClassificationError when the set is no inversion set."""
-    x = ascend(system, mask)
-    if x.inversion_mask() != mask:
-        raise ClassificationError("set is not the inversion set of an element")
-    return x
-
-
-def _decompose_psi(system: CoxeterSystem, gamma):
-    """The inverse of expand_psi: (u, Δ1, Δ2) with u minimal in u·W_{Δ1∪Δ2}.
+def _decompose_psi(system: CoxeterSystem, gamma: int):
+    """The inverse of `_psi_pattern` on a pattern Γ: (u, Δ1, Δ2), u minimal in u·W_{Δ1∪Δ2}.
 
     Γ∩−Γ is u·Φ_Δ2 and the roots with neither sign in Γ are u·Φ_Δ1.  Their
     positive members together with the rest of Γ form the positive system
-    u(Φ⁺), so Φ_u is the set of positive roots β with β ∉ Γ and −β ∈ Γ.
-    Raises ClassificationError unless (u, Δ1, Δ2) expands back to Γ."""
-    gamma = frozenset(gamma)
-    u = _peel_inversion_set(system, sum(1 << system.root_bit(beta) for beta in system.positive_roots
-                                        if beta not in gamma and -beta in gamma))
-    images = [u.apply(system.simple_root(i)) for i in range(system.rank_finite)]
-    d1 = frozenset(i for i, image in enumerate(images) if image not in gamma)
-    d2 = frozenset(i for i, image in enumerate(images) if -image in gamma)
+    u(Φ⁺), so Φ_u is the positive β with β ∉ Γ and −β ∈ Γ, Γ & ~(Γ >> N) in
+    bits 0..N−1, and u the greedy ascent inside it.  Δ1 and Δ2 are read off
+    the pattern bits of the columns u(α_i).  Raises ClassificationError unless
+    (u, Δ1, Δ2) expands back to Γ.  That also certifies Φ_u: for any expansion,
+    Γ & ~(Γ >> N) lies inside Φ_u, and the ascent's Φ_u inside the mask."""
+    n = len(system.positive_roots)
+    u = ascend(system, gamma & ~(gamma >> n) & (1 << n) - 1)
+    bits = [system.column_bit(column) + n for column in list(zip(*u.matrix))[:system.rank_finite]]
+    d1 = frozenset(i for i, b in enumerate(bits) if not gamma >> b & 1)
+    d2 = frozenset(i for i, b in enumerate(bits) if gamma >> (b + n) % (2 * n) & 1)
     try:
-        ok = expand_psi(system, u, d1, d2) == gamma
+        if _psi_pattern(system, u, d1, d2) == gamma:
+            return u, d1, d2
     except ValidationError:
-        ok = False
-    if not ok:
-        raise ClassificationError("set is not a twisted positive system of this kind")
-    return u, d1, d2
+        pass
+    raise ClassificationError("set is not a twisted positive system of this kind")
 
 
 def classify_finite_biclosed(system: CoxeterSystem, gamma):
@@ -373,4 +358,7 @@ def classify_finite_biclosed(system: CoxeterSystem, gamma):
     """
     if system.kind != "finite":
         raise DomainError("finite classification requires a finite system")
-    return _decompose_psi(system, gamma)
+    gamma = frozenset(gamma)
+    if not all(map(system.is_root, gamma)):
+        raise ClassificationError("set holds a vector that is no root of this system")
+    return _decompose_psi(system, system.pattern(gamma))

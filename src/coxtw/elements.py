@@ -233,10 +233,10 @@ def _negative(system: CoxeterSystem, image) -> bool:
 
 def grow(system: CoxeterSystem, level, keep=None) -> list[GroupElement]:
     """One level up: the w·s (w in level) with w(α_s) positive and kept by keep
-    (None keeps all), de-duplicated by matrix.  level must hold every length-d
-    element whose inversions are all kept, in ShortLex order, as on any walk up
-    from e; then y is first found from its least (rank of w, s), so NF(y) =
-    NF(w)·s: each word is inherited and the result is again in ShortLex order."""
+    (None keeps all), each built once, for a new Φ_ws = Φ_w ⊔ {w(α_s)}.  level must
+    hold every length-d element whose inversions are all kept, in ShortLex order, as
+    on any walk up from e; then y is first found from its least (rank of w, s), so
+    NF(y) = NF(w)·s: each word is inherited and the result is again in ShortLex order."""
     grown = {}
     gens = range(system.ngens)
     for w in level:
@@ -246,25 +246,29 @@ def grow(system: CoxeterSystem, level, keep=None) -> list[GroupElement]:
             if _negative(system, image) or (
                     keep and not keep(w.apply(system.simple_root(s)))):
                 continue
-            y = w.mul_simple(s, image)
-            if grown.setdefault(y.matrix, y) is y:
-                y._word, y._mask = word + (s,), mask | 1 << system.column_bit(image)
+            if (up := mask | 1 << system.column_bit(image)) not in grown:
+                y = grown[up] = w.mul_simple(s, image)
+                y._word, y._mask = word + (s,), up
     return list(grown.values())
 
 
 def ascend(system: CoxeterSystem, mask: int) -> GroupElement:
     """Greedy ascent from e: step to w·s, smallest s first, while w(α_s) is in mask.
 
-    mask must be a finite set of positive roots.  The walk ends at a
-    maximal element whose inversion set lies inside mask: x itself on Φ_x,
-    and the ordinary meet of a and b on Φ_a ∩ Φ_b."""
-    w = identity(system)
+    mask must be a finite set of positive roots.  The walk ends at a maximal
+    element x whose inversion set lies inside mask: x itself on Φ_x, and the
+    ordinary meet of a and b on Φ_a ∩ Φ_b.  Each step is the smallest left
+    descent of w⁻¹x, so the letters are x's ShortLex word, kept as its `word`."""
+    w, word, mask_w = identity(system), [], 0
     while True:
         for s in range(system.ngens):
-            if (bit := system.column_bit(_image(system, w.matrix, s))) >= 0 and mask >> bit & 1:
-                w = walk(w, (s,))
+            image = _image(system, w.matrix, s)
+            if (bit := system.column_bit(image)) >= 0 and mask >> bit & 1:
+                w, mask_w = w.mul_simple(s, image), mask_w | 1 << bit   # Φ_ws = Φ_w ⊔ {w(α_s)}
+                word.append(s)
                 break
         else:
+            w._word, w._mask = tuple(word), mask_w
             return w
 
 

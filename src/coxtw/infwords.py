@@ -17,10 +17,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .biclosed import (BiclosedOracle, HatForm, _decompose_psi,
-                       _peel_inversion_set)
-from .elements import (GroupElement, from_word, grow, identity, translation,
-                       walk, weyl_part)
+from .biclosed import BiclosedOracle, HatForm, _decompose_psi
+from .elements import GroupElement, ascend, from_word, grow, identity, translation, walk
 from .errors import ClassificationError, DomainError, NotReducedError
 from .system import CoxeterSystem, Root
 
@@ -100,10 +98,10 @@ def limit_set(oracle: BiclosedOracle) -> frozenset[Root]:
 
     I_B is biclosed in the finite root system Φ, and the biclosed subsets of
     a finite Φ are exactly its twisted positive systems, so the limit set is
-    certified by decomposing it as one."""
+    certified by decomposing its pattern as one."""
     raw = oracle.limit_roots()
     try:
-        _decompose_psi(oracle.system, raw)
+        _decompose_psi(oracle.system, oracle.system.pattern(raw))
     except ClassificationError:
         raise DomainError(f"limit set of {oracle.key()} is not biclosed")
     return raw
@@ -137,10 +135,9 @@ def _find_bad_pair(oracle: BiclosedOracle, overlap) -> tuple[Root, Root]:
     raise ClassificationError("limit overlap without a witnessing pair")
 
 
-def _try_prefix(oracle: BiclosedOracle, limits, prefix: GroupElement):
+def _try_prefix(oracle: BiclosedOracle, prefix: GroupElement):
     system = oracle.system
-    pbar_inv = weyl_part(prefix).inverse()
-    j_set = frozenset(pbar_inv.apply(beta) for beta in limits)
+    j_set = system.moved_pattern(prefix.inverse().matrix, oracle.pattern)   # p̄⁻¹·I_B
     try:
         u, d1, _ = _decompose_psi(system, j_set)
     except ClassificationError:
@@ -180,13 +177,15 @@ def classify(oracle: BiclosedOracle) -> Classification:
         result = Classification("neither", bad_pair=_find_bad_pair(oracle, overlap))
     elif not limits:   # the level is moot on a finite system
         mask = oracle.members(system.level_mask(oracle.stable_level()))
-        result = Classification("finite", element=_peel_inversion_set(system, mask))
+        if (x := ascend(system, mask)).inversion_mask() != mask:   # ends at x iff mask is Φ_x
+            raise ClassificationError("set is not the inversion set of an element")
+        result = Classification("finite", element=x)
     else:
         frontier = [identity(system)]
         depth = 0
         while frontier and result is None:
             for p in frontier:
-                word = _try_prefix(oracle, limits, p)
+                word = _try_prefix(oracle, p)
                 if word is not None:
                     result = Classification("infinite", word=word)
                     break
@@ -213,5 +212,5 @@ def t_gamma_infinity(system: CoxeterSystem, gamma) -> tuple:
     if t_el.is_identity:
         raise DomainError("translation direction must be nonzero")
     word = validate_periodic(system, (), t_el.word)
-    oracle = HatForm(system, *_decompose_psi(system, system.pattern_roots(word.pattern)))
+    oracle = HatForm(system, *_decompose_psi(system, word.pattern))
     return oracle, word

@@ -373,6 +373,15 @@ class CoxeterSystem:
         return frozenset(Root(self._pos_coeffs[b - n]) if b >= n else -Root(self._pos_coeffs[b])
                          for b in range(2 * n) if pattern >> b & 1)
 
+    def moved_pattern(self, matrix, pattern: int) -> int:
+        """The pattern of w̄ applied to the roots of a pattern, w̄ the finite
+        block of an element's matrix; w̄(−α) = −w̄(α) sits N bits round."""
+        n, rows, out = len(self._pos_coeffs), matrix[:self.rank_finite], 0
+        for b in (b for b in range(pattern.bit_length()) if pattern >> b & 1):
+            off = self._offsets[tuple(sum(map(mul, row, self._pos_coeffs[b % n])) for row in rows)]
+            out |= 1 << (off + n if b >= n else off % (2 * n))
+        return out
+
     def periodic(self, pattern: int, mask: int) -> int:
         """The bits of mask whose finite part lies in the pattern: the pattern
         repeated every 2N bits (once on a finite system), shifted down by N."""

@@ -1,18 +1,21 @@
 """Referee kernels for the tests: plain Fraction Gaussian elimination, a
 Fraction phase-1 simplex, a Fraction symmetrizer, a scan of all 2ⁿ
-subsets for the biclosed ones, and root-by-root oracle membership, with a
-periodic word's Weyl order and translation from its own period powers.
+subsets for the biclosed ones, twisted positive systems root by root, and
+root-by-root oracle membership, with a periodic word's Weyl order and
+translation from its own period powers.
 
 These are the textbook algorithms that `coxtw.linalg` replaced with one
 fraction-free elimination, `coxtw.feasibility` with an integer two-column
 test, `coxtw.system` with an integer symmetrizer,
-`coxtw.biclosed.enumerate_biclosed` with a backtracking search, and the
+`coxtw.biclosed.enumerate_biclosed` with a backtracking search,
+`coxtw.biclosed.expand_psi` with bit operations on a pattern, and the
 oracles with one periodic pattern and one exception mask, kept here so that
 the kernels and everything built on them are checked against code that
 shares none of them.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
 
@@ -203,12 +206,28 @@ def biclosed_subsets(roots, in_cone):
             for s in range(1 << n) if closed(s) and closed(full & ~s)]
 
 
+@lru_cache(maxsize=256)
+def twisted_positive_system(u, delta1, delta2) -> frozenset:
+    """u((Φ⁺ ∖ R≥0Δ1) ∪ RΔ2∩Φ) as a set of roots: for each β > 0, u(β) unless
+    β's support lies in Δ1, and −u(β) too if it lies in Δ2.  Δ1 and Δ2 are
+    frozensets, and are not validated."""
+    out = set()
+    for beta in u.system.positive_roots:
+        support = {i for i, c in enumerate(beta.coeffs) if c}
+        image = u.apply(beta)
+        if not support <= delta1:
+            out.add(image)
+        if support <= delta2:
+            out |= {image, -image}
+    return frozenset(out)
+
+
 def member(oracle, rho) -> bool:
     """Is the positive root ρ in B?  Asked of each kind by its own definition."""
     if isinstance(oracle, Explicit):
         return rho in oracle.roots
     if isinstance(oracle, HatForm):
-        return rho.fin() in oracle.positive_system
+        return rho.fin() in twisted_positive_system(oracle.u, oracle.delta1, oracle.delta2)
     if isinstance(oracle, Complement):
         return not member(oracle.inner, rho)
     if isinstance(oracle, Twisted):   # w·B through w⁻¹
@@ -263,7 +282,7 @@ def limit_roots(oracle) -> frozenset:
     if isinstance(oracle, Explicit):
         return frozenset()
     if isinstance(oracle, HatForm):
-        return oracle.positive_system
+        return twisted_positive_system(oracle.u, oracle.delta1, oracle.delta2)
     if isinstance(oracle, Complement):
         return frozenset(system.finite_roots) - limit_roots(oracle.inner)
     if isinstance(oracle, Twisted):

@@ -83,7 +83,8 @@ def test_cone_table_matches_the_all_triples_table(ambient):
 
 
 def test_cone_table_asks_only_inside_each_plane(monkeypatch):
-    # D4 Φ⁺: 660 cone questions over all triples, 48 inside the 16 A2 planes
+    # D4 Φ⁺: 660 cone questions over all triples; inside the 16 A2 planes, 48
+    # with the plane key's sign fixed and 32 with each plane oriented
     calls = []
 
     def counting(generators, target):
@@ -93,7 +94,27 @@ def test_cone_table_asks_only_inside_each_plane(monkeypatch):
     monkeypatch.setattr(biclosed, "cone_contains", counting)
     d4 = build_system("D4")
     assert len(enumerate_biclosed(d4, d4.positive_roots)) == 192
-    assert len(calls) < 100
+    assert len(calls) <= 32
+
+
+def test_biclosed_check_reads_one_table(monkeypatch):
+    # both sides are read off one table, with the witness closure_check gives
+    tables = []
+    cone_table = biclosed._cone_table
+
+    def counting(roots):
+        tables.append(len(roots))
+        return cone_table(roots)
+
+    monkeypatch.setattr(biclosed, "_cone_table", counting)
+    ambient = A2.positive_roots
+    for gamma, side in (({Root((1, 0)), Root((1, 1))}, None), ({Root((1, 1))}, "complement"),
+                        ({Root((1, 0)), Root((0, 1))}, "set")):
+        tables.clear()
+        rep = biclosed_check(A2, gamma, ambient)
+        assert tables == [3] and rep.side == side
+        members = gamma if side == "set" else set(ambient) - gamma
+        assert rep.witness == closure_check(A2, members, ambient).witness
 
 
 def test_closure_checks_take_roots_of_the_system_only():
@@ -324,6 +345,11 @@ def test_classify_finite_biclosed():
         classify_finite_biclosed(A2, {Root((1, 1))})
     with pytest.raises(ClassificationError):                # Δ1, Δ2 not orthogonal
         classify_finite_biclosed(A2, {Root((0, 1)), Root((0, -1))})
+    # a vector that is no root of A2, at level 0 or past it, is a verdict too
+    positive = set(A2.positive_roots)
+    for bad in (Root((2, 0)), Root((1, 1, 0)), Root((1, 0), 1), Root((-1, 0), -1)):
+        with pytest.raises(ClassificationError):
+            classify_finite_biclosed(A2, positive | {bad})
 
 
 def _subsets_sorted(indices):
@@ -333,17 +359,49 @@ def _subsets_sorted(indices):
     return sorted(subs, key=lambda s: (len(s), s))
 
 
-def _shortlex_scan(system):
-    """Every (u, Δ1, Δ2) with its twisted positive system, in the order of
-    the original brute-force classifier: u through the whole group in
-    ShortLex order, then the subset pairs in sorted order."""
+def _triples(system):
+    """Every (u, Δ1, Δ2) in the order of the original brute-force classifier:
+    u through the whole group in ShortLex order, then the subset pairs in
+    sorted order."""
     k = system.rank_finite
     for u in ball(system, len(system.positive_roots)):
         for d1 in _subsets_sorted(range(k)):
             compatible = [j for j in range(k)
                           if j not in d1 and all(system.form[i][j] == 0 for i in d1)]
             for d2 in _subsets_sorted(compatible):
-                yield (u, frozenset(d1), frozenset(d2)), expand_psi(system, u, d1, d2)
+                yield u, frozenset(d1), frozenset(d2)
+
+
+def _shortlex_scan(system):
+    """Every (u, Δ1, Δ2) with its twisted positive system, expanded root by
+    root by the referee, so the scan shares no kernel with the classifier."""
+    for witness in _triples(system):
+        yield witness, dense.twisted_positive_system(*witness)
+
+
+def test_expand_psi_matches_the_root_by_root_referee():
+    # the pattern kernel against the referee's set algebra on Roots: every
+    # (u, Δ1, Δ2) of four finite types, then the hat forms of the battery
+    # and every twisted positive system of two affine types as a hat form
+    for spec in ("A3", "B3", "G2", "D4"):
+        system = build_system(spec)
+        for u, d1, d2 in _triples(system):
+            assert expand_psi(system, u, d1, d2) == dense.twisted_positive_system(u, d1, d2)
+    hats = []
+    for spec in ("A~1", "A~2", "C~2", "G~2", "A~3", "B~3"):
+        system = build_system(spec)
+        for _, oracle in standard_battery(system):
+            while isinstance(oracle, (Twisted, Complement)):
+                oracle = oracle.inner
+            if isinstance(oracle, HatForm):
+                hats.append(oracle)
+    for spec in ("A~2", "B~3"):
+        hats += [parse_biclosed(build_system(spec), expr) for expr in _hat_expressions(spec)]
+    assert len(hats) > 300
+    for hat in hats:
+        want = dense.twisted_positive_system(hat.u, hat.delta1, hat.delta2)
+        assert hat.limit_roots() == want, hat.key()
+        assert expand_psi(hat.system, hat.u, hat.delta1, hat.delta2) == want, hat.key()
 
 
 def _reference_witnesses(system):

@@ -230,6 +230,32 @@ def test_ascend_rebuilds_from_inversion_set():
             assert ascend(system, w.inversion_mask()) == w
 
 
+def test_ascend_keeps_the_shortlex_word_it_walked():
+    # each step takes the smallest left descent of w⁻¹x, so the letters walked
+    # are the ShortLex word that a fresh element of x's matrix peels
+    for spec, radius in (("B3", 9), ("A~2", 6)):
+        system = build_system(spec)
+        for x in ball(system, radius):
+            assert ascend(system, x.inversion_mask()).word == GroupElement(system, x.matrix).word
+
+
+@pytest.mark.parametrize("spec, radius, products", [
+    ("E6", 8, 1973), ("B~3", 8, 346), ("A~3", 12, 1324)])
+def test_grow_builds_each_element_once(monkeypatch, spec, radius, products):
+    # keyed by Φ_ws, a level builds one product per new element; keyed by the
+    # product's matrix, these balls took 4,590, 576 and 2,336 products
+    calls = []
+    mul_simple = GroupElement.mul_simple
+
+    def counting(self, s, image=None):
+        calls.append(s)
+        return mul_simple(self, s, image)
+
+    monkeypatch.setattr(GroupElement, "mul_simple", counting)
+    assert len(ball(build_system(spec), radius)) == products + 1
+    assert len(calls) == products
+
+
 def _assert_inherited_shortlex(system, level):
     # every word was seeded by grow, equals a fresh peel, and the level is
     # in ShortLex order
