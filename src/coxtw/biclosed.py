@@ -49,12 +49,8 @@ class BiclosedOracle:
     def key(self) -> str:
         raise NotImplementedError
 
-    def limit_roots(self) -> frozenset[Root]:
-        """Finite roots whose δ-string is eventually inside the set."""
-        return self.system.pattern_roots(self.pattern)
-
     def stable_level(self) -> int:
-        """Level L so that for n >= L, membership of α + nδ matches limit_roots:
+        """Level L so that for n >= L, α + nδ is in B iff α is in the pattern:
         one past the level of the last exception, as bit b is at level ⌊(b+N)/2N⌋."""
         n = len(self.system.positive_roots)
         return (self.exceptions.bit_length() - 1 + n) // (2 * n) + 1

@@ -232,21 +232,20 @@ def _negative(system: CoxeterSystem, image) -> bool:
 
 
 def grow(system: CoxeterSystem, level, keep=None) -> list[GroupElement]:
-    """One level up: the w·s (w in level) with w(α_s) positive and kept by keep
-    (None keeps all), each built once, for a new Φ_ws = Φ_w ⊔ {w(α_s)}.  level must
-    hold every length-d element whose inversions are all kept, in ShortLex order, as
-    on any walk up from e; then y is first found from its least (rank of w, s), so
-    NF(y) = NF(w)·s: each word is inherited and the result is again in ShortLex order."""
+    """One level up: the w·s (w in level) with w(α_s) positive, that is of bit ≥ 0,
+    and that bit kept by keep (None keeps all), each built once, for a new Φ_ws =
+    Φ_w ⊔ {w(α_s)}.  level must hold every length-d element whose inversions are all
+    kept, in ShortLex order, as on any walk up from e; then y is first found from its
+    least (rank of w, s), so NF(y) = NF(w)·s: each word is inherited, in ShortLex order."""
     grown = {}
     gens = range(system.ngens)
     for w in level:
         mask, word = w.inversion_mask(), w.word
         for s in gens:
             image = _image(system, w.matrix, s)
-            if _negative(system, image) or (
-                    keep and not keep(w.apply(system.simple_root(s)))):
+            if (bit := system.column_bit(image)) < 0 or keep and not keep(bit):
                 continue
-            if (up := mask | 1 << system.column_bit(image)) not in grown:
+            if (up := mask | 1 << bit) not in grown:
                 y = grown[up] = w.mul_simple(s, image)
                 y._word, y._mask = word + (s,), up
     return list(grown.values())

@@ -93,18 +93,20 @@ class WordInvSet(BiclosedOracle):
         return f"word-inf[{pre};{per}]"
 
 
-def limit_set(oracle: BiclosedOracle) -> frozenset[Root]:
-    """I_B: finite roots whose δ-string is eventually in B.
-
-    I_B is biclosed in the finite root system Φ, and the biclosed subsets of
-    a finite Φ are exactly its twisted positive systems, so the limit set is
-    certified by decomposing its pattern as one."""
-    raw = oracle.limit_roots()
+def _limit_pattern(oracle: BiclosedOracle) -> int:
+    """The pattern of I_B, certified: I_B is biclosed in the finite root
+    system Φ, and the biclosed subsets of a finite Φ are exactly its twisted
+    positive systems, so the pattern must decompose as one."""
     try:
-        _decompose_psi(oracle.system, oracle.system.pattern(raw))
+        _decompose_psi(oracle.system, oracle.pattern)
     except ClassificationError:
         raise DomainError(f"limit set of {oracle.key()} is not biclosed")
-    return raw
+    return oracle.pattern
+
+
+def limit_set(oracle: BiclosedOracle) -> frozenset[Root]:
+    """I_B, the finite roots whose δ-string is eventually in B, certified (`_limit_pattern`)."""
+    return oracle.system.pattern_roots(_limit_pattern(oracle))
 
 
 class Classification(namedtuple("Classification", "kind element word bad_pair",
@@ -121,17 +123,18 @@ class Classification(namedtuple("Classification", "kind element word bad_pair",
         return [list(r.coeffs) + [r.delta] for r in self.bad_pair]
 
 
-def _find_bad_pair(oracle: BiclosedOracle, overlap) -> tuple[Root, Root]:
-    bound = oracle.stable_level() + 1
-    alphas = sorted((a for a in overlap if a.is_positive), key=lambda r: r.key)
+def _find_bad_pair(oracle: BiclosedOracle, overlap: int) -> tuple[Root, Root]:
+    """The first α+kδ, −α+tδ in B by k+t, then k, then α, for α the i-th positive
+    root, i a bit of overlap: bits 2Nk+i and 2Nt−N+i of one `members` mask."""
+    system, bound = oracle.system, oracle.stable_level() + 1
+    n = len(system.positive_roots)
+    inside = oracle.members(system.level_mask(bound))
     for total in range(2, 2 * bound + 1):
         for k in range(max(1, total - bound), min(bound, total - 1) + 1):
             t = total - k
-            for alpha in alphas:
-                rho1 = Root(alpha.coeffs, k)
-                rho2 = Root(tuple(-c for c in alpha.coeffs), t)
-                if oracle.member(rho1) and oracle.member(rho2):
-                    return rho1, rho2
+            if hits := overlap & inside >> 2 * n * k & inside >> 2 * n * t - n:
+                i = (hits & -hits).bit_length() - 1
+                return system.bit_root(2 * n * k + i), system.bit_root(2 * n * t - n + i)
     raise ClassificationError("limit overlap without a witnessing pair")
 
 
@@ -161,19 +164,19 @@ _PREFIX_SEARCH_LIMIT = 16
 def classify(oracle: BiclosedOracle) -> Classification:
     """Decide whether B is Φ_x (finite x), Φ of an infinite word, or neither.
 
-    Finite systems and empty limits are settled by reading the set's mask up
-    to its stable level and peeling.  Otherwise prefixes p with Φ_p ⊆ B are
-    searched in ShortLex order; each one proposes a translation period read
-    off the limit set, and the first proposal whose inversion set is B (the
-    same pattern and exceptions) wins.
+    The limit pattern is certified first; one holding some ±α is settled by
+    a bad pair read off one mask, and finite systems and empty limits by
+    reading the set's mask up to its stable level and peeling.  Otherwise
+    prefixes p with Φ_p ⊆ B are searched in ShortLex order, bit by bit; each
+    one proposes a translation period read off the limit set, and the first
+    proposal whose inversion set is B (the same pattern and exceptions) wins.
     """
     if oracle._classification is not None:
         return oracle._classification
     system = oracle.system
     result = None
-    limits = limit_set(oracle) if system.kind == "affine" else frozenset()
-    overlap = limits & {-r for r in limits}
-    if overlap:
+    limits = _limit_pattern(oracle) if system.kind == "affine" else 0
+    if overlap := limits & limits >> len(system.positive_roots):   # ±α_i: bits i, N+i
         result = Classification("neither", bad_pair=_find_bad_pair(oracle, overlap))
     elif not limits:   # the level is moot on a finite system
         mask = oracle.members(system.level_mask(oracle.stable_level()))
@@ -181,8 +184,7 @@ def classify(oracle: BiclosedOracle) -> Classification:
             raise ClassificationError("set is not the inversion set of an element")
         result = Classification("finite", element=x)
     else:
-        frontier = [identity(system)]
-        depth = 0
+        frontier, depth = [identity(system)], 0
         while frontier and result is None:
             for p in frontier:
                 word = _try_prefix(oracle, p)
@@ -192,7 +194,7 @@ def classify(oracle: BiclosedOracle) -> Classification:
             else:
                 if depth >= _PREFIX_SEARCH_LIMIT:
                     break
-                frontier = grow(system, frontier, oracle.member)
+                frontier = grow(system, frontier, lambda b: oracle.members(1 << b))
                 depth += 1
         if result is None:
             raise ClassificationError(

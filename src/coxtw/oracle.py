@@ -50,9 +50,9 @@ def oracle_tlen(w: GroupElement, oracle: BiclosedOracle) -> int:
     return val
 
 
-# The right neighbours' matrices by (system key, matrix), bounded as the tables
-# of `elements`: held here, not on the system, and as matrices, not elements, so
-# that no system points at its own elements and the table keeps no system alive.
+# The right neighbours' (matrix, length) by (system key, matrix), bounded as the
+# tables of `elements`: held here, not on the system, and as integers, not elements,
+# so that no system points at its own elements and the table keeps no system alive.
 _NEIGHBORS: dict = {}
 
 
@@ -62,8 +62,9 @@ def _neighbors(w: GroupElement):
     if hit is None:
         if len(_NEIGHBORS) >= elements._TABLE_BOUND:
             _NEIGHBORS.clear()
-        hit = _NEIGHBORS[key] = tuple(w.mul_simple(s).matrix for s in range(w.system.ngens))
-    return tuple(GroupElement(w.system, m) for m in hit)
+        hit = _NEIGHBORS[key] = tuple((y.matrix, y.length) for y in map(
+            w.mul_simple, range(w.system.ngens)))
+    return hit
 
 
 def oracle_le(x: GroupElement, y: GroupElement, oracle: BiclosedOracle) -> bool:
@@ -84,14 +85,15 @@ def oracle_le(x: GroupElement, y: GroupElement, oracle: BiclosedOracle) -> bool:
         grown = []
         for w in frontier:
             t = oracle_tlen(w, oracle)
-            for nxt in _neighbors(w):
-                if nxt.matrix in seen or nxt.length > radius:
+            for m, length in _neighbors(w):
+                if m in seen or length > radius:
                     continue
+                nxt = GroupElement(x.system, m)
                 if oracle_tlen(nxt, oracle) != t + 1:
                     continue
-                if nxt.matrix == target:
+                if m == target:
                     return True
-                seen.add(nxt.matrix)
+                seen.add(m)
                 grown.append(nxt)
         frontier = grown
     return False

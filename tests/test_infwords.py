@@ -1,4 +1,6 @@
 import itertools
+import json
+from pathlib import Path
 
 import dense_referee as dense
 import pytest
@@ -7,6 +9,7 @@ from coxtw.biclosed import Complement, Explicit, HatForm, Twisted, act_on_biclos
 from coxtw.elements import GroupElement, from_word, identity, simple, translation
 from coxtw import infwords
 from coxtw.errors import ClassificationError, DomainError, NotReducedError
+from coxtw.exprs import parse_biclosed
 from coxtw.infwords import (WordInvSet, classify, limit_set, t_gamma_infinity,
                             validate_periodic)
 from coxtw.system import Root, build_system
@@ -17,6 +20,7 @@ A2 = build_system("A2")
 
 ALPHA = Root((1,))
 DMA = Root((-1,), 1)
+DATA = Path(__file__).parent / "data"
 
 
 def test_validate_periodic_accepts_translation_word():
@@ -87,11 +91,12 @@ def test_multi_term_drift_matches_long_truncations():
 
 
 class _UnclosedLimits(Explicit):
-    """Reports the limit set {α1, α2}, which misses α1+α2 and so is not
+    """Has the limit pattern {α1, α2}, which misses α1+α2 and so is not
     closed in Φ(A2)."""
 
-    def limit_roots(self):
-        return frozenset({Root((1, 0)), Root((0, 1))})
+    def __init__(self, system, roots):
+        super().__init__(system, roots)
+        self.pattern = system.pattern({Root((1, 0)), Root((0, 1))})
 
 
 def test_limit_set_certificate():
@@ -181,6 +186,30 @@ def test_classify_neither():
     assert all(full.member(r) for r in res.bad_pair)
 
 
+def test_classify_builds_a_root_only_for_its_bad_pair(monkeypatch):
+    # every oracle is two masks, so classify reads masks end to end: no Root
+    # for a finite or an infinite verdict, and the two of the pair for neither
+    rows = [row for name in ("rank2_hat_forms.json", "rank3_hat_forms.json")
+            for row in json.loads((DATA / name).read_text())]
+    cases = []
+    for row in rows:
+        system = build_system(row["type"])
+        system.finite_roots   # the cached roots are built before counting
+        cases.append((row["kind"], parse_biclosed(system, row["form"])))
+    built, init = [0], Root.__init__
+
+    def counting(self, *args):
+        built[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(Root, "__init__", counting)
+    for kind, oracle in cases:
+        built[0] = 0
+        assert classify(oracle).kind == kind, oracle.key()
+        assert built[0] == (2 if kind == "neither" else 0), (oracle.key(), built[0])
+    assert len(cases) == 762
+
+
 def test_classify_canonicalizes_twist():
     # a twisted copy of an infinite inversion set is still one, and the
     # classifier rebuilds it from scratch rather than echoing the twist
@@ -202,17 +231,17 @@ def test_classify_shifted_word_oracle():
 def test_t_gamma_infinity_a1():
     orc, word = t_gamma_infinity(A1T, (1,))
     assert word.period == (0, 1)
-    assert orc.limit_roots() == {ALPHA}
+    assert limit_set(orc) == {ALPHA}
     orc, word = t_gamma_infinity(A1T, (-1,))
     assert word.period == (1, 0)
-    assert orc.limit_roots() == {-ALPHA}
+    assert limit_set(orc) == {-ALPHA}
 
 
 def test_t_gamma_infinity_dominant_a2():
     gamma = A2T.dominant_coweight_for(())
     assert gamma == (3, 3)
     orc, word = t_gamma_infinity(A2T, gamma)
-    assert orc.limit_roots() == frozenset(A2T.positive_roots)
+    assert limit_set(orc) == frozenset(A2T.positive_roots)
     assert len(word.period) == 12
     # truncation inversion sets grow inside the oracle
     letters = tuple(itertools.islice(

@@ -149,11 +149,11 @@ def _product_chain(x, y, oracle):
 
 def _product_interval(x, y, oracle):
     """x·[e, x⁻¹y], grown from e inside Φ_{x⁻¹y}, sorted as `interval` sorts."""
-    target = (x.inverse() * y).inversion_set()
+    target = (x.inverse() * y).inversion_mask()
     out, level = [], [identity(x.system)]
     while level:
         out.extend(x * z for z in level)
-        level = grow(x.system, level, target.__contains__)
+        level = grow(x.system, level, lambda b: target >> b & 1)
     return sorted(out, key=lambda w: (twisted_length(w, oracle), w.length, w.word))
 
 
