@@ -15,9 +15,6 @@ from .errors import DomainError
 from .system import CoxeterSystem, Root
 
 _WORD_GUARD = 100000
-# Entries of a `CoxeterSystem.peels` or `.inverses` table before it is cleared: a
-# `queries` pass needs under 100 per system; at worst 512 E8 peels of 37 KB, 19 MB.
-_TABLE_BOUND = 512
 
 
 class GroupElement:
@@ -58,7 +55,10 @@ class GroupElement:
 
     def mul_simple(self, s: int, image=None) -> "GroupElement":
         """w·s, column by column: (w·s)(α_j) = w(α_j) − ⟨α_j, α_s^∨⟩·w(α_s), where
-        image is w(α_s) if the caller has it in hand."""
+        image is w(α_s) if the caller has it in hand, and records Φ_ws itself;
+        with no image, w·s is walked, so Φ_ws is recorded if Φ_w is."""
+        if image is None and self._mask is not None:
+            return walk(self, (s,))
         pairs = self.system.reflection(s)[0]   # validates s before any column read
         rows = []
         for row, x in zip(self.matrix, image or _image(self.system, self.matrix, s)):
@@ -70,25 +70,8 @@ class GroupElement:
         return GroupElement(self.system, rows)
 
     def inverse(self) -> "GroupElement":
-        """w⁻¹, a fresh element read through the `inverses` table: w̄⁻¹ = H·w̄ᵀ·G / N on
-        the finite block, and [[w̄, 0], [r, 1]]⁻¹ = [[w̄⁻¹, 0], [−r·w̄⁻¹, 1]] if affine."""
-        if (rows := self.system.inverses.get(self.matrix)) is None:
-            gram, inv, n = self.system.integer_form
-            k = self.system.rank_finite
-            m = self.matrix
-            wcols = list(zip(*m[:k]))[:k]
-            gcols = [[sum(map(mul, c, g)) for c in wcols] for g in gram]  # columns of w̄ᵀ·G
-            qr = [[divmod(sum(map(mul, h, c)), n) for c in gcols] for h in inv]
-            if any(r for row in qr for _, r in row):
-                raise DomainError("matrix does not preserve the invariant form")
-            rows = tuple(tuple(q for q, _ in row) for row in qr)
-            if self.system.kind == "affine":
-                bottom = [-sum(map(mul, m[k][:k], col)) for col in zip(*rows)]
-                rows = tuple(row + (0,) for row in rows) + (tuple(bottom) + (1,),)
-            if len(self.system.inverses) >= _TABLE_BOUND - 1:
-                self.system.inverses.clear()
-            self.system.inverses.update({m: rows, rows: m})
-        return GroupElement(self.system, rows)
+        """w⁻¹ = s_m⋯s_1 for the word s_1⋯s_m of w, walked from e, so Φ_{w⁻¹} is recorded."""
+        return walk(identity(self.system), self.word[::-1])
 
     # -- action on roots -----------------------------------------------
 
@@ -104,49 +87,52 @@ class GroupElement:
 
     # -- words and lengths ---------------------------------------------
 
-    def _peel(self) -> tuple[tuple[int, ...], int]:
-        """(ShortLex word of w⁻¹, Φ_w as a mask) from one walk down by smallest
-        right descent: with v_0 = w and v_{i+1} = v_i·s_i the letters s_i spell
-        the word, and the roots −v_i(α_{s_i}) are Φ_w = −w(Φ_{w⁻¹}).  Only the
-        images v(α_t) are kept: v·s moves each t with ⟨α_t, α_s^∨⟩ ≠ 0 by
-        v(α_t) −= ⟨α_t, α_s^∨⟩·v(α_s), and v = e when every v(α_t) is α_t.
-        Read through the `peels` table, which keeps only walks past every guard."""
-        system = self.system
-        if (hit := system.peels.get(self.matrix)) is not None:
-            return hit
-        gens = range(system.ngens)
-        images = [_image(system, self.matrix, t) for t in gens]
-        out, mask = [], 0
+    def _read_word(self) -> None:
+        """Set the ShortLex word of w by walking v = w⁻¹ down by its smallest right
+        descent, which is the first s with h_s < 0 for h_t = N·f(v(α_t)): f is the
+        height, plus (ht θ + 1)·δ if affine, so it is positive exactly on Φ⁺, and
+        v·s moves h_t −= ⟨α_t, α_s^∨⟩·h_s.  w̄ preserves the form G, so w̄⁻¹ =
+        adj G·w̄ᵀ·G / N, and w⁻¹ = [[w̄⁻¹, 0], [−r·w̄⁻¹, 1]] for r the δ-row of w:
+        the start is h = (f′·adj G)·w̄ᵀ·G on α_1..α_k with f′ = f − f(δ)·r, with
+        no inverse matrix.  A matrix with no Φ recorded is certified by walking
+        its word from e, which records Φ_w; a failure sets nothing."""
+        system, m = self.system, self.matrix
+        gram, adj, n = system.integer_form   # both symmetric: rows are columns
+        k = system.rank_finite
+        top = 0
+        f = [1] * k
+        if system.kind == "affine":
+            top = sum(system.highest_root.coeffs) + 1   # f(δ)
+            f = [1 - top * r for r in m[k][:k]]
+        fadj = [sum(map(mul, f, row)) for row in adj]
+        wf = [sum(map(mul, row, fadj)) for row in m[:k]]
+        h = [sum(map(mul, wf, row)) for row in gram]
+        if top:   # the affine α_k = δ − θ
+            h.append(n * top - sum(map(mul, h, system.highest_root.coeffs)))
+        reflections, word = system._reflections, []
         for _ in range(_WORD_GUARD):
-            for s in gens:
-                a = images[s]
-                if _negative(system, a):
-                    rho = [-c for c in a]
-                    if (bit := system.column_bit(rho)) < 0:
-                        raise DomainError(f"inversion {rho} of a reduced word is not positive")
-                    if mask >> bit & 1:
-                        raise DomainError("inversions of a reduced word are not distinct")
-                    out.append(s)
-                    mask |= 1 << bit
-                    for t, c in system.reflection(s)[1]:
-                        images[t] = [x - c * y for x, y in zip(images[t], a)]
+            for s, x in enumerate(h):
+                if x < 0:
                     break
             else:
                 break
+            word.append(s)
+            for t, c in reflections[s][1]:
+                h[t] -= c * x
         else:
             raise DomainError("word extraction did not terminate")
-        if tuple(map(tuple, images)) != system.simple_columns:
-            raise DomainError("word extraction did not reach the identity")
-        if len(system.peels) >= _TABLE_BOUND:
-            system.peels.clear()
-        system.peels[self.matrix] = hit = tuple(out), mask
-        return hit
+        if self._mask is None:
+            built = from_word(system, word)
+            if built.matrix != m:
+                raise DomainError("matrix is no group element: its word does not rebuild it")
+            self._mask = built._mask
+        self._word = tuple(word)
 
     @property
     def word(self) -> tuple[int, ...]:
-        """The ShortLex-minimal reduced word: the peel of w⁻¹, through both tables."""
+        """The ShortLex-minimal reduced word."""
         if self._word is None:
-            self._word = self.inverse()._peel()[0]
+            self._read_word()
         return self._word
 
     @property
@@ -157,9 +143,10 @@ class GroupElement:
         return self.inversion_mask().bit_count()
 
     def inversion_mask(self) -> int:
-        """Φ_w over the system's root index, as recorded by the walk that built w, or peeled."""
+        """Φ_w over the system's root index, as recorded by the walk that built w,
+        or by the walk that certified its word."""
         if self._mask is None:
-            self._mask = self._peel()[1]
+            self._read_word()
         return self._mask
 
     def inversion_set(self) -> frozenset[Root]:

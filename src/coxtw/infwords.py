@@ -53,9 +53,9 @@ def validate_periodic(system: CoxeterSystem, prefix, period) -> PeriodicWord:
     if not period:
         return PeriodicWord(system, prefix, period, prefix_el, 0)
 
-    # One walk of prefix·period^k for k ≤ 2m.  Each step records Φ, so no peel
-    # reads the length, and every prefix of a reduced word is reduced, so the
-    # first short step names the failing power; in a finite system one fails
+    # One walk of prefix·period^k for k ≤ 2m.  Each step records Φ, so no word
+    # is read for the length, and every prefix of a reduced word is reduced, so
+    # the first short step names the failing power; in a finite system one fails
     # by k = m, as period^m is the identity.  The Weyl part is a homomorphism,
     # so m is the first k at which the finite block is the prefix's again.
     rank = system.rank_finite
@@ -166,7 +166,7 @@ def classify(oracle: BiclosedOracle) -> Classification:
 
     The limit pattern is certified first; one holding some ±α is settled by
     a bad pair read off one mask, and finite systems and empty limits by
-    reading the set's mask up to its stable level and peeling.  Otherwise
+    ascending inside the set's mask up to its stable level.  Otherwise
     prefixes p with Φ_p ⊆ B are searched in ShortLex order, bit by bit; each
     one proposes a translation period read off the limit set, and the first
     proposal whose inversion set is B (the same pattern and exceptions) wins.

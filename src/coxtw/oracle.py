@@ -9,14 +9,17 @@ over a battery of oracles is evidence that both sides are right.
 
 from __future__ import annotations
 
-from . import elements
 from .biclosed import BiclosedOracle, Complement, Explicit, HatForm, Twisted
 from .elements import (GroupElement, ascend, ball, identity, simple,
-                       translation)
+                       translation, walk)
 from .errors import ClassificationError, DomainError
 from .infwords import WordInvSet, classify, validate_periodic
 from .order import le, meet, twisted_length
 from .system import CoxeterSystem
+
+# Entries of the referee's neighbour table and of an oracle's `_raw_tlen` memo
+# before it is cleared: a `queries` pass needs under 100 per system.
+_TABLE_BOUND = 512
 
 
 def oracle_tlen(w: GroupElement, oracle: BiclosedOracle) -> int:
@@ -44,27 +47,34 @@ def oracle_tlen(w: GroupElement, oracle: BiclosedOracle) -> int:
     if total != w.length:
         raise DomainError("root scan level bound is wrong")
     val = w.length - 2 * inside
-    if len(memo) >= elements._TABLE_BOUND:
+    if len(memo) >= _TABLE_BOUND:
         memo.clear()
     memo[w.matrix] = val
     return val
 
 
-# The right neighbours' (matrix, length) by (system key, matrix), bounded as the
-# tables of `elements`: held here, not on the system, and as integers, not elements,
-# so that no system points at its own elements and the table keeps no system alive.
+# The right neighbours' (matrix, length) by (system key, matrix), bounded by
+# _TABLE_BOUND: held here, not on the system, and as integers, not elements, so
+# that no system points at its own elements and the table keeps no system alive.
 _NEIGHBORS: dict = {}
 
 
-def _neighbors(w: GroupElement):
-    key = (w.system.key, w.matrix)
+def _neighbors(system: CoxeterSystem, matrix):
+    key = (system.key, matrix)
     hit = _NEIGHBORS.get(key)
     if hit is None:
-        if len(_NEIGHBORS) >= elements._TABLE_BOUND:
+        if len(_NEIGHBORS) >= _TABLE_BOUND:
             _NEIGHBORS.clear()
-        hit = _NEIGHBORS[key] = tuple((y.matrix, y.length) for y in map(
-            w.mul_simple, range(w.system.ngens)))
+        w = GroupElement(system, matrix)
+        hit = _NEIGHBORS[key] = tuple((y.matrix, y.length) for y in (
+            walk(w, (s,)) for s in range(system.ngens)))
     return hit
+
+
+def _tlen(system: CoxeterSystem, matrix, oracle: BiclosedOracle) -> int:
+    """oracle_tlen of the element of a matrix, built only if the memo misses."""
+    hit = oracle._raw_tlen.get(matrix)
+    return oracle_tlen(GroupElement(system, matrix), oracle) if hit is None else hit
 
 
 def oracle_le(x: GroupElement, y: GroupElement, oracle: BiclosedOracle) -> bool:
@@ -72,29 +82,27 @@ def oracle_le(x: GroupElement, y: GroupElement, oracle: BiclosedOracle) -> bool:
 
     Any element on a saturated chain from x to y has its inversion set
     inside Φ_x ∪ Φ_y, hence length at most l(x)+l(y); a search out to that
-    radius is therefore complete."""
-    if x.system.key != y.system.key or x.system.key != oracle.system.key:
+    radius is therefore complete.  The search runs on matrices."""
+    system = x.system
+    if system.key != y.system.key or system.key != oracle.system.key:
         raise DomainError("comparability check needs a single common system")
     radius = x.length + y.length
     if x == y:
         return True
     target = y.matrix
     seen = {x.matrix}
-    frontier = [x]
+    frontier = [x.matrix]
     while frontier:
         grown = []
         for w in frontier:
-            t = oracle_tlen(w, oracle)
-            for m, length in _neighbors(w):
-                if m in seen or length > radius:
-                    continue
-                nxt = GroupElement(x.system, m)
-                if oracle_tlen(nxt, oracle) != t + 1:
+            t = _tlen(system, w, oracle) + 1
+            for m, length in _neighbors(system, w):
+                if m in seen or length > radius or _tlen(system, m, oracle) != t:
                     continue
                 if m == target:
                     return True
                 seen.add(m)
-                grown.append(nxt)
+                grown.append(m)
         frontier = grown
     return False
 

@@ -227,7 +227,7 @@ class CoxeterSystem:
         if self.form != tuple(zip(*self.form)):
             raise ValidationError("symmetrizer does not symmetrize the Cartan matrix")
         self.connection_index = _check_positive_definite(self.cartan)
-        # the form scaled to integers, for the reflection table and inverses
+        # the form scaled to integers, for the reflection table and the heights of words
         self.form_scale = lcm(*(x.denominator for row in self.form for x in row))
         self.gram = tuple(tuple(x.numerator * (self.form_scale // x.denominator) for x in row)
                           for row in self.form)
@@ -268,9 +268,6 @@ class CoxeterSystem:
         self.identity_matrix = tuple(tuple(int(r == c) for c in range(self.dim))
                                      for r in range(self.dim))
         self._reflections = tuple(self._reflection(s) for s in range(self.ngens))
-        # the bounded tables of `elements`, by matrix: the peel of w, and w⁻¹ both ways
-        self.peels: dict = {}
-        self.inverses: dict = {}
 
     def __eq__(self, other):
         return isinstance(other, CoxeterSystem) and self.key == other.key
@@ -396,7 +393,8 @@ class CoxeterSystem:
     def integer_form(self):
         """(G, H, N): the integer Gram matrix G = `gram`, N = det G and
         H = adj G = N·G⁻¹, from one elimination in integers.  Every Weyl group
-        element w̄ preserves the form, so w̄⁻¹ = H·w̄ᵀ·G / N exactly."""
+        element w̄ preserves the form, so w̄⁻¹ = H·w̄ᵀ·G / N exactly, which is how
+        `GroupElement.word` reads the heights of w⁻¹(α_t)."""
         n, h = linalg.inverse(self.gram)
         return self.gram, h, n
 

@@ -2,11 +2,13 @@
 Fraction phase-1 simplex, a Fraction symmetrizer, a scan of all 2ⁿ
 subsets for the biclosed ones, twisted positive systems root by root, and
 root-by-root oracle membership, with a periodic word's Weyl order and
-translation from its own period powers.
+translation from its own period powers, and words and inversion sets from a
+walk down by descents on whole columns.
 
 These are the textbook algorithms that `coxtw.linalg` replaced with one
 fraction-free elimination, `coxtw.feasibility` with an integer two-column
-test, `coxtw.system` with an integer symmetrizer,
+test, `coxtw.system` with an integer symmetrizer, `coxtw.elements` with a
+walk on one height per generator,
 `coxtw.biclosed.enumerate_biclosed` with a backtracking search,
 `coxtw.biclosed.expand_psi` with bit operations on a pattern, and the
 oracles with one periodic pattern and one exception mask, kept here so that
@@ -21,6 +23,7 @@ from math import gcd, lcm
 
 from coxtw.biclosed import Complement, Explicit, HatForm, Twisted
 from coxtw.elements import from_word, weyl_part
+from coxtw.errors import DomainError
 from coxtw.infwords import WordInvSet
 
 
@@ -99,6 +102,40 @@ def solve(a, b):
 def inverse(a):
     n = len(a)
     return solve(a, [[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def peel(system, matrix, guard=100000):
+    """(ShortLex word of w⁻¹, Φ_w as a mask) for the integer matrix of w, from
+    one walk down by smallest right descent on the whole images v(α_t): with
+    v_0 = w and v_{i+1} = v_i·s_i the letters s_i spell the word, and the roots
+    −v_i(α_{s_i}) are Φ_w = −w(Φ_{w⁻¹}).  A root is negative by its δ-entry if
+    that is nonzero, else by its coefficients.  Four guards reject a matrix that
+    is no group element: a descent image that is no negative root, an inversion
+    met twice, a walk longer than guard, and a walk that ends away from e."""
+    affine = system.kind == "affine"
+    images = [[sum(x * c for x, c in zip(row, column)) for row in matrix]
+              for column in system.simple_columns]
+    out, mask = [], 0
+    for _ in range(guard):
+        for s, a in enumerate(images):
+            if (a[-1] < 0) if affine and a[-1] else min(a) < 0:
+                rho = [-c for c in a]
+                if (bit := system.column_bit(rho)) < 0:
+                    raise DomainError(f"inversion {rho} of a reduced word is not positive")
+                if mask >> bit & 1:
+                    raise DomainError("inversions of a reduced word are not distinct")
+                out.append(s)
+                mask |= 1 << bit
+                for t, c in system.reflection(s)[1]:
+                    images[t] = [x - c * y for x, y in zip(images[t], a)]
+                break
+        else:
+            break
+    else:
+        raise DomainError("word extraction did not terminate")
+    if tuple(map(tuple, images)) != system.simple_columns:
+        raise DomainError("word extraction did not reach the identity")
+    return tuple(out), mask
 
 
 def leading_minors(a):

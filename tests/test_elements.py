@@ -182,11 +182,10 @@ def test_integer_kernels_match_dense_referees():
 
 
 def test_inverse_guard_is_not_an_assert():
-    # a matrix that does not preserve the form has no integer form inverse;
-    # a fresh system, so no table entry can answer in place of the guard
-    a2 = build_system("A2")
-    with pytest.raises(DomainError, match="invariant form"):
-        GroupElement(a2, ((1, 1), (0, 1))).inverse()
+    # a matrix that does not preserve the form is no group element: the word
+    # read off its heights does not rebuild it, and inverse() walks that word
+    with pytest.raises(DomainError, match="no group element"):
+        GroupElement(A2, ((1, 1), (0, 1))).inverse()
 
 
 def test_group_laws():
@@ -232,7 +231,7 @@ def test_ascend_rebuilds_from_inversion_set():
 
 def test_ascend_keeps_the_shortlex_word_it_walked():
     # each step takes the smallest left descent of w⁻¹x, so the letters walked
-    # are the ShortLex word that a fresh element of x's matrix peels
+    # are the ShortLex word read off the heights of a bare element of x's matrix
     for spec, radius in (("B3", 9), ("A~2", 6)):
         system = build_system(spec)
         for x in ball(system, radius):
@@ -257,8 +256,8 @@ def test_grow_builds_each_element_once(monkeypatch, spec, radius, products):
 
 
 def _assert_inherited_shortlex(system, level):
-    # every word was seeded by grow, equals a fresh peel, and the level is
-    # in ShortLex order
+    # every word was seeded by grow, equals the word of a bare element of the
+    # same matrix, and the level is in ShortLex order
     words = [w._word for w in level]
     assert None not in words
     assert words == sorted(words, key=lambda u: (len(u), u))
@@ -328,7 +327,7 @@ def test_one_peel_agrees_with_the_definitions(spec, radius):
         assert recorded.inversion_set() == walked and recorded.matrix == m
         if system.kind == "finite":
             assert walked == {b for b in system.positive_roots if xinv.apply(b).is_negative}
-        assert xinv.word == GroupElement(system, xinv.matrix).word   # by-product of the peel
+        assert xinv.word == GroupElement(system, xinv.matrix).word   # walked and bare agree
         before = GroupElement(system, m)
         length = before.length
         assert before.word == w.word and before.length == length == len(w.word)
@@ -341,37 +340,48 @@ def test_one_peel_agrees_with_the_definitions(spec, radius):
             system.simple_root(i)
 
 
+NON_ELEMENTS = [
+    # −1 on A2 is w_0 times the diagram flip, so its word rebuilds w_0; one
+    # sends α_a to α_a − α_b, which is no root; δ ↦ −δ on A~1 fixes every
+    # height, so its word is empty; and one does not preserve the form
+    ("A2", ((-1, 0), (0, -1))),
+    ("A2", ((1, 0), (-1, 1))),
+    ("A~1", ((1, 0), (0, -1))),
+    ("A2", ((1, 1), (0, 1))),
+]
+
+
 def test_word_guard_is_not_an_assert(monkeypatch):
-    # matrices that are no group elements, peeled with no recorded Φ: −1 on
-    # A2 is w_0 times the diagram flip, which has no descent yet is not e; one
-    # has a descent column of mixed sign; and δ ↦ −δ on A~1 descends for ever
-    # through (1,1), (1,2), (1,3), ...  Fresh systems, so that no table
-    # entry filled by an earlier test can answer in place of the peel.
-    a2, a1t = build_system("A2"), build_system("A~1")
-    with pytest.raises(DomainError, match="identity"):
-        GroupElement(a2, ((-1, 0), (0, -1))).word
-    with pytest.raises(DomainError, match="not positive"):
-        GroupElement(a2, ((1, 0), (-1, 1))).inversion_set()
+    # a matrix with no recorded Φ is certified by walking its word from e, so
+    # each way into a non-element's word raises, on a fresh element each time
     monkeypatch.setattr(elements, "_WORD_GUARD", 1000)
-    with pytest.raises(DomainError, match="terminate"):
-        GroupElement(a1t, ((1, 0), (0, -1))).inversion_set()
+    for spec, matrix in NON_ELEMENTS:
+        system = build_system(spec)
+        for read in (lambda w: w.word, lambda w: w.length,
+                     lambda w: w.inversion_set(), lambda w: w.inverse()):
+            with pytest.raises(DomainError, match="no group element"):
+                read(GroupElement(system, matrix))
+    # and the height walk stops at the guard, here below l(w) = 3
+    monkeypatch.setattr(elements, "_WORD_GUARD", 2)
+    for w in (from_word(A2, (0, 1, 0)), GroupElement(A2, from_word(A2, (0, 1, 0)).matrix)):
+        with pytest.raises(DomainError, match="terminate"):
+            w.word
 
 
-@pytest.mark.parametrize("column_bit, message", [
+@pytest.mark.parametrize("column_bit, corruption", [
     (lambda column: -1, "not positive"),
     (lambda column: 0, "not distinct"),
 ])
-def test_inversion_set_guards_are_not_asserts(monkeypatch, column_bit, message):
-    # the peel reads each inversion's bit off a descent column through
-    # `column_bit`, corrupted here to no positive root or to one repeated
-    # root; from_word records Φ_w, so the peel runs on a bare matrix, and on
-    # a fresh system, so that no table entry holds Φ_w already
+def test_inversion_set_guards_are_not_asserts(monkeypatch, column_bit, corruption):
+    # a bare matrix is certified by the walk of its word from e, which reads
+    # each inversion's bit through `column_bit`, corrupted here to no positive
+    # root or to one repeated root: the walk's record loses track
     a2 = build_system("A2")
     w = GroupElement(a2, from_word(a2, (0, 1)).matrix)
-    assert w.word == (0, 1)
     monkeypatch.setattr(a2, "column_bit", column_bit)
-    with pytest.raises(DomainError, match=message):
+    with pytest.raises(DomainError, match="lost track"):
         w.inversion_set()
+    assert w._word is None and w._mask is None
 
 
 def test_from_word_validates_letters_and_its_record(monkeypatch):
@@ -389,6 +399,28 @@ def test_from_word_validates_letters_and_its_record(monkeypatch):
 
 
 REFEREE_SPECS = ("A3", "B3", "G2", "E8", "A~2", "C~2", "G~2", "B~3", "D~4")
+# B~3 from its Cartan matrix and a given rational symmetrizer
+RATIONAL = dict(cartan=[[2, -1, 0], [-1, 2, -1], [0, -2, 2]],
+                symmetrizer=(Fraction(1, 3), Fraction(1, 3), Fraction(1, 6)), affine=True)
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(st.sampled_from(REFEREE_SPECS + ("rational",)), st.lists(st.integers(0, 99), max_size=40))
+def test_word_and_inverse_match_the_referee(spec, letters):
+    # the word read off the heights of w⁻¹(α_t), and the inverse walked from
+    # that word, against the dense Fraction inverse and the full-column peel:
+    # the peel of w⁻¹ spells the word of w and gives Φ_{w⁻¹}
+    system = build_system(**RATIONAL) if spec == "rational" else build_system(spec)
+    w = from_word(system, [x % system.ngens for x in letters])
+    dense = tuple(tuple(map(int, row)) for row in dense_referee.inverse(w.matrix))
+    word, inverse_mask = dense_referee.peel(system, dense)
+    assert w.word == word
+    winv = w.inverse()
+    assert winv.matrix == dense
+    assert winv.inversion_mask() == inverse_mask
+    bare = GroupElement(system, w.matrix)
+    assert bare.word == word
+    assert bare.inversion_mask() == dense_referee.peel(system, w.matrix)[1]
 
 
 @settings(deadline=None, derandomize=True, max_examples=200)
@@ -396,14 +428,15 @@ REFEREE_SPECS = ("A3", "B3", "G2", "E8", "A~2", "C~2", "G~2", "B~3", "D~4")
        st.lists(st.integers(0, 99), max_size=12))
 def test_recorded_inversion_set_matches_the_peel(spec, letters, more):
     # words are random, so mostly unreduced; the bare matrix has no record,
-    # and the system is fresh, so its tables cannot answer for the peel
+    # so it is certified by a walk of its own word, and the referee's
+    # full-column peel decides Φ_w on its own
     system = build_system(spec)
     a = [x % system.ngens for x in letters]
     b = [x % system.ngens for x in more]
     w = from_word(system, a)
     fresh = GroupElement(system, w.matrix)
     assert w._mask is not None and fresh._mask is None
-    assert w.inversion_mask() == fresh.inversion_mask()
+    assert w.inversion_mask() == fresh.inversion_mask() == dense_referee.peel(system, w.matrix)[1]
     assert w.inversion_set() == fresh.inversion_set()
     assert w.word == fresh.word and w.length == len(w.word)
     # a walk from w continues the walk that built it
@@ -436,13 +469,12 @@ def test_root_bits_are_the_positive_roots_by_level(spec):
 
 @pytest.mark.parametrize("spec", REFEREE_SPECS)
 def test_every_walk_records_the_peeled_mask(spec):
-    # each recorded mask against a peel of the bare matrix in a fresh system,
-    # whose tables hold nothing the walks could have filled
-    system, cold = build_system(spec), build_system(spec)
+    # each recorded mask against the referee's full-column peel of the matrix
+    system = build_system(spec)
 
     def check(w):
         assert w._mask is not None
-        assert w.inversion_mask() == GroupElement(cold, w.matrix).inversion_mask(), w.matrix
+        assert w.inversion_mask() == dense_referee.peel(system, w.matrix)[1], w.matrix
 
     elems = ball(system, 4)
     for w in elems:
@@ -467,12 +499,12 @@ def test_every_walk_records_the_peeled_mask(spec):
 @pytest.mark.parametrize("spec", ["A2", "B3", "A~2", "G~2"])
 def test_order_answers_record_the_peeled_mask(spec):
     # chain, interval, meet and cover_neighbors walk covers, so each element
-    # they return carries Φ, equal to a peel in a fresh system
-    system, cold = build_system(spec), build_system(spec)
+    # they return carries Φ, equal to the referee's full-column peel
+    system = build_system(spec)
 
     def check(w):
         assert w._mask is not None
-        assert w.inversion_mask() == GroupElement(cold, w.matrix).inversion_mask(), w.matrix
+        assert w.inversion_mask() == dense_referee.peel(system, w.matrix)[1], w.matrix
 
     few = ball(system, 2)
     for _, orc in standard_battery(system):

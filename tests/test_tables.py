@@ -1,14 +1,14 @@
-"""The per-system tables of peels and inverses, and what they may not do:
-grow past their bound, store a failed computation, change an answer, or tie
-elements, oracles and systems into reference cycles."""
+"""The tables that systems and the brute-force referee keep, and what they
+may not do: grow with use or past their bound, store a failed computation,
+change an answer, or tie elements, oracles and systems into reference cycles."""
 
 import gc
 import random
 import weakref
 
+import dense_referee as dense
 import pytest
 
-from coxtw import elements
 from coxtw import oracle as referee
 from coxtw.biclosed import BiclosedOracle
 from coxtw.elements import GroupElement, ball, from_word
@@ -77,8 +77,8 @@ def test_a_session_leaves_no_reference_cycles():
 
 def test_a_dropped_session_frees_its_systems(monkeypatch):
     # no module-level table, the referee's neighbours included, may keep a
-    # system, and with it its peel and inverse tables, alive; the neighbour
-    # table starts empty, so that this session's systems fill it
+    # system alive; the neighbour table starts empty, so that this session's
+    # systems fill it
     monkeypatch.setattr(referee, "_NEIGHBORS", {})
     systems = _session()
     gc.collect()
@@ -93,40 +93,51 @@ def _random_words(system, seed, count=40, longest=14):
 
 @pytest.mark.parametrize("spec", ["B3", "G2", "A~2", "C~2", "B~3"])
 def test_warm_and_cold_tables_agree(spec):
+    # a system that has answered every word before, its cached tables filled,
+    # answers as a fresh one does, and as the referee's full-column peel
     warm = build_system(spec)
     words = _random_words(warm, spec)
-    for word in words:     # fill the tables
+    for word in words:
         w = from_word(warm, word)
         GroupElement(warm, w.matrix).inversion_set()
         w.inverse().word
-    assert warm.peels and warm.inverses
     for word in words:
         cold = build_system(spec)
         a, b = from_word(warm, word), from_word(cold, word)
         bare_a, bare_b = GroupElement(warm, a.matrix), GroupElement(cold, b.matrix)
-        assert bare_a.word == bare_b.word == a.word
+        ainv, binv = a.inverse(), b.inverse()
+        assert bare_a.word == bare_b.word == a.word == dense.peel(warm, ainv.matrix)[0]
         assert bare_a.inversion_set() == bare_b.inversion_set() == a.inversion_set()
-        assert a.inverse().matrix == b.inverse().matrix
-        assert a.inverse().word == b.inverse().word
+        assert bare_a.inversion_mask() == dense.peel(cold, b.matrix)[1]
+        assert ainv.matrix == binv.matrix
+        assert ainv.word == binv.word == dense.peel(cold, b.matrix)[0]
 
 
-def test_tables_stay_within_their_bound(monkeypatch):
-    monkeypatch.setattr(elements, "_TABLE_BOUND", 5)
+def _tables(system):
+    """The system's attributes, and the size of each that could grow."""
+    return {name: len(value) if isinstance(value, (dict, list, set)) else None
+            for name, value in vars(system).items()}
+
+
+def test_tables_stay_within_their_bound():
+    # a system keeps no table of elements: once the form's inverse is cached,
+    # words, inverses, bare matrices and a ball add no attribute and grow none
     system = build_system("C~2")
+    from_word(system, (0, 1)).word
+    before = _tables(system)
     for word in _random_words(system, 7, count=60):
         w = GroupElement(system, from_word(system, word).matrix)
         w.inversion_set()
         v = w.inverse()
         assert len(v.word) == w.length
-        assert len(system.peels) <= 5 and len(system.inverses) <= 5
         assert (w * v).is_identity
     ball(system, 6)
-    assert len(system.peels) <= 5 and len(system.inverses) <= 5
+    assert _tables(system) == before
 
 
 def test_referee_tables_stay_within_the_bound(monkeypatch):
     # the brute-force referee's neighbour table and twisted-length memo
-    monkeypatch.setattr(elements, "_TABLE_BOUND", 5)
+    monkeypatch.setattr(referee, "_TABLE_BOUND", 5)
     monkeypatch.setattr(referee, "_NEIGHBORS", {})
     system = build_system("C~2")
     oracle = parse_biclosed(system, "hat e::")
@@ -146,22 +157,27 @@ def test_referee_tables_stay_within_the_bound(monkeypatch):
     ("A2", None, "not distinct"),
 ])
 def test_a_failed_peel_stores_nothing(monkeypatch, spec, matrix, message):
-    # the four guards of the peel, on matrices that are no group elements,
-    # and on a real one whose inversions are corrupted to one repeated bit
+    # the four guards of the referee's full-column peel, on matrices that are
+    # no group elements and on a real one whose inversions are corrupted to
+    # one repeated bit; the certification of the same bare matrix, which walks
+    # its word from e, fails each time it is asked and sets neither word nor Φ
     system = build_system(spec)
-    monkeypatch.setattr(elements, "_WORD_GUARD", 1000)
     if matrix is None:
         matrix = from_word(system, (0, 1)).matrix
         monkeypatch.setattr(system, "column_bit", lambda column: 0)
+    with pytest.raises(DomainError, match=message):
+        dense.peel(system, matrix, guard=1000)
+    w = GroupElement(system, matrix)
     for _ in range(2):
-        with pytest.raises(DomainError, match=message):
-            GroupElement(system, matrix).inversion_set()
-    assert not system.peels
+        with pytest.raises(DomainError, match="no group element|lost track"):
+            w.inversion_set()
+        assert w._word is None and w._mask is None
 
 
 def test_a_failed_inverse_stores_nothing():
     a2 = build_system("A2")
+    w = GroupElement(a2, ((1, 1), (0, 1)))
     for _ in range(2):
-        with pytest.raises(DomainError, match="invariant form"):
-            GroupElement(a2, ((1, 1), (0, 1))).inverse()
-    assert not a2.inverses
+        with pytest.raises(DomainError, match="no group element"):
+            w.inverse()
+        assert w._word is None and w._mask is None
