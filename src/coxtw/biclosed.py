@@ -333,7 +333,8 @@ def _decompose_psi(system: CoxeterSystem, gamma: int):
     Γ & ~(Γ >> N) lies inside Φ_u, and the ascent's Φ_u inside the mask."""
     n = len(system.positive_roots)
     u = ascend(system, gamma & ~(gamma >> n) & (1 << n) - 1)
-    bits = [system.column_bit(column) + n for column in list(zip(*u.matrix))[:system.rank_finite]]
+    bits = [n + b if (b := system.column_bit(column)) >= 0 else ~b   # −β_j at bit j
+            for column in list(zip(*u.matrix))[:system.rank_finite]]
     d1 = frozenset(i for i, b in enumerate(bits) if not gamma >> b & 1)
     d2 = frozenset(i for i, b in enumerate(bits) if gamma >> (b + n) % (2 * n) & 1)
     try:

@@ -9,7 +9,7 @@ never need to be compared up to braid moves.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
+from operator import index, mul
 
 from .errors import DomainError
 from .system import CoxeterSystem, Root
@@ -53,10 +53,10 @@ class GroupElement:
         return GroupElement(self.system, [[sum(map(mul, row, col)) for col in cols]
                                           for row in self.matrix])
 
-    def mul_simple(self, s: int, image=None) -> "GroupElement":
+    def mul_simple(self, s: int, image=None, mask=None) -> "GroupElement":
         """w·s, column by column: (w·s)(α_j) = w(α_j) − ⟨α_j, α_s^∨⟩·w(α_s), where
-        image is w(α_s) if the caller has it in hand, and records Φ_ws itself;
-        with no image, w·s is walked, so Φ_ws is recorded if Φ_w is."""
+        image is w(α_s) if the caller has it in hand, and mask Φ_ws if read off
+        it; with no image, w·s is walked, so Φ_ws is recorded if Φ_w is."""
         if image is None and self._mask is not None:
             return walk(self, (s,))
         pairs = self.system.reflection(s)[0]   # validates s before any column read
@@ -67,7 +67,9 @@ class GroupElement:
                 for j, c in pairs:
                     row[j] -= c * x
             rows.append(row)
-        return GroupElement(self.system, rows)
+        el = GroupElement(self.system, rows)
+        el._mask = mask
+        return el
 
     def inverse(self) -> "GroupElement":
         """w⁻¹ = s_m⋯s_1 for the word s_1⋯s_m of w, walked from e, so Φ_{w⁻¹} is recorded."""
@@ -175,20 +177,23 @@ def from_word(system: CoxeterSystem, word) -> GroupElement:
 
 
 def walk(w: GroupElement, word) -> GroupElement:
-    """w·s_1⋯s_m by column updates on one mutable matrix, recording Φ on the way:
-    each letter s has w(α_s) in hand, and by the exchange property Φ_{ws} is
-    Φ_w ⊔ {w(α_s)} if w(α_s) > 0, else Φ_w ∖ {−w(α_s)}, for unreduced words too."""
+    """w·s_1⋯s_m by column updates on one mutable matrix, recording Φ on the way: each
+    letter s, an index below ngens by `operator.index`, has the signed bit b of w(α_s),
+    and by the exchange property Φ_ws is Φ_w ⊔ {b} if b ≥ 0, else Φ_w ∖ {~b}."""
     system = w.system
+    k, reflections, column_bit = system.rank_finite, system._reflections, system.column_bit
     rows = [list(row) for row in w.matrix]
     mask = w.inversion_mask()
-    for s in map(int, word):
-        pairs = system.reflection(s)[0]   # validates s before any column read
-        image = _image(system, rows, s)
-        neg = _negative(system, image)
-        bit = system.column_bit([-x for x in image] if neg else image)
-        if bit < 0 or (mask >> bit & 1) != neg:
+    for letter in word:
+        try:   # a negative index would wrap, so it reads the empty tuple instead
+            pairs = (reflections[s] if (s := index(letter)) >= 0 else ())[0]
+        except (TypeError, IndexError):
+            raise DomainError(f"no simple reflection with index {letter!r}") from None
+        image = [row[s] for row in rows] if s < k else _image(system, rows, s)
+        bit = column_bit(image)
+        if bit is None or (mask >> (b := ~bit if bit < 0 else bit) & 1) != (bit < 0):
             raise DomainError(f"the inversions of the word lost track at letter {s}")
-        mask ^= 1 << bit
+        mask ^= 1 << b
         for row, x in zip(rows, image):
             if x:
                 for j, c in pairs:
@@ -206,13 +211,6 @@ def _image(system: CoxeterSystem, rows, s: int) -> list[int]:
     return [sum(map(mul, row, column)) for row in rows]
 
 
-def _negative(system: CoxeterSystem, image) -> bool:
-    """Whether an integer image w(α_s) is negative: by its δ-entry if nonzero, else any entry < 0."""
-    if system.kind == "affine" and image[-1]:
-        return image[-1] < 0
-    return min(image) < 0
-
-
 # Weak-order walks.  In the right weak order x ≤ y iff Φ_x ⊆ Φ_y, and
 # Φ_{ws} = Φ_w ⊔ {w(α_s)} whenever w(α_s) is positive: a walk up from e
 # adds one inversion per step, so each step is an ascent iff Φ only grows.
@@ -225,16 +223,15 @@ def grow(system: CoxeterSystem, level, keep=None) -> list[GroupElement]:
     kept, in ShortLex order, as on any walk up from e; then y is first found from its
     least (rank of w, s), so NF(y) = NF(w)·s: each word is inherited, in ShortLex order."""
     grown = {}
-    gens = range(system.ngens)
     for w in level:
         mask, word = w.inversion_mask(), w.word
-        for s in gens:
+        for s in range(system.ngens):
             image = _image(system, w.matrix, s)
             if (bit := system.column_bit(image)) < 0 or keep and not keep(bit):
                 continue
             if (up := mask | 1 << bit) not in grown:
-                y = grown[up] = w.mul_simple(s, image)
-                y._word, y._mask = word + (s,), up
+                y = grown[up] = w.mul_simple(s, image, up)
+                y._word = word + (s,)
     return list(grown.values())
 
 
@@ -245,16 +242,16 @@ def ascend(system: CoxeterSystem, mask: int) -> GroupElement:
     element x whose inversion set lies inside mask: x itself on Φ_x, and the
     ordinary meet of a and b on Φ_a ∩ Φ_b.  Each step is the smallest left
     descent of w⁻¹x, so the letters are x's ShortLex word, kept as its `word`."""
-    w, word, mask_w = identity(system), [], 0
+    w, word = identity(system), []
     while True:
         for s in range(system.ngens):
             image = _image(system, w.matrix, s)
             if (bit := system.column_bit(image)) >= 0 and mask >> bit & 1:
-                w, mask_w = w.mul_simple(s, image), mask_w | 1 << bit   # Φ_ws = Φ_w ⊔ {w(α_s)}
+                w = w.mul_simple(s, image, w._mask | 1 << bit)   # Φ_ws = Φ_w ⊔ {w(α_s)}
                 word.append(s)
                 break
         else:
-            w._word, w._mask = tuple(word), mask_w
+            w._word = tuple(word)
             return w
 
 

@@ -3,7 +3,7 @@
 All comparisons reduce to finite symmetric-difference conditions on
 inversion sets: x ≤_B y iff Φ_x ∖ Φ_y ⊆ B and (Φ_y ∖ Φ_x) ∩ B = ∅.
 Chains, intervals, meets and the semilattice check walk the up-covers w·s
-that `le` keeps below a top: for z ≤_B x, [z, x]_B = z·[e, z⁻¹x] is an
+that lie ≤_B a top, on masks: for z ≤_B x, [z, x]_B = z·[e, z⁻¹x] is an
 ordinary weak-order interval, where every element but the top has one.
 """
 
@@ -15,7 +15,7 @@ import operator
 from collections import namedtuple
 
 from .biclosed import BiclosedOracle, Complement
-from .elements import GroupElement, ball, identity, walk
+from .elements import GroupElement, _image, ball, identity, walk
 from .errors import (ClassificationError, DomainError, JoinSearchError,
                      OrderError, UnsupportedOracleError)
 from .infwords import classify
@@ -30,26 +30,27 @@ def twisted_length(w: GroupElement, oracle: BiclosedOracle) -> int:
     return w.length - 2 * oracle.members(w.inversion_mask()).bit_count()
 
 
-def _steps_up(w: GroupElement, u: GroupElement, oracle: BiclosedOracle) -> bool:
-    """Does u = w·s cover w?  The walk flipped one bit of Φ: u covers w iff that
-    root left Φ_w while in B, or entered Φ_w while not in B."""
-    flip = w.inversion_mask() ^ u.inversion_mask()
-    return bool(w.inversion_mask() & flip) == bool(oracle.members(flip))
+def _cover(w: GroupElement, s: int, oracle: BiclosedOracle):
+    """(w(α_s), Φ_ws, whether w·s covers w), off the signed bit b of w(α_s): w·s
+    covers w iff the flipped root left Φ_w while in B (b < 0), or entered it while not."""
+    image = _image(w.system, w.matrix, s)
+    flip = 1 << (~b if (b := w.system.column_bit(image)) < 0 else b)
+    return image, w.inversion_mask() ^ flip, (b < 0) == bool(oracle.members(flip))
 
 
 def is_up_cover(w: GroupElement, s: int, oracle: BiclosedOracle) -> bool:
     """Does w·s cover w (twisted length goes up by one)?"""
     if w.system is not oracle.system and w.system.key != oracle.system.key:
         raise OrderError("cover test needs a single common system")
-    return _steps_up(w, walk(w, (s,)), oracle)
+    return w.system.reflection(s) and _cover(w, s, oracle)[2]   # s validated first
 
 
 def cover_neighbors(w: GroupElement, oracle: BiclosedOracle):
     """(covers above w, covers below w), each sorted by generator index."""
     ups, downs = [], []
     for s in range(w.system.ngens):
-        u = walk(w, (s,))
-        (ups if _steps_up(w, u, oracle) else downs).append(u)
+        image, a, up = _cover(w, s, oracle)
+        (ups if up else downs).append(w.mul_simple(s, image, a))
     return tuple(ups), tuple(downs)
 
 
@@ -67,12 +68,19 @@ def le(x: GroupElement, y: GroupElement, oracle: BiclosedOracle) -> bool:
     return _below(a, b, oracle.members(a ^ b))
 
 
-def _ups_below(w: GroupElement, oracle: BiclosedOracle, tops):
-    """The up-covers w·s that lie ≤_B every element of tops, by generator index."""
-    for s in range(w.system.ngens):
-        u = walk(w, (s,))
-        if _steps_up(w, u, oracle) and all(le(u, t, oracle) for t in tops):
-            yield u
+def _ups(level, oracle: BiclosedOracle, tops, test=all):
+    """The up-covers w·s of the elements of level, each once, that lie ≤_B all (or,
+    with test=any, some) elements of tops, decided on Φ_ws before w·s is built."""
+    masks = [t.inversion_mask() for t in tops]
+    union, seen = functools.reduce(operator.or_, masks, 0), set()
+    for w in level:
+        for s in range(w.system.ngens):
+            image, a, up = _cover(w, s, oracle)
+            if up and a not in seen:
+                seen.add(a)
+                inside = oracle.members(a | union)
+                if test(_below(a, b, inside) for b in masks):
+                    yield w.mul_simple(s, image, a)
 
 
 def chain(x: GroupElement, y: GroupElement,
@@ -86,30 +94,19 @@ def chain(x: GroupElement, y: GroupElement,
         raise OrderError("chain endpoints are not comparable in this order")
     out = [x]
     while out[-1] != y:
-        if (z := next(_ups_below(out[-1], oracle, (y,)), None)) is None:
+        if (z := next(_ups([out[-1]], oracle, (y,)), None)) is None:
             raise DomainError("no up-cover of the chain lies below its top")
         out.append(z)
     return tuple(out)
 
 
 def _up_set(x: GroupElement, oracle: BiclosedOracle, tops) -> list[GroupElement]:
-    """x and every w with x ≤_B w ≤_B some element of tops, level by level.
-
-    Each [x, t]_B = x·[e, x⁻¹t] is graded by l_B, so level k + 1 of their
-    union is the set of up-covers of level k that lie ≤_B some top; one
-    `members` call per cover, over its mask and every top's, serves them all."""
-    masks = [t.inversion_mask() for t in tops]
-    union = functools.reduce(operator.or_, masks, 0)
+    """x and every w with x ≤_B w ≤_B some element of tops, level by level: each
+    [x, t]_B = x·[e, x⁻¹t] is graded by l_B, so level k + 1 of their union is the
+    set of up-covers of level k that lie ≤_B some top."""
     out, level = [x], [x]
     while level:
-        ups = {u.matrix: u for w in level for u in _ups_below(w, oracle, ())}
-        level = []
-        for u in ups.values():
-            a = u.inversion_mask()
-            inside = oracle.members(a | union)
-            if any(_below(a, b, inside) for b in masks):
-                level.append(u)
-        out += level
+        out += (level := list(_ups(level, oracle, tops, any)))
     return out
 
 
@@ -137,18 +134,18 @@ def _witness_letters(oracle: BiclosedOracle):
 def _lower_bound(oracle: BiclosedOracle, masks) -> GroupElement:
     """The shortest prefix z of B's witness word with Φ_z ⊇ (∪ masks) ∩ B,
     checked to lie ≤_B each mask's element.  Every letter must be an ascent,
-    adding the inversion z(α_s) ∈ B, so each prefix lies ≤_B the last."""
+    adding the inversion z(α_s) ∈ B, so each prefix lies ≤_B the last, and the
+    word is walked in chunks as long as the number of inversions still missing."""
     union = functools.reduce(operator.or_, masks, 0)
     need = oracle.members(union)
     z = identity(oracle.system)
     letters = itertools.islice(_witness_letters(oracle), _WITNESS_GUARD)
-    while need & ~z.inversion_mask():
-        if (s := next(letters, None)) is None:
+    while missing := (need & ~z.inversion_mask()).bit_count():
+        if not (chunk := list(itertools.islice(letters, missing))):
             raise OrderError("witness word never covered the required inversions")
-        u = walk(z, (s,))
-        if z.inversion_mask() & ~u.inversion_mask():
-            raise DomainError(f"witness letter {s} is not an ascent")
-        z = u
+        length, z = z.length, walk(z, chunk)
+        if z.inversion_mask().bit_count() != length + len(chunk):
+            raise DomainError(f"a witness letter of {chunk} is not an ascent")
     inside = oracle.members(union | z.inversion_mask())
     if not all(_below(z.inversion_mask(), m, inside) for m in masks):
         raise DomainError("witness prefix is not a common lower bound")
@@ -174,7 +171,7 @@ def meet(x: GroupElement, y: GroupElement,
     stay in [z, x]_B ∩ [z, y]_B = z·[e, z⁻¹x ∧ z⁻¹y], where only the top has
     no up-cover inside, so the climb ends at z·(z⁻¹x ∧ z⁻¹y)."""
     m = lower_bound(x, y, oracle)
-    while (u := next(_ups_below(m, oracle, (x, y)), None)) is not None:
+    while (u := next(_ups([m], oracle, (x, y)), None)) is not None:
         m = u
     return m
 
@@ -247,9 +244,9 @@ def hasse(oracle: BiclosedOracle, elements) -> HasseGraph:
         ((w, twisted_length(w, oracle)) for w in elements),
         key=lambda pair: (pair[1], pair[0].length, pair[0].word),
     )
-    index = {w.matrix: i for i, (w, _) in enumerate(nodes)}
-    edges = sorted((i, index[u.matrix]) for i, (w, _) in enumerate(nodes)
-                   for u in _ups_below(w, oracle, ()) if u.matrix in index)
+    index = {w.inversion_mask(): i for i, (w, _) in enumerate(nodes)}
+    edges = sorted((i, index[a]) for i, (w, _) in enumerate(nodes) for s in range(w.system.ngens)
+                   for _, a, up in [_cover(w, s, oracle)] if up and a in index)
     return HasseGraph(tuple(nodes), tuple(edges))
 
 

@@ -16,7 +16,7 @@ import re
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import mul
+from operator import index, mul
 
 from . import linalg
 from .errors import DomainError, ExprError, ValidationError
@@ -305,8 +305,7 @@ class CoxeterSystem:
                 and not (rho.delta and self.kind == "finite"))
 
     def simple_root(self, i: int) -> Root:
-        if not 0 <= i < self.ngens:
-            raise DomainError(f"no simple reflection with index {i}")
+        self.reflection(i)   # validates i
         return self._simple_roots[i]
 
     def roots_up_to(self, level: int) -> tuple[Root, ...]:
@@ -330,11 +329,15 @@ class CoxeterSystem:
 
     # -- the root index ------------------------------------------------
 
-    def column_bit(self, column) -> int:
-        """The bit of the root with an integer column over (simple roots, δ if
-        affine), or a negative number if it is no positive root."""
-        off = self._offsets.get(tuple(column[:self.rank_finite]))
-        return -1 if off is None else off + self._level_bits * column[-1]
+    def column_bit(self, column) -> int | None:
+        """The signed bit of an integer column over (simple roots, δ if affine): b ≥ 0
+        for the positive root of bit b, ~b for its negative, None for no root: for o
+        the offset of ±α (i or i − N), o + 2N·level if ≥ 0, else ~(o ∓ N − 2N·level)."""
+        if (off := self._offsets.get(tuple(column[:self.rank_finite]))) is None:
+            return None
+        if (bit := off + self._level_bits * column[-1]) >= 0:
+            return bit
+        return bit + len(self._pos_coeffs) - 1 - 2 * (off % len(self._pos_coeffs))
 
     def root_bit(self, rho: Root) -> int:
         """The bit of a positive root; DomainError for any other vector."""
@@ -344,12 +347,14 @@ class CoxeterSystem:
         return bit
 
     def bit_root(self, bit: int) -> Root:
-        """The positive root of a bit, the inverse of `root_bit`."""
+        """The positive root of a bit, the inverse of `root_bit`; at δ-level 0 it is
+        the shared object of `positive_roots`, above it a new `Root`."""
         n = len(self._pos_coeffs)
         level, i = divmod(bit + n, 2 * n)
         if bit < 0 or (level and self.kind == "finite"):
             raise DomainError(f"bit {bit} indexes no positive root of this system")
-        return Root(self._pos_coeffs[i - n] if i >= n else [-c for c in self._pos_coeffs[i]], level)
+        return (Root(self._pos_coeffs[i - n] if i >= n else [-c for c in self._pos_coeffs[i]], level)
+                if level else self.positive_roots[bit])
 
     def level_mask(self, level: int) -> int:
         """The bits of the positive roots up to δ-level `level` (all of Φ⁺ if finite)."""
@@ -440,8 +445,8 @@ class CoxeterSystem:
         return tuple(p for p in pairs if p[0] < self.rank_finite), tuple(pairs)
 
     def reflection(self, s: int):
-        if not 0 <= s < self.ngens:
-            raise DomainError(f"no simple reflection with index {s}")
+        if not 0 <= (index(s) if hasattr(s, "__index__") else -1) < self.ngens:
+            raise DomainError(f"no simple reflection with index {s!r}")
         return self._reflections[s]
 
 

@@ -120,7 +120,7 @@ def peel(system, matrix, guard=100000):
         for s, a in enumerate(images):
             if (a[-1] < 0) if affine and a[-1] else min(a) < 0:
                 rho = [-c for c in a]
-                if (bit := system.column_bit(rho)) < 0:
+                if (bit := system.column_bit(rho)) is None or bit < 0:
                     raise DomainError(f"inversion {rho} of a reduced word is not positive")
                 if mask >> bit & 1:
                     raise DomainError("inversions of a reduced word are not distinct")

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import dense_referee
@@ -9,9 +10,11 @@ from coxtw import elements
 from coxtw.elements import (GroupElement, ascend, ball, from_word, grow,
                             identity, simple, translation, walk, weyl_part)
 from coxtw.errors import ClassificationError, DomainError
+from coxtw.exprs import parse_biclosed
 from coxtw.infwords import WordInvSet, classify, validate_periodic
 from coxtw.oracle import standard_battery
-from coxtw.order import chain, cover_neighbors, interval, le, lower_bound, meet
+from coxtw.order import (chain, cover_neighbors, interval, is_up_cover, le, lower_bound,
+                         meet)
 from coxtw.system import Root, build_system
 
 A1T = build_system("A~1")
@@ -246,9 +249,9 @@ def test_grow_builds_each_element_once(monkeypatch, spec, radius, products):
     calls = []
     mul_simple = GroupElement.mul_simple
 
-    def counting(self, s, image=None):
+    def counting(self, s, *args):
         calls.append(s)
-        return mul_simple(self, s, image)
+        return mul_simple(self, s, *args)
 
     monkeypatch.setattr(GroupElement, "mul_simple", counting)
     assert len(ball(build_system(spec), radius)) == products + 1
@@ -369,13 +372,13 @@ def test_word_guard_is_not_an_assert(monkeypatch):
 
 
 @pytest.mark.parametrize("column_bit, corruption", [
-    (lambda column: -1, "not positive"),
+    (lambda column: None, "not positive"),
     (lambda column: 0, "not distinct"),
 ])
 def test_inversion_set_guards_are_not_asserts(monkeypatch, column_bit, corruption):
     # a bare matrix is certified by the walk of its word from e, which reads
-    # each inversion's bit through `column_bit`, corrupted here to no positive
-    # root or to one repeated root: the walk's record loses track
+    # each letter's signed bit through `column_bit`, corrupted here to no root
+    # at all or to one repeated positive root: the walk's record loses track
     a2 = build_system("A2")
     w = GroupElement(a2, from_word(a2, (0, 1)).matrix)
     monkeypatch.setattr(a2, "column_bit", column_bit)
@@ -389,6 +392,13 @@ def test_from_word_validates_letters_and_its_record(monkeypatch):
         for letter in (-1, system.ngens):
             with pytest.raises(DomainError):
                 from_word(system, (0, letter))
+    # letters are indices, read by `operator.index`, never truncated or parsed
+    for letter in (1.7, "1"):
+        with pytest.raises(DomainError, match=re.escape(repr(letter))):
+            from_word(A2, [letter])
+    a1t = build_system("A~1")
+    with pytest.raises(DomainError, match="1.5"):
+        is_up_cover(simple(a1t, 0), 1.5, parse_biclosed(a1t, "hat e::"))
     # a corrupt reflection table: s_0 fixing everything adds α_0 twice, and
     # s_0 sending α_1 to α_1 − 2α_0 makes −(2,−1) a descent never recorded
     for pairs, word in (((), (0, 0)), (((0, 2), (1, 2)), (0, 1))):
@@ -442,6 +452,22 @@ def test_recorded_inversion_set_matches_the_peel(spec, letters, more):
     # a walk from w continues the walk that built it
     walked, whole = walk(w, b), from_word(system, a + b)
     assert walked == whole and walked._mask == whole._mask
+
+
+@pytest.mark.parametrize("spec", REFEREE_SPECS)
+def test_signed_bits_are_the_root_index_with_a_sign(spec):
+    # the bit of each positive root up to δ-level 2, from `bit_root`'s own
+    # arithmetic: column_bit reads b for ρ, ~b for −ρ and None for no root
+    system = build_system(spec)
+    bits = {system.bit_root(b): b for b in range(system.level_mask(2).bit_length())}
+    k = system.rank_finite
+    for rho in system.roots_up_to(2):
+        column = (rho.coeffs + (rho.delta,))[:system.dim]
+        assert system.column_bit(column) == (bits[rho] if rho.is_positive else ~bits[-rho])
+    for coeffs in ((0,) * k, (2,) + (0,) * (k - 1), (1, -1) + (0,) * (k - 2)):
+        assert system.column_bit((coeffs + (1,))[:system.dim]) is None
+    # a level-0 root is the system's own object, built once
+    assert all(system.bit_root(b) is rho for b, rho in enumerate(system.positive_roots))
 
 
 @pytest.mark.parametrize("spec", REFEREE_SPECS)

@@ -5,14 +5,15 @@ from hypothesis import given, settings, strategies as st
 
 from coxtw.biclosed import (Complement, Explicit, HatForm, act_on_biclosed,
                             biclosed_check, closure_check)
-from coxtw.elements import ascend, ball, from_word, grow, identity, simple, walk
+from coxtw.elements import (GroupElement, ascend, ball, from_word, grow, identity, simple,
+                            walk)
 from coxtw import order
 from coxtw.errors import (ClassificationError, DomainError, JoinSearchError,
                           OrderError, UnsupportedOracleError)
 from coxtw.exprs import parse_biclosed
 from coxtw.figures import FIGURES
 from coxtw.infwords import Classification, WordInvSet, classify, validate_periodic
-from coxtw.oracle import longest_finite, oracle_meet, standard_battery
+from coxtw.oracle import longest_finite, oracle_meet, oracle_tlen, standard_battery
 from coxtw.order import (chain, check_meet_semilattice, cover_neighbors,
                          hasse, interval, is_up_cover, join, le, lower_bound,
                          meet, twisted_length)
@@ -55,6 +56,25 @@ def test_cover_neighbors():
     orc = Explicit(A2, {Root((1, 0))})
     ups, _ = cover_neighbors(simple(A2, 0), orc)
     assert set(ups) == {identity(A2), el(A2, 0, 1)}
+
+
+@pytest.mark.parametrize("spec", ["A2", "B3", "A~2", "C~2", "G~2", "B~3"])
+def test_covers_decided_on_masks_match_the_brute_force_twisted_length(spec):
+    # x·s is an up-cover iff the referee's scan of the positive roots gives it
+    # twisted length one more than x's; the cover search decides it on masks,
+    # and the products it builds carry the Φ a bare matrix is certified to
+    system = build_system(spec)
+    for _, oracle in standard_battery(system):
+        for x in ball(system, 2):
+            tlen = oracle_tlen(x, oracle)
+            products = [x * simple(system, s) for s in range(system.ngens)]
+            up = [oracle_tlen(u, oracle) == tlen + 1 for u in products]
+            ups, downs = cover_neighbors(x, oracle)
+            assert ups == tuple(u for u, k in zip(products, up) if k)
+            assert downs == tuple(u for u, k in zip(products, up) if not k)
+            assert [is_up_cover(x, s, oracle) for s in range(system.ngens)] == up
+            for u in ups + downs:
+                assert u.inversion_mask() == GroupElement(system, u.matrix).inversion_mask()
 
 
 def test_le_and_chain():
@@ -192,7 +212,8 @@ def test_ordinary_meet():
 
 
 def test_chain_guard_is_not_an_assert(monkeypatch):
-    monkeypatch.setattr(order, "_steps_up", lambda w, u, oracle: False)
+    # every w·s decided to be no up-cover, on its mask, before it is built
+    monkeypatch.setattr(order, "_cover", lambda w, s, oracle: (None, 0, False))
     with pytest.raises(DomainError, match="up-cover"):
         chain(simple(A1T, 1), simple(A1T, 0), HAT_NEG)
 
@@ -207,11 +228,21 @@ def test_lower_bound_guard_is_not_an_assert(monkeypatch):
 
 
 def test_lower_bounds_rejects_a_descent_letter(monkeypatch):
-    # a witness word whose second letter undoes its first is not reduced, and
-    # its prefixes would no longer lie ≤_B one another
-    monkeypatch.setattr(order, "_witness_letters", lambda oracle: itertools.repeat(1))
-    with pytest.raises(DomainError, match="not an ascent"):
-        lower_bound(el(A1T, 1, 0), simple(A1T, 1), HAT_NEG)
+    # a witness word whose letter undoes an earlier one is not reduced, and its
+    # prefixes would no longer lie ≤_B one another.  The word is walked in
+    # chunks as long as the inversions still missing, and the guard reads the
+    # descent off the popcount: inside the first chunk, in a chunk after one of
+    # ascents, and in a chunk of one letter
+    chunks = []
+    monkeypatch.setattr(order, "walk", lambda z, chunk: chunks.append(chunk) or walk(z, chunk))
+    for period, x, walked in (((1,), el(A1T, 1, 0), [[1, 1]]),
+                              ((0, 1, 0), el(A1T, 1, 0), [[0, 1], [0, 0]]),
+                              ((0,), el(A1T, 0, 1), [[0], [0]])):
+        monkeypatch.setattr(order, "_witness_letters", lambda oracle: itertools.cycle(period))
+        chunks.clear()
+        with pytest.raises(DomainError, match="not an ascent"):
+            lower_bound(x, simple(A1T, 1), HAT_NEG)
+        assert chunks == walked
 
 
 def test_meet_and_join():

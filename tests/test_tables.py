@@ -120,10 +120,12 @@ def _tables(system):
 
 
 def test_tables_stay_within_their_bound():
-    # a system keeps no table of elements: once the form's inverse is cached,
-    # words, inverses, bare matrices and a ball add no attribute and grow none
+    # a system keeps no table of elements: once the form's inverse and the
+    # fixed-size `positive_roots` are cached, words, inverses, bare matrices
+    # and a ball add no attribute and grow none
     system = build_system("C~2")
     from_word(system, (0, 1)).word
+    system.positive_roots
     before = _tables(system)
     for word in _random_words(system, 7, count=60):
         w = GroupElement(system, from_word(system, word).matrix)
