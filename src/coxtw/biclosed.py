@@ -85,10 +85,8 @@ class HatForm(BiclosedOracle):
     def __init__(self, system: CoxeterSystem, u: GroupElement, delta1, delta2):
         if system.kind != "affine":
             raise ValidationError("hat-form oracles require an affine system")
-        if u.system.key != system.key:
-            raise DomainError("element belongs to a different system")
         self.u = u
-        self.delta1, self.delta2 = (frozenset(int(i) for i in d) for d in (delta1, delta2))
+        self.delta1, self.delta2 = frozenset(delta1), frozenset(delta2)
         super().__init__(system, _psi_pattern(system, u, self.delta1, self.delta2), 0)
 
     def key(self) -> str:
@@ -291,8 +289,7 @@ def enumerate_biclosed(system: CoxeterSystem, ambient) -> tuple[frozenset[Root],
 def expand_psi(system: CoxeterSystem, u: GroupElement, delta1, delta2) -> frozenset[Root]:
     """The twisted positive system u((Φ⁺ ∖ R≥0Δ1) ∪ RΔ2∩Φ) of the finite
     roots, decoded from its pattern (`_psi_pattern`, which validates)."""
-    d1, d2 = (frozenset(int(i) for i in d) for d in (delta1, delta2))
-    return system.pattern_roots(_psi_pattern(system, u, d1, d2))
+    return system.pattern_roots(_psi_pattern(system, u, frozenset(delta1), frozenset(delta2)))
 
 
 def _psi_pattern(system: CoxeterSystem, u: GroupElement, d1: frozenset, d2: frozenset) -> int:
@@ -302,10 +299,13 @@ def _psi_pattern(system: CoxeterSystem, u: GroupElement, d1: frozenset, d2: froz
     on Φ_u's mask, which for a finite u lies in bits 0..N−1.  Then u(Φ⁺_Δ1)
     leaves and ±u(Φ_Δ2) joins, so u's matrix meets those roots only.  This is
     the one place that validates (u, Δ1, Δ2): u must lie in the finite Weyl
-    group, and Δ1, Δ2 be in range, disjoint and orthogonal to each other."""
+    group of this system, and Δ1, Δ2 hold integers in range, disjoint and
+    orthogonal to each other."""
+    if u.system is not system and u.system.key != system.key:
+        raise DomainError("element belongs to a different system")
     k, n = system.rank_finite, len(system.positive_roots)
-    if any(not 0 <= i < k for i in d1 | d2):
-        raise ValidationError("simple-root index out of range")
+    if any(not (hasattr(i, "__index__") and 0 <= i < k) for i in d1 | d2):
+        raise ValidationError(f"simple-root indices must be integers in 0..{k - 1}")
     if d1 & d2:
         raise ValidationError("subsets must be disjoint")
     if bad := next(((i, j) for i in d1 for j in d2 if system.form[i][j]), None):

@@ -55,13 +55,13 @@ class GroupElement:
 
     def mul_simple(self, s: int, image=None, mask=None) -> "GroupElement":
         """w·s, column by column: (w·s)(α_j) = w(α_j) − ⟨α_j, α_s^∨⟩·w(α_s), where
-        image is w(α_s) if the caller has it in hand, and mask Φ_ws if read off
-        it; with no image, w·s is walked, so Φ_ws is recorded if Φ_w is."""
-        if image is None and self._mask is not None:
+        image is w(α_s), in the caller's hand, and mask Φ_ws if read off it; with
+        no image, w·s is walked, which certifies a bare w first and records Φ_ws."""
+        if image is None:
             return walk(self, (s,))
-        pairs = self.system.reflection(s)[0]   # validates s before any column read
+        pairs = self.system.reflection(s)[0]
         rows = []
-        for row, x in zip(self.matrix, image or _image(self.system, self.matrix, s)):
+        for row, x in zip(self.matrix, image):
             if x:
                 row = list(row)
                 for j, c in pairs:
@@ -257,8 +257,8 @@ def ascend(system: CoxeterSystem, mask: int) -> GroupElement:
 
 def ball(system: CoxeterSystem, radius: int) -> tuple[GroupElement, ...]:
     """All elements of length <= radius in (length, ShortLex word) order, grown from e."""
-    if radius < 0:
-        raise DomainError("ball radius must be nonnegative")
+    if (index(radius) if hasattr(radius, "__index__") else -1) < 0:
+        raise DomainError(f"ball radius {radius!r} is not a nonnegative integer")
     level = [identity(system)]
     out = list(level)
     for _ in range(radius):

@@ -16,6 +16,7 @@ nothing at all (witnessed by two roots whose finite parts are opposite).
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import index
 
 from .biclosed import BiclosedOracle, HatForm, _decompose_psi
 from .elements import GroupElement, ascend, from_word, grow, identity, translation, walk
@@ -45,8 +46,9 @@ def validate_periodic(system: CoxeterSystem, prefix, period) -> PeriodicWord:
 
     Raises NotReducedError carrying the first failing power (0 when the
     prefix is not reduced)."""
-    prefix = tuple(int(s) for s in prefix)
-    period = tuple(int(s) for s in period)
+    # each letter is checked as a walk checks it, and kept as an int
+    prefix, period = (tuple(system.reflection(s) and index(s) for s in word)
+                      for word in (prefix, period))
     prefix_el = from_word(system, prefix)
     if prefix_el.length != len(prefix):
         raise NotReducedError("prefix word is not reduced", failing_power=0)

@@ -12,9 +12,9 @@ from __future__ import annotations
 from .biclosed import BiclosedOracle, Complement, Explicit, HatForm, Twisted
 from .elements import (GroupElement, ascend, ball, identity, simple,
                        translation, walk)
-from .errors import ClassificationError, DomainError
-from .infwords import WordInvSet, classify, validate_periodic
-from .order import le, meet, twisted_length
+from .errors import DomainError
+from .infwords import WordInvSet, validate_periodic
+from .order import _has_witness, _same_system, le, meet, twisted_length
 from .system import CoxeterSystem
 
 # Entries of the referee's neighbour table and of an oracle's `_raw_tlen` memo
@@ -27,19 +27,15 @@ def oracle_tlen(w: GroupElement, oracle: BiclosedOracle) -> int:
 
     An inversion of w has δ-level below 2·l(w), since each letter of a
     reduced word moves levels by at most two; the scan checks that it saw
-    exactly l(w) of them."""
+    exactly l(w) of them (on a finite system the scan is all of Φ⁺)."""
+    _same_system(oracle, w.system)
     memo = oracle._raw_tlen
     hit = memo.get(w.matrix)
     if hit is not None:
         return hit
-    system = w.system
     winv = w.inverse()
-    if system.kind == "finite":
-        roots = system.positive_roots
-    else:
-        roots = system.positive_roots_up_to(2 * w.length + 1)
     total = inside = 0
-    for rho in roots:
+    for rho in w.system.positive_roots_up_to(2 * w.length + 1):
         if winv.apply(rho).is_negative:
             total += 1
             if oracle.member(rho):
@@ -84,8 +80,7 @@ def oracle_le(x: GroupElement, y: GroupElement, oracle: BiclosedOracle) -> bool:
     inside Φ_x ∪ Φ_y, hence length at most l(x)+l(y); a search out to that
     radius is therefore complete.  The search runs on matrices."""
     system = x.system
-    if system.key != y.system.key or system.key != oracle.system.key:
-        raise DomainError("comparability check needs a single common system")
+    _same_system(oracle, system, y.system)
     radius = x.length + y.length
     if x == y:
         return True
@@ -163,51 +158,35 @@ def standard_battery(system: CoxeterSystem):
     return tuple(out)
 
 
+def _comparisons(oracle: BiclosedOracle, elems, small):
+    """(op, arguments, library value, referee value, whether they agree) for each
+    selftest comparison on one oracle, a meet's values as words."""
+    for w in elems:
+        got, raw = twisted_length(w, oracle), oracle_tlen(w, oracle)
+        yield "tlen", (w,), got, raw, got == raw
+    for x in elems:
+        for y in elems:
+            got, raw = le(x, y, oracle), oracle_le(x, y, oracle)
+            yield "le", (x, y), got, raw, got == raw
+    if _has_witness(oracle):
+        for i, x in enumerate(small):
+            for y in small[i:]:
+                m = meet(x, y, oracle)
+                raw = oracle_meet(x, y, oracle, max(m.length, x.length + y.length) + 1)
+                yield "meet", (x, y), list(m.word), [list(u.word) for u in raw], raw == (m,)
+
+
 def run_selftest(system: CoxeterSystem, radius: int = 2) -> dict:
     """Compare the order primitives against their oracles over a small ball.
 
     Twisted length and ≤_B are checked for every battery member; meets only
     where B is an inversion set, since elsewhere they need not exist."""
-    battery = standard_battery(system)
-    elems = ball(system, radius)
-    small = ball(system, 1)
-    checked = 0
-    mismatches = []
-    for name, oracle in battery:
-        for w in elems:
+    elems, small = ball(system, radius), ball(system, 1)
+    checked, mismatches = 0, []
+    for name, oracle in standard_battery(system):
+        for op, args, got, raw, same in _comparisons(oracle, elems, small):
             checked += 1
-            got = twisted_length(w, oracle)
-            raw = oracle_tlen(w, oracle)
-            if got != raw:
-                mismatches.append({"oracle": name, "op": "tlen",
-                                   "args": [list(w.word)],
+            if not same:
+                mismatches.append({"oracle": name, "op": op, "args": [list(w.word) for w in args],
                                    "got": got, "oracle_value": raw})
-        for x in elems:
-            for y in elems:
-                checked += 1
-                got = le(x, y, oracle)
-                raw = oracle_le(x, y, oracle)
-                if got != raw:
-                    mismatches.append({"oracle": name, "op": "le",
-                                       "args": [list(x.word), list(y.word)],
-                                       "got": got, "oracle_value": raw})
-        try:
-            cls = classify(oracle)
-        except ClassificationError:
-            cls = None
-        if cls is None or cls.kind == "neither":
-            continue
-        for i, x in enumerate(small):
-            for y in small[i:]:
-                checked += 1
-                m = meet(x, y, oracle)
-                r = max(m.length, x.length + y.length) + 1
-                raw_meet = oracle_meet(x, y, oracle, r)
-                if raw_meet != (m,):
-                    mismatches.append({
-                        "oracle": name, "op": "meet",
-                        "args": [list(x.word), list(y.word)],
-                        "got": list(m.word),
-                        "oracle_value": [list(u.word) for u in raw_meet],
-                    })
     return {"checked": checked, "mismatches": mismatches}

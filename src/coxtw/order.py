@@ -23,10 +23,24 @@ from .infwords import classify
 _WITNESS_GUARD = 100000
 
 
+def _same_system(oracle: BiclosedOracle, *systems) -> None:
+    """OrderError unless each system is B's: the same object, or else the same key."""
+    for system in systems:
+        if system is not oracle.system and system.key != oracle.system.key:
+            raise OrderError("elements and biclosed set need a single common system")
+
+
+def _has_witness(oracle: BiclosedOracle) -> bool:
+    """Is B Φ of a finite or infinite reduced word?  False where `classify` finds none."""
+    try:
+        return classify(oracle).kind != "neither"
+    except ClassificationError:
+        return False
+
+
 def twisted_length(w: GroupElement, oracle: BiclosedOracle) -> int:
     """l_B(w) = l(w) - 2|Φ_w ∩ B|."""
-    if w.system.key != oracle.system.key:
-        raise OrderError("twisted length needs a single common system")
+    _same_system(oracle, w.system)
     return w.length - 2 * oracle.members(w.inversion_mask()).bit_count()
 
 
@@ -40,13 +54,13 @@ def _cover(w: GroupElement, s: int, oracle: BiclosedOracle):
 
 def is_up_cover(w: GroupElement, s: int, oracle: BiclosedOracle) -> bool:
     """Does w·s cover w (twisted length goes up by one)?"""
-    if w.system is not oracle.system and w.system.key != oracle.system.key:
-        raise OrderError("cover test needs a single common system")
+    _same_system(oracle, w.system)
     return w.system.reflection(s) and _cover(w, s, oracle)[2]   # s validated first
 
 
 def cover_neighbors(w: GroupElement, oracle: BiclosedOracle):
     """(covers above w, covers below w), each sorted by generator index."""
+    _same_system(oracle, w.system)
     ups, downs = [], []
     for s in range(w.system.ngens):
         image, a, up = _cover(w, s, oracle)
@@ -62,8 +76,7 @@ def _below(a: int, b: int, inside: int) -> bool:
 
 def le(x: GroupElement, y: GroupElement, oracle: BiclosedOracle) -> bool:
     """x ≤_B y."""
-    if x.system.key != y.system.key or x.system.key != oracle.system.key:
-        raise OrderError("order comparison needs a single common system")
+    _same_system(oracle, x.system, y.system)
     a, b = x.inversion_mask(), y.inversion_mask()
     return _below(a, b, oracle.members(a ^ b))
 
@@ -158,8 +171,7 @@ def lower_bound(x: GroupElement, y: GroupElement,
 
     Such a z satisfies z ≤_B x and z ≤_B y, and taking the shortest prefix
     makes it deterministic."""
-    if x.system.key != y.system.key or x.system.key != oracle.system.key:
-        raise OrderError("order comparison needs a single common system")
+    _same_system(oracle, x.system, y.system)
     return _lower_bound(oracle, (x.inversion_mask(), y.inversion_mask()))
 
 
@@ -189,11 +201,9 @@ def join(x: GroupElement, y: GroupElement,
     returned, anything else raises JoinSearchError."""
     comp = Complement(oracle)   # fresh, so nothing of the oracle points back at it
     comp._classification = oracle._complement_classification
-    try:
-        cls = oracle._complement_classification = classify(comp)
-    except ClassificationError:
-        cls = None
-    if cls is not None and cls.kind != "neither":
+    witnessed = _has_witness(comp)
+    oracle._complement_classification = comp._classification
+    if witnessed:
         return meet(x, y, comp)
     radius = x.length + y.length + _JOIN_SLACK
     bounds = [u for u in ball(x.system, radius)
@@ -281,13 +291,9 @@ def check_meet_semilattice(system, oracle: BiclosedOracle,
     proof over the ball ("ok").
     Otherwise lower bounds are only searched within ball(3·radius), and a
     clean sweep is merely "inconclusive"."""
-    if system.key != oracle.system.key:
-        raise OrderError("semilattice check needs a single common system")
+    _same_system(oracle, system)
     elems = ball(system, radius)
-    try:
-        sound = classify(oracle).kind != "neither"
-    except ClassificationError:
-        sound = False
+    sound = _has_witness(oracle)
 
     pairs = list(itertools.combinations(range(len(elems)), 2))
     masks = [u.inversion_mask() for u in elems]

@@ -25,12 +25,20 @@ _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
 class Root:
-    """A real root β + nδ (simple-basis coordinates, δ-level n); an immutable value."""
+    """A real root β + nδ (simple-basis coordinates, δ-level n); an immutable value.
+    Its entries are integers (`__index__`) or integral Fractions, else DomainError."""
 
     __slots__ = ("coeffs", "delta", "_hash")
 
     def __init__(self, coeffs, delta: int = 0):
-        coeffs, delta = tuple(map(int, coeffs)), int(delta)
+        coeffs = tuple(coeffs)   # read once, as the slow path reads it again
+        try:
+            coeffs, delta = tuple(map(index, coeffs)), index(delta)
+        except TypeError:   # the slow path: an integral Fraction is an integer too
+            if not all(hasattr(x, "__index__") or isinstance(x, Fraction) and x.denominator == 1
+                       for x in (*coeffs, delta)):
+                raise DomainError(f"root entries {(*coeffs, delta)} are not all integers") from None
+            coeffs, delta = tuple(map(int, coeffs)), int(delta)
         _set_coeffs(self, coeffs)
         _set_delta(self, delta)
         _set_hash(self, hash((delta, coeffs)))
@@ -117,7 +125,9 @@ def _validate_cartan(cartan) -> tuple[tuple[int, ...], ...]:
         raise ValidationError("Cartan matrix must be square and nonempty")
     if k > len(_LETTERS):
         raise ValidationError(f"rank {k} exceeds the {len(_LETTERS)} simple-root names")
-    a = tuple(tuple(int(x) for x in row) for row in cartan)
+    if not all(hasattr(x, "__index__") for row in cartan for x in row):
+        raise ValidationError("Cartan entries must be integers")
+    a = tuple(tuple(map(index, row)) for row in cartan)
     for i in range(k):
         if a[i][i] != 2:
             raise ValidationError(f"Cartan diagonal entry a[{i}][{i}] must be 2")
@@ -310,8 +320,8 @@ class CoxeterSystem:
 
     def roots_up_to(self, level: int) -> tuple[Root, ...]:
         """All roots; affine systems truncate to |δ-level| <= level."""
-        if level < 0:
-            raise DomainError("root level must be nonnegative")
+        if (index(level) if hasattr(level, "__index__") else -1) < 0:
+            raise DomainError(f"root level {level!r} is not a nonnegative integer")
         if self.kind == "finite":
             return self.finite_roots
         out = [

@@ -267,6 +267,10 @@ def test_hat_form_validation():
         HatForm(a2t, identity(a2t), (0,), (1,))    # not orthogonal
     with pytest.raises(ValidationError):
         HatForm(a2t, identity(a2t), (), (5,))      # out of range
+    with pytest.raises(ValidationError, match="integers"):
+        HatForm(a2t, identity(a2t), (0.9,), ())    # not an integer
+    with pytest.raises(DomainError, match="different system"):
+        HatForm(a2t, identity(A1T), (), ())
 
 
 def test_hat_form_mixed_directions():
@@ -333,6 +337,10 @@ def test_expand_psi_validation():
         expand_psi(A2, identity(A2), (0,), (0,))
     with pytest.raises(ValidationError):
         expand_psi(A2, identity(A2), (0,), (1,))
+    with pytest.raises(ValidationError, match="integers"):
+        expand_psi(A2, identity(A2), (0.9,), ())
+    with pytest.raises(DomainError, match="different system"):
+        expand_psi(A2, identity(B2), (), ())
 
 
 def test_classify_finite_biclosed():

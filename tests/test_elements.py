@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxtw import elements
+from coxtw.biclosed import Explicit
 from coxtw.elements import (GroupElement, ascend, ball, from_word, grow,
                             identity, simple, translation, walk, weyl_part)
 from coxtw.errors import ClassificationError, DomainError
 from coxtw.exprs import parse_biclosed
 from coxtw.infwords import WordInvSet, classify, validate_periodic
-from coxtw.oracle import standard_battery
-from coxtw.order import (chain, cover_neighbors, interval, is_up_cover, le, lower_bound,
-                         meet)
+from coxtw.oracle import oracle_meet, run_selftest, standard_battery
+from coxtw.order import (chain, check_meet_semilattice, cover_neighbors, interval,
+                         is_up_cover, le, lower_bound, meet)
 from coxtw.system import Root, build_system
 
 A1T = build_system("A~1")
@@ -87,6 +88,21 @@ def test_ball_sizes():
     b3 = ball(A1T, 3)
     assert sorted(w.length for w in b3) == [0, 1, 1, 2, 2, 3, 3]
     assert len(ball(A1T, 9)) == 19
+
+
+def test_radius_and_level_must_be_nonnegative_integers():
+    # the searches that grow a ball from a caller's radius inherit its check
+    empty = Explicit(A2, ())
+    for radius in (1.5, -1, "2", None):
+        for search in (ball, lambda system, r: check_meet_semilattice(system, empty, r),
+                       lambda system, r: oracle_meet(identity(system), identity(system), empty, r),
+                       run_selftest):
+            with pytest.raises(DomainError, match="ball radius"):
+                search(A2, radius)
+        for system in (A2, A1T):
+            with pytest.raises(DomainError, match="root level"):
+                system.roots_up_to(radius)
+    assert len(ball(A2, True)) == 3 and len(A1T.roots_up_to(False)) == 2
 
 
 def test_ball_grows_past_a_finite_group():
@@ -189,6 +205,9 @@ def test_inverse_guard_is_not_an_assert():
     # read off its heights does not rebuild it, and inverse() walks that word
     with pytest.raises(DomainError, match="no group element"):
         GroupElement(A2, ((1, 1), (0, 1))).inverse()
+    # mul_simple with no image walks, so it certifies the bare matrix first
+    with pytest.raises(DomainError, match="no group element"):
+        GroupElement(A2, ((1, 1), (0, 1))).mul_simple(0)
 
 
 def test_group_laws():

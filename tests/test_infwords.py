@@ -134,6 +134,13 @@ def test_validate_periodic_rejections():
     assert info.value.failing_power == 1
     with pytest.raises(NotReducedError):
         validate_periodic(A1T, (0,), (0, 1))   # s0 s0 s1 ... collapses
+    # each letter is checked as a walk checks it, and kept as an int
+    for prefix, period, bad in (((1.7,), (0, 1.2, 2), "1.7"), ((1,), (0, "1", 2), "'1'")):
+        with pytest.raises(DomainError, match=f"no simple reflection with index {bad}"):
+            validate_periodic(A2T, prefix, period)
+    word = validate_periodic(A2T, (True,), (False, True, 2))
+    assert word.prefix == (1,) and word.period == (0, 1, 2)
+    assert {type(s) for s in word.prefix + word.period} == {int}
 
 
 def test_empty_period_on_finite_system():

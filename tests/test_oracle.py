@@ -1,8 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coxtw import oracle as oracle_mod
 from coxtw.biclosed import (Complement, Explicit, HatForm, Twisted,
                             act_on_biclosed)
+from coxtw.cli import main
 from coxtw.elements import from_word, identity, simple
 from coxtw.errors import ClassificationError, DomainError
 from coxtw.infwords import classify
@@ -88,6 +90,34 @@ def test_run_selftest_clean():
     rep = run_selftest(A1T, radius=2)
     assert rep["mismatches"] == []
     assert rep["checked"] == 492
+
+
+def test_run_selftest_records_each_kind_of_mismatch(monkeypatch, capsys):
+    # the library side answers wrongly once per op, on the empty set of A1:
+    # l_B(s) = 1, e ≤_B s, and the meet of e and s is e
+    a1 = build_system("A1")
+    checked = run_selftest(a1)["checked"]
+    tlen, below, meet_ = oracle_mod.twisted_length, oracle_mod.le, oracle_mod.meet
+
+    def asked(oracle, *ws):
+        """The words asked about, where B is the empty set; else None."""
+        return [w.word for w in ws] if oracle.key() == "explicit[]" else None
+
+    monkeypatch.setattr(oracle_mod, "twisted_length",
+                        lambda w, b: tlen(w, b) + (asked(b, w) == [(0,)]))
+    monkeypatch.setattr(oracle_mod, "le",
+                        lambda x, y, b: below(x, y, b) != (asked(b, x, y) == [(), (0,)]))
+    monkeypatch.setattr(oracle_mod, "meet", lambda x, y, b: simple(a1, 0)
+                        if asked(b, x, y) == [(), (0,)] else meet_(x, y, b))
+    assert run_selftest(a1) == {"checked": checked, "mismatches": [
+        {"oracle": "empty", "op": "tlen", "args": [[0]], "got": 2, "oracle_value": 1},
+        {"oracle": "empty", "op": "le", "args": [[], [0]], "got": False,
+         "oracle_value": True},
+        {"oracle": "empty", "op": "meet", "args": [[], [0]], "got": [0],
+         "oracle_value": [[]]},
+    ]}
+    assert main(["--type", "A1", "selftest"]) == 2
+    assert "mismatches: 3" in capsys.readouterr().out
 
 
 def test_run_selftest_past_longest_element():

@@ -13,7 +13,8 @@ from coxtw.errors import (ClassificationError, DomainError, JoinSearchError,
 from coxtw.exprs import parse_biclosed
 from coxtw.figures import FIGURES
 from coxtw.infwords import Classification, WordInvSet, classify, validate_periodic
-from coxtw.oracle import longest_finite, oracle_meet, oracle_tlen, standard_battery
+from coxtw.oracle import (longest_finite, oracle_le, oracle_meet, oracle_tlen,
+                          standard_battery)
 from coxtw.order import (chain, check_meet_semilattice, cover_neighbors,
                          hasse, interval, is_up_cover, join, le, lower_bound,
                          meet, twisted_length)
@@ -98,7 +99,11 @@ def test_le_rejects_mixed_systems():
     lambda b: twisted_length(from_word(A2, (0, 1)), b),
     lambda b: is_up_cover(from_word(A2, (0,)), 1, b),
     lambda b: hasse(b, ball(A2, 2)),
-], ids=["twisted_length", "is_up_cover", "hasse"])
+    lambda b: cover_neighbors(from_word(A2, (0,)), b),
+    lambda b: oracle_tlen(from_word(A2, (0, 1)), b),
+    lambda b: oracle_le(identity(A2), from_word(A2, (0,)), b),
+], ids=["twisted_length", "is_up_cover", "hasse", "cover_neighbors", "oracle_tlen",
+        "oracle_le"])
 def test_order_queries_reject_mixed_systems(query):
     with pytest.raises(OrderError):
         query(parse_biclosed(B2, "full"))

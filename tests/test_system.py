@@ -25,7 +25,8 @@ def test_type_strings_and_rank_bounds():
 
 def test_root_is_an_immutable_value():
     r = Root((1, -2), 3)
-    same = [Root([1, -2], 3), Root((1, -2), 3), Root((Fraction(1), Fraction(-4, 2)), Fraction(3))]
+    same = [Root([1, -2], 3), Root((1, -2), 3), Root((Fraction(1), Fraction(-4, 2)), Fraction(3)),
+            Root((Fraction(c) for c in (1, -2)), 3)]
     for other in same:
         assert other == r and hash(other) == hash(r)
         assert other.coeffs == (1, -2) and type(other.coeffs[0]) is int
@@ -42,6 +43,15 @@ def test_root_is_an_immutable_value():
     with pytest.raises(AttributeError):
         del r.delta
     assert (r.delta, r.coeffs) == (3, (1, -2))
+
+
+def test_root_refuses_entries_that_are_not_integers():
+    for coeffs, delta in (((1.7, 0), 0), (("1", 0), 0), ((1, 0), Fraction(1, 2)),
+                          ((1.0, 0), 0), ((None,), 0)):
+        with pytest.raises(DomainError, match="not all integers"):
+            Root(coeffs, delta)
+    with pytest.raises(DomainError):
+        build_system("A2").root_bit(Root((1.9, 0.2)))
 
 
 def test_positive_root_counts():
@@ -307,6 +317,8 @@ def test_bad_cartan_rejected():
         build_system(cartan=[[1, 0], [0, 2]])      # diagonal not 2
     with pytest.raises(ValidationError):
         build_system(cartan=[[2, -2], [-2, 2]])    # not positive definite
+    with pytest.raises(ValidationError, match="integers"):
+        build_system(cartan=[[2, -1.5], [-1, 2]])  # not an integer
     with pytest.raises(ValidationError, match="irreducible"):
         build_system(cartan=[[2, 0], [0, 2]], affine=True)  # reducible
 
