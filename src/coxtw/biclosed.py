@@ -120,7 +120,7 @@ class Twisted(BiclosedOracle):
             up = sigma.is_positive
             if up == inner.member(sigma if up else -sigma):
                 held |= 1 << b
-        pattern = system.moved_pattern(w.matrix, inner.pattern)
+        pattern = system.moved_pattern(w.columns, inner.pattern)
         super().__init__(system, pattern, held ^ system.periodic(pattern, top))
 
     def key(self) -> str:
@@ -297,7 +297,7 @@ def _psi_pattern(system: CoxeterSystem, u: GroupElement, d1: frozenset, d2: froz
 
     u(Φ⁺) is the β > 0 outside Φ_u and the −β for β in Φ_u: two bit operations
     on Φ_u's mask, which for a finite u lies in bits 0..N−1.  Then u(Φ⁺_Δ1)
-    leaves and ±u(Φ_Δ2) joins, so u's matrix meets those roots only.  This is
+    leaves and ±u(Φ_Δ2) joins, so u's columns meet those roots only.  This is
     the one place that validates (u, Δ1, Δ2): u must lie in the finite Weyl
     group of this system, and Δ1, Δ2 hold integers in range, disjoint and
     orthogonal to each other."""
@@ -317,8 +317,8 @@ def _psi_pattern(system: CoxeterSystem, u: GroupElement, d1: frozenset, d2: froz
                       if all(i in d for i, c in enumerate(beta.coeffs) if c)) if d else 0
                   for d in (d1, d2))
     out = ((1 << n) - 1 ^ mask) << n | mask
-    out &= ~system.moved_pattern(u.matrix, sub1)
-    return out | system.moved_pattern(u.matrix, sub2 | sub2 >> n)
+    out &= ~system.moved_pattern(u.columns, sub1)
+    return out | system.moved_pattern(u.columns, sub2 | sub2 >> n)
 
 
 def _decompose_psi(system: CoxeterSystem, gamma: int):
@@ -334,7 +334,7 @@ def _decompose_psi(system: CoxeterSystem, gamma: int):
     n = len(system.positive_roots)
     u = ascend(system, gamma & ~(gamma >> n) & (1 << n) - 1)
     bits = [n + b if (b := system.column_bit(column)) >= 0 else ~b   # −β_j at bit j
-            for column in list(zip(*u.matrix))[:system.rank_finite]]
+            for column in u.columns[:system.rank_finite]]
     d1 = frozenset(i for i, b in enumerate(bits) if not gamma >> b & 1)
     d2 = frozenset(i for i, b in enumerate(bits) if gamma >> (b + n) % (2 * n) & 1)
     try:

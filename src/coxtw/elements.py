@@ -1,9 +1,12 @@
-"""Group elements as exact integer matrices acting on the root lattice.
+"""Group elements as the images of the simple roots, packed one integer per column.
 
-An element is the matrix of its action on the basis (α_1,...,α_k) for a
-finite system, or (α_1,...,α_k,δ) for an affine one; column j is the image
-of basis vector j.  Equality of elements is equality of matrices, so words
-never need to be compared up to braid moves.
+Column s of an element w is w(α_s) for the s-th simple root (the affine one
+last), packed by `CoxeterSystem.pack`: each finite coefficient a signed byte,
+the δ-level on top.  A letter s changes column t by −⟨α_t, α_s^∨⟩·w(α_s), one
+integer product per pairing, exact because every column is a root.  Equality
+of elements is equality of columns, so words never need to be compared up to
+braid moves; the row matrix of the action on (α_1,...,α_k, δ if affine), column
+j the image of basis vector j, is decoded only when asked for.
 """
 
 from __future__ import annotations
@@ -18,11 +21,17 @@ _WORD_GUARD = 100000
 
 
 class GroupElement:
-    __slots__ = ("system", "matrix", "_word", "_mask")
+    __slots__ = ("system", "columns", "_matrix", "_word", "_mask")
 
     def __init__(self, system: CoxeterSystem, matrix):
+        """The element of a row matrix over (α_1,...,α_k, δ if affine); a column
+        that is no vector of signed bytes is kept as a tuple, which equals no root."""
         self.system = system
-        self.matrix = tuple(map(tuple, matrix))
+        self._matrix = rows = tuple(map(tuple, matrix))
+        images = list(zip(*rows))[:system.rank_finite]
+        if system.kind == "affine":   # the affine α_k = δ − θ
+            images.append([sum(map(mul, row, system.simple_columns[-1])) for row in rows])
+        self.columns = tuple(map(system.pack, images))
         self._word = self._mask = None
 
     # -- identity, equality --------------------------------------------
@@ -30,46 +39,54 @@ class GroupElement:
     def __eq__(self, other):
         return (isinstance(other, GroupElement)
                 and self.system.key == other.system.key
-                and self.matrix == other.matrix)
+                and self.columns == other.columns)
 
     def __hash__(self):
-        return hash((self.system.key, self.matrix))
+        return hash((self.system.key, self.columns))
 
     def __repr__(self):
         return f"GroupElement({list(self.word)})"
 
     @property
     def is_identity(self) -> bool:
-        return self.matrix == self.system.identity_matrix
+        return self.columns == self.system.identity_columns
+
+    @property
+    def matrix(self) -> tuple[tuple[int, ...], ...]:
+        """The row matrix, decoded from the columns on first read."""
+        if self._matrix is None:
+            self._matrix = _decode(self.system, self.columns)
+        return self._matrix
 
     # -- multiplication ------------------------------------------------
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
+        """(w·v)(α_j) = w(v(α_j)), the entries of v(α_j) times the packed images
+        w(α_1),...,w(α_k), w(δ) = δ; a factor with no Φ recorded may be no group
+        element, whose images need not fit the bytes, so it takes the row product."""
         if not isinstance(other, GroupElement):
             return NotImplemented
-        if self.system.key != other.system.key:
+        system = self.system
+        if system.key != other.system.key:
             raise DomainError("cannot multiply elements of different systems")
-        cols = list(zip(*other.matrix))
-        return GroupElement(self.system, [[sum(map(mul, row, col)) for col in cols]
-                                          for row in self.matrix])
+        if self._mask is None or other._mask is None:
+            cols = list(zip(*other.matrix))
+            return GroupElement(system, [[sum(map(mul, row, col)) for col in cols]
+                                         for row in self.matrix])
+        basis = self.columns[:system.rank_finite] + (1 << system._shift,)   # δ, if affine
+        return _element(system, tuple(sum(map(mul, basis, system.unpack(c)))
+                                      for c in other.columns))
 
     def mul_simple(self, s: int, image=None, mask=None) -> "GroupElement":
-        """w·s, column by column: (w·s)(α_j) = w(α_j) − ⟨α_j, α_s^∨⟩·w(α_s), where
+        """w·s, column by column: (w·s)(α_t) = w(α_t) − ⟨α_t, α_s^∨⟩·w(α_s), where
         image is w(α_s), in the caller's hand, and mask Φ_ws if read off it; with
         no image, w·s is walked, which certifies a bare w first and records Φ_ws."""
         if image is None:
             return walk(self, (s,))
-        pairs = self.system.reflection(s)[0]
-        rows = []
-        for row, x in zip(self.matrix, image):
-            if x:
-                row = list(row)
-                for j, c in pairs:
-                    row[j] -= c * x
-            rows.append(row)
-        el = GroupElement(self.system, rows)
-        el._mask = mask
-        return el
+        cols = list(self.columns)
+        for t, c in self.system._reflections[s][1]:
+            cols[t] -= c * image
+        return _element(self.system, tuple(cols), mask)
 
     def inverse(self) -> "GroupElement":
         """w⁻¹ = s_m⋯s_1 for the word s_1⋯s_m of w, walked from e, so Φ_{w⁻¹} is recorded."""
@@ -78,7 +95,8 @@ class GroupElement:
     # -- action on roots -----------------------------------------------
 
     def apply(self, rho: Root) -> Root:
-        """Image of a root-lattice vector; no root-validity check, but the vector
+        """Image of a root-lattice vector, through the row matrix, since the bytes of
+        packed columns hold roots only; no root-validity check, but the vector
         must have rank_finite coefficients, and δ-level 0 on a finite system."""
         k = self.system.rank_finite
         if len(rho.coeffs) != k or (rho.delta and self.system.kind == "finite"):
@@ -94,20 +112,29 @@ class GroupElement:
         descent, which is the first s with h_s < 0 for h_t = N·f(v(α_t)): f is the
         height, plus (ht θ + 1)·δ if affine, so it is positive exactly on Φ⁺, and
         v·s moves h_t −= ⟨α_t, α_s^∨⟩·h_s.  w̄ preserves the form G, so w̄⁻¹ =
-        adj G·w̄ᵀ·G / N, and w⁻¹ = [[w̄⁻¹, 0], [−r·w̄⁻¹, 1]] for r the δ-row of w:
-        the start is h = (f′·adj G)·w̄ᵀ·G on α_1..α_k with f′ = f − f(δ)·r, with
-        no inverse matrix.  A matrix with no Φ recorded is certified by walking
-        its word from e, which records Φ_w; a failure sets nothing."""
-        system, m = self.system, self.matrix
+        adj G·w̄ᵀ·G / N, and w⁻¹ = [[w̄⁻¹, 0], [−r·w̄⁻¹, 1]] for r the δ-levels of
+        the w(α_j): the start is h = (f′·adj G)·w̄ᵀ·G on α_1..α_k with f′ = f −
+        f(δ)·r, with no inverse matrix.  w̄ is read as the bytes b of the columns,
+        w̄ = b − 128, so w̄·x = b·x − 128·Σx.  A w with no Φ recorded is certified by
+        walking its word from e and comparing the columns, which records Φ_w; a
+        failure sets nothing, and a column that packed to no integer fails at once."""
+        system = self.system
         gram, adj, n = system.integer_form   # both symmetric: rows are columns
-        k = system.rank_finite
+        k, bias, fin = system.rank_finite, system._bias, system._fin
+        try:
+            biased = [c + bias for c in self.columns[:k]]
+        except TypeError:   # a column of entries that are no signed bytes
+            raise DomainError("matrix is no group element: it sends a simple root to no root") from None
         top = 0
-        f = [1] * k
         if system.kind == "affine":
             top = sum(system.highest_root.coeffs) + 1   # f(δ)
-            f = [1 - top * r for r in m[k][:k]]
-        fadj = [sum(map(mul, f, row)) for row in adj]
-        wf = [sum(map(mul, row, fadj)) for row in m[:k]]
+            f = [1 - top * (c >> system._shift) for c in biased]
+            fadj = [sum(map(mul, f, row)) for row in adj]
+        else:
+            fadj = [sum(row) for row in adj]   # f′·adj G for f′ = 1
+        rows = zip(*[(c & fin).to_bytes(k, "little") for c in biased])
+        shift = 128 * sum(fadj)
+        wf = [sum(map(mul, row, fadj)) - shift for row in rows]
         h = [sum(map(mul, wf, row)) for row in gram]
         if top:   # the affine α_k = δ − θ
             h.append(n * top - sum(map(mul, h, system.highest_root.coeffs)))
@@ -125,7 +152,7 @@ class GroupElement:
             raise DomainError("word extraction did not terminate")
         if self._mask is None:
             built = from_word(system, word)
-            if built.matrix != m:
+            if built.columns != self.columns:
                 raise DomainError("matrix is no group element: its word does not rebuild it")
             self._mask = built._mask
         self._word = tuple(word)
@@ -162,9 +189,23 @@ class GroupElement:
 
 
 def identity(system: CoxeterSystem) -> GroupElement:
-    el = GroupElement(system, system.identity_matrix)
-    el._word, el._mask = (), 0
+    return _element(system, system.identity_columns, 0, ())
+
+
+def _element(system: CoxeterSystem, columns: tuple, mask=None, word=None) -> GroupElement:
+    """The element of packed columns, with Φ and the word if known."""
+    el = GroupElement.__new__(GroupElement)
+    el.system, el.columns, el._matrix, el._mask, el._word = system, columns, None, mask, word
     return el
+
+
+def _decode(system: CoxeterSystem, columns) -> tuple[tuple[int, ...], ...]:
+    """The row matrix of packed columns: basis column j is w(α_j) for j < k, and
+    w(δ) = w(α_k) + Σ θ_i·w(α_i) for the affine α_k = δ − θ."""
+    basis = list(columns[:system.rank_finite])
+    if system.kind == "affine":
+        basis.append(columns[-1] + sum(map(mul, system.highest_root.coeffs, basis)))
+    return tuple(zip(*map(system.unpack, basis)))
 
 
 def simple(system: CoxeterSystem, s: int) -> GroupElement:
@@ -177,38 +218,25 @@ def from_word(system: CoxeterSystem, word) -> GroupElement:
 
 
 def walk(w: GroupElement, word) -> GroupElement:
-    """w·s_1⋯s_m by column updates on one mutable matrix, recording Φ on the way: each
-    letter s, an index below ngens by `operator.index`, has the signed bit b of w(α_s),
-    and by the exchange property Φ_ws is Φ_w ⊔ {b} if b ≥ 0, else Φ_w ∖ {~b}."""
+    """w·s_1⋯s_m by column updates on one list of packed columns, recording Φ on the
+    way: each letter s, an index below ngens by `operator.index`, has the signed bit b
+    of w(α_s), and by the exchange property Φ_ws is Φ_w ⊔ {b} if b ≥ 0, else Φ_w ∖ {~b}."""
     system = w.system
-    k, reflections, column_bit = system.rank_finite, system._reflections, system.column_bit
-    rows = [list(row) for row in w.matrix]
+    reflections, column_bit = system._reflections, system.column_bit
     mask = w.inversion_mask()
+    cols = list(w.columns)
     for letter in word:
         try:   # a negative index would wrap, so it reads the empty tuple instead
-            pairs = (reflections[s] if (s := index(letter)) >= 0 else ())[0]
+            pairs = (reflections[s] if (s := index(letter)) >= 0 else ())[1]
         except (TypeError, IndexError):
             raise DomainError(f"no simple reflection with index {letter!r}") from None
-        image = [row[s] for row in rows] if s < k else _image(system, rows, s)
-        bit = column_bit(image)
+        bit = column_bit(image := cols[s])
         if bit is None or (mask >> (b := ~bit if bit < 0 else bit) & 1) != (bit < 0):
             raise DomainError(f"the inversions of the word lost track at letter {s}")
         mask ^= 1 << b
-        for row, x in zip(rows, image):
-            if x:
-                for j, c in pairs:
-                    row[j] -= c * x
-    el = GroupElement(system, rows)
-    el._mask = mask
-    return el
-
-
-def _image(system: CoxeterSystem, rows, s: int) -> list[int]:
-    """w(α_s) as an integer column of w's rows: column s itself for a finite simple root."""
-    if s < system.rank_finite:
-        return [row[s] for row in rows]
-    column = system.simple_columns[s]
-    return [sum(map(mul, row, column)) for row in rows]
+        for t, c in pairs:
+            cols[t] -= c * image
+    return _element(system, tuple(cols), mask)
 
 
 # Weak-order walks.  In the right weak order x ≤ y iff Φ_x ⊆ Φ_y, and
@@ -222,12 +250,11 @@ def grow(system: CoxeterSystem, level, keep=None) -> list[GroupElement]:
     Φ_w ⊔ {w(α_s)}.  level must hold every length-d element whose inversions are all
     kept, in ShortLex order, as on any walk up from e; then y is first found from its
     least (rank of w, s), so NF(y) = NF(w)·s: each word is inherited, in ShortLex order."""
-    grown = {}
+    grown, column_bit = {}, system.column_bit
     for w in level:
         mask, word = w.inversion_mask(), w.word
-        for s in range(system.ngens):
-            image = _image(system, w.matrix, s)
-            if (bit := system.column_bit(image)) < 0 or keep and not keep(bit):
+        for s, image in enumerate(w.columns):
+            if (bit := column_bit(image)) < 0 or keep and not keep(bit):
                 continue
             if (up := mask | 1 << bit) not in grown:
                 y = grown[up] = w.mul_simple(s, image, up)
@@ -241,18 +268,20 @@ def ascend(system: CoxeterSystem, mask: int) -> GroupElement:
     mask must be a finite set of positive roots.  The walk ends at a maximal
     element x whose inversion set lies inside mask: x itself on Φ_x, and the
     ordinary meet of a and b on Φ_a ∩ Φ_b.  Each step is the smallest left
-    descent of w⁻¹x, so the letters are x's ShortLex word, kept as its `word`."""
-    w, word = identity(system), []
+    descent of w⁻¹x, so the letters are x's ShortLex word, kept as its `word`;
+    each adds w(α_s) to Φ_w, on one list of packed columns."""
+    reflections, column_bit = system._reflections, system.column_bit
+    cols, inside, word = list(system.identity_columns), 0, []
     while True:
-        for s in range(system.ngens):
-            image = _image(system, w.matrix, s)
-            if (bit := system.column_bit(image)) >= 0 and mask >> bit & 1:
-                w = w.mul_simple(s, image, w._mask | 1 << bit)   # Φ_ws = Φ_w ⊔ {w(α_s)}
+        for s, image in enumerate(cols):
+            if (bit := column_bit(image)) >= 0 and mask >> bit & 1:
+                inside |= 1 << bit
                 word.append(s)
+                for t, c in reflections[s][1]:
+                    cols[t] -= c * image
                 break
         else:
-            w._word = tuple(word)
-            return w
+            return _element(system, tuple(cols), inside, tuple(word))
 
 
 def ball(system: CoxeterSystem, radius: int) -> tuple[GroupElement, ...]:
@@ -287,10 +316,9 @@ def translation(system: CoxeterSystem, lam) -> GroupElement:
         raise DomainError("translation vector has the wrong length")
     if not system.in_coroot_lattice(vec):
         raise DomainError("translation vector is not in the coroot lattice")
-    k = system.rank_finite
-    # (α_j, α_i^∨) = a_ij, so (α_j, λ) = Σ_i c_i·a_ij for λ = Σ_i c_i·α_i^∨
+    # (α_j, α_i^∨) = a_ij, so (α_j, λ) = Σ_i c_i·a_ij for λ = Σ_i c_i·α_i^∨, and
+    # t_λ(α) = α + (α, λ)·δ, on each simple root α (the affine one's finite part is −θ)
     coords = [int(x) for x in system.coroot_coordinates(vec)]
-    m = [[1 if r == c else 0 for c in range(k + 1)] for r in range(k + 1)]
-    for j in range(k):
-        m[k][j] = sum(coords[i] * system.cartan[i][j] for i in range(k))
-    return GroupElement(system, m)
+    pairs = [sum(map(mul, coords, column)) for column in zip(*system.cartan)]
+    return _element(system, tuple(c + (sum(map(mul, a, pairs)) << system._shift)
+                                  for c, a in zip(system.identity_columns, system.simple_columns)))

@@ -16,7 +16,7 @@ nothing at all (witnessed by two roots whose finite parts are opposite).
 from __future__ import annotations
 
 from collections import namedtuple
-from operator import index
+from operator import index, mul
 
 from .biclosed import BiclosedOracle, HatForm, _decompose_psi
 from .elements import GroupElement, ascend, from_word, grow, identity, translation, walk
@@ -60,7 +60,8 @@ def validate_periodic(system: CoxeterSystem, prefix, period) -> PeriodicWord:
     # the first short step names the failing power; in a finite system one fails
     # by k = m, as period^m is the identity.  The Weyl part is a homomorphism,
     # so m is the first k at which the finite block is the prefix's again.
-    rank = system.rank_finite
+    rank, unpack = system.rank_finite, system.unpack
+    block = [unpack(c)[:rank] for c in prefix_el.columns[:rank]]   # the w̄(α_j)
     el, order, k = prefix_el, 0, 0
     while not order or k < 2 * order:
         k += 1
@@ -70,11 +71,12 @@ def validate_periodic(system: CoxeterSystem, prefix, period) -> PeriodicWord:
                                   failing_power=k)
         if order:
             continue
-        if el.matrix[:rank] == prefix_el.matrix[:rank]:
+        if [unpack(c)[:rank] for c in el.columns[:rank]] == block:
             order, shifted = k, el   # prefix·t_μ
         elif k >= _ORDER_GUARD:
             raise DomainError("element order exceeded the search guard")
-    row = (shifted * prefix_el.inverse()).matrix[rank][:rank]   # t_{prefix·μ}
+    # the δ-levels (β, prefix·μ) of t_{prefix·μ}(α_j), j < k
+    row = [unpack(c)[rank] for c in (shifted * prefix_el.inverse()).columns[:rank]]
     pattern = system.pattern(beta for beta in system.finite_roots
                              if sum(c * d for c, d in zip(beta.coeffs, row)) > 0)
     return PeriodicWord(system, prefix, period, prefix_el, pattern)
@@ -142,15 +144,16 @@ def _find_bad_pair(oracle: BiclosedOracle, overlap: int) -> tuple[Root, Root]:
 
 def _try_prefix(oracle: BiclosedOracle, prefix: GroupElement):
     system = oracle.system
-    j_set = system.moved_pattern(prefix.inverse().matrix, oracle.pattern)   # p̄⁻¹·I_B
+    j_set = system.moved_pattern(prefix.inverse().columns, oracle.pattern)   # p̄⁻¹·I_B
     try:
         u, d1, _ = _decompose_psi(system, j_set)
     except ClassificationError:
         return None
-    # t_{ū·λ} = u·t_λ·u⁻¹, for λ the dominant coweight vanishing on Δ1
-    t_gamma = (u * translation(system, system.dominant_coweight_for(d1))
-               * u.inverse())
-    period = t_gamma.word
+    # t_{ū·λ} = u·t_λ·u⁻¹, for λ the dominant coweight vanishing on Δ1, and
+    # ū·λ = Σ λ_j·ū(α_j), off the finite parts of u's packed columns
+    lam, k = system.dominant_coweight_for(d1), system.rank_finite
+    moved = zip(*(system.unpack(c)[:k] for c in u.columns[:k]))
+    period = translation(system, [sum(map(mul, row, lam)) for row in moved]).word
     try:
         pword = validate_periodic(system, prefix.word, period)
     except NotReducedError:

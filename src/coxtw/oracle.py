@@ -10,7 +10,7 @@ over a battery of oracles is evidence that both sides are right.
 from __future__ import annotations
 
 from .biclosed import BiclosedOracle, Complement, Explicit, HatForm, Twisted
-from .elements import (GroupElement, ascend, ball, identity, simple,
+from .elements import (GroupElement, _element, ascend, ball, identity, simple,
                        translation, walk)
 from .errors import DomainError
 from .infwords import WordInvSet, validate_periodic
@@ -30,7 +30,7 @@ def oracle_tlen(w: GroupElement, oracle: BiclosedOracle) -> int:
     exactly l(w) of them (on a finite system the scan is all of Φ⁺)."""
     _same_system(oracle, w.system)
     memo = oracle._raw_tlen
-    hit = memo.get(w.matrix)
+    hit = memo.get(w.columns)
     if hit is not None:
         return hit
     winv = w.inverse()
@@ -45,32 +45,32 @@ def oracle_tlen(w: GroupElement, oracle: BiclosedOracle) -> int:
     val = w.length - 2 * inside
     if len(memo) >= _TABLE_BOUND:
         memo.clear()
-    memo[w.matrix] = val
+    memo[w.columns] = val
     return val
 
 
-# The right neighbours' (matrix, length) by (system key, matrix), bounded by
-# _TABLE_BOUND: held here, not on the system, and as integers, not elements, so
+# The right neighbours' (columns, length) by (system key, packed columns), bounded
+# by _TABLE_BOUND: held here, not on the system, and as integers, not elements, so
 # that no system points at its own elements and the table keeps no system alive.
 _NEIGHBORS: dict = {}
 
 
-def _neighbors(system: CoxeterSystem, matrix):
-    key = (system.key, matrix)
+def _neighbors(system: CoxeterSystem, columns):
+    key = (system.key, columns)
     hit = _NEIGHBORS.get(key)
     if hit is None:
         if len(_NEIGHBORS) >= _TABLE_BOUND:
             _NEIGHBORS.clear()
-        w = GroupElement(system, matrix)
-        hit = _NEIGHBORS[key] = tuple((y.matrix, y.length) for y in (
+        w = _element(system, columns)
+        hit = _NEIGHBORS[key] = tuple((y.columns, y.length) for y in (
             walk(w, (s,)) for s in range(system.ngens)))
     return hit
 
 
-def _tlen(system: CoxeterSystem, matrix, oracle: BiclosedOracle) -> int:
-    """oracle_tlen of the element of a matrix, built only if the memo misses."""
-    hit = oracle._raw_tlen.get(matrix)
-    return oracle_tlen(GroupElement(system, matrix), oracle) if hit is None else hit
+def _tlen(system: CoxeterSystem, columns, oracle: BiclosedOracle) -> int:
+    """oracle_tlen of the element of packed columns, built only if the memo misses."""
+    hit = oracle._raw_tlen.get(columns)
+    return oracle_tlen(_element(system, columns), oracle) if hit is None else hit
 
 
 def oracle_le(x: GroupElement, y: GroupElement, oracle: BiclosedOracle) -> bool:
@@ -78,15 +78,15 @@ def oracle_le(x: GroupElement, y: GroupElement, oracle: BiclosedOracle) -> bool:
 
     Any element on a saturated chain from x to y has its inversion set
     inside Φ_x ∪ Φ_y, hence length at most l(x)+l(y); a search out to that
-    radius is therefore complete.  The search runs on matrices."""
+    radius is therefore complete.  The search runs on packed columns."""
     system = x.system
     _same_system(oracle, system, y.system)
     radius = x.length + y.length
     if x == y:
         return True
-    target = y.matrix
-    seen = {x.matrix}
-    frontier = [x.matrix]
+    target = y.columns
+    seen = {x.columns}
+    frontier = [x.columns]
     while frontier:
         grown = []
         for w in frontier:

@@ -15,7 +15,7 @@ import operator
 from collections import namedtuple
 
 from .biclosed import BiclosedOracle, Complement
-from .elements import GroupElement, _image, ball, identity, walk
+from .elements import GroupElement, ball, identity, walk
 from .errors import (ClassificationError, DomainError, JoinSearchError,
                      OrderError, UnsupportedOracleError)
 from .infwords import classify
@@ -47,7 +47,7 @@ def twisted_length(w: GroupElement, oracle: BiclosedOracle) -> int:
 def _cover(w: GroupElement, s: int, oracle: BiclosedOracle):
     """(w(α_s), Φ_ws, whether w·s covers w), off the signed bit b of w(α_s): w·s
     covers w iff the flipped root left Φ_w while in B (b < 0), or entered it while not."""
-    image = _image(w.system, w.matrix, s)
+    image = w.columns[s]
     flip = 1 << (~b if (b := w.system.column_bit(image)) < 0 else b)
     return image, w.inversion_mask() ^ flip, (b < 0) == bool(oracle.members(flip))
 

@@ -252,6 +252,7 @@ class CoxeterSystem:
         self._level_bits = 2 * n if affine else 0
         self._offsets = {v: i for i, v in enumerate(self._pos_coeffs)}
         self._offsets.update((tuple(-c for c in v), i - n) for i, v in enumerate(self._pos_coeffs))
+        self._flips = [n - 1 - 2 * i for i in range(n)] * 2   # by offset, for `column_bit`
 
         if affine:
             self.highest_root = self._find_highest_root()
@@ -275,8 +276,18 @@ class CoxeterSystem:
         self._simple_roots = tuple(simples)
         # the same as integer columns over the basis (simple roots, and δ if affine)
         self.simple_columns = tuple((a.coeffs + (a.delta,))[:self.dim] for a in simples)
-        self.identity_matrix = tuple(tuple(int(r == c) for c in range(self.dim))
-                                     for r in range(self.dim))
+        # Packed columns: Σ c_i·α_i + d·δ is the integer Σ c_i·2^(8i) + d·2^(8k), each
+        # c_i a signed byte and d unbounded on top, so a Z-linear combination of
+        # columns is one of integers, exact wherever its coefficients fit their bytes,
+        # as a root's do (at most 6).  Adding _bias moves each byte to 0..255, so
+        # & _fin keeps the finite part, the key of _keys, and >> _shift the δ-level.
+        self._shift, self._fin = 8 * k, (1 << 8 * k) - 1
+        self._bias = int.from_bytes(b"\x80" * k, "little")
+        self._keys = {}
+        for i, v in enumerate(self._pos_coeffs):   # a positive root's coefficients are bytes
+            packed = int.from_bytes(bytes(v), "little")
+            self._keys[self._bias + packed], self._keys[self._bias - packed] = i, i - n
+        self.identity_columns = tuple(map(self.pack, self.simple_columns))
         self._reflections = tuple(self._reflection(s) for s in range(self.ngens))
 
     def __eq__(self, other):
@@ -340,14 +351,35 @@ class CoxeterSystem:
     # -- the root index ------------------------------------------------
 
     def column_bit(self, column) -> int | None:
-        """The signed bit of an integer column over (simple roots, δ if affine): b ≥ 0
-        for the positive root of bit b, ~b for its negative, None for no root: for o
-        the offset of ±α (i or i − N), o + 2N·level if ≥ 0, else ~(o ∓ N − 2N·level)."""
-        if (off := self._offsets.get(tuple(column[:self.rank_finite]))) is None:
+        """The signed bit of a column over (simple roots, δ if affine), packed or a
+        sequence: b ≥ 0 for the positive root of bit b, ~b for its negative, None for
+        no root: for o the offset of ±α (i or i − N), o + 2N·level if ≥ 0, else
+        ~(o ∓ N − 2N·level)."""
+        if column.__class__ is int:
+            column += self._bias
+            off, level = self._keys.get(column & self._fin), column >> self._shift
+        else:
+            off, level = self._offsets.get(tuple(column[:self.rank_finite])), column[-1]
+        if off is None:
             return None
-        if (bit := off + self._level_bits * column[-1]) >= 0:
+        if (bit := off + self._level_bits * level) >= 0:
             return bit
-        return bit + len(self._pos_coeffs) - 1 - 2 * (off % len(self._pos_coeffs))
+        return bit + self._flips[off]
+
+    def pack(self, column):
+        """The packed integer of a column over (simple roots, δ if affine), or the
+        column itself as a tuple if a finite entry is no signed byte."""
+        try:
+            fin = int.from_bytes(bytes(c + 128 for c in column[:self.rank_finite]), "little")
+        except (TypeError, ValueError):
+            return tuple(column)
+        return fin - self._bias + (column[-1] << self._shift if self.kind == "affine" else 0)
+
+    def unpack(self, column: int) -> tuple:
+        """The entries of a packed column, the inverse of `pack`."""
+        column += self._bias
+        out = tuple(b - 128 for b in (column & self._fin).to_bytes(self.rank_finite, "little"))
+        return out + (column >> self._shift,) if self.kind == "affine" else out
 
     def root_bit(self, rho: Root) -> int:
         """The bit of a positive root; DomainError for any other vector."""
@@ -385,12 +417,14 @@ class CoxeterSystem:
         return frozenset(Root(self._pos_coeffs[b - n]) if b >= n else -Root(self._pos_coeffs[b])
                          for b in range(2 * n) if pattern >> b & 1)
 
-    def moved_pattern(self, matrix, pattern: int) -> int:
-        """The pattern of w̄ applied to the roots of a pattern, w̄ the finite
-        block of an element's matrix; w̄(−α) = −w̄(α) sits N bits round."""
-        n, rows, out = len(self._pos_coeffs), matrix[:self.rank_finite], 0
+    def moved_pattern(self, columns, pattern: int) -> int:
+        """The pattern of w̄ applied to the roots of a pattern, for the packed columns
+        w(α_i) of an element: Σ c_i·w(α_i) is w(β), whose key is w̄(β) at any δ-level;
+        w̄(−α) = −w̄(α) sits N bits round."""
+        n, columns, out = len(self._pos_coeffs), columns[:self.rank_finite], 0
+        keys, bias, fin = self._keys, self._bias, self._fin
         for b in (b for b in range(pattern.bit_length()) if pattern >> b & 1):
-            off = self._offsets[tuple(sum(map(mul, row, self._pos_coeffs[b % n])) for row in rows)]
+            off = keys[sum(map(mul, columns, self._pos_coeffs[b % n])) + bias & fin]
             out |= 1 << (off + n if b >= n else off % (2 * n))
         return out
 

@@ -2,8 +2,9 @@
 Fraction phase-1 simplex, a Fraction symmetrizer, a scan of all 2ⁿ
 subsets for the biclosed ones, twisted positive systems root by root, and
 root-by-root oracle membership, with a periodic word's Weyl order and
-translation from its own period powers, and words and inversion sets from a
-walk down by descents on whole columns.
+translation from its own period powers, words and inversion sets from a
+walk down by descents on whole columns, and an element's matrix as a product
+of dense reflection matrices.
 
 These are the textbook algorithms that `coxtw.linalg` replaced with one
 fraction-free elimination, `coxtw.feasibility` with an integer two-column
@@ -136,6 +137,28 @@ def peel(system, matrix, guard=100000):
     if tuple(map(tuple, images)) != system.simple_columns:
         raise DomainError("word extraction did not reach the identity")
     return tuple(out), mask
+
+
+def word_matrix(system, word):
+    """The row matrix of s_1⋯s_m over (α_1..α_k, δ if affine), a product of dense
+    reflection matrices: s(v) = v − 2(v, α_s)/(α_s, α_s)·α_s, with the Fraction
+    form on the finite coordinates, so δ pairs to zero and α_k = δ − θ if affine."""
+    k, dim = system.rank_finite, system.dim
+    simples = [[int(i == s) for i in range(dim)] for s in range(k)]
+    if system.kind == "affine":
+        simples.append([-c for c in system.highest_root.coeffs] + [1])
+
+    def pair(u, v):
+        return sum(u[i] * system.form[i][j] * v[j] for i in range(k) for j in range(k))
+
+    m = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+    for s in word:
+        a = simples[s]
+        cols = [[int(i == j) - Fraction(2 * pair([int(i == j) for i in range(dim)], a),
+                                        pair(a, a)) * a[i]
+                 for i in range(dim)] for j in range(dim)]
+        m = [[sum(row[t] * cols[j][t] for t in range(dim)) for j in range(dim)] for row in m]
+    return tuple(map(tuple, m))
 
 
 def leading_minors(a):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxtw import elements
-from coxtw.biclosed import Explicit
+from coxtw.biclosed import Explicit, classify_finite_biclosed, enumerate_biclosed
 from coxtw.elements import (GroupElement, ascend, ball, from_word, grow,
                             identity, simple, translation, walk, weyl_part)
 from coxtw.errors import ClassificationError, DomainError
@@ -450,6 +450,81 @@ def test_word_and_inverse_match_the_referee(spec, letters):
     bare = GroupElement(system, w.matrix)
     assert bare.word == word
     assert bare.inversion_mask() == dense_referee.peel(system, w.matrix)[1]
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(st.sampled_from(REFEREE_SPECS + ("rational",)), st.lists(st.integers(0, 99), max_size=30),
+       st.lists(st.integers(0, 99), max_size=12), st.lists(st.integers(-300, 300), min_size=9,
+                                                           max_size=9))
+def test_packed_columns_match_dense_products(spec, letters, more, vector):
+    # an element is one packed integer per column; its decoded matrix, its
+    # products and its action on lattice vectors whose coefficients are no
+    # root's, far past a signed byte, against dense reflection products
+    system = build_system(**RATIONAL) if spec == "rational" else build_system(spec)
+    k, affine = system.rank_finite, system.kind == "affine"
+    a = [x % system.ngens for x in letters]
+    b = [x % system.ngens for x in more]
+    w, v = from_word(system, a), from_word(system, b)
+    bare = GroupElement(system, w.matrix)
+    assert bare == w and hash(bare) == hash(w) and bare.columns == w.columns
+    dense = dense_referee.word_matrix(system, a)
+    assert w.matrix == dense
+    assert (w * v).matrix == dense_referee.word_matrix(system, a + b)
+    assert (bare * v) == w * v == from_word(system, a + b)
+    coeffs, level = vector[:k], vector[k] if affine else 0
+    image = [sum(x * y for x, y in zip(row, coeffs + [level])) for row in dense]
+    assert w.apply(Root(coeffs, level)) == Root(image[:k], image[k] if affine else 0)
+
+
+def test_bare_columns_outside_the_bytes_are_no_element():
+    # an entry that is no signed byte keeps its column as a tuple: equal only
+    # to the same matrix, and certified as no group element
+    m = ((200, 0), (0, 1))
+    w = GroupElement(A2, m)
+    assert w == GroupElement(A2, m) and hash(w) == hash(GroupElement(A2, m))
+    assert w != identity(A2) and w.matrix == m and not w.is_identity
+    with pytest.raises(DomainError, match="no group element"):
+        w.word
+    assert w._word is None and w._mask is None
+
+
+def test_hot_paths_decode_no_matrix(monkeypatch):
+    # walks, ball growth, covers and the finite classification work on packed
+    # columns: the row matrix is decoded only when `.matrix` is read
+    decodes, decode = [0], elements._decode
+
+    def counting(*args):
+        decodes[0] += 1
+        return decode(*args)
+
+    def count(run):
+        decodes[0] = 0
+        run()
+        return decodes[0]
+
+    a3, a2t = build_system("A3"), build_system("A~2")
+    sets = enumerate_biclosed(a3, a3.finite_roots)
+    elems = ball(a2t, 3)
+    battery = standard_battery(a2t)
+    monkeypatch.setattr(elements, "_decode", counting)
+    assert count(lambda: ball(build_system("E6"), 4)) == 0
+    assert count(lambda: [ascend(a2t, w.inversion_mask()).word for w in elems]) == 0
+    assert count(lambda: [classify_finite_biclosed(a3, g)[0].word for g in sets]) == 0
+    for _, orc in battery:
+        sound = _sound(orc)
+        for x in elems[:8]:
+            for y in elems[:8]:
+                if sound:
+                    assert count(lambda: meet(x, y, orc)) == 0
+                if le(x, y, orc):
+                    assert count(lambda: (chain(x, y, orc), interval(x, y, orc))) == 0
+
+
+def _sound(oracle):
+    try:
+        return classify(oracle).kind != "neither"
+    except ClassificationError:
+        return False
 
 
 @settings(deadline=None, derandomize=True, max_examples=200)
