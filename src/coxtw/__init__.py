@@ -14,7 +14,7 @@ from .biclosed import (BiclosedOracle, BiclosedReport, ClosureReport,
                        act_on_biclosed, biclosed_check, classify_finite_biclosed,
                        closure_check, enumerate_biclosed)
 from .elements import (GroupElement, ball, from_word, identity, simple,
-                       translation, weyl_part)
+                       translation)
 from .errors import (ClassificationError, CoxtwError, DomainError, ExprError,
                      JoinSearchError, NotReducedError, OrderError,
                      ResourceError, UnsupportedOracleError, ValidationError)
@@ -47,5 +47,5 @@ __all__ = [
     "oracle_meet", "oracle_tlen", "parse_biclosed",
     "parse_cartan_file", "parse_root", "run_selftest", "simple",
     "standard_battery", "t_gamma_infinity", "translation",
-    "twisted_length", "validate_periodic", "weyl_part",
+    "twisted_length", "validate_periodic",
 ]

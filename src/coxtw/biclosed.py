@@ -7,11 +7,12 @@ oracle is two masks fixed at construction: its limit roots, extended
 δ-periodically, and the finitely many roots where the set differs from that
 extension.  One past the last of those is its stable level.
 
-The closure checks take roots of the system only, and read one cone table:
-for each pair of roots, the roots of the list in the cone of the pair.  A
-root lies in that cone only if it lies in the pair's plane, so the pairs are
-grouped by plane and `cone_contains` is asked, in integers, only of the
-other roots of that plane.
+The closure checks and the enumeration take roots of the system only, and
+read one cone table: for each pair of roots, the roots of the list in the
+cone of the pair.  A root lies in that cone only if it lies in the pair's
+plane, so the pairs are grouped by plane and `cone_contains` is asked, in
+integers, only of the other roots of that plane.  The enumeration reads it as
+capture rows, searches half its tree and sorts its output on bit indices.
 """
 
 from __future__ import annotations
@@ -248,39 +249,46 @@ def enumerate_biclosed(system: CoxeterSystem, ambient) -> tuple[frozenset[Root],
     twisted positive systems (Dyer, "On the weak order of Coxeter groups").
 
     Backtracks over the sorted roots, putting each in the set or in its
-    complement; a root that joins a side brings its pair cone with each root
-    there until the side is closed, and a branch ends where the sides meet.
-    So every full assignment is biclosed, and the cost follows the output.
-    The pair cones come from one table, which asks the cone question only
-    inside each pair's plane."""
+    complement; a root that joins a side brings in what its pair cone with each
+    root there captures, read off its capture row, until the side is closed,
+    and a branch ends where the sides meet.  So every full assignment is
+    biclosed.  A set is biclosed iff its complement is, so only the half with
+    root 0 inside is searched; the other half is its complements.  The sets stay
+    bitmasks until sorted on (size, ascending bit indices), the key order."""
     roots = _checked_roots(system, ambient)
     n = len(roots)
     if n > _ENUM_LIMIT:
         raise ResourceError(f"ambient set of {n} roots exceeds the enumeration limit {_ENUM_LIMIT}")
-    cones = _cone_table(roots)
+    if not n:
+        return (frozenset(),)
+    rows = [[(u, extra) for u, cone in enumerate(row) if (extra := cone & ~(1 << i | 1 << u))]
+            for i, row in enumerate(_cone_table(roots))]   # the pairs that capture a third root
 
     def close(side: int, new: int) -> int:
         while new:
             low = new & -new
             side |= low
-            for u, cone in enumerate(cones[low.bit_length() - 1]):
+            for u, extra in rows[low.bit_length() - 1]:
                 if side >> u & 1:
-                    new |= cone
+                    new |= extra
             new &= ~side
         return side
 
-    found, stack = [], [(0, 0)]
+    found, stack = [], [(1, 0)]   # root 0 inside
     while stack:
         inside, outside = stack.pop()
         low = ~(taken := inside | outside) & (taken + 1)   # the first root on neither side
         if low >> n:
-            found.append(frozenset(roots[t] for t in range(n) if inside >> t & 1))
+            found.append(inside)
             continue
         if not (grown := close(inside, low)) & outside:
             stack.append((grown, outside))
         if not (grown := close(outside, low)) & inside:
             stack.append((inside, grown))
-    return tuple(sorted(found, key=lambda f: (len(f), sorted(r.key for r in f))))
+    found += [~m & (1 << n) - 1 for m in found]
+    # by size, then the set holding the first root where two differ comes first
+    found.sort(key=lambda m: (-m.bit_count(), format(m, f"0{n}b")[::-1]), reverse=True)
+    return tuple(frozenset(roots[t] for t in range(n) if m >> t & 1) for m in found)
 
 
 # -- finite classification ---------------------------------------------

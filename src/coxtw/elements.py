@@ -298,15 +298,6 @@ def ball(system: CoxeterSystem, radius: int) -> tuple[GroupElement, ...]:
     return tuple(out)
 
 
-def weyl_part(w: GroupElement) -> GroupElement:
-    """The finite Weyl component of w = w̄·t_λ, embedded back as an affine element."""
-    if w.system.kind != "affine":
-        return w
-    k = w.system.rank_finite
-    m = [list(row[:k]) + [0] for row in w.matrix[:k]]
-    return GroupElement(w.system, m + [[0] * k + [1]])
-
-
 def translation(system: CoxeterSystem, lam) -> GroupElement:
     """t_λ for λ in the coroot lattice, given in simple-root coordinates."""
     if system.kind != "affine":

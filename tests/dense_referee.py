@@ -2,7 +2,8 @@
 Fraction phase-1 simplex, a Fraction symmetrizer, a scan of all 2ⁿ
 subsets for the biclosed ones, twisted positive systems root by root, and
 root-by-root oracle membership, with a periodic word's Weyl order and
-translation from its own period powers, words and inversion sets from a
+translation from its own period powers (read through an element's finite
+Weyl part, its matrix cut to the finite block), words and inversion sets from a
 walk down by descents on whole columns, and an element's matrix as a product
 of dense reflection matrices.
 
@@ -23,7 +24,7 @@ from itertools import combinations
 from math import gcd, lcm
 
 from coxtw.biclosed import Complement, Explicit, HatForm, Twisted
-from coxtw.elements import from_word, weyl_part
+from coxtw.elements import GroupElement, from_word
 from coxtw.errors import DomainError
 from coxtw.infwords import WordInvSet
 
@@ -296,6 +297,15 @@ def member(oracle, rho) -> bool:
     if isinstance(oracle, WordInvSet):
         return _word_member(oracle.word, rho)
     raise TypeError(f"no referee for {type(oracle).__name__}")
+
+
+def weyl_part(w):
+    """The finite Weyl component of w = w̄·t_λ, embedded back as an affine element."""
+    if w.system.kind != "affine":
+        return w
+    k = w.system.rank_finite
+    m = [list(row[:k]) + [0] for row in w.matrix[:k]]
+    return GroupElement(w.system, m + [[0] * k + [1]])
 
 
 def period_translation(word):

@@ -200,6 +200,31 @@ def test_enumerate_matches_the_subset_scan_referee():
                 frozenset(roots[t] for t in idx) for idx in scan), (spec, roots)
 
 
+def test_enumerate_edge_ambients():
+    # no root: the empty set alone; one root: the empty set, then the root
+    for system in (A2, build_system("A~2")):
+        assert enumerate_biclosed(system, []) == (frozenset(),)
+        pool = system.finite_roots if system.kind == "finite" else system.positive_roots_up_to(1)
+        for r in pool:
+            assert enumerate_biclosed(system, [r]) == (frozenset(), frozenset({r})), (system, r)
+
+
+def test_enumerate_is_closed_under_complement_in_key_order():
+    # over seeded subsets, the complement of each set inside the ambient is
+    # found too, and the tuple runs by size and then sorted root keys
+    rng = random.Random(23)
+    for spec in ("A3", "B3", "A~2"):
+        system = build_system(spec)
+        pool = sorted(system.finite_roots if system.kind == "finite"
+                      else system.positive_roots_up_to(2), key=lambda r: r.key)
+        for _ in range(12):
+            roots = frozenset(rng.sample(pool, rng.randint(1, min(14, len(pool)))))
+            found = enumerate_biclosed(system, roots)
+            assert len(set(found)) == len(found)
+            assert {roots - gamma for gamma in found} == set(found), (spec, roots)
+            assert found == tuple(sorted(found, key=lambda f: (len(f), sorted(r.key for r in f))))
+
+
 def test_enumerate_past_the_subset_scan():
     # D4 Φ has exactly _ENUM_LIMIT roots, and A5 Φ⁺ has 720 inversion sets
     d4 = build_system("D4")
