@@ -24,15 +24,22 @@ class GroupElement:
     __slots__ = ("system", "columns", "_matrix", "_word", "_mask")
 
     def __init__(self, system: CoxeterSystem, matrix):
-        """The element of a row matrix over (α_1,...,α_k, δ if affine); a column
-        that is no vector of signed bytes is kept as a tuple, which equals no root."""
+        """The element of a dim × dim row matrix over (α_1,...,α_k, δ if affine),
+        certified where it enters: its columns pack into signed bytes, and the word
+        read off its heights walks from e back to them, which records Φ_w."""
         self.system = system
         self._matrix = rows = tuple(map(tuple, matrix))
+        if len(rows) != system.dim or any(len(row) != system.dim for row in rows):
+            raise DomainError(f"matrix is no group element: it is not {system.dim}×{system.dim}")
         images = list(zip(*rows))[:system.rank_finite]
         if system.kind == "affine":   # the affine α_k = δ − θ
             images.append([sum(map(mul, row, system.simple_columns[-1])) for row in rows])
-        self.columns = tuple(map(system.pack, images))
+        try:
+            self.columns = tuple(map(system.pack, images))
+        except (TypeError, ValueError):   # an entry that is no signed byte
+            raise DomainError("matrix is no group element: it sends a simple root to no root") from None
         self._word = self._mask = None
+        self._read_word()
 
     # -- identity, equality --------------------------------------------
 
@@ -62,17 +69,12 @@ class GroupElement:
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         """(w·v)(α_j) = w(v(α_j)), the entries of v(α_j) times the packed images
-        w(α_1),...,w(α_k), w(δ) = δ; a factor with no Φ recorded may be no group
-        element, whose images need not fit the bytes, so it takes the row product."""
+        w(α_1),...,w(α_k), w(δ) = δ, exact as every column of w·v is a root."""
         if not isinstance(other, GroupElement):
             return NotImplemented
         system = self.system
         if system.key != other.system.key:
             raise DomainError("cannot multiply elements of different systems")
-        if self._mask is None or other._mask is None:
-            cols = list(zip(*other.matrix))
-            return GroupElement(system, [[sum(map(mul, row, col)) for col in cols]
-                                         for row in self.matrix])
         basis = self.columns[:system.rank_finite] + (1 << system._shift,)   # δ, if affine
         return _element(system, tuple(sum(map(mul, basis, system.unpack(c)))
                                       for c in other.columns))
@@ -80,7 +82,7 @@ class GroupElement:
     def mul_simple(self, s: int, image=None, mask=None) -> "GroupElement":
         """w·s, column by column: (w·s)(α_t) = w(α_t) − ⟨α_t, α_s^∨⟩·w(α_s), where
         image is w(α_s), in the caller's hand, and mask Φ_ws if read off it; with
-        no image, w·s is walked, which certifies a bare w first and records Φ_ws."""
+        no image, w·s is walked, which records Φ_ws."""
         if image is None:
             return walk(self, (s,))
         cols = list(self.columns)
@@ -115,16 +117,13 @@ class GroupElement:
         adj G·w̄ᵀ·G / N, and w⁻¹ = [[w̄⁻¹, 0], [−r·w̄⁻¹, 1]] for r the δ-levels of
         the w(α_j): the start is h = (f′·adj G)·w̄ᵀ·G on α_1..α_k with f′ = f −
         f(δ)·r, with no inverse matrix.  w̄ is read as the bytes b of the columns,
-        w̄ = b − 128, so w̄·x = b·x − 128·Σx.  A w with no Φ recorded is certified by
-        walking its word from e and comparing the columns, which records Φ_w; a
-        failure sets nothing, and a column that packed to no integer fails at once."""
+        w̄ = b − 128, so w̄·x = b·x − 128·Σx.  A w with no Φ recorded (a matrix being
+        certified, a product or a translation) records the Φ_w of the walk of its
+        word from e, which must rebuild its columns; a failure sets nothing."""
         system = self.system
         gram, adj, n = system.integer_form   # both symmetric: rows are columns
         k, bias, fin = system.rank_finite, system._bias, system._fin
-        try:
-            biased = [c + bias for c in self.columns[:k]]
-        except TypeError:   # a column of entries that are no signed bytes
-            raise DomainError("matrix is no group element: it sends a simple root to no root") from None
+        biased = [c + bias for c in self.columns[:k]]
         top = 0
         if system.kind == "affine":
             top = sum(system.highest_root.coeffs) + 1   # f(δ)
@@ -173,7 +172,7 @@ class GroupElement:
 
     def inversion_mask(self) -> int:
         """Φ_w over the system's root index, as recorded by the walk that built w,
-        or by the walk that certified its word."""
+        or by the walk of its word."""
         if self._mask is None:
             self._read_word()
         return self._mask

@@ -75,10 +75,11 @@ def validate_periodic(system: CoxeterSystem, prefix, period) -> PeriodicWord:
             order, shifted = k, el   # prefix·t_μ
         elif k >= _ORDER_GUARD:
             raise DomainError("element order exceeded the search guard")
-    # the δ-levels (β, prefix·μ) of t_{prefix·μ}(α_j), j < k
-    row = [unpack(c)[rank] for c in (shifted * prefix_el.inverse()).columns[:rank]]
-    pattern = system.pattern(beta for beta in system.finite_roots
-                             if sum(c * d for c, d in zip(beta.coeffs, row)) > 0)
+    # prefix·t_μ(α_j) = prefix(α_j) + (α_j, μ)·δ, so the columns differ by the
+    # (α_j, μ) on top, and prefix moves {β : (β, μ) > 0} onto {β : (β, prefix·μ) > 0}
+    mu = [unpack(a - b)[rank] for a, b in zip(shifted.columns[:rank], prefix_el.columns)]
+    pattern = system.moved_pattern(prefix_el.columns, system.pattern(
+        beta for beta in system.finite_roots if sum(map(mul, beta.coeffs, mu)) > 0))
     return PeriodicWord(system, prefix, period, prefix_el, pattern)
 
 

@@ -186,9 +186,7 @@ def _check_positive_definite(cartan) -> int:
                 "symmetrized Cartan matrix is not positive definite "
                 f"(leading minor {t} is non-positive)"
             )
-    if minors[-1].denominator != 1:
-        raise DomainError(f"Cartan determinant {minors[-1]} is not an integer")
-    return int(minors[-1])
+    return minors[-1]
 
 
 def _generate_positive_roots(cartan) -> tuple[tuple[int, ...], ...]:
@@ -366,13 +364,10 @@ class CoxeterSystem:
             return bit
         return bit + self._flips[off]
 
-    def pack(self, column):
-        """The packed integer of a column over (simple roots, δ if affine), or the
-        column itself as a tuple if a finite entry is no signed byte."""
-        try:
-            fin = int.from_bytes(bytes(c + 128 for c in column[:self.rank_finite]), "little")
-        except (TypeError, ValueError):
-            return tuple(column)
+    def pack(self, column) -> int:
+        """The packed integer of a column over (simple roots, δ if affine); ValueError
+        or TypeError if a finite entry is no signed byte or an entry no integer."""
+        fin = int.from_bytes(bytes(c + 128 for c in column[:self.rank_finite]), "little")
         return fin - self._bias + (column[-1] << self._shift if self.kind == "affine" else 0)
 
     def unpack(self, column: int) -> tuple:
@@ -446,13 +441,6 @@ class CoxeterSystem:
         `GroupElement.word` reads the heights of w⁻¹(α_t)."""
         n, h = linalg.inverse(self.gram)
         return self.gram, h, n
-
-    @cached_property
-    def fundamental_coweights(self) -> tuple[tuple[Fraction, ...], ...]:
-        """ω_i with (ω_i, α_j) = δ_ij, as vectors in simple-root coordinates:
-        the rows of form⁻¹ = form_scale·H/N."""
-        _, h, n = self.integer_form
-        return tuple(tuple(Fraction(self.form_scale * x, n) for x in row) for row in h)
 
     def dominant_coweight_for(self, avoid: frozenset | set) -> tuple[Fraction, ...]:
         """c·Σ_{i∉L} ω_i, c the connection index: vanishes on the simples in L,

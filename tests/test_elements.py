@@ -202,10 +202,10 @@ def test_integer_kernels_match_dense_referees():
 
 def test_inverse_guard_is_not_an_assert():
     # a matrix that does not preserve the form is no group element: the word
-    # read off its heights does not rebuild it, and inverse() walks that word
+    # read off its heights does not rebuild it, so the constructor refuses it
+    # before inverse() or mul_simple is ever asked
     with pytest.raises(DomainError, match="no group element"):
         GroupElement(A2, ((1, 1), (0, 1))).inverse()
-    # mul_simple with no image walks, so it certifies the bare matrix first
     with pytest.raises(DomainError, match="no group element"):
         GroupElement(A2, ((1, 1), (0, 1))).mul_simple(0)
 
@@ -374,20 +374,20 @@ NON_ELEMENTS = [
 
 
 def test_word_guard_is_not_an_assert(monkeypatch):
-    # a matrix with no recorded Φ is certified by walking its word from e, so
-    # each way into a non-element's word raises, on a fresh element each time
+    # a matrix is certified where it enters, by walking its word from e, so
+    # the constructor refuses each non-element
     monkeypatch.setattr(elements, "_WORD_GUARD", 1000)
     for spec, matrix in NON_ELEMENTS:
-        system = build_system(spec)
-        for read in (lambda w: w.word, lambda w: w.length,
-                     lambda w: w.inversion_set(), lambda w: w.inverse()):
-            with pytest.raises(DomainError, match="no group element"):
-                read(GroupElement(system, matrix))
-    # and the height walk stops at the guard, here below l(w) = 3
+        with pytest.raises(DomainError, match="no group element"):
+            GroupElement(build_system(spec), matrix)
+    # and the height walk stops at the guard, here below l(w) = 3, on a word
+    # read and on the certification of the same matrix
     monkeypatch.setattr(elements, "_WORD_GUARD", 2)
-    for w in (from_word(A2, (0, 1, 0)), GroupElement(A2, from_word(A2, (0, 1, 0)).matrix)):
-        with pytest.raises(DomainError, match="terminate"):
-            w.word
+    w = from_word(A2, (0, 1, 0))
+    with pytest.raises(DomainError, match="terminate"):
+        w.word
+    with pytest.raises(DomainError, match="terminate"):
+        GroupElement(A2, w.matrix)
 
 
 @pytest.mark.parametrize("column_bit, corruption", [
@@ -395,15 +395,14 @@ def test_word_guard_is_not_an_assert(monkeypatch):
     (lambda column: 0, "not distinct"),
 ])
 def test_inversion_set_guards_are_not_asserts(monkeypatch, column_bit, corruption):
-    # a bare matrix is certified by the walk of its word from e, which reads
-    # each letter's signed bit through `column_bit`, corrupted here to no root
-    # at all or to one repeated positive root: the walk's record loses track
+    # a matrix is certified by the walk of its word from e, which reads each
+    # letter's signed bit through `column_bit`, corrupted here to no root at
+    # all or to one repeated positive root: the walk's record loses track
     a2 = build_system("A2")
-    w = GroupElement(a2, from_word(a2, (0, 1)).matrix)
+    matrix = from_word(a2, (0, 1)).matrix
     monkeypatch.setattr(a2, "column_bit", column_bit)
     with pytest.raises(DomainError, match="lost track"):
-        w.inversion_set()
-    assert w._word is None and w._mask is None
+        GroupElement(a2, matrix)
 
 
 def test_from_word_validates_letters_and_its_record(monkeypatch):
@@ -477,15 +476,63 @@ def test_packed_columns_match_dense_products(spec, letters, more, vector):
 
 
 def test_bare_columns_outside_the_bytes_are_no_element():
-    # an entry that is no signed byte keeps its column as a tuple: equal only
-    # to the same matrix, and certified as no group element
-    m = ((200, 0), (0, 1))
-    w = GroupElement(A2, m)
-    assert w == GroupElement(A2, m) and hash(w) == hash(GroupElement(A2, m))
-    assert w != identity(A2) and w.matrix == m and not w.is_identity
-    with pytest.raises(DomainError, match="no group element"):
-        w.word
-    assert w._word is None and w._mask is None
+    # a column packs only if each finite entry is a signed byte and each entry
+    # an integer; anything else is no root, so the constructor refuses it
+    for system, m in ((A2, ((200, 0), (0, 1))), (A2, ((1, 0), (-129, 1))),
+                      (A2, ((Fraction(1), 0), (0, 1))), (A1T, ((-1, 0), (2.0, 1)))):
+        with pytest.raises(DomainError, match="no group element"):
+            GroupElement(system, m)
+    for column in ((200, 0), (1, 0.5)):
+        with pytest.raises((TypeError, ValueError)):
+            A2.pack(column)
+
+
+@pytest.mark.parametrize("spec", ["A2", "A~2"])
+def test_a_matrix_of_the_wrong_shape_is_no_element(spec):
+    # the identity padded with a column and a row of junk was once accepted
+    # as e, with `.matrix` the padded input; so were the truncated and
+    # ragged ones, whose columns were read as far as they went
+    system = build_system(spec)
+    e, d = identity(system).matrix, system.dim
+    padded = tuple(row + (5,) for row in e) + ((7,) * (d + 1),)
+    if spec == "A2":
+        assert padded == ((1, 0, 5), (0, 1, 5), (7, 7, 7))
+    for m in (padded, e[:-1], e + ((0,) * d,), tuple(row[:-1] for row in e),
+              e[:-1] + (e[-1] + (0,),)):
+        with pytest.raises(DomainError, match=f"not {d}×{d}"):
+            GroupElement(system, m)
+    assert GroupElement(system, e).is_identity
+
+
+@pytest.mark.parametrize("spec", REFEREE_SPECS)
+def test_products_of_unrecorded_factors_are_the_joined_words(spec):
+    # a product or a translation has no Φ recorded until it is asked for;
+    # products of such factors take the packed path too, and equal the walk
+    # of the joined words, Φ and the ShortLex word included
+    system = build_system(spec)
+    rng = random.Random(spec)
+    words = [[rng.randrange(system.ngens) for _ in range(rng.randint(0, 12))] for _ in range(8)]
+    for a, b, c in zip(words, words[1:], words[2:]):
+        u, v, w = (from_word(system, x) for x in (a, b, c))
+        uv, vw = u * v, v * w
+        product = uv * vw
+        assert uv._mask is vw._mask is product._mask is None
+        want = from_word(system, a + b + b + c)
+        assert product == want and product.columns == want.columns
+        assert product.inversion_mask() == want.inversion_mask()
+        assert product.word == want.word and uv.word == from_word(system, a + b).word
+    if system.kind == "affine":
+        u = from_word(system, words[0])
+        for _ in range(4):
+            lam, mu = ([Fraction(rng.randrange(-2, 3)) / d for d in system.symmetrizer]
+                       for _ in range(2))
+            t, s = translation(system, lam), translation(system, mu)
+            ts, tsu = t * s, t * s * u
+            assert t._mask is s._mask is ts._mask is tsu._mask is None
+            assert ts == translation(system, [x + y for x, y in zip(lam, mu)])
+            want = from_word(system, t.word + s.word)
+            assert ts == want and ts.inversion_mask() == want.inversion_mask()
+            assert tsu == from_word(system, t.word + s.word + tuple(words[0]))
 
 
 def test_hot_paths_decode_no_matrix(monkeypatch):
@@ -531,15 +578,15 @@ def _sound(oracle):
 @given(st.sampled_from(REFEREE_SPECS), st.lists(st.integers(0, 99), max_size=24),
        st.lists(st.integers(0, 99), max_size=12))
 def test_recorded_inversion_set_matches_the_peel(spec, letters, more):
-    # words are random, so mostly unreduced; the bare matrix has no record,
-    # so it is certified by a walk of its own word, and the referee's
-    # full-column peel decides Φ_w on its own
+    # words are random, so mostly unreduced; the matrix has no record, so the
+    # constructor certifies it by a walk of its own word, which records Φ_w,
+    # and the referee's full-column peel decides Φ_w on its own
     system = build_system(spec)
     a = [x % system.ngens for x in letters]
     b = [x % system.ngens for x in more]
     w = from_word(system, a)
     fresh = GroupElement(system, w.matrix)
-    assert w._mask is not None and fresh._mask is None
+    assert w._mask is not None and fresh._mask is not None
     assert w.inversion_mask() == fresh.inversion_mask() == dense_referee.peel(system, w.matrix)[1]
     assert w.inversion_set() == fresh.inversion_set()
     assert w.word == fresh.word and w.length == len(w.word)

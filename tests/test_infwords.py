@@ -45,23 +45,24 @@ def test_period_power_guard_is_not_an_assert(monkeypatch):
     assert word.pattern == A1T.pattern({ALPHA})
 
 
-def test_validate_periodic_makes_one_product(monkeypatch):
-    # m and prefix·t_μ come off the reducedness walk; only t_{prefix·μ} is a product
+def test_validate_periodic_makes_no_product(monkeypatch):
+    # m and prefix·t_μ come off the reducedness walk, and the (α_j, μ) off the
+    # δ-levels of its columns less the prefix's: no product and no inverse
     calls = []
-    product = GroupElement.__mul__
 
-    def counted(self, other):
-        calls.append(1)
-        return product(self, other)
+    def counted(name):
+        method = getattr(GroupElement, name)
+        return lambda *args: calls.append(name) or method(*args)
 
     cases = [(A2T, (), (0, 1, 2)), (A2T, (1,), (2, 0, 1)),
              (build_system("A~3"), (), (0, 1, 2, 3))]
     for system, prefix, period in cases:
         want = validate_periodic(system, prefix, period).pattern
-        monkeypatch.setattr(GroupElement, "__mul__", counted)
+        for name in ("__mul__", "inverse"):
+            monkeypatch.setattr(GroupElement, name, counted(name))
         calls.clear()
         assert validate_periodic(system, prefix, period).pattern == want
-        assert len(calls) == 1, (system, prefix, period)
+        assert calls == [], (system, prefix, period)
         monkeypatch.undo()
 
 

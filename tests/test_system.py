@@ -80,11 +80,14 @@ def test_connection_index():
         assert build_system(spec).connection_index == idx, spec
 
 
-def test_connection_index_guard_is_not_an_assert(monkeypatch):
-    # leading minors of 1/2 pass the positive-definite test, and the last is det(cartan)
-    monkeypatch.setattr(linalg, "leading_minors", lambda a: (Fraction(1, 2),) * len(a))
-    with pytest.raises(DomainError, match="determinant"):
-        build_system("A2")
+def test_connection_index_guard_is_not_an_assert():
+    # the connection index is det(cartan), the last leading minor, an int with
+    # no check needed: `leading_minors` reads its input through `operator.index`
+    # and divides exactly in integers, so a Fraction entry never gets that far
+    for spec in ("A2", "G2", "E8", "B~3"):
+        assert type(build_system(spec).connection_index) is int, spec
+    with pytest.raises(TypeError):
+        linalg.leading_minors([[Fraction(2), -1], [-1, 2]])
 
 
 @pytest.mark.parametrize("cartan, t", [
@@ -134,8 +137,6 @@ def test_system_build_matches_the_dense_referee():
         assert linalg.leading_minors(system.gram) == dense.leading_minors(system.gram), system
         assert minors[-1] == dense.det(form), system
         assert system.connection_index == dense.det(system.cartan) == minors[-1] / prod(system.symmetrizer)
-        inverse = dense.inverse(form)
-        assert system.fundamental_coweights == inverse, system
         # (G, H, N): G the form in integers, N = det G and H = N·G⁻¹ = adj G
         g, h, n = system.integer_form
         assert g == system.gram == tuple(tuple(int(x * system.form_scale) for x in row) for row in form)
@@ -271,10 +272,12 @@ def test_roots_up_to_counts():
 
 
 def test_fundamental_coweights_a2():
+    # c·ω_i, for c = 3 the connection index, is the dominant coweight that
+    # vanishes on every simple root but α_i
     a2 = build_system("A2")
-    w = a2.fundamental_coweights
-    assert w[0] == (Fraction(2, 3), Fraction(1, 3))
-    assert w[1] == (Fraction(1, 3), Fraction(2, 3))
+    assert a2.connection_index == 3
+    assert a2.dominant_coweight_for({1}) == (2, 1)   # 3·(2/3, 1/3)
+    assert a2.dominant_coweight_for({0}) == (1, 2)   # 3·(1/3, 2/3)
 
 
 def test_dominant_coweight():
