@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import combinations
 from math import gcd
+from operator import index
 
 from .errors import ClassificationError, DomainError, ResourceError, ValidationError
 from .feasibility import solve_nonneg
@@ -320,10 +321,9 @@ def _psi_pattern(system: CoxeterSystem, u: GroupElement, d1: frozenset, d2: froz
         raise ValidationError(f"subsets must be orthogonal; ({bad[0]},{bad[1]}) pair is not")
     if (mask := u.inversion_mask()) >> n:
         raise ValidationError("element must lie in the finite Weyl subgroup")
-    # Φ⁺_Δ1 and Φ⁺_Δ2 at bits N+b: the positive roots with support inside each
-    sub1, sub2 = (sum(1 << n + b for b, beta in enumerate(system.positive_roots)
-                      if all(i in d for i, c in enumerate(beta.coeffs) if c)) if d else 0
-                  for d in (d1, d2))
+    # Φ⁺_Δ1 and Φ⁺_Δ2 at bits N+b: the positive roots whose packed bytes off Δ are all 0
+    sub1, sub2 = (sum(1 << n + b for b, p in enumerate(system._packed_roots) if not p & m)
+                  for m in (system._fin ^ sum(255 << 8 * index(i) for i in d) for d in (d1, d2)))
     out = ((1 << n) - 1 ^ mask) << n | mask
     out &= ~system.moved_pattern(u.columns, sub1)
     return out | system.moved_pattern(u.columns, sub2 | sub2 >> n)

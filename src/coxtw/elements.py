@@ -306,9 +306,12 @@ def translation(system: CoxeterSystem, lam) -> GroupElement:
         raise DomainError("translation vector has the wrong length")
     if not system.in_coroot_lattice(vec):
         raise DomainError("translation vector is not in the coroot lattice")
-    # (α_j, α_i^∨) = a_ij, so (α_j, λ) = Σ_i c_i·a_ij for λ = Σ_i c_i·α_i^∨, and
-    # t_λ(α) = α + (α, λ)·δ, on each simple root α (the affine one's finite part is −θ)
+    # (α_j, α_i^∨) = a_ij, so (α_j, λ) = Σ_i c_i·a_ij for λ = Σ_i c_i·α_i^∨
     coords = [int(x) for x in system.coroot_coordinates(vec)]
-    pairs = [sum(map(mul, coords, column)) for column in zip(*system.cartan)]
+    return _translation(system, [sum(map(mul, coords, column)) for column in zip(*system.cartan)])
+
+
+def _translation(system: CoxeterSystem, pairs) -> GroupElement:
+    """t_λ from its integer pairings (α_j, λ): t_λ(α) = α + (α, λ)·δ on each simple root α."""
     return _element(system, tuple(c + (sum(map(mul, a, pairs)) << system._shift)
                                   for c, a in zip(system.identity_columns, system.simple_columns)))

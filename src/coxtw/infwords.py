@@ -8,9 +8,9 @@ so a defect would already have shown up.  Of period^m = t_μ the word keeps
 only the finite roots pairing positively with prefix·μ, as a pattern: with
 Φ_prefix, they are its whole inversion set.
 
-The classifier inverts this: given a biclosed oracle it decides whether the
-set is the inversion set of an element, of a validated infinite word, or of
-nothing at all (witnessed by two roots whose finite parts are opposite).
+The classifier inverts this, in integers: given a biclosed oracle it decides
+whether the set is the inversion set of an element, of a validated infinite
+word, or of nothing at all (witnessed by two roots with opposite finite parts).
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from collections import namedtuple
 from operator import index, mul
 
 from .biclosed import BiclosedOracle, HatForm, _decompose_psi
-from .elements import GroupElement, ascend, from_word, grow, identity, translation, walk
+from .elements import (GroupElement, _translation, ascend, from_word, grow, identity,
+                       translation, walk)
 from .errors import ClassificationError, DomainError, NotReducedError
 from .system import CoxeterSystem, Root
 
@@ -54,32 +55,34 @@ def validate_periodic(system: CoxeterSystem, prefix, period) -> PeriodicWord:
         raise NotReducedError("prefix word is not reduced", failing_power=0)
     if not period:
         return PeriodicWord(system, prefix, period, prefix_el, 0)
+    return _certify(prefix, period, prefix_el, walk(prefix_el, period))
 
-    # One walk of prefix·period^k for k ≤ 2m.  Each step records Φ, so no word
-    # is read for the length, and every prefix of a reduced word is reduced, so
-    # the first short step names the failing power; in a finite system one fails
-    # by k = m, as period^m is the identity.  The Weyl part is a homomorphism,
-    # so m is the first k at which the finite block is the prefix's again.
-    rank, unpack = system.rank_finite, system.unpack
-    block = [unpack(c)[:rank] for c in prefix_el.columns[:rank]]   # the w̄(α_j)
-    el, order, k = prefix_el, 0, 0
-    while not order or k < 2 * order:
-        k += 1
-        el = walk(el, period)
-        if el.length != len(prefix) + k * len(period):
-            raise NotReducedError(f"word stops being reduced at period power {k}",
-                                  failing_power=k)
+
+def _certify(prefix: tuple, period: tuple, prefix_el: GroupElement, el: GroupElement):
+    """The rest of `validate_periodic` from el = prefix·period, already walked: one walk
+    of prefix·period^k for k ≤ 2m.  Each step records Φ, so no word is read for the
+    length, and every prefix of a reduced word is reduced, so the first short step names
+    the failing power (in a finite system by k = m, as period^m = e).  The Weyl part is
+    a homomorphism, so m is the first k at which the finite block is the prefix's again."""
+    system, order, k = prefix_el.system, 0, 1
+    rank, bias, fin = system.rank_finite, system._bias, system._fin
+    block = [c + bias & fin for c in prefix_el.columns[:rank]]   # the w̄(α_j), as byte keys
+    while True:
+        if el.inversion_mask().bit_count() != len(prefix) + k * len(period):
+            raise NotReducedError(f"word stops being reduced at period power {k}", failing_power=k)
         if order:
-            continue
-        if [unpack(c)[:rank] for c in el.columns[:rank]] == block:
+            if k == 2 * order:
+                break
+        elif [c + bias & fin for c in el.columns[:rank]] == block:
             order, shifted = k, el   # prefix·t_μ
         elif k >= _ORDER_GUARD:
             raise DomainError("element order exceeded the search guard")
+        el, k = walk(el, period), k + 1
     # prefix·t_μ(α_j) = prefix(α_j) + (α_j, μ)·δ, so the columns differ by the
     # (α_j, μ) on top, and prefix moves {β : (β, μ) > 0} onto {β : (β, prefix·μ) > 0}
-    mu = [unpack(a - b)[rank] for a, b in zip(shifted.columns[:rank], prefix_el.columns)]
-    pattern = system.moved_pattern(prefix_el.columns, system.pattern(
-        beta for beta in system.finite_roots if sum(map(mul, beta.coeffs, mu)) > 0))
+    mu = [system.unpack(a - b)[rank] for a, b in zip(shifted.columns[:rank], prefix_el.columns)]
+    pattern = system.moved_pattern(prefix_el.columns, sum(
+        1 << b for b, beta in enumerate(system._signed) if sum(map(mul, beta, mu)) > 0))
     return PeriodicWord(system, prefix, period, prefix_el, pattern)
 
 
@@ -98,20 +101,19 @@ class WordInvSet(BiclosedOracle):
         return f"word-inf[{pre};{per}]"
 
 
-def _limit_pattern(oracle: BiclosedOracle) -> int:
-    """The pattern of I_B, certified: I_B is biclosed in the finite root
-    system Φ, and the biclosed subsets of a finite Φ are exactly its twisted
-    positive systems, so the pattern must decompose as one."""
+def _certified_limit(oracle: BiclosedOracle):
+    """The pattern of I_B and its (u, Δ1, Δ2), which certify it: I_B is biclosed in
+    the finite root system Φ, and the biclosed subsets of a finite Φ are exactly
+    its twisted positive systems, so the pattern must decompose as one."""
     try:
-        _decompose_psi(oracle.system, oracle.pattern)
+        return oracle.pattern, _decompose_psi(oracle.system, oracle.pattern)
     except ClassificationError:
         raise DomainError(f"limit set of {oracle.key()} is not biclosed")
-    return oracle.pattern
 
 
 def limit_set(oracle: BiclosedOracle) -> frozenset[Root]:
-    """I_B, the finite roots whose δ-string is eventually in B, certified (`_limit_pattern`)."""
-    return oracle.system.pattern_roots(_limit_pattern(oracle))
+    """I_B, the finite roots whose δ-string is eventually in B, certified (`_certified_limit`)."""
+    return oracle.system.pattern_roots(_certified_limit(oracle)[0])
 
 
 class Classification(namedtuple("Classification", "kind element word bad_pair",
@@ -143,25 +145,38 @@ def _find_bad_pair(oracle: BiclosedOracle, overlap: int) -> tuple[Root, Root]:
     raise ClassificationError("limit overlap without a witnessing pair")
 
 
-def _try_prefix(oracle: BiclosedOracle, prefix: GroupElement):
+def _try_prefix(oracle: BiclosedOracle, prefix: GroupElement, limit):
+    """p·t^∞ if its Φ is B, else None, for t = `_proposed_period` of the (u, Δ1, Δ2) of
+    p̄⁻¹·I_B (`limit` at p = e); reading t's word walks it, so at p = e it is power 1."""
     system = oracle.system
-    j_set = system.moved_pattern(prefix.inverse().columns, oracle.pattern)   # p̄⁻¹·I_B
     try:
-        u, d1, _ = _decompose_psi(system, j_set)
-    except ClassificationError:
-        return None
-    # t_{ū·λ} = u·t_λ·u⁻¹, for λ the dominant coweight vanishing on Δ1, and
-    # ū·λ = Σ λ_j·ū(α_j), off the finite parts of u's packed columns
-    lam, k = system.dominant_coweight_for(d1), system.rank_finite
-    moved = zip(*(system.unpack(c)[:k] for c in u.columns[:k]))
-    period = translation(system, [sum(map(mul, row, lam)) for row in moved]).word
-    try:
-        pword = validate_periodic(system, prefix.word, period)
-    except NotReducedError:
+        u, d1, _ = limit if prefix.is_identity else _decompose_psi(
+            system, system.moved_pattern(prefix.inverse().columns, oracle.pattern))
+        period = (t := _proposed_period(system, u, d1)).word
+        pword = _certify(prefix.word, period, prefix,
+                         t if prefix.is_identity else walk(prefix, period))
+    except (ClassificationError, NotReducedError):   # no decomposition, or not reduced
         return None
     cand = WordInvSet(pword)   # both pairs are canonical, so this is B = Φ_x
     same = (cand.pattern, cand.exceptions) == (oracle.pattern, oracle.exceptions)
     return pword if same else None
+
+
+def _proposed_period(system: CoxeterSystem, u: GroupElement, d1) -> GroupElement:
+    """t_(ū·λ) = u·t_λ·u⁻¹ for λ = `dominant_coweight_for`(Δ1), in integers.  For
+    G = `gram` = s·(form), N = det G and c the connection index, λ = (s/N)·Σ_i σ_i·α_i
+    with σ_i = c·Σ_(m∉Δ1) (adj G)[m][i], so p_j = (α_j, ū·λ) = (Σ_i σ_i·ū(α_i), α_j)_G / N,
+    off u's packed columns.  ū·λ = s·adj G·p / N and α_i = (G_ii / 2s)·α_i^∨, so its
+    coroot coordinates are (adj G·p)_i·G_ii / 2N; an inexact division is a DomainError."""
+    (gram, adj, n), k, c = system.integer_form, system.rank_finite, system.connection_index
+    sigma = [c * sum(x for m, x in enumerate(row) if m not in d1) for row in adj]   # adj G = adj Gᵀ
+    images = zip(*(system.unpack(col)[:k] for col in u.columns[:k]))   # the rows of ū
+    moved = [sum(map(mul, sigma, row)) for row in images]   # Σ_i σ_i·ū(α_i)
+    pairs, rems = zip(*(divmod(sum(map(mul, moved, row)), n) for row in gram))
+    if any(rems) or any(sum(map(mul, row, pairs)) * gram[i][i] % (2 * n)
+                        for i, row in enumerate(adj)):
+        raise DomainError("translation vector is not in the coroot lattice")
+    return _translation(system, pairs)
 
 
 _PREFIX_SEARCH_LIMIT = 16
@@ -174,14 +189,13 @@ def classify(oracle: BiclosedOracle) -> Classification:
     a bad pair read off one mask, and finite systems and empty limits by
     ascending inside the set's mask up to its stable level.  Otherwise
     prefixes p with Φ_p ⊆ B are searched in ShortLex order, bit by bit; each
-    one proposes a translation period read off the limit set, and the first
-    proposal whose inversion set is B (the same pattern and exceptions) wins.
+    one proposes a translation period built in integers off the limit set, and the
+    first proposal whose inversion set is B (the same pattern and exceptions) wins.
     """
     if oracle._classification is not None:
         return oracle._classification
     system = oracle.system
-    result = None
-    limits = _limit_pattern(oracle) if system.kind == "affine" else 0
+    limits, limit = _certified_limit(oracle) if system.kind == "affine" else (0, None)
     if overlap := limits & limits >> len(system.positive_roots):   # ±α_i: bits i, N+i
         result = Classification("neither", bad_pair=_find_bad_pair(oracle, overlap))
     elif not limits:   # the level is moot on a finite system
@@ -190,22 +204,15 @@ def classify(oracle: BiclosedOracle) -> Classification:
             raise ClassificationError("set is not the inversion set of an element")
         result = Classification("finite", element=x)
     else:
-        frontier, depth = [identity(system)], 0
-        while frontier and result is None:
-            for p in frontier:
-                word = _try_prefix(oracle, p)
-                if word is not None:
-                    result = Classification("infinite", word=word)
-                    break
-            else:
-                if depth >= _PREFIX_SEARCH_LIMIT:
-                    break
+        frontier = [identity(system)]
+        for depth in range(_PREFIX_SEARCH_LIMIT + 1):
+            if depth:
                 frontier = grow(system, frontier, lambda b: oracle.members(1 << b))
-                depth += 1
-        if result is None:
-            raise ClassificationError(
-                "no eventually periodic witness found within the prefix bound"
-            )
+            if word := next(filter(None, (_try_prefix(oracle, p, limit) for p in frontier)), None):
+                break
+        else:
+            raise ClassificationError("no eventually periodic witness found within the prefix bound")
+        result = Classification("infinite", word=word)
     oracle._classification = result
     return result
 
@@ -216,9 +223,7 @@ def t_gamma_infinity(system: CoxeterSystem, gamma) -> tuple:
     γ must be a nonzero coroot-lattice vector (simple-root coordinates)."""
     if system.kind != "affine":
         raise DomainError("infinite translation powers need an affine system")
-    t_el = translation(system, gamma)
-    if t_el.is_identity:
+    if (t_el := translation(system, gamma)).is_identity:
         raise DomainError("translation direction must be nonzero")
-    word = validate_periodic(system, (), t_el.word)
-    oracle = HatForm(system, *_decompose_psi(system, word.pattern))
-    return oracle, word
+    word = _certify((), t_el.word, identity(system), t_el)   # reading the word walks power 1
+    return HatForm(system, *_decompose_psi(system, word.pattern)), word

@@ -97,6 +97,15 @@ class Root:
 _set_coeffs, _set_delta, _set_hash = (Root.__dict__[n].__set__ for n in Root.__slots__)
 
 
+def _root(coeffs: tuple, delta: int) -> Root:
+    """The Root of int entries read off a system's own tables, built with no check."""
+    rho = Root.__new__(Root)
+    _set_coeffs(rho, coeffs)
+    _set_delta(rho, delta)
+    _set_hash(rho, hash((delta, coeffs)))
+    return rho
+
+
 def parse_root(text: str, rank: int) -> Root:
     """Parse the literal form `c1.c2...ck[:n]`, e.g. `1.0:1` or `-1.1`."""
     text = text.strip()
@@ -248,8 +257,9 @@ class CoxeterSystem:
         # positive roots up to δ-level L are the bits below 2NL+N.  Keyed by Φ.
         n = len(self._pos_coeffs)
         self._level_bits = 2 * n if affine else 0
-        self._offsets = {v: i for i, v in enumerate(self._pos_coeffs)}
-        self._offsets.update((tuple(-c for c in v), i - n) for i, v in enumerate(self._pos_coeffs))
+        # the finite roots by pattern bit: −α_i at bit i, α_i at bit N+i
+        self._signed = tuple(tuple(-c for c in v) for v in self._pos_coeffs) + self._pos_coeffs
+        self._offsets = {v: b - n for b, v in enumerate(self._signed)}
         self._flips = [n - 1 - 2 * i for i in range(n)] * 2   # by offset, for `column_bit`
 
         if affine:
@@ -281,9 +291,10 @@ class CoxeterSystem:
         # & _fin keeps the finite part, the key of _keys, and >> _shift the δ-level.
         self._shift, self._fin = 8 * k, (1 << 8 * k) - 1
         self._bias = int.from_bytes(b"\x80" * k, "little")
+        # a positive root's coefficients are bytes, zero off its support
+        self._packed_roots = tuple(int.from_bytes(bytes(v), "little") for v in self._pos_coeffs)
         self._keys = {}
-        for i, v in enumerate(self._pos_coeffs):   # a positive root's coefficients are bytes
-            packed = int.from_bytes(bytes(v), "little")
+        for i, packed in enumerate(self._packed_roots):
             self._keys[self._bias + packed], self._keys[self._bias - packed] = i, i - n
         self.identity_columns = tuple(map(self.pack, self.simple_columns))
         self._reflections = tuple(self._reflection(s) for s in range(self.ngens))
@@ -312,12 +323,11 @@ class CoxeterSystem:
     @cached_property
     def positive_roots(self) -> tuple[Root, ...]:
         """Positive roots of the finite part, sorted."""
-        return tuple(Root(v, 0) for v in self._pos_coeffs)
+        return tuple(_root(v, 0) for v in self._pos_coeffs)
 
     @cached_property
     def finite_roots(self) -> tuple[Root, ...]:
-        return tuple(sorted((Root(v, 0) for v in self._offsets),
-                            key=lambda r: r.key))
+        return tuple(_root(v, 0) for v in sorted(self._signed))   # in `Root.key` order
 
     def is_root(self, rho: Root) -> bool:
         return (len(rho.coeffs) == self.rank_finite and rho.coeffs in self._offsets
@@ -328,17 +338,12 @@ class CoxeterSystem:
         return self._simple_roots[i]
 
     def roots_up_to(self, level: int) -> tuple[Root, ...]:
-        """All roots; affine systems truncate to |δ-level| <= level."""
+        """All roots in `Root.key` order; affine systems truncate to |δ-level| <= level."""
         if (index(level) if hasattr(level, "__index__") else -1) < 0:
             raise DomainError(f"root level {level!r} is not a nonnegative integer")
         if self.kind == "finite":
             return self.finite_roots
-        out = [
-            Root(v.coeffs, n)
-            for n in range(-level, level + 1)
-            for v in self.finite_roots
-        ]
-        return tuple(sorted(out, key=lambda r: r.key))
+        return tuple(_root(v.coeffs, n) for n in range(-level, level + 1) for v in self.finite_roots)
 
     def positive_roots_up_to(self, level: int) -> tuple[Root, ...]:
         roots = self.roots_up_to(level)
@@ -390,8 +395,7 @@ class CoxeterSystem:
         level, i = divmod(bit + n, 2 * n)
         if bit < 0 or (level and self.kind == "finite"):
             raise DomainError(f"bit {bit} indexes no positive root of this system")
-        return (Root(self._pos_coeffs[i - n] if i >= n else [-c for c in self._pos_coeffs[i]], level)
-                if level else self.positive_roots[bit])
+        return _root(self._signed[i], level) if level else self.positive_roots[bit]
 
     def level_mask(self, level: int) -> int:
         """The bits of the positive roots up to δ-level `level` (all of Φ⁺ if finite)."""
@@ -408,9 +412,7 @@ class CoxeterSystem:
 
     def pattern_roots(self, pattern: int) -> frozenset[Root]:
         """The finite roots of a pattern, the inverse of `pattern`."""
-        n = len(self._pos_coeffs)
-        return frozenset(Root(self._pos_coeffs[b - n]) if b >= n else -Root(self._pos_coeffs[b])
-                         for b in range(2 * n) if pattern >> b & 1)
+        return frozenset(_root(v, 0) for b, v in enumerate(self._signed) if pattern >> b & 1)
 
     def moved_pattern(self, columns, pattern: int) -> int:
         """The pattern of w̄ applied to the roots of a pattern, for the packed columns

@@ -368,6 +368,46 @@ def test_expand_psi_validation():
         expand_psi(A2, identity(B2), (), ())
 
 
+class _Index:
+    """An integer type other than int, read only through `__index__`."""
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+    def __lt__(self, other):
+        return self.value < other
+
+    def __ge__(self, other):
+        return self.value >= other
+
+    def __hash__(self):
+        return hash(self.value)
+
+    def __eq__(self, other):
+        return self.value == other
+
+
+def test_psi_pattern_reads_any_index_integer():
+    # from index 8 on, a fixed-width index shifts Φ⁺_Δ's byte mask out of 64 bits
+    kinds = [_Index]
+    try:
+        import numpy
+        kinds += [numpy.int64, numpy.int32]
+    except ImportError:
+        pass
+    for system in (build_system("A10"), build_system("A~9")):
+        u, top = from_word(system, (8, 7, 8, 0)), system.rank_finite - 1
+        for d1, d2 in (((top,), ()), ((), (top,)), ((top, 0), (top - 2,)), ((8,), (0, 1))):
+            plain = expand_psi(system, u, d1, d2)
+            for kind in kinds:
+                d1k, d2k = [kind(i) for i in d1], [kind(i) for i in d2]
+                assert expand_psi(system, u, d1k, d2k) == plain, (system.key, kind, d1, d2)
+                if system.kind == "affine":
+                    assert HatForm(system, u, d1k, d2k).pattern == HatForm(system, u, d1, d2).pattern
+
+
 def test_classify_finite_biclosed():
     u, d1, d2 = classify_finite_biclosed(A2, {Root((0, 1)), Root((1, 1))})
     assert (u, d1, d2) == (identity(A2), frozenset({0}), frozenset())

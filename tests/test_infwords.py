@@ -1,5 +1,7 @@
 import itertools
 import json
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import dense_referee as dense
@@ -7,12 +9,12 @@ import pytest
 
 from coxtw.biclosed import Complement, Explicit, HatForm, Twisted, act_on_biclosed
 from coxtw.elements import GroupElement, from_word, identity, simple, translation
-from coxtw import infwords
+from coxtw import elements, infwords
 from coxtw.errors import ClassificationError, DomainError, NotReducedError
 from coxtw.exprs import parse_biclosed
 from coxtw.infwords import (WordInvSet, classify, limit_set, t_gamma_infinity,
                             validate_periodic)
-from coxtw.system import Root, build_system
+from coxtw.system import Root, _root, build_system
 
 A1T = build_system("A~1")
 A2T = build_system("A~2")
@@ -194,9 +196,8 @@ def test_classify_neither():
     assert all(full.member(r) for r in res.bad_pair)
 
 
-def test_classify_builds_a_root_only_for_its_bad_pair(monkeypatch):
-    # every oracle is two masks, so classify reads masks end to end: no Root
-    # for a finite or an infinite verdict, and the two of the pair for neither
+def _hat_form_cases():
+    """(kind, fresh oracle) for the 762 hat forms that criteria 11 and 12 pin."""
     rows = [row for name in ("rank2_hat_forms.json", "rank3_hat_forms.json")
             for row in json.loads((DATA / name).read_text())]
     cases = []
@@ -204,18 +205,84 @@ def test_classify_builds_a_root_only_for_its_bad_pair(monkeypatch):
         system = build_system(row["type"])
         system.finite_roots   # the cached roots are built before counting
         cases.append((row["kind"], parse_biclosed(system, row["form"])))
-    built, init = [0], Root.__init__
+    assert len(cases) == 762
+    return cases
 
-    def counting(self, *args):
-        built[0] += 1
-        init(self, *args)
 
-    monkeypatch.setattr(Root, "__init__", counting)
+def test_classify_builds_a_root_only_for_its_bad_pair(monkeypatch):
+    # every oracle is two masks, so classify reads masks end to end: no Root
+    # for a finite or an infinite verdict, and the two of the pair for neither,
+    # counted on the checked `Root.__init__` and the trusted `system._root` alike
+    cases = _hat_form_cases()
+    built = [0]
+
+    def counting(make):
+        def counted(*args):
+            built[0] += 1
+            return make(*args)
+        return counted
+
+    monkeypatch.setattr(Root, "__init__", counting(Root.__init__))
+    monkeypatch.setattr("coxtw.system._root", counting(_root))
     for kind, oracle in cases:
         built[0] = 0
         assert classify(oracle).kind == kind, oracle.key()
         assert built[0] == (2 if kind == "neither" else 0), (oracle.key(), built[0])
-    assert len(cases) == 762
+
+
+def test_classify_builds_no_fraction(monkeypatch):
+    # each period is proposed from its integer pairings, so no verdict, finite,
+    # infinite or neither, builds a Fraction
+    cases = _hat_form_cases()
+    built, new = [0], Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    kinds = [classify(oracle).kind for _, oracle in cases]
+    assert built[0] == 0
+    assert kinds == [kind for kind, _ in cases]
+
+
+@pytest.mark.parametrize("spec, u_word, delta1", [("A~2", (0, 1), ()), ("B~3", (1, 2), (0,))])
+def test_classify_walks_each_period_power_once(monkeypatch, spec, u_word, delta1):
+    # at p = e the translation's own word walk, which reads its word, is the
+    # first power of the certificate, and each later power is walked once
+    system = build_system(spec)
+    oracle = HatForm(system, from_word(system, u_word), delta1, ())
+    walked, walk = [], elements.walk
+
+    def counting(w, word):
+        walked.append(tuple(word))
+        return walk(w, word)
+
+    monkeypatch.setattr(elements, "walk", counting)
+    monkeypatch.setattr(infwords, "walk", counting)
+    word = classify(oracle).word
+    monkeypatch.undo()
+    order, _ = dense.period_translation(word)
+    assert word.prefix == () and word.period and order >= 1
+    assert [w for w in walked if w] == [word.period] * (2 * order)
+
+
+@pytest.mark.parametrize("spec", ["A~2", "C~2", "G~2", "A~3", "B~3", "C~3", "A~4", "D~4"])
+def test_proposed_period_matches_the_fraction_referee(spec):
+    # the integer pairings build the same translation as the public Fraction
+    # route, t_(ū·λ) for λ = dominant_coweight_for(Δ1), on columns and on word
+    system, rng = build_system(spec), random.Random(spec)
+    k = system.rank_finite
+    for size in range(k + 1):
+        for d1 in itertools.combinations(range(k), size):
+            for _ in range(3):
+                u = from_word(system, [rng.randrange(k) for _ in range(rng.randint(0, 8))])
+                lam = system.dominant_coweight_for(d1)
+                moved = [sum(row[j] * lam[j] for j in range(k)) for row in u.matrix[:k]]
+                want = translation(system, moved)
+                got = infwords._proposed_period(system, u, frozenset(d1))
+                assert got.columns == want.columns, (spec, d1, u.word)
+                assert got.word == want.word, (spec, d1, u.word)
 
 
 def test_classify_canonicalizes_twist():
