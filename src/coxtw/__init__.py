@@ -1,7 +1,7 @@
 """Twisted weak orders on finite and affine Weyl groups, in exact arithmetic.
 
 The pieces compose in layers: `system` builds root systems from Cartan
-data, `elements` realizes group elements as integer matrices, `biclosed`
+data, `elements` realizes group elements as packed simple-root images, `biclosed`
 provides membership oracles for biclosed subsets of the positive roots,
 `infwords` classifies them as inversion sets, and `order` carries the
 twisted length, comparisons, meets, joins and Hasse diagrams.  `oracle`

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import index, mul
 
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 from .system import CoxeterSystem, Root
 
 _WORD_GUARD = 100000
@@ -68,16 +68,12 @@ class GroupElement:
     # -- multiplication ------------------------------------------------
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        """(w·v)(α_j) = w(v(α_j)), the entries of v(α_j) times the packed images
-        w(α_1),...,w(α_k), w(δ) = δ, exact as every column of w·v is a root."""
+        """w·v, walked from w along the word of v, which records Φ_wv."""
         if not isinstance(other, GroupElement):
             return NotImplemented
-        system = self.system
-        if system.key != other.system.key:
+        if self.system.key != other.system.key:
             raise DomainError("cannot multiply elements of different systems")
-        basis = self.columns[:system.rank_finite] + (1 << system._shift,)   # δ, if affine
-        return _element(system, tuple(sum(map(mul, basis, system.unpack(c)))
-                                      for c in other.columns))
+        return walk(self, other.word)
 
     def mul_simple(self, s: int, image=None, mask=None) -> "GroupElement":
         """w·s, column by column: (w·s)(α_t) = w(α_t) − ⟨α_t, α_s^∨⟩·w(α_s), where
@@ -86,7 +82,7 @@ class GroupElement:
         if image is None:
             return walk(self, (s,))
         cols = list(self.columns)
-        for t, c in self.system._reflections[s][1]:
+        for t, c in self.system._reflections[s]:
             cols[t] -= c * image
         return _element(self.system, tuple(cols), mask)
 
@@ -118,8 +114,9 @@ class GroupElement:
         the w(α_j): the start is h = (f′·adj G)·w̄ᵀ·G on α_1..α_k with f′ = f −
         f(δ)·r, with no inverse matrix.  w̄ is read as the bytes b of the columns,
         w̄ = b − 128, so w̄·x = b·x − 128·Σx.  A w with no Φ recorded (a matrix being
-        certified, a product or a translation) records the Φ_w of the walk of its
-        word from e, which must rebuild its columns; a failure sets nothing."""
+        certified or a translation) records the Φ_w of the walk of its word from e,
+        which must rebuild its columns; a failure sets nothing.  A word longer than
+        _WORD_GUARD letters is a ResourceError."""
         system = self.system
         gram, adj, n = system.integer_form   # both symmetric: rows are columns
         k, bias, fin = system.rank_finite, system._bias, system._fin
@@ -145,10 +142,10 @@ class GroupElement:
             else:
                 break
             word.append(s)
-            for t, c in reflections[s][1]:
+            for t, c in reflections[s]:
                 h[t] -= c * x
         else:
-            raise DomainError("word extraction did not terminate")
+            raise ResourceError(f"word extraction passed the cap of {_WORD_GUARD} letters")
         if self._mask is None:
             built = from_word(system, word)
             if built.columns != self.columns:
@@ -225,8 +222,8 @@ def walk(w: GroupElement, word) -> GroupElement:
     mask = w.inversion_mask()
     cols = list(w.columns)
     for letter in word:
-        try:   # a negative index would wrap, so it reads the empty tuple instead
-            pairs = (reflections[s] if (s := index(letter)) >= 0 else ())[1]
+        try:   # a negative index would wrap, so it reads past the end instead
+            pairs = reflections[s if (s := index(letter)) >= 0 else len(reflections)]
         except (TypeError, IndexError):
             raise DomainError(f"no simple reflection with index {letter!r}") from None
         bit = column_bit(image := cols[s])
@@ -276,7 +273,7 @@ def ascend(system: CoxeterSystem, mask: int) -> GroupElement:
             if (bit := column_bit(image)) >= 0 and mask >> bit & 1:
                 inside |= 1 << bit
                 word.append(s)
-                for t, c in reflections[s][1]:
+                for t, c in reflections[s]:
                     cols[t] -= c * image
                 break
         else:
@@ -301,13 +298,12 @@ def translation(system: CoxeterSystem, lam) -> GroupElement:
     """t_λ for λ in the coroot lattice, given in simple-root coordinates."""
     if system.kind != "affine":
         raise DomainError("translations only exist in affine systems")
-    vec = tuple(Fraction(x) for x in lam)
-    if len(vec) != system.rank_finite:
+    if len(lam := tuple(lam)) != system.rank_finite:
         raise DomainError("translation vector has the wrong length")
-    if not system.in_coroot_lattice(vec):
+    # λ = Σ_i c_i·α_i^∨ for c_i = λ_i·d_i, and (α_j, α_i^∨) = a_ij, so (α_j, λ) = Σ_i c_i·a_ij
+    coords, rems = zip(*(divmod(Fraction(x) * d, 1) for x, d in zip(lam, system.symmetrizer)))
+    if any(rems):
         raise DomainError("translation vector is not in the coroot lattice")
-    # (α_j, α_i^∨) = a_ij, so (α_j, λ) = Σ_i c_i·a_ij for λ = Σ_i c_i·α_i^∨
-    coords = [int(x) for x in system.coroot_coordinates(vec)]
     return _translation(system, [sum(map(mul, coords, column)) for column in zip(*system.cartan)])
 
 

@@ -17,7 +17,7 @@ from collections import namedtuple
 from .biclosed import BiclosedOracle, Complement
 from .elements import GroupElement, ball, identity, walk
 from .errors import (ClassificationError, DomainError, JoinSearchError,
-                     OrderError, UnsupportedOracleError)
+                     OrderError, ResourceError, UnsupportedOracleError)
 from .infwords import classify
 
 _WITNESS_GUARD = 100000
@@ -148,14 +148,15 @@ def _lower_bound(oracle: BiclosedOracle, masks) -> GroupElement:
     """The shortest prefix z of B's witness word with Φ_z ⊇ (∪ masks) ∩ B,
     checked to lie ≤_B each mask's element.  Every letter must be an ascent,
     adding the inversion z(α_s) ∈ B, so each prefix lies ≤_B the last, and the
-    word is walked in chunks as long as the number of inversions still missing."""
+    word is walked in chunks as long as the number of inversions still missing, up
+    to a cap of _WITNESS_GUARD letters (it covers any finite set in the end)."""
     union = functools.reduce(operator.or_, masks, 0)
     need = oracle.members(union)
     z = identity(oracle.system)
     letters = itertools.islice(_witness_letters(oracle), _WITNESS_GUARD)
     while missing := (need & ~z.inversion_mask()).bit_count():
         if not (chunk := list(itertools.islice(letters, missing))):
-            raise OrderError("witness word never covered the required inversions")
+            raise ResourceError(f"witness word passed the cap of {_WITNESS_GUARD} letters")
         length, z = z.length, walk(z, chunk)
         if z.inversion_mask().bit_count() != length + len(chunk):
             raise DomainError(f"a witness letter of {chunk} is not an ascent")

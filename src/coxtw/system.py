@@ -452,20 +452,12 @@ class CoxeterSystem:
         return tuple(Fraction(scale * sum(x for i, x in enumerate(column) if i not in avoid), n)
                      for column in zip(*h))
 
-    def coroot_coordinates(self, vec) -> tuple[Fraction, ...]:
-        """Coordinates of a vector over the simple coroots: c_i = λ_i d_i."""
-        return tuple(Fraction(vec[i]) * self.symmetrizer[i] for i in range(self.rank_finite))
-
-    def in_coroot_lattice(self, vec) -> bool:
-        return all(c.denominator == 1 for c in self.coroot_coordinates(vec))
-
     # -- simple reflections --------------------------------------------
 
-    def _reflection(self, s: int):
-        """(pairings, simple pairings) with s(α_j) = α_j − ⟨α_j, α_s^∨⟩·α_s: the
-        nonzero ⟨α_j, α_s^∨⟩ = 2(α_j, α_s)/(α_s, α_s) as (j, value) pairs, over
-        the basis and over the ngens simple roots.  δ is fixed by every
-        reflection and pairs to zero, so the affine α_k = δ − θ pairs as −θ."""
+    def _reflection(self, s: int) -> tuple:
+        """The nonzero ⟨α_t, α_s^∨⟩ = 2(α_t, α_s)/(α_s, α_s) over the ngens simple
+        roots, as (t, value) pairs, with s(α_t) = α_t − ⟨α_t, α_s^∨⟩·α_s.  δ is
+        fixed by every reflection and pairs to zero, so the affine α_k = δ − θ pairs as −θ."""
         alpha = self._simple_roots[s]
         dots = [sum(map(mul, row, alpha.coeffs)) for row in self.gram]
         norm = sum(map(mul, alpha.coeffs, dots))
@@ -476,7 +468,7 @@ class CoxeterSystem:
                 raise DomainError(f"coroot pairing of α_{t} with α_{s} is not an integer")
             if c:
                 pairs.append((t, c))
-        return tuple(p for p in pairs if p[0] < self.rank_finite), tuple(pairs)
+        return tuple(pairs)
 
     def reflection(self, s: int):
         if not 0 <= (index(s) if hasattr(s, "__index__") else -1) < self.ngens:

@@ -128,7 +128,7 @@ def peel(system, matrix, guard=100000):
                     raise DomainError("inversions of a reduced word are not distinct")
                 out.append(s)
                 mask |= 1 << bit
-                for t, c in system.reflection(s)[1]:
+                for t, c in system.reflection(s):
                     images[t] = [x - c * y for x, y in zip(images[t], a)]
                 break
         else:

@@ -180,6 +180,17 @@ def test_exit_codes(capsys):
                "--biclosed", "word-inf ;0,0")[0] == 2          # not reduced
 
 
+def test_word_and_witness_caps_exit_3(capsys):
+    # valid inputs past a work cap are out of budget (exit 3), not broken
+    # (exit 2): the word of (s0 s1)^60000, and the witness of a meet with
+    # (s0 s1)^51000 below hat e::
+    code, out, err = run(capsys, "--type", "A~1", "tlen", ",".join(["0,1"] * 60000))
+    assert (code, out) == (3, "") and "cap of 100000 letters" in err
+    x = ",".join(["0,1"] * 51000)
+    code, out, err = run(capsys, "--type", "A~1", "meet", "--biclosed", "hat e::", x, x)
+    assert (code, out) == (3, "") and "witness word passed the cap" in err
+
+
 def test_finite_system_rejects_delta_level_roots(capsys):
     code, out, err = run(capsys, "--type", "A2", "classify",
                          "--biclosed", "explicit [1.0:1]")

@@ -10,7 +10,7 @@ from coxtw import elements
 from coxtw.biclosed import Explicit, classify_finite_biclosed, enumerate_biclosed
 from coxtw.elements import (GroupElement, ascend, ball, from_word, grow,
                             identity, simple, translation, walk)
-from coxtw.errors import ClassificationError, DomainError
+from coxtw.errors import ClassificationError, DomainError, ResourceError
 from coxtw.exprs import parse_biclosed
 from coxtw.infwords import WordInvSet, classify, validate_periodic
 from coxtw.oracle import oracle_meet, run_selftest, standard_battery
@@ -380,14 +380,27 @@ def test_word_guard_is_not_an_assert(monkeypatch):
     for spec, matrix in NON_ELEMENTS:
         with pytest.raises(DomainError, match="no group element"):
             GroupElement(build_system(spec), matrix)
-    # and the height walk stops at the guard, here below l(w) = 3, on a word
-    # read and on the certification of the same matrix
+    # and the height walk stops at the cap, here below l(w) = 3, on a word
+    # read and on the certification of the same matrix: a budget, not a defect
     monkeypatch.setattr(elements, "_WORD_GUARD", 2)
     w = from_word(A2, (0, 1, 0))
-    with pytest.raises(DomainError, match="terminate"):
+    with pytest.raises(ResourceError, match="cap of 2 letters"):
         w.word
-    with pytest.raises(DomainError, match="terminate"):
+    with pytest.raises(ResourceError, match="cap of 2 letters"):
         GroupElement(A2, w.matrix)
+
+
+def test_a_word_past_the_cap_is_a_budget_not_a_defect():
+    # t_λ for λ = 60000·α on A~1 is (s0 s1)^60000, a valid element of length
+    # 120,000, past the 100,000-letter cap: reading its word, or certifying
+    # its matrix, runs out of budget and never calls it no group element
+    a1t = build_system("A~1")
+    t = translation(a1t, (60000,))
+    assert t == from_word(a1t, (0, 1) * 60000)
+    with pytest.raises(ResourceError, match="cap of 100000 letters"):
+        t.word
+    with pytest.raises(ResourceError, match="cap of 100000 letters"):
+        GroupElement(a1t, t.matrix)
 
 
 @pytest.mark.parametrize("column_bit, corruption", [
@@ -421,7 +434,7 @@ def test_from_word_validates_letters_and_its_record(monkeypatch):
     # s_0 sending α_1 to α_1 − 2α_0 makes −(2,−1) a descent never recorded
     for pairs, word in (((), (0, 0)), (((0, 2), (1, 2)), (0, 1))):
         system = build_system("A2")
-        monkeypatch.setattr(system, "_reflections", ((pairs, pairs),) + system._reflections[1:])
+        monkeypatch.setattr(system, "_reflections", (pairs,) + system._reflections[1:])
         with pytest.raises(DomainError, match="lost track"):
             from_word(system, word)
 
@@ -506,9 +519,10 @@ def test_a_matrix_of_the_wrong_shape_is_no_element(spec):
 
 @pytest.mark.parametrize("spec", REFEREE_SPECS)
 def test_products_of_unrecorded_factors_are_the_joined_words(spec):
-    # a product or a translation has no Φ recorded until it is asked for;
-    # products of such factors take the packed path too, and equal the walk
-    # of the joined words, Φ and the ShortLex word included
+    # a product is walked along the word of its right factor, so its Φ is
+    # recorded before any word of it is read, and it equals the walk of the
+    # joined words, Φ and the ShortLex word included; a translation has no Φ
+    # recorded until it is asked for, and a product with one reads its word
     system = build_system(spec)
     rng = random.Random(spec)
     words = [[rng.randrange(system.ngens) for _ in range(rng.randint(0, 12))] for _ in range(8)]
@@ -516,10 +530,11 @@ def test_products_of_unrecorded_factors_are_the_joined_words(spec):
         u, v, w = (from_word(system, x) for x in (a, b, c))
         uv, vw = u * v, v * w
         product = uv * vw
-        assert uv._mask is vw._mask is product._mask is None
+        assert uv._word is None and product._word is None and product._mask is not None
         want = from_word(system, a + b + b + c)
         assert product == want and product.columns == want.columns
         assert product.inversion_mask() == want.inversion_mask()
+        assert uv.inversion_mask() == from_word(system, a + b).inversion_mask()
         assert product.word == want.word and uv.word == from_word(system, a + b).word
     if system.kind == "affine":
         u = from_word(system, words[0])
@@ -527,8 +542,9 @@ def test_products_of_unrecorded_factors_are_the_joined_words(spec):
             lam, mu = ([Fraction(rng.randrange(-2, 3)) / d for d in system.symmetrizer]
                        for _ in range(2))
             t, s = translation(system, lam), translation(system, mu)
+            assert t._mask is s._mask is None
             ts, tsu = t * s, t * s * u
-            assert t._mask is s._mask is ts._mask is tsu._mask is None
+            assert ts._mask is not None and tsu._mask is not None
             assert ts == translation(system, [x + y for x, y in zip(lam, mu)])
             want = from_word(system, t.word + s.word)
             assert ts == want and ts.inversion_mask() == want.inversion_mask()

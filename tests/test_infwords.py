@@ -36,12 +36,8 @@ def test_validate_periodic_accepts_translation_word():
     assert A1T.pattern_roots(w.pattern) == {ALPHA}
 
 
-def test_period_power_guard_is_not_an_assert(monkeypatch):
-    # the Weyl part of s0 s1 s2 has order 2, past a guard of one power
-    monkeypatch.setattr(infwords, "_ORDER_GUARD", 1)
-    with pytest.raises(DomainError, match="search guard"):
-        validate_periodic(A2T, (), (0, 1, 2))
-    # the guard bounds only the search for m: with m = 1 the walk goes on to k = 2
+def test_period_power_guard_is_not_an_assert():
+    # the walk stops at k = 2m, not at m: with m = 1 it goes on to k = 2
     word = validate_periodic(A1T, (), (0, 1))
     assert dense.period_translation(word)[0] == 1
     assert word.pattern == A1T.pattern({ALPHA})
@@ -69,11 +65,12 @@ def test_validate_periodic_makes_no_product(monkeypatch):
 
 
 def test_multi_term_drift_matches_long_truncations():
-    # periods whose Weyl part has order 2 or 3, so the drift sums several
+    # periods whose Weyl part has order 2 to 6, so the drift sums several
     # conjugates of the period's translation part
     cases = [("A~2", (), (0, 1, 2)), ("C~2", (), (0, 1, 2)),
              ("G~2", (), (0, 1, 2)), ("A~3", (), (0, 1, 2, 3)),
-             ("A~2", (1,), (2, 0, 1))]
+             ("A~2", (1,), (2, 0, 1)), ("A~4", (), (0, 1, 2, 3, 4)),
+             ("A~4", (), (0, 1, 2, 4, 3))]
     for spec, prefix, period in cases:
         system = build_system(spec)
         word = validate_periodic(system, prefix, period)

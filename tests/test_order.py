@@ -9,7 +9,7 @@ from coxtw.elements import (GroupElement, ascend, ball, from_word, grow, identit
                             walk)
 from coxtw import order
 from coxtw.errors import (ClassificationError, DomainError, JoinSearchError,
-                          OrderError, UnsupportedOracleError)
+                          OrderError, ResourceError, UnsupportedOracleError)
 from coxtw.exprs import parse_biclosed
 from coxtw.figures import FIGURES
 from coxtw.infwords import Classification, WordInvSet, classify, validate_periodic
@@ -143,6 +143,16 @@ def test_lower_bound():
             if z.length:
                 shorter = from_word(system, letters[:z.length - 1])
                 assert not target <= shorter.inversion_set()
+
+
+def test_a_witness_past_the_cap_is_a_budget_not_a_defect():
+    # Φ_x for x = (s0 s1)^51000 lies in B = hat e::, whose witness word needs
+    # 102,000 letters to cover it, past the 100,000-letter cap
+    x = from_word(A1T, (0, 1) * 51000)
+    oracle = parse_biclosed(A1T, "hat e::")
+    assert oracle.members(x.inversion_mask()) == x.inversion_mask()
+    with pytest.raises(ResourceError, match="cap of 100000 letters"):
+        lower_bound(x, x, oracle)
 
 
 def test_meet_needs_an_inversion_set():

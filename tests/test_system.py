@@ -4,11 +4,13 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import lcm, prod
+from operator import mul
 
 import dense_referee as dense
 import pytest
 
 from coxtw import linalg
+from coxtw.elements import from_word, translation
 from coxtw.errors import DomainError, ExprError, ValidationError
 from coxtw.system import (CoxeterSystem, Root, _auto_symmetrizer, build_system,
                           parse_cartan_file, parse_root)
@@ -287,10 +289,17 @@ def test_dominant_coweight():
 
 
 def test_coroot_lattice_b2():
-    b2 = build_system("B2")
-    assert b2.in_coroot_lattice((Fraction(1, 2), 1))
-    assert b2.in_coroot_lattice((1, 1))
-    assert not b2.in_coroot_lattice((Fraction(1, 2), Fraction(1, 2)))
+    # λ = Σ λ_i·α_i is in the coroot lattice iff each λ_i·d_i is an integer,
+    # and t_λ(α_j) = α_j + (α_j, λ)·δ
+    b2 = build_system("B~2")
+    for lam in ((Fraction(1, 2), 1), (1, 1)):
+        t = translation(b2, lam)
+        for j in range(2):
+            alpha = b2.simple_root(j)
+            assert t.apply(alpha) == Root(alpha.coeffs, sum(map(mul, lam, b2.form[j])))
+        assert t == from_word(b2, t.word) and not t.is_identity
+    with pytest.raises(DomainError, match="coroot lattice"):
+        translation(b2, (Fraction(1, 2), Fraction(1, 2)))
 
 
 def test_inner_products():
