@@ -1,11 +1,11 @@
 """Command-line surface: `coxtw --type A~1 <subcommand> ...`.
 
-Exit codes are part of the contract: 0 success, 1 usage or expression
-syntax problems and an --out file that cannot be written, 2 domain errors
-(non-reduced words, incomparable endpoints, invalid constructions), 3
-resource caps.  Each subcommand returns its JSON object and its text (and
-`selftest` its exit code); `main` alone picks one by --format, and writes
-JSON as a single sorted-key line so byte-level golden tests stay stable.
+Exit codes are part of the contract: 0 success, 1 usage or expression syntax
+problems and an --out file that cannot be written, 2 domain errors (non-reduced
+words, incomparable endpoints, invalid constructions), 3 resource caps.  Each
+subcommand is declared by its handler `_cmd_<name>` alone, which returns its JSON
+object and its text (and `selftest` its exit code); `main` picks one by --format,
+and writes JSON as a single sorted-key line so byte-level golden tests stay stable.
 """
 
 from __future__ import annotations
@@ -38,10 +38,11 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     top = _Parser(prog="coxtw", description="twisted weak orders of "
                   "finite and affine Weyl groups")
-    top.add_argument("--type", dest="type_string", metavar="T", default=None,
-                     help="Cartan type string such as A2, G2, B~3")
-    top.add_argument("--cartan", dest="cartan_file", metavar="FILE",
-                     default=None, help="file holding an explicit Cartan matrix")
+    given = top.add_mutually_exclusive_group()
+    given.add_argument("--type", dest="type_string", metavar="T", default=None,
+                       help="Cartan type string such as A2, G2, B~3")
+    given.add_argument("--cartan", dest="cartan_file", metavar="FILE",
+                       default=None, help="file holding an explicit Cartan matrix")
     sub = top.add_subparsers(dest="command", parser_class=_Parser)
 
     common = _Parser(add_help=False)
@@ -52,61 +53,55 @@ def _build_parser() -> _Parser:
     withb = _Parser(add_help=False)
     withb.add_argument("--biclosed", metavar="EXPR", default="empty")
 
-    p = sub.add_parser("roots", parents=[common],
-                       help="positive roots up to a delta level")
+    def add(run, *parents, **kw):
+        p = sub.add_parser(run.__name__.removeprefix("_cmd_"),
+                           parents=[common, *parents], **kw)
+        p.set_defaults(run=run)
+        return p
+
+    p = add(_cmd_roots, help="positive roots up to a delta level")
     p.add_argument("--level", type=int, default=2)
 
-    p = sub.add_parser("ball", parents=[common],
-                       help="group elements up to a given length")
+    p = add(_cmd_ball, help="group elements up to a given length")
     p.add_argument("radius", type=int)
 
-    p = sub.add_parser("invset", parents=[common],
-                       help="inversion set of a word")
+    p = add(_cmd_invset, help="inversion set of a word")
     p.add_argument("word")
 
-    p = sub.add_parser("tlen", parents=[common, withb],
-                       help="twisted length of a word")
+    p = add(_cmd_tlen, withb, help="twisted length of a word")
     p.add_argument("word")
 
-    for name, help_text in (("le", "is x below y in the twisted order"),
-                            ("chain", "a saturated chain from x up to y"),
-                            ("interval", "all elements between x and y")):
-        p = sub.add_parser(name, parents=[common, withb], help=help_text)
+    for run, help_text in ((_cmd_le, "is x below y in the twisted order"),
+                           (_cmd_chain, "a saturated chain from x up to y"),
+                           (_cmd_interval, "all elements between x and y")):
+        p = add(run, withb, help=help_text)
         p.add_argument("x")
         p.add_argument("y")
 
-    p = sub.add_parser("meet", parents=[common, withb],
-                       help="greatest lower bound of x and y")
+    p = add(_cmd_meet, withb, help="greatest lower bound of x and y")
     p.add_argument("x")
     p.add_argument("y")
     p.add_argument("--join", action="store_true",
                    help="least upper bound instead")
 
-    p = sub.add_parser("hasse", parents=[common, withb],
-                       help="cover graph over a ball")
+    p = add(_cmd_hasse, withb, help="cover graph over a ball")
     p.add_argument("--radius", type=int, default=2)
 
-    sub.add_parser("classify", parents=[common, withb],
-                   help="decide what kind of inversion set B is")
+    add(_cmd_classify, withb, help="decide what kind of inversion set B is")
 
-    p = sub.add_parser("check", parents=[common, withb],
-                       help="search a ball for meet failures")
+    p = add(_cmd_check, withb, help="search a ball for meet failures")
     p.add_argument("--radius", type=int, default=2)
 
-    p = sub.add_parser("figure", parents=[common],
-                       help="reproduce a pinned reference diagram")
+    p = add(_cmd_figure, help="reproduce a pinned reference diagram")
     p.add_argument("name", choices=sorted(FIGURES))
 
-    p = sub.add_parser("selftest", parents=[common],
-                       help="battery comparison of order code vs oracles")
+    p = add(_cmd_selftest, help="battery comparison of order code vs oracles")
     p.add_argument("--radius", type=int, default=2)
 
     return top
 
 
-def _system(args) -> CoxeterSystem:
-    if args.type_string and args.cartan_file:
-        raise ExprError("pass either --type or --cartan, not both")
+def _system(args) -> CoxeterSystem | None:
     if args.type_string:
         return build_system(args.type_string)
     if args.cartan_file:
@@ -116,7 +111,9 @@ def _system(args) -> CoxeterSystem:
         except OSError as exc:
             raise ExprError(f"cannot read Cartan file: {exc}")
         return parse_cartan_file(text)
-    raise ExprError("a system is required: pass --type or --cartan")
+    if args.run is not _cmd_figure:   # a figure builds its own system
+        raise ExprError("a system is required: pass --type or --cartan")
+    return None
 
 
 def _cap_check(value: int, what: str) -> int:
@@ -164,7 +161,8 @@ def _cmd_invset(args, system):
 def _cmd_tlen(args, system):
     el = _element(system, args.word)
     value = twisted_length(el, parse_biclosed(system, args.biclosed))
-    return {"tlen": value, "word": list(el.word)}, f"{value}\n"
+    obj = {"tlen": value, "word": list(el.word)} if args.format == "json" else None
+    return obj, f"{value}\n"
 
 
 def _cmd_le(args, system):
@@ -229,36 +227,15 @@ def _cmd_selftest(args, system):
     return report, text, 2 if mismatches else 0
 
 
-_COMMANDS = {
-    "roots": _cmd_roots,
-    "ball": _cmd_ball,
-    "invset": _cmd_invset,
-    "tlen": _cmd_tlen,
-    "le": _cmd_le,
-    "chain": _cmd_chain,
-    "interval": _cmd_interval,
-    "meet": _cmd_meet,
-    "hasse": _cmd_hasse,
-    "classify": _cmd_classify,
-    "check": _cmd_check,
-    "figure": _cmd_figure,
-    "selftest": _cmd_selftest,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         if args.command is None:
             raise ExprError("a subcommand is required (see --help)")
-        if args.format == "dot" and args.command not in ("hasse", "figure"):
+        if args.format == "dot" and args.run not in (_cmd_hasse, _cmd_figure):
             raise ExprError("dot output only applies to hasse and figure")
-        if args.command == "figure" and not (args.type_string or args.cartan_file):
-            system = None
-        else:
-            system = _system(args)
-        obj, text, *code = _COMMANDS[args.command](args, system)   # selftest adds a code
+        obj, text, *code = args.run(args, _system(args))   # selftest adds a code
     except CoxtwError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, ResourceError) else 1 if isinstance(exc, ExprError) else 2

@@ -18,7 +18,7 @@ from .order import hasse
 from .system import build_system
 
 
-class Figure(namedtuple("Figure", "name type_string expr gen_labels words edges")):
+class Figure(namedtuple("Figure", "type_string expr gen_labels words edges")):
     """words: the element words drawn; edges: (lower, upper) word pairs."""
     __slots__ = ()
 
@@ -68,7 +68,6 @@ _A2_EDGES = (
 
 FIGURES = {
     "a1-twist": Figure(
-        name="a1-twist",
         type_string="A~1",
         expr="hat 0::",
         gen_labels=("s_α", "s_{δ-α}"),
@@ -76,7 +75,6 @@ FIGURES = {
         edges=_A1_EDGES,
     ),
     "a2-twist": Figure(
-        name="a2-twist",
         type_string="A~2",
         expr="hat 0,1,0::",
         gen_labels=("s_α", "s_β", "s_{δ-α-β}"),

@@ -1,12 +1,10 @@
 """Eventually periodic reduced words and their (possibly infinite) inversion sets.
 
-A word prefix·period^∞ is accepted only with a certificate: both parts
-reduced and l(prefix·period^k) = l(prefix) + k·l(period) for k up to twice
-the order m of the period's Weyl part, read off the same walk.  Past that
-point the period powers are pure translations, whose lengths grow linearly,
-so a defect would already have shown up.  Of period^m = t_μ the word keeps
-only the finite roots pairing positively with prefix·μ, as a pattern: with
-Φ_prefix, they are its whole inversion set.
+A word prefix·period^∞ is accepted only with a certificate: both parts reduced and
+l(prefix·period^k) = l(prefix) + k·l(period) for k up to 2m − 1, m the order of the
+period's Weyl part, read off the same walk; `_certify` proves that every later power
+follows.  Of period^m = t_μ the word keeps only the finite roots pairing positively
+with prefix·μ, as a pattern: with Φ_prefix, they are its whole inversion set.
 
 The classifier inverts this, in integers: given a biclosed oracle it decides
 whether the set is the inversion set of an element, of a validated infinite
@@ -58,22 +56,27 @@ def validate_periodic(system: CoxeterSystem, prefix, period) -> PeriodicWord:
 
 def _certify(prefix: tuple, period: tuple, prefix_el: GroupElement, el: GroupElement):
     """The rest of `validate_periodic` from el = prefix·period, already walked: one walk
-    of prefix·period^k for k ≤ 2m.  Each step records Φ, so no word is read for the
+    of prefix·period^k for k ≤ 2m − 1.  Each step records Φ, so no word is read for the
     length, and every prefix of a reduced word is reduced, so the first short step names
     the failing power.  The Weyl part is a homomorphism, so m is the first k at which
     each column of prefix·period^k less the prefix's is 0 off its top entry, which is
     (α_j, μ) for period^m = t_μ.  m ≤ 2,520 on every system that can be built (the
     largest element order, of W(B26); S27 reaches only 1,540), and on a finite system,
-    where period^m = e, the length check fails first, once k·|period| exceeds N."""
-    system, rank, k, mu = prefix_el.system, prefix_el.system.rank_finite, 1, None
+    where period^m = e, the length check fails first, once k·|period| exceeds N.
+
+    Later powers follow: for q = prefix·period^j, j < m, and q̄ its Weyl part, Iwahori–
+    Matsumoto (Publ. Math. IHÉS 25, 1965) give l(q·t_μ^i) = Σ_{α>0} |a_α + i·b_α|, with
+    b_α = (q̄(μ), α) and a_α free of i, against l(q) + i·l(t_μ) = Σ|a_α| + i·Σ|b_α|: equal
+    for all i ≥ 1 iff a_α·b_α ≥ 0 for each α, iff equal at i = 1, at power j + m ≤ 2m − 1."""
+    system, rank, k, last = prefix_el.system, prefix_el.system.rank_finite, 1, None
     while True:
         if el.inversion_mask().bit_count() != len(prefix) + k * len(period):
             raise NotReducedError(f"word stops being reduced at period power {k}", failing_power=k)
-        if mu is None:
+        if last is None:
             diffs = [system.unpack(a - b) for a, b in zip(el.columns[:rank], prefix_el.columns)]
             if not any(x for d in diffs for x in d[:rank]):
-                order, mu = k, [d[rank] for d in diffs]
-        elif k == 2 * order:
+                last, mu = 2 * k - 1, [d[rank] for d in diffs]
+        if k == last:
             break
         el, k = walk(el, period), k + 1
     # prefix moves {β : (β, μ) > 0} onto {β : (β, prefix·μ) > 0}

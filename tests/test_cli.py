@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from coxtw import cli
 from coxtw.cli import main
 from coxtw.errors import DomainError, ExprError, ResourceError, ValidationError
 from coxtw.exprs import parse_biclosed
@@ -180,12 +182,37 @@ def test_exit_codes(capsys):
                "--biclosed", "word-inf ;0,0")[0] == 2          # not reduced
 
 
+COMMANDS = ("roots", "ball", "invset", "tlen", "le", "chain", "interval", "meet",
+            "hasse", "classify", "check", "figure", "selftest")
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_each_subcommand_is_declared_by_its_handler(capsys, name):
+    with pytest.raises(SystemExit) as exc:
+        main([name, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: coxtw {name} ")
+    handlers = next(a for a in cli._build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert list(handlers) == list(COMMANDS)
+    assert handlers[name].get_default("run") is getattr(cli, f"_cmd_{name}")
+
+
+def test_type_and_cartan_together_exit_1(capsys):
+    code, out, err = run(capsys, "--type", "A2", "--cartan",
+                         str(ROOT / "perfbench" / "g2_affine.cartan"), "roots")
+    assert (code, out) == (1, "")
+    assert err == "error: argument --cartan: not allowed with argument --type\n"
+
+
 def test_word_and_witness_caps_exit_3(capsys):
     # valid inputs past a work cap are out of budget (exit 3), not broken
-    # (exit 2): the word of (s0 s1)^60000, and the witness of a meet with
-    # (s0 s1)^51000 below hat e::
-    code, out, err = run(capsys, "--type", "A~1", "tlen", ",".join(["0,1"] * 60000))
+    # (exit 2): the word of (s0 s1)^60000, which only the json object holds,
+    # and the witness of a meet with (s0 s1)^51000 below hat e::
+    long_word = ",".join(["0,1"] * 60000)
+    code, out, err = run(capsys, "--type", "A~1", "tlen", long_word, "--format", "json")
     assert (code, out) == (3, "") and "cap of 100000 letters" in err
+    assert run(capsys, "--type", "A~1", "tlen", long_word) == (0, "120000\n", "")
     x = ",".join(["0,1"] * 51000)
     code, out, err = run(capsys, "--type", "A~1", "meet", "--biclosed", "hat e::", x, x)
     assert (code, out) == (3, "") and "witness word passed the cap" in err

@@ -37,10 +37,51 @@ def test_validate_periodic_accepts_translation_word():
 
 
 def test_period_power_guard_is_not_an_assert():
-    # the walk stops at k = 2m, not at m: with m = 1 it goes on to k = 2
+    # the walk stops at k = 2m − 1: with m = 1 that is k = 1, the power at
+    # which m is found, so no period power is walked past the word's own
     word = validate_periodic(A1T, (), (0, 1))
     assert dense.period_translation(word)[0] == 1
     assert word.pattern == A1T.pattern({ALPHA})
+
+
+def _referee_failing_power(system, prefix, period, powers=30):
+    """The first k at which prefix·period^k is not reduced (0 for the prefix),
+    or None, walking `powers` powers letter by letter on matrices: l(w·s) > l(w)
+    iff w(α_s) > 0."""
+    w = identity(system)
+    for i, s in enumerate(prefix + period * powers):
+        if w.apply(system.simple_root(s)).is_negative:
+            return 0 if i < len(prefix) else (i - len(prefix)) // len(period) + 1
+        w = w.mul_simple(s)
+    return None
+
+
+def test_certificate_to_2m_minus_1_agrees_with_30_powers():
+    # seeded words: a prefix of random letters, some not reduced, and a period
+    # built reduced by ascents, so that many are accepted; the certificate
+    # stops at power 2m − 1 and must agree with a walk of 30 powers
+    accepted = []
+    for spec in ("A~1", "A~2", "A~3", "A~4"):
+        system, rng = build_system(spec), random.Random(spec)
+        n = system.ngens
+        for _ in range(150):
+            prefix = tuple(rng.randrange(n) for _ in range(rng.randint(0, 3)))
+            period, w = [], identity(system)
+            for _ in range(rng.randint(1, n + 2)):
+                s = rng.choice([s for s in range(n)
+                                if w.apply(system.simple_root(s)).is_positive])
+                period.append(s)
+                w = w.mul_simple(s)
+            period = tuple(period)
+            want = _referee_failing_power(system, prefix, period)
+            try:
+                word = validate_periodic(system, prefix, period)
+            except NotReducedError as exc:
+                assert exc.failing_power == want, (spec, prefix, period)
+            else:
+                assert want is None, (spec, prefix, period)
+                accepted.append(dense.period_translation(word)[0])
+    assert len(accepted) >= 40 and sum(m >= 2 for m in accepted) >= 15, accepted
 
 
 def test_validate_periodic_makes_no_product(monkeypatch):
@@ -246,7 +287,8 @@ def test_classify_builds_no_fraction(monkeypatch):
 @pytest.mark.parametrize("spec, u_word, delta1", [("A~2", (0, 1), ()), ("B~3", (1, 2), (0,))])
 def test_classify_walks_each_period_power_once(monkeypatch, spec, u_word, delta1):
     # at p = e the translation's own word walk, which reads its word, is the
-    # first power of the certificate, and each later power is walked once
+    # first power of the certificate, and each later power up to 2m − 1 is
+    # walked once
     system = build_system(spec)
     oracle = HatForm(system, from_word(system, u_word), delta1, ())
     walked, walk = [], elements.walk
@@ -261,7 +303,7 @@ def test_classify_walks_each_period_power_once(monkeypatch, spec, u_word, delta1
     monkeypatch.undo()
     order, _ = dense.period_translation(word)
     assert word.prefix == () and word.period and order >= 1
-    assert [w for w in walked if w] == [word.period] * (2 * order)
+    assert [w for w in walked if w] == [word.period] * (2 * order - 1)
 
 
 @pytest.mark.parametrize("spec", ["A~2", "C~2", "G~2", "A~3", "B~3", "C~3", "A~4", "D~4"])
