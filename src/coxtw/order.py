@@ -2,9 +2,9 @@
 
 All comparisons reduce to finite symmetric-difference conditions on
 inversion sets: x ≤_B y iff Φ_x ∖ Φ_y ⊆ B and (Φ_y ∖ Φ_x) ∩ B = ∅.
-Chains, intervals, meets and the semilattice check walk the up-covers w·s
-that lie ≤_B a top, on masks: for z ≤_B x, [z, x]_B = z·[e, z⁻¹x] is an
-ordinary weak-order interval, where every element but the top has one.
+Chains, intervals, meets and the semilattice check read the weak order seen
+from an anchor z ≤_B x: [z, x]_B = z·[e, z⁻¹x] is {u : Φ_z △ Φ_u ⊆ Φ_z △ Φ_x},
+so w·s is in [w, x]_B iff the root it flips lies in Φ_w △ Φ_x, with no B in it.
 """
 
 from __future__ import annotations
@@ -81,55 +81,60 @@ def le(x: GroupElement, y: GroupElement, oracle: BiclosedOracle) -> bool:
     return _below(a, b, oracle.members(a ^ b))
 
 
-def _ups(level, oracle: BiclosedOracle, tops, test=all):
-    """The up-covers w·s of the elements of level, each once, that lie ≤_B all (or,
-    with test=any, some) elements of tops, decided on Φ_ws before w·s is built."""
-    masks = [t.inversion_mask() for t in tops]
-    union, seen = functools.reduce(operator.or_, masks, 0), set()
-    for w in level:
-        for s in range(w.system.ngens):
-            image, a, up = _cover(w, s, oracle)
-            if up and a not in seen:
-                seen.add(a)
-                inside = oracle.members(a | union)
-                if test(_below(a, b, inside) for b in masks):
-                    yield w.mul_simple(s, image, a)
+def _toward(w: GroupElement, tops):
+    """The w·s, s ascending, that lie ≤_B every top, for w ≤_B each: those whose
+    flipped root lies in ∩ₜ(Φ_w △ Φ_t), with no oracle query."""
+    a, column_bit = w.inversion_mask(), w.system.column_bit
+    room = functools.reduce(operator.and_, (a ^ t.inversion_mask() for t in tops))
+    for s, image in enumerate(w.columns):
+        if room & (flip := 1 << (~b if (b := column_bit(image)) < 0 else b)):
+            yield w.mul_simple(s, image, a ^ flip)
+
+
+def _frame(z: GroupElement, tops) -> dict:
+    """{Φ_u: (u, the masks of u's down-covers in the frame)} over ∪ₜ [z, t]_B, for
+    z ≤_B each top: the tops closed under the u·s whose flipped root lies in
+    Φ_z △ Φ_u, which are the u·s in [z, u]_B, each built once."""
+    zm, out = z.inversion_mask(), {t.inversion_mask(): (t, []) for t in tops}
+    todo, column_bit = list(out.values()), z.system.column_bit
+    while todo:
+        u, downs = todo.pop()
+        room = zm ^ (a := u.inversion_mask())
+        for s, image in enumerate(u.columns):
+            if room & (flip := 1 << (~b if (b := column_bit(image)) < 0 else b)):
+                downs.append(d := a ^ flip)
+                if d not in out:
+                    out[d] = entry = u.mul_simple(s, image, d), []
+                    todo.append(entry)
+    return out
 
 
 def chain(x: GroupElement, y: GroupElement,
           oracle: BiclosedOracle) -> tuple[GroupElement, ...]:
     """A saturated cover chain from x up to y; fails unless x ≤_B y.
 
-    Each step takes the first up-cover of z lying ≤_B y: the smallest s with
-    z·s in [z, y]_B = z·[e, z⁻¹y] is the smallest left descent of z⁻¹y, so
-    the chain spells the ShortLex word of x⁻¹y."""
+    Each step takes the first w·s toward y: the smallest s with w·s in
+    [w, y]_B = w·[e, w⁻¹y] is the smallest left descent of w⁻¹y, so the chain
+    spells the ShortLex word of x⁻¹y."""
     if not le(x, y, oracle):
         raise OrderError("chain endpoints are not comparable in this order")
     out = [x]
     while out[-1] != y:
-        if (z := next(_ups([out[-1]], oracle, (y,)), None)) is None:
+        if (z := next(_toward(out[-1], (y,)), None)) is None:
             raise DomainError("no up-cover of the chain lies below its top")
         out.append(z)
     return tuple(out)
 
 
-def _up_set(x: GroupElement, oracle: BiclosedOracle, tops) -> list[GroupElement]:
-    """x and every w with x ≤_B w ≤_B some element of tops, level by level: each
-    [x, t]_B = x·[e, x⁻¹t] is graded by l_B, so level k + 1 of their union is the
-    set of up-covers of level k that lie ≤_B some top."""
-    out, level = [x], [x]
-    while level:
-        out += (level := list(_ups(level, oracle, tops, any)))
-    return out
-
-
 def interval(x: GroupElement, y: GroupElement,
              oracle: BiclosedOracle) -> tuple[GroupElement, ...]:
-    """All z with x ≤_B z ≤_B y, sorted by (twisted length, length, word)."""
+    """All z with x ≤_B z ≤_B y, sorted by (twisted length, length, word): the
+    frame of x below y, where l_B(z) − l_B(x) = |Φ_x △ Φ_z|."""
     if not le(x, y, oracle):
         raise OrderError("interval endpoints are not comparable in this order")
-    return tuple(sorted(_up_set(x, oracle, (y,)),
-                        key=lambda w: (twisted_length(w, oracle), w.length, w.word)))
+    xm = x.inversion_mask()
+    return tuple(sorted((u for u, _ in _frame(x, (y,)).values()),
+                        key=lambda u: ((xm ^ u.inversion_mask()).bit_count(), u.length, u.word)))
 
 
 def _witness_letters(oracle: BiclosedOracle):
@@ -180,11 +185,12 @@ def meet(x: GroupElement, y: GroupElement,
          oracle: BiclosedOracle) -> GroupElement:
     """Greatest lower bound of {x, y} in ≤_B, for B an inversion set.
 
-    From z = `lower_bound(x, y)`, climb by up-covers lying ≤_B x and y.  They
-    stay in [z, x]_B ∩ [z, y]_B = z·[e, z⁻¹x ∧ z⁻¹y], where only the top has
-    no up-cover inside, so the climb ends at z·(z⁻¹x ∧ z⁻¹y)."""
+    From z = `lower_bound(x, y)`, climb by the m·s toward x and y, whose
+    flipped root lies in (Φ_m △ Φ_x) ∩ (Φ_m △ Φ_y).  They stay in
+    [z, x]_B ∩ [z, y]_B = z·[e, z⁻¹x ∧ z⁻¹y], where only the top has no up-cover
+    inside, so the climb ends at z·(z⁻¹x ∧ z⁻¹y), with no oracle query past z."""
     m = lower_bound(x, y, oracle)
-    while (u := next(_ups([m], oracle, (x, y)), None)) is not None:
+    while (u := next(_toward(m, (x, y)), None)) is not None:
         m = u
     return m
 
@@ -277,6 +283,18 @@ class CheckResult(namedtuple("CheckResult", "status pair checked")):
         }
 
 
+def _lower_sets(z: GroupElement, tops):
+    """The frame of z below tops in l_B order, by |Φ_z △ Φ_u|, and a lookup of the v ≤_B u
+    there as one bitmask of indices: [z, u]_B is graded and connected by covers, so
+    that is u's own bit or-ed with its down-covers', filled in one pass."""
+    zm, frame = z.inversion_mask(), _frame(z, tops)
+    universe = sorted(frame, key=lambda a: (zm ^ a).bit_count())
+    under = {}
+    for i, a in enumerate(universe):
+        under[a] = functools.reduce(operator.or_, (under[d] for d in frame[a][1]), 1 << i)
+    return universe, under.__getitem__
+
+
 def check_meet_semilattice(system, oracle: BiclosedOracle,
                            radius: int) -> CheckResult:
     """Search ball(radius) pairs for a meet failure.
@@ -287,27 +305,30 @@ def check_meet_semilattice(system, oracle: BiclosedOracle,
     [z′, x]_B ∩ [z′, y]_B = z′·([e, z′⁻¹x] ∩ [e, z′⁻¹y]) has a top m, the
     ordinary weak order being a meet semilattice.  That m is ≥_B t and ≥_B z,
     so it is also the top of the common lower bounds above z.  So the universe
-    is the up-set of z below the ball; a pair whose lower bounds there have
-    two maximal elements is a genuine counterexample, and a clean sweep is a
-    proof over the ball ("ok").
-    Otherwise lower bounds are only searched within ball(3·radius), and a
-    clean sweep is merely "inconclusive"."""
+    is the frame of z below the ball, where v ≤_B u iff v lies in [z, u]_B,
+    read off the down-covers (`_lower_sets`); a pair whose lower bounds there
+    have two maximal elements is a genuine counterexample, and a clean sweep is
+    a proof over the ball ("ok").
+    Otherwise lower bounds are only searched within ball(3·radius), each
+    tested with `_below`, and a clean sweep is merely "inconclusive"."""
     _same_system(oracle, system)
     elems = ball(system, radius)
     sound = _has_witness(oracle)
 
     pairs = list(itertools.combinations(range(len(elems)), 2))
     masks = [u.inversion_mask() for u in elems]
-    # either universe holds the ball, so `inside` covers the ball's masks too
-    universe = [u.inversion_mask() for u in (_up_set(_lower_bound(oracle, masks), oracle, elems)
-                                             if sound else ball(system, 3 * radius))]
-    inside = oracle.members(functools.reduce(operator.or_, universe))
-    universe.sort(key=lambda m: m.bit_count() - 2 * (m & inside).bit_count())
+    if sound:
+        universe, under = _lower_sets(_lower_bound(oracle, masks), elems)
+    else:
+        universe = [u.inversion_mask() for u in ball(system, 3 * radius)]
+        # the universe holds the ball, so `inside` covers the ball's masks too
+        inside = oracle.members(functools.reduce(operator.or_, universe))
+        universe.sort(key=lambda m: m.bit_count() - 2 * (m & inside).bit_count())
 
-    @functools.cache
-    def under(b: int) -> int:
-        """The indices t with universe[t] ≤_B b, as one bitmask."""
-        return sum(1 << t for t, a in enumerate(universe) if _below(a, b, inside))
+        @functools.cache
+        def under(b: int) -> int:
+            """The indices t with universe[t] ≤_B b, as one bitmask."""
+            return sum(1 << t for t, a in enumerate(universe) if _below(a, b, inside))
 
     for checked, (i, j) in enumerate(pairs, 1):
         lower = under(masks[i]) & under(masks[j])

@@ -227,8 +227,8 @@ def test_ordinary_meet():
 
 
 def test_chain_guard_is_not_an_assert(monkeypatch):
-    # every w·s decided to be no up-cover, on its mask, before it is built
-    monkeypatch.setattr(order, "_cover", lambda w, s, oracle: (None, 0, False))
+    # no w·s found toward the top, as if no flipped root lay in Φ_w △ Φ_y
+    monkeypatch.setattr(order, "_toward", lambda w, tops: iter(()))
     with pytest.raises(DomainError, match="up-cover"):
         chain(simple(A1T, 1), simple(A1T, 0), HAT_NEG)
 
@@ -380,6 +380,16 @@ def test_check_meet_semilattice_benchmark_checks():
         assert (res.status, res.pair, res.checked) == ("ok", None, checked), (spec, radius)
 
 
+def test_check_meet_semilattice_past_rank_3():
+    # verdicts pinned from the earlier up-set walk, which asked the oracle for
+    # each candidate cover, on frames of 5,106 (A~4) and 53,352 (E~6) elements
+    for spec, expr, radius, checked in (("A~4", "hat 0,1::", 3, 1540),
+                                        ("E~6", "hat e::", 2, 595)):
+        system = build_system(spec)
+        res = check_meet_semilattice(system, parse_biclosed(system, expr), radius)
+        assert (res.status, res.pair, res.checked) == ("ok", None, checked), (spec, radius)
+
+
 def _kind(oracle):
     try:
         return classify(oracle).kind
@@ -505,9 +515,9 @@ def test_check_meet_semilattice_matches_a_walk_per_pair():
         assert z == max(
             (_walked_lower_bound(x, y, oracle) for x, y in itertools.combinations(elems, 2)),
             key=lambda z: z.length), (spec, expr)
-        # and the universe above it is the union of the intervals [z, x]_B
-        assert sorted(w.matrix for w in order._up_set(z, oracle, elems)) == sorted(
-            {w.matrix for x in elems for w in _product_interval(z, x, oracle)}), (spec, expr)
+        # and the frame above it is the union of the intervals [z, x]_B
+        assert set(order._frame(z, elems)) == {
+            w.inversion_mask() for x in elems for w in _product_interval(z, x, oracle)}, (spec, expr)
 
 
 def test_check_meet_semilattice_rejects_mixed_systems():
@@ -524,14 +534,43 @@ def test_check_counterexample_a2t():
 
 def test_check_reports_a_universe_that_lost_a_meet(monkeypatch):
     # the sound branch keeps the two-top test, so a walk bug still shows: with
-    # s0 dropped from the up-set, the lower bounds of s0 and s0·s1 left there
-    # have two maximal elements
-    up_set = order._up_set
-    monkeypatch.setattr(order, "_up_set", lambda x, oracle, tops: [
-        u for u in up_set(x, oracle, tops) if u.word != (0,)])
+    # the down-cover edge from s0·s1 to s0 dropped from the frame, s0 and all
+    # below it leave the lower bounds of s0·s1, and those of e and s0·s1 left
+    # there have no greatest element
+    frame, s0 = order._frame, simple(A2T, 0).inversion_mask()
+    monkeypatch.setattr(order, "_frame", lambda z, tops: {
+        a: (u, [d for d in downs if (u.word, d) != ((0, 1), s0)])
+        for a, (u, downs) in frame(z, tops).items()})
     res = check_meet_semilattice(A2T, parse_biclosed(A2T, "hat 0,1,0::"), 3)
     assert (res.status, tuple(w.word for w in res.pair), res.checked) == (
-        "counterexample", ((0,), (0, 1)), 21)
+        "counterexample", ((), (0, 1)), 4)
+
+
+@pytest.mark.parametrize("spec", ["A~2", "C~2", "G~2", "B~3"])
+def test_frame_rule_matches_the_oracle_decision(spec):
+    # Φ_w △ Φ_t alone decides the covers toward t, for w ≤_B t: the same w·s, in
+    # the same order, as the oracle's up-cover test followed by le; on the frame
+    # l_B rises by |Φ_z △ Φ_u|, and its lower-bound masks are the ≤_B relation
+    system = build_system(spec)
+    elems = ball(system, 3)
+    for name, orc in standard_battery(system):
+        if _kind(orc) not in ("finite", "infinite"):
+            continue
+        for w, t in itertools.product(elems, repeat=2):
+            if le(w, t, orc):
+                kept = [w.mul_simple(s) for s in range(system.ngens)
+                        if order._cover(w, s, orc)[2] and le(w.mul_simple(s), t, orc)]
+                assert list(order._toward(w, (t,))) == kept, (spec, name, w, t)
+        z = order._lower_bound(orc, [u.inversion_mask() for u in elems])
+        frame = order._frame(z, elems)
+        universe, under = order._lower_sets(z, elems)
+        assert sorted(universe) == sorted(frame)
+        for a in universe:
+            u = frame[a][0]
+            assert twisted_length(u, orc) - twisted_length(z, orc) == (
+                z.inversion_mask() ^ a).bit_count(), (spec, name, u)
+            assert under(a) == sum(1 << i for i, b in enumerate(universe)
+                                   if le(frame[b][0], u, orc)), (spec, name, u)
 
 
 WORDS1 = st.lists(st.integers(min_value=0, max_value=1), max_size=5).map(tuple)
