@@ -15,7 +15,7 @@ import operator
 from collections import namedtuple
 
 from .biclosed import BiclosedOracle, Complement
-from .elements import GroupElement, ball, identity, walk
+from .elements import GroupElement, ascend, ball, identity, walk
 from .errors import (ClassificationError, DomainError, JoinSearchError,
                      OrderError, ResourceError, UnsupportedOracleError)
 from .infwords import classify
@@ -202,27 +202,23 @@ def join(x: GroupElement, y: GroupElement,
          oracle: BiclosedOracle) -> GroupElement:
     """Least upper bound of {x, y} in ≤_B.
 
-    ≤_{Φ⁺∖B} is the reverse order, so when the complement is an inversion
-    set this is a meet there.  Otherwise upper bounds are searched in a
-    ball of radius l(x)+l(y)+4; a unique minimal one below all others is
-    returned, anything else raises JoinSearchError."""
+    ≤_{Φ⁺∖B} is the reverse order, so this is a meet there: `meet` when the
+    complement is an inversion set, else the check's bounded search of
+    ball(l(x)+l(y)+4) in that order (`_ball_order`), which raises
+    JoinSearchError unless one common upper bound lies below all the others."""
+    _same_system(oracle, x.system, y.system)
     comp = Complement(oracle)   # fresh, so nothing of the oracle points back at it
     comp._classification = oracle._complement_classification
     witnessed = _has_witness(comp)
     oracle._complement_classification = comp._classification
     if witnessed:
         return meet(x, y, comp)
-    radius = x.length + y.length + _JOIN_SLACK
-    bounds = [u for u in ball(x.system, radius)
-              if le(x, u, oracle) and le(y, u, oracle)]
-    if not bounds:
+    universe, under = _ball_order(comp, x.length + y.length + _JOIN_SLACK)
+    if not (upper := under(x.inversion_mask()) & under(y.inversion_mask())):
         raise JoinSearchError("no common upper bound within the search ball")
-    bounds.sort(key=lambda u: twisted_length(u, oracle))
-    m = bounds[0]
-    for u in bounds[1:]:
-        if not le(m, u, oracle):
-            raise JoinSearchError("no least upper bound within the search ball")
-    return m
+    if upper & ~under(top := universe[upper.bit_length() - 1]):
+        raise JoinSearchError("no least upper bound within the search ball")
+    return ascend(x.system, top)
 
 
 # -- Hasse diagrams ----------------------------------------------------
@@ -295,6 +291,17 @@ def _lower_sets(z: GroupElement, tops):
     return universe, under.__getitem__
 
 
+def _ball_order(oracle: BiclosedOracle, radius: int):
+    """The masks of ball(radius) sorted by l_B, off one `members` call over their
+    union, and a cached lookup: for b the mask of a ball element, the indices t
+    with universe[t] ≤_B b, as one bitmask."""
+    universe = [u.inversion_mask() for u in ball(oracle.system, radius)]
+    inside = oracle.members(functools.reduce(operator.or_, universe))
+    universe.sort(key=lambda m: m.bit_count() - 2 * (m & inside).bit_count())
+    return universe, functools.cache(
+        lambda b: sum(1 << t for t, a in enumerate(universe) if _below(a, b, inside)))
+
+
 def check_meet_semilattice(system, oracle: BiclosedOracle,
                            radius: int) -> CheckResult:
     """Search ball(radius) pairs for a meet failure.
@@ -309,8 +316,8 @@ def check_meet_semilattice(system, oracle: BiclosedOracle,
     read off the down-covers (`_lower_sets`); a pair whose lower bounds there
     have two maximal elements is a genuine counterexample, and a clean sweep is
     a proof over the ball ("ok").
-    Otherwise lower bounds are only searched within ball(3·radius), each
-    tested with `_below`, and a clean sweep is merely "inconclusive"."""
+    Otherwise lower bounds are only searched within ball(3·radius)
+    (`_ball_order`), and a clean sweep is merely "inconclusive"."""
     _same_system(oracle, system)
     elems = ball(system, radius)
     sound = _has_witness(oracle)
@@ -320,15 +327,7 @@ def check_meet_semilattice(system, oracle: BiclosedOracle,
     if sound:
         universe, under = _lower_sets(_lower_bound(oracle, masks), elems)
     else:
-        universe = [u.inversion_mask() for u in ball(system, 3 * radius)]
-        # the universe holds the ball, so `inside` covers the ball's masks too
-        inside = oracle.members(functools.reduce(operator.or_, universe))
-        universe.sort(key=lambda m: m.bit_count() - 2 * (m & inside).bit_count())
-
-        @functools.cache
-        def under(b: int) -> int:
-            """The indices t with universe[t] ≤_B b, as one bitmask."""
-            return sum(1 << t for t, a in enumerate(universe) if _below(a, b, inside))
+        universe, under = _ball_order(oracle, 3 * radius)
 
     for checked, (i, j) in enumerate(pairs, 1):
         lower = under(masks[i]) & under(masks[j])

@@ -104,6 +104,14 @@ def test_meet_and_join(capsys):
     code, _, err = run(capsys, "--type", "A~1", "meet", "0", "1",
                        "--biclosed", "empty", "--join")
     assert code == 2 and err
+    # the complement of hat e:0: has no witness, so these take join's bounded search
+    for pair, word in ((("0", "1"), "[0]"), (("2", "1"), "[2]")):
+        code, out, _ = run(capsys, "--type", "A~2", "meet", *pair, "--join",
+                           "--biclosed", "hat e:0:", "--format", "json")
+        assert code == 0 and out == f'{{"tlen": 1, "word": {word}}}\n', pair
+    code, _, err = run(capsys, "--type", "A~2", "meet", "0", "1,2", "--join",
+                       "--biclosed", "hat e:0:", "--format", "json")
+    assert code == 2 and err == "error: no common upper bound within the search ball\n"
 
 
 def test_classify_json(capsys):

@@ -3,8 +3,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coxtw.biclosed import (Complement, Explicit, HatForm, act_on_biclosed,
-                            biclosed_check, closure_check)
+from coxtw.biclosed import (BiclosedOracle, Complement, Explicit, HatForm,
+                            act_on_biclosed, biclosed_check, closure_check)
 from coxtw.elements import (GroupElement, ascend, ball, from_word, grow, identity, simple,
                             walk)
 from coxtw import order
@@ -273,12 +273,18 @@ def test_meet_and_join():
         join(simple(A1T, 0), simple(A1T, 1), Explicit(A1T, set()))
 
 
-@pytest.mark.parametrize("spec", ["A~1", "A~2"])
+# spec: (form, joins found, JoinSearchErrors) over ball(2) pairs
+_JOIN_SEARCHES = {"A~1": ("hat e:0:", 11, 4), "A~2": ("hat e:0:", 49, 6),
+                  "C~2": ("hat 0:1:", 42, 3), "G~2": ("hat 0:1:", 44, 1)}
+
+
+@pytest.mark.parametrize("spec", list(_JOIN_SEARCHES))
 def test_join_search_matches_the_brute_force_meet(spec):
-    # the complement of hat e:0: classifies as neither, so join searches its
-    # bounded ball; a join in ≤_B is a meet in the reverse order ≤_{Φ⁺∖B}
+    # the complement classifies as neither, so join searches its bounded
+    # ball; a join in ≤_B is a meet in the reverse order ≤_{Φ⁺∖B}
+    form, *counts = _JOIN_SEARCHES[spec]
     system = build_system(spec)
-    oracle = parse_biclosed(system, "hat e:0:")
+    oracle = parse_biclosed(system, form)
     comp = Complement(oracle)
     assert classify(comp).kind == "neither"
     elems = ball(system, 2)
@@ -292,9 +298,35 @@ def test_join_search_matches_the_brute_force_meet(spec):
                 assert want == (), (x, y)
                 errors += 1
             else:
-                assert want == (got,), (x, y)
+                assert want == (got,) and got.word == want[0].word, (x, y)
                 found += 1
-    assert found and errors
+    assert [found, errors] == counts
+
+
+def test_join_search_asks_the_oracle_once(monkeypatch):
+    # past the complement's classification, a fallback join reads B once, over
+    # the union of its search ball, as the check's bounded branch does
+    oracle = parse_biclosed(A2T, "hat e:0:")
+    elems = ball(A2T, 2)
+    join(elems[0], elems[0], oracle)   # classifies the complement
+    calls, members = [], BiclosedOracle.members
+    monkeypatch.setattr(BiclosedOracle, "members",
+                        lambda self, mask: calls.append(mask) or members(self, mask))
+    for i, x in enumerate(elems):
+        for y in elems[i:]:
+            calls.clear()
+            try:
+                join(x, y, oracle)
+            except JoinSearchError:
+                pass
+            assert len(calls) == 1, (x, y)
+
+
+def test_join_rejects_mixed_systems_before_classifying():
+    oracle = parse_biclosed(A2T, "hat e:0:")
+    with pytest.raises(OrderError):
+        join(simple(A1T, 0), simple(A2T, 1), oracle)
+    assert oracle._complement_classification is None
 
 
 def test_meet_is_ordinary_under_empty_set():
