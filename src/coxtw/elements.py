@@ -162,9 +162,7 @@ class GroupElement:
 
     @property
     def length(self) -> int:
-        """l(w) = |word| if the word is known, else |Φ_w|."""
-        if self._word is not None:
-            return len(self._word)
+        """l(w) = |Φ_w|."""
         return self.inversion_mask().bit_count()
 
     def inversion_mask(self) -> int:

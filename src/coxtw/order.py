@@ -213,19 +213,19 @@ def join(x: GroupElement, y: GroupElement,
     oracle._complement_classification = comp._classification
     if witnessed:
         return meet(x, y, comp)
-    universe, under = _ball_order(comp, x.length + y.length + _JOIN_SLACK)
+    universe, under, size = _ball_order(comp, x.length + y.length + _JOIN_SLACK)
     if not (upper := under(x.inversion_mask()) & under(y.inversion_mask())):
         raise JoinSearchError("no common upper bound within the search ball")
-    if upper & ~under(top := universe[upper.bit_length() - 1]):
+    if upper.bit_count() != size(top := upper.bit_length() - 1):
         raise JoinSearchError("no least upper bound within the search ball")
-    return ascend(x.system, top)
+    return ascend(x.system, universe[top])
 
 
 # -- Hasse diagrams ----------------------------------------------------
 
 
 class HasseGraph(namedtuple("HasseGraph", "nodes edges")):
-    """Sorted (element, twisted length) nodes; (i, j) edges, lower first."""
+    """(element, twisted length) nodes, sorted by twisted length first; (i, j) edges, lower first."""
     __slots__ = ()
 
     def to_json(self) -> dict:
@@ -239,11 +239,8 @@ class HasseGraph(namedtuple("HasseGraph", "nodes edges")):
         for i, (w, _) in enumerate(self.nodes):
             text = labels[w] if labels is not None else w.label()
             lines.append(f'  n{i} [label="{text}"];')
-        by_tlen: dict[int, list[int]] = {}
-        for i, (_, t) in enumerate(self.nodes):
-            by_tlen.setdefault(t, []).append(i)
-        for t in sorted(by_tlen):
-            row = "; ".join(f"n{i}" for i in by_tlen[t])
+        for _, rank in itertools.groupby(enumerate(self.nodes), key=lambda node: node[1][1]):
+            row = "; ".join(f"n{i}" for i, _ in rank)
             lines.append(f"  {{ rank=same; {row}; }}")
         for i, j in self.edges:
             lines.append(f"  n{i} -> n{j};")
@@ -280,26 +277,32 @@ class CheckResult(namedtuple("CheckResult", "status pair checked")):
 
 
 def _lower_sets(z: GroupElement, tops):
-    """The frame of z below tops in l_B order, by |Φ_z △ Φ_u|, and a lookup of the v ≤_B u
-    there as one bitmask of indices: [z, u]_B is graded and connected by covers, so
-    that is u's own bit or-ed with its down-covers', filled in one pass."""
+    """The frame of z below tops in l_B order, by |Φ_z △ Φ_u|, the v ≤_B u there as one bitmask
+    of indices for each top u, and their number for each u by index: [z, u]_B is graded and
+    connected by covers, so that is u's own bit or-ed with its down-covers', level by level."""
     zm, frame = z.inversion_mask(), _frame(z, tops)
     universe = sorted(frame, key=lambda a: (zm ^ a).bit_count())
-    under = {}
+    kept, sizes, level, below, here = dict.fromkeys(t.inversion_mask() for t in tops), [], 0, {}, {}
     for i, a in enumerate(universe):
-        under[a] = functools.reduce(operator.or_, (under[d] for d in frame[a][1]), 1 << i)
-    return universe, under.__getitem__
+        if (k := (zm ^ a).bit_count()) != level:
+            level, below, here = k, here, {}
+        here[a] = m = functools.reduce(operator.or_, (below[d] for d in frame[a][1]), 1 << i)
+        sizes.append(m.bit_count())
+        if a in kept:
+            kept[a] = m
+    return universe, kept.__getitem__, sizes.__getitem__
 
 
 def _ball_order(oracle: BiclosedOracle, radius: int):
     """The masks of ball(radius) sorted by l_B, off one `members` call over their
-    union, and a cached lookup: for b the mask of a ball element, the indices t
-    with universe[t] ≤_B b, as one bitmask."""
+    union, a cached lookup: for b the mask of a ball element, the indices t with
+    universe[t] ≤_B b, as one bitmask, and the number of those by b's index."""
     universe = [u.inversion_mask() for u in ball(oracle.system, radius)]
     inside = oracle.members(functools.reduce(operator.or_, universe))
     universe.sort(key=lambda m: m.bit_count() - 2 * (m & inside).bit_count())
-    return universe, functools.cache(
+    under = functools.cache(
         lambda b: sum(1 << t for t, a in enumerate(universe) if _below(a, b, inside)))
+    return universe, under, lambda i: under(universe[i]).bit_count()
 
 
 def check_meet_semilattice(system, oracle: BiclosedOracle,
@@ -325,14 +328,15 @@ def check_meet_semilattice(system, oracle: BiclosedOracle,
     pairs = list(itertools.combinations(range(len(elems)), 2))
     masks = [u.inversion_mask() for u in elems]
     if sound:
-        universe, under = _lower_sets(_lower_bound(oracle, masks), elems)
+        _, under, size = _lower_sets(_lower_bound(oracle, masks), elems)
     else:
-        universe, under = _ball_order(oracle, 3 * radius)
+        _, under, size = _ball_order(oracle, 3 * radius)
 
     for checked, (i, j) in enumerate(pairs, 1):
         lower = under(masks[i]) & under(masks[j])
         # distinct comparable elements differ in l_B, so only one of largest
-        # l_B, such as the last in l_B order, can be the greatest lower bound
-        if not lower or lower & ~under(universe[lower.bit_length() - 1]):
+        # l_B, such as the last in l_B order, can be the greatest lower bound;
+        # its own lower set lies inside lower, so it is iff the two have one size
+        if not lower or lower.bit_count() != size(lower.bit_length() - 1):
             return CheckResult("counterexample", (elems[i], elems[j]), checked)
     return CheckResult("ok" if sound else "inconclusive", None, len(pairs))

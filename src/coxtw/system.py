@@ -81,10 +81,6 @@ class Root:
     def __neg__(self) -> "Root":
         return Root(tuple(-c for c in self.coeffs), -self.delta)
 
-    def fin(self) -> "Root":
-        """The level-0 part β of β + nδ."""
-        return Root(self.coeffs, 0)
-
     def literal(self) -> str:
         body = ".".join(str(c) for c in self.coeffs)
         return f"{body}:{self.delta}" if self.delta else body
@@ -262,14 +258,8 @@ class CoxeterSystem:
         self._offsets = {v: b - n for b, v in enumerate(self._signed)}
         self._flips = [n - 1 - 2 * i for i in range(n)] * 2   # by offset, for `column_bit`
 
-        if affine:
-            self.highest_root = self._find_highest_root()
-            self.ngens = k + 1
-            self.dim = k + 1
-        else:
-            self.highest_root = None
-            self.ngens = k
-            self.dim = k
+        self.highest_root = self._find_highest_root() if affine else None
+        self.ngens = self.dim = k + 1 if affine else k
 
         names = list(_LETTERS[:k])
         if affine:

@@ -27,6 +27,7 @@ from coxtw.biclosed import Complement, Explicit, HatForm, Twisted
 from coxtw.elements import GroupElement, from_word
 from coxtw.errors import DomainError
 from coxtw.infwords import WordInvSet
+from coxtw.system import Root
 
 
 def symmetrizer(cartan):
@@ -288,7 +289,7 @@ def member(oracle, rho) -> bool:
     if isinstance(oracle, Explicit):
         return rho in oracle.roots
     if isinstance(oracle, HatForm):
-        return rho.fin() in twisted_positive_system(oracle.u, oracle.delta1, oracle.delta2)
+        return Root(rho.coeffs) in twisted_positive_system(oracle.u, oracle.delta1, oracle.delta2)
     if isinstance(oracle, Complement):
         return not member(oracle.inner, rho)
     if isinstance(oracle, Twisted):   # w·B through w⁻¹

@@ -22,7 +22,7 @@ from coxtw.oracle import (longest_finite, oracle_le, oracle_meet,
                           standard_battery)
 from coxtw.order import (chain, check_meet_semilattice, cover_neighbors,
                          interval, join, le, meet, twisted_length)
-from coxtw.system import build_system
+from coxtw.system import Root, build_system
 
 GOLDEN = Path(__file__).parent / "data" / "a1_twist.dot"
 
@@ -123,7 +123,7 @@ def test_criterion_06_straight_translations():
             jset = {b for b in sys_.finite_roots
                     if sum(c * f * g for c, row in zip(b.coeffs, sys_.form)
                            for f, g in zip(row, gamma)) > 0}
-            hat6 = {r for r in sys_.positive_roots_up_to(6) if r.fin() in jset}
+            hat6 = {r for r in sys_.positive_roots_up_to(6) if Root(r.coeffs) in jset}
             assert union6 == hat6, (sys_.type_string, keep)
     _stamp(6, "t_gamma straight, union = hat form", t0, 60.0)
 
@@ -149,12 +149,12 @@ def test_criterion_07_meet_semilattice_and_noncompleteness():
                 rep = check_meet_semilattice(sys_, orc, 3)
                 assert rep.status == "counterexample", (sys_.type_string, name)
                 r1, r2 = res.bad_pair
-                assert r1.fin() == -(r2.fin())
+                assert Root(r1.coeffs) == -Root(r2.coeffs)
                 assert r1.delta >= 0 and r2.delta >= 0
                 assert orc.member(r1) and orc.member(r2)
                 x, y = rep.pair
                 union = x.inversion_set() | y.inversion_set()
-                assert any(p.fin() == -(q.fin())
+                assert any(Root(p.coeffs) == -Root(q.coeffs)
                            and orc.member(p) and orc.member(q)
                            for p in union for q in union), (name,)
     _stamp(7, "infinite=>ok, neither=>bad-pair counterexample", t0, 120.0)

@@ -621,5 +621,5 @@ def test_members_match_the_per_root_referee():
         assert [bool(inside >> system.root_bit(r) & 1) for r in roots] == want, oracle.key()
         limits = dense.limit_roots(oracle)
         assert limit_set(oracle) == limits, oracle.key()
-        assert all(got == (r.fin() in limits) for r, got in zip(roots, want)
+        assert all(got == (Root(r.coeffs) in limits) for r, got in zip(roots, want)
                    if r.delta >= oracle.stable_level()), oracle.key()

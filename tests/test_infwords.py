@@ -229,7 +229,7 @@ def test_classify_neither():
     res = classify(full)
     assert res.kind == "neither"
     assert res.witness_json() == [[1, 1], [-1, 1]]
-    fins = {r.fin() for r in res.bad_pair}
+    fins = {Root(r.coeffs) for r in res.bad_pair}
     assert fins == {ALPHA, -ALPHA}
     assert all(full.member(r) for r in res.bad_pair)
 

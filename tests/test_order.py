@@ -582,7 +582,8 @@ def test_check_reports_a_universe_that_lost_a_meet(monkeypatch):
 def test_frame_rule_matches_the_oracle_decision(spec):
     # Φ_w △ Φ_t alone decides the covers toward t, for w ≤_B t: the same w·s, in
     # the same order, as the oracle's up-cover test followed by le; on the frame
-    # l_B rises by |Φ_z △ Φ_u|, and its lower-bound masks are the ≤_B relation
+    # l_B rises by |Φ_z △ Φ_u|, each size counts the frame elements ≤_B u, and
+    # each top's lower-bound mask is that ≤_B relation
     system = build_system(spec)
     elems = ball(system, 3)
     for name, orc in standard_battery(system):
@@ -595,14 +596,38 @@ def test_frame_rule_matches_the_oracle_decision(spec):
                 assert list(order._toward(w, (t,))) == kept, (spec, name, w, t)
         z = order._lower_bound(orc, [u.inversion_mask() for u in elems])
         frame = order._frame(z, elems)
-        universe, under = order._lower_sets(z, elems)
+        universe, under, size = order._lower_sets(z, elems)
+        tops = {u.inversion_mask() for u in elems}
         assert sorted(universe) == sorted(frame)
-        for a in universe:
+        for i, a in enumerate(universe):
             u = frame[a][0]
             assert twisted_length(u, orc) - twisted_length(z, orc) == (
                 z.inversion_mask() ^ a).bit_count(), (spec, name, u)
-            assert under(a) == sum(1 << i for i, b in enumerate(universe)
-                                   if le(frame[b][0], u, orc)), (spec, name, u)
+            below = sum(1 << j for j, b in enumerate(universe) if le(frame[b][0], u, orc))
+            assert size(i) == below.bit_count(), (spec, name, u)
+            if a in tops:
+                assert under(a) == below, (spec, name, u)
+
+
+def test_lower_sets_keep_masks_only_for_the_tops():
+    # A~4 hat 0,1:: at radius 3: a ball of 56 tops over a frame of 5,106, whose
+    # two widest levels hold 386; the level walk holds every other mask only
+    # while the next level reads it, so the lookup answers for the tops alone
+    system = build_system("A~4")
+    elems = ball(system, 3)
+    z = order._lower_bound(parse_biclosed(system, "hat 0,1::"),
+                           [u.inversion_mask() for u in elems])
+    universe, under = order._lower_sets(z, elems)[:2]
+
+    def held(a):
+        try:
+            return under(a) >> universe.index(a) & 1
+        except KeyError:
+            return False
+
+    tops = {u.inversion_mask() for u in elems}
+    assert (len(tops), len(universe)) == (56, 5106)
+    assert {a for a in universe if held(a)} == tops
 
 
 WORDS1 = st.lists(st.integers(min_value=0, max_value=1), max_size=5).map(tuple)

@@ -359,7 +359,6 @@ def test_root_ordering_and_signs():
     assert Root((-1, 0), 1).is_positive     # positive by delta level
     assert Root((1, 0), -1).is_negative
     assert -Root((1, 2), 1) == Root((-1, -2), -1)
-    assert Root((1, 0), 1).fin() == Root((1, 0))
     assert not Root((0, 0)).is_negative
     for spec in ("A~2", "C~2", "G~2"):
         for rho in build_system(spec).roots_up_to(2):
