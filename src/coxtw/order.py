@@ -91,22 +91,23 @@ def _toward(w: GroupElement, tops):
             yield w.mul_simple(s, image, a ^ flip)
 
 
-def _frame(z: GroupElement, tops) -> dict:
-    """{Φ_u: (u, the masks of u's down-covers in the frame)} over ∪ₜ [z, t]_B, for
-    z ≤_B each top: the tops closed under the u·s whose flipped root lies in
-    Φ_z △ Φ_u, which are the u·s in [z, u]_B, each built once."""
-    zm, out = z.inversion_mask(), {t.inversion_mask(): (t, []) for t in tops}
-    todo, column_bit = list(out.values()), z.system.column_bit
+def _frame(z: GroupElement, tops):
+    """Yield (u, the masks of u's down-covers) once for each u in ∪ₜ [z, t]_B, for z ≤_B each
+    top: the tops closed under the u·s whose flipped root lies in Φ_z △ Φ_u, the u·s in [z, u]_B.
+    It holds the elements not yet expanded and one int per mask seen, which every list shares."""
+    zm, column_bit = z.inversion_mask(), z.system.column_bit
+    todo = list({t.inversion_mask(): t for t in tops}.values())
+    seen = {a: a for a in map(GroupElement.inversion_mask, todo)}
     while todo:
-        u, downs = todo.pop()
+        u, downs = todo.pop(), []
         room = zm ^ (a := u.inversion_mask())
         for s, image in enumerate(u.columns):
             if room & (flip := 1 << (~b if (b := column_bit(image)) < 0 else b)):
-                downs.append(d := a ^ flip)
-                if d not in out:
-                    out[d] = entry = u.mul_simple(s, image, d), []
-                    todo.append(entry)
-    return out
+                if (d := a ^ flip) not in seen:
+                    seen[d] = d
+                    todo.append(u.mul_simple(s, image, d))
+                downs.append(seen[d])
+        yield u, downs
 
 
 def chain(x: GroupElement, y: GroupElement,
@@ -133,7 +134,7 @@ def interval(x: GroupElement, y: GroupElement,
     if not le(x, y, oracle):
         raise OrderError("interval endpoints are not comparable in this order")
     xm = x.inversion_mask()
-    return tuple(sorted((u for u, _ in _frame(x, (y,)).values()),
+    return tuple(sorted((u for u, _ in _frame(x, (y,))),
                         key=lambda u: ((xm ^ u.inversion_mask()).bit_count(), u.length, u.word)))
 
 
@@ -280,13 +281,13 @@ def _lower_sets(z: GroupElement, tops):
     """The frame of z below tops in l_B order, by |Φ_z △ Φ_u|, the v ≤_B u there as one bitmask
     of indices for each top u, and their number for each u by index: [z, u]_B is graded and
     connected by covers, so that is u's own bit or-ed with its down-covers', level by level."""
-    zm, frame = z.inversion_mask(), _frame(z, tops)
+    zm, frame = z.inversion_mask(), {u.inversion_mask(): downs for u, downs in _frame(z, tops)}
     universe = sorted(frame, key=lambda a: (zm ^ a).bit_count())
     kept, sizes, level, below, here = dict.fromkeys(t.inversion_mask() for t in tops), [], 0, {}, {}
     for i, a in enumerate(universe):
         if (k := (zm ^ a).bit_count()) != level:
             level, below, here = k, here, {}
-        here[a] = m = functools.reduce(operator.or_, (below[d] for d in frame[a][1]), 1 << i)
+        here[a] = m = functools.reduce(operator.or_, (below[d] for d in frame[a]), 1 << i)
         sizes.append(m.bit_count())
         if a in kept:
             kept[a] = m
@@ -325,18 +326,17 @@ def check_meet_semilattice(system, oracle: BiclosedOracle,
     elems = ball(system, radius)
     sound = _has_witness(oracle)
 
-    pairs = list(itertools.combinations(range(len(elems)), 2))
-    masks = [u.inversion_mask() for u in elems]
+    n, masks = len(elems), [u.inversion_mask() for u in elems]
     if sound:
         _, under, size = _lower_sets(_lower_bound(oracle, masks), elems)
     else:
         _, under, size = _ball_order(oracle, 3 * radius)
 
-    for checked, (i, j) in enumerate(pairs, 1):
+    for checked, (i, j) in enumerate(itertools.combinations(range(n), 2), 1):
         lower = under(masks[i]) & under(masks[j])
         # distinct comparable elements differ in l_B, so only one of largest
         # l_B, such as the last in l_B order, can be the greatest lower bound;
         # its own lower set lies inside lower, so it is iff the two have one size
         if not lower or lower.bit_count() != size(lower.bit_length() - 1):
             return CheckResult("counterexample", (elems[i], elems[j]), checked)
-    return CheckResult("ok" if sound else "inconclusive", None, len(pairs))
+    return CheckResult("ok" if sound else "inconclusive", None, n * (n - 1) // 2)

@@ -328,18 +328,20 @@ class CoxeterSystem:
         return self._simple_roots[i]
 
     def roots_up_to(self, level: int) -> tuple[Root, ...]:
-        """All roots in `Root.key` order; affine systems truncate to |δ-level| <= level."""
+        """All roots in `Root.key` order, which negation reverses, so −Φ⁺ then Φ⁺;
+        affine systems truncate to |δ-level| <= level."""
+        positive = self.positive_roots_up_to(level)
+        return tuple(-rho for rho in reversed(positive)) + positive
+
+    def positive_roots_up_to(self, level: int) -> tuple[Root, ...]:
+        """The positive roots in `Root.key` order, each built once: the finite part's,
+        then on affine systems each finite root plus n·δ for n = 1..level."""
         if (index(level) if hasattr(level, "__index__") else -1) < 0:
             raise DomainError(f"root level {level!r} is not a nonnegative integer")
         if self.kind == "finite":
-            return self.finite_roots
-        return tuple(_root(v.coeffs, n) for n in range(-level, level + 1) for v in self.finite_roots)
-
-    def positive_roots_up_to(self, level: int) -> tuple[Root, ...]:
-        roots = self.roots_up_to(level)
-        if self.kind == "finite":
             return self.positive_roots
-        return tuple(r for r in roots if r.is_positive)
+        return self.positive_roots + tuple(
+            _root(v.coeffs, n) for n in range(1, level + 1) for v in self.finite_roots)
 
     # -- the root index ------------------------------------------------
 

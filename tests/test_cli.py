@@ -186,6 +186,8 @@ def test_exit_codes(capsys):
     assert run(capsys, "--type", "A2", "ball", "99")[0] == 3   # resource cap
     assert run(capsys, "--type", "A2", "tlen", "0", "--format", "dot")[0] == 1
     assert run(capsys, "roots")[0] == 1                        # no system given
+    for spec in ("A2", "A~1"):
+        assert run(capsys, "--type", spec, "roots", "--level", "-1")[0] == 2   # bad level
     assert run(capsys, "--type", "A~1", "classify",
                "--biclosed", "word-inf ;0,0")[0] == 2          # not reduced
 

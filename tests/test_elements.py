@@ -99,9 +99,10 @@ def test_radius_and_level_must_be_nonnegative_integers():
                        run_selftest):
             with pytest.raises(DomainError, match="ball radius"):
                 search(A2, radius)
-        for system in (A2, A1T):
+        for roots in (A2.roots_up_to, A1T.roots_up_to,
+                      A2.positive_roots_up_to, A1T.positive_roots_up_to):
             with pytest.raises(DomainError, match="root level"):
-                system.roots_up_to(radius)
+                roots(radius)
     assert len(ball(A2, True)) == 3 and len(A1T.roots_up_to(False)) == 2
 
 

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -548,7 +549,7 @@ def test_check_meet_semilattice_matches_a_walk_per_pair():
             (_walked_lower_bound(x, y, oracle) for x, y in itertools.combinations(elems, 2)),
             key=lambda z: z.length), (spec, expr)
         # and the frame above it is the union of the intervals [z, x]_B
-        assert set(order._frame(z, elems)) == {
+        assert {u.inversion_mask() for u, _ in order._frame(z, elems)} == {
             w.inversion_mask() for x in elems for w in _product_interval(z, x, oracle)}, (spec, expr)
 
 
@@ -570,9 +571,8 @@ def test_check_reports_a_universe_that_lost_a_meet(monkeypatch):
     # below it leave the lower bounds of s0·s1, and those of e and s0·s1 left
     # there have no greatest element
     frame, s0 = order._frame, simple(A2T, 0).inversion_mask()
-    monkeypatch.setattr(order, "_frame", lambda z, tops: {
-        a: (u, [d for d in downs if (u.word, d) != ((0, 1), s0)])
-        for a, (u, downs) in frame(z, tops).items()})
+    monkeypatch.setattr(order, "_frame", lambda z, tops: (
+        (u, [d for d in downs if (u.word, d) != ((0, 1), s0)]) for u, downs in frame(z, tops)))
     res = check_meet_semilattice(A2T, parse_biclosed(A2T, "hat 0,1,0::"), 3)
     assert (res.status, tuple(w.word for w in res.pair), res.checked) == (
         "counterexample", ((), (0, 1)), 4)
@@ -595,15 +595,15 @@ def test_frame_rule_matches_the_oracle_decision(spec):
                         if order._cover(w, s, orc)[2] and le(w.mul_simple(s), t, orc)]
                 assert list(order._toward(w, (t,))) == kept, (spec, name, w, t)
         z = order._lower_bound(orc, [u.inversion_mask() for u in elems])
-        frame = order._frame(z, elems)
+        frame = {u.inversion_mask(): u for u, _ in order._frame(z, elems)}
         universe, under, size = order._lower_sets(z, elems)
         tops = {u.inversion_mask() for u in elems}
         assert sorted(universe) == sorted(frame)
         for i, a in enumerate(universe):
-            u = frame[a][0]
+            u = frame[a]
             assert twisted_length(u, orc) - twisted_length(z, orc) == (
                 z.inversion_mask() ^ a).bit_count(), (spec, name, u)
-            below = sum(1 << j for j, b in enumerate(universe) if le(frame[b][0], u, orc))
+            below = sum(1 << j for j, b in enumerate(universe) if le(frame[b], u, orc))
             assert size(i) == below.bit_count(), (spec, name, u)
             if a in tops:
                 assert under(a) == below, (spec, name, u)
@@ -628,6 +628,37 @@ def test_lower_sets_keep_masks_only_for_the_tops():
     tops = {u.inversion_mask() for u in elems}
     assert (len(tops), len(universe)) == (56, 5106)
     assert {a for a in universe if held(a)} == tops
+
+
+def test_frame_streams_each_element_once():
+    # the frame is built as it is read: each mask comes once, and every down-cover
+    # list holds the one int of that down-cover's own mask, not a copy
+    system = build_system("B~3")
+    elems = ball(system, 3)
+    z = order._lower_bound(parse_biclosed(system, "hat 0,1,2::"),
+                           [u.inversion_mask() for u in elems])
+    stream = order._frame(z, elems)
+    assert iter(stream) is stream
+    items = list(stream)
+    own = {u.inversion_mask(): u.inversion_mask() for u, _ in items}
+    assert len(own) == len(items) > len(elems)
+    assert all(d is own[d] for _, downs in items for d in downs)
+
+
+def test_check_holds_no_frame_element():
+    # A~4 hat 0,1:: at radius 3 reads a frame of 5,106 elements; the check keeps
+    # their masks and down-cover lists only, so its traced peak stays near 1.1 MiB,
+    # where keeping an element per mask took 2.8
+    system = build_system("A~4")
+    oracle = parse_biclosed(system, "hat 0,1::")
+    tracemalloc.start()
+    try:
+        res = check_meet_semilattice(system, oracle, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.status, res.pair, res.checked) == ("ok", None, 1540)
+    assert peak <= 1.6 * 2 ** 20, peak / 2 ** 20
 
 
 WORDS1 = st.lists(st.integers(min_value=0, max_value=1), max_size=5).map(tuple)

@@ -273,6 +273,21 @@ def test_roots_up_to_counts():
     assert len(a1.positive_roots_up_to(3)) == 7
 
 
+@pytest.mark.parametrize("spec", ["A2", "B3", "A~1", "A~2", "B~3", "G~2", "E~6", "F~4"])
+def test_roots_up_to_match_a_filter_of_every_level(spec):
+    # positive_roots_up_to builds only the roots it returns: the same tuple as every
+    # root at δ-levels −L..L (level 0 alone if finite) in `Root.key` order, filtered
+    # to the positive ones, and roots_up_to is that whole list
+    system = build_system(spec)
+    for level in range(6):
+        levels = range(-level, level + 1) if system.kind == "affine" else (0,)
+        every = sorted((Root(v.coeffs, n) for n in levels for v in system.finite_roots),
+                       key=lambda r: r.key)
+        assert system.roots_up_to(level) == tuple(every), (spec, level)
+        assert system.positive_roots_up_to(level) == tuple(
+            r for r in every if r.is_positive), (spec, level)
+
+
 def test_fundamental_coweights_a2():
     # c·ω_i, for c = 3 the connection index, is the dominant coweight that
     # vanishes on every simple root but α_i
