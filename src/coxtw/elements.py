@@ -87,8 +87,13 @@ class GroupElement:
         return _element(self.system, tuple(cols), mask)
 
     def inverse(self) -> "GroupElement":
-        """w⁻¹ = s_m⋯s_1 for the word s_1⋯s_m of w, walked from e, so Φ_{w⁻¹} is recorded."""
-        return walk(identity(self.system), self.word[::-1])
+        """w⁻¹: its ShortLex word is `_descend` from w's own heights f(w(α_t)), kept,
+        and walked from e, so Φ_{w⁻¹} is recorded."""
+        system = self.system
+        word = _descend(system, list(map(system.height, self.columns)))
+        inv = walk(identity(system), word)
+        inv._word = word
+        return inv
 
     # -- action on roots -----------------------------------------------
 
@@ -107,23 +112,19 @@ class GroupElement:
 
     def _read_word(self) -> None:
         """Set the ShortLex word of w by walking v = w⁻¹ down by its smallest right
-        descent, which is the first s with h_s < 0 for h_t = N·f(v(α_t)): f is the
-        height, plus (ht θ + 1)·δ if affine, so it is positive exactly on Φ⁺, and
-        v·s moves h_t −= ⟨α_t, α_s^∨⟩·h_s.  w̄ preserves the form G, so w̄⁻¹ =
-        adj G·w̄ᵀ·G / N, and w⁻¹ = [[w̄⁻¹, 0], [−r·w̄⁻¹, 1]] for r the δ-levels of
-        the w(α_j): the start is h = (f′·adj G)·w̄ᵀ·G on α_1..α_k with f′ = f −
-        f(δ)·r, with no inverse matrix.  w̄ is read as the bytes b of the columns,
-        w̄ = b − 128, so w̄·x = b·x − 128·Σx.  A w with no Φ recorded (a matrix being
-        certified or a translation) records the Φ_w of the walk of its word from e,
-        which must rebuild its columns; a failure sets nothing.  A word longer than
-        _WORD_GUARD letters is a ResourceError."""
+        descent (`_descend`) from h_t = N·f(v(α_t)): f is the height, plus
+        (ht θ + 1)·δ if affine, so it is positive exactly on Φ⁺.  w̄ preserves the
+        form G, so w̄⁻¹ = adj G·w̄ᵀ·G / N, and w⁻¹ = [[w̄⁻¹, 0], [−r·w̄⁻¹, 1]] for r
+        the δ-levels of the w(α_j): the start is h = (f′·adj G)·w̄ᵀ·G on α_1..α_k
+        with f′ = f − f(δ)·r, with no inverse matrix.  w̄ is read as the bytes b of
+        the columns, w̄ = b − 128, so w̄·x = b·x − 128·Σx.  A w with no Φ recorded (a
+        matrix being certified or a translation) records the Φ_w of the walk of its
+        word from e, which must rebuild its columns; a failure sets nothing."""
         system = self.system
         gram, adj, n = system.integer_form   # both symmetric: rows are columns
-        k, bias, fin = system.rank_finite, system._bias, system._fin
+        k, bias, fin, top = system.rank_finite, system._bias, system._fin, system._top
         biased = [c + bias for c in self.columns[:k]]
-        top = 0
-        if system.kind == "affine":
-            top = sum(system.highest_root.coeffs) + 1   # f(δ)
+        if top:
             f = [1 - top * (c >> system._shift) for c in biased]
             fadj = [sum(map(mul, f, row)) for row in adj]
         else:
@@ -134,24 +135,13 @@ class GroupElement:
         h = [sum(map(mul, wf, row)) for row in gram]
         if top:   # the affine α_k = δ − θ
             h.append(n * top - sum(map(mul, h, system.highest_root.coeffs)))
-        reflections, word = system._reflections, []
-        for _ in range(_WORD_GUARD):
-            for s, x in enumerate(h):
-                if x < 0:
-                    break
-            else:
-                break
-            word.append(s)
-            for t, c in reflections[s]:
-                h[t] -= c * x
-        else:
-            raise ResourceError(f"word extraction passed the cap of {_WORD_GUARD} letters")
+        word = _descend(system, h)
         if self._mask is None:
             built = from_word(system, word)
             if built.columns != self.columns:
                 raise DomainError("matrix is no group element: its word does not rebuild it")
             self._mask = built._mask
-        self._word = tuple(word)
+        self._word = word
 
     @property
     def word(self) -> tuple[int, ...]:
@@ -174,8 +164,11 @@ class GroupElement:
 
     def inversion_set(self) -> frozenset[Root]:
         """Φ_w = {positive roots sent negative by w^{-1}}, decoded from the mask."""
-        mask, bit_root = self.inversion_mask(), self.system.bit_root
-        return frozenset(bit_root(b) for b in range(mask.bit_length()) if mask >> b & 1)
+        mask, bit_root, roots = self.inversion_mask(), self.system.bit_root, []
+        while mask:   # the set bits, lowest first
+            roots.append(bit_root((low := mask & -mask).bit_length() - 1))
+            mask ^= low
+        return frozenset(roots)
 
     def label(self) -> str:
         names = [self.system.simple_names[s] for s in self.word]
@@ -191,6 +184,23 @@ def _element(system: CoxeterSystem, columns: tuple, mask=None, word=None) -> Gro
     el = GroupElement.__new__(GroupElement)
     el.system, el.columns, el._matrix, el._mask, el._word = system, columns, None, mask, word
     return el
+
+
+def _descend(system: CoxeterSystem, h: list) -> tuple[int, ...]:
+    """The ShortLex word of v⁻¹, from h_t a positive multiple of f(v(α_t)): v walks down
+    by its first s with h_s < 0, and v·s moves h_t −= ⟨α_t, α_s^∨⟩·h_s.  A word longer
+    than _WORD_GUARD letters is a ResourceError."""
+    reflections, word = system._reflections, []
+    for _ in range(_WORD_GUARD):
+        for s, x in enumerate(h):
+            if x < 0:
+                break
+        else:
+            return tuple(word)
+        word.append(s)
+        for t, c in reflections[s]:
+            h[t] -= c * x
+    raise ResourceError(f"word extraction passed the cap of {_WORD_GUARD} letters")
 
 
 def _decode(system: CoxeterSystem, columns) -> tuple[tuple[int, ...], ...]:

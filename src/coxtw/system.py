@@ -259,6 +259,7 @@ class CoxeterSystem:
         self._flips = [n - 1 - 2 * i for i in range(n)] * 2   # by offset, for `column_bit`
 
         self.highest_root = self._find_highest_root() if affine else None
+        self._top = sum(self.highest_root.coeffs) + 1 if affine else 0   # f(δ) = ht θ + 1
         self.ngens = self.dim = k + 1 if affine else k
 
         names = list(_LETTERS[:k])
@@ -327,12 +328,6 @@ class CoxeterSystem:
         self.reflection(i)   # validates i
         return self._simple_roots[i]
 
-    def roots_up_to(self, level: int) -> tuple[Root, ...]:
-        """All roots in `Root.key` order, which negation reverses, so −Φ⁺ then Φ⁺;
-        affine systems truncate to |δ-level| <= level."""
-        positive = self.positive_roots_up_to(level)
-        return tuple(-rho for rho in reversed(positive)) + positive
-
     def positive_roots_up_to(self, level: int) -> tuple[Root, ...]:
         """The positive roots in `Root.key` order, each built once: the finite part's,
         then on affine systems each finite root plus n·δ for n = 1..level."""
@@ -360,6 +355,13 @@ class CoxeterSystem:
         if (bit := off + self._level_bits * level) >= 0:
             return bit
         return bit + self._flips[off]
+
+    def height(self, column: int) -> int:
+        """f of the root of a packed column: its height, plus (ht θ + 1)·δ-level if
+        affine, so positive exactly on Φ⁺ (f(α_s) = 1 on every simple root)."""
+        column += self._bias
+        return (sum((column & self._fin).to_bytes(self.rank_finite, "little"))
+                - 128 * self.rank_finite + self._top * (column >> self._shift))
 
     def pack(self, column) -> int:
         """The packed integer of a column over (simple roots, δ if affine); ValueError

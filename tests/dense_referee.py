@@ -4,8 +4,8 @@ subsets for the biclosed ones, twisted positive systems root by root, and
 root-by-root oracle membership, with a periodic word's Weyl order and
 translation from its own period powers (read through an element's finite
 Weyl part, its matrix cut to the finite block), words and inversion sets from a
-walk down by descents on whole columns, and an element's matrix as a product
-of dense reflection matrices.
+walk down by descents on whole columns, an element's matrix as a product
+of dense reflection matrices, and the roots of both signs up to a δ-level.
 
 These are the textbook algorithms that `coxtw.linalg` replaced with one
 fraction-free elimination, `coxtw.feasibility` with an integer two-column
@@ -105,6 +105,13 @@ def solve(a, b):
 def inverse(a):
     n = len(a)
     return solve(a, [[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def roots_up_to(system, level):
+    """All roots up to |δ-level| level (Φ if finite) in `Root.key` order, which
+    negation reverses: −Φ⁺ reversed, then Φ⁺."""
+    positive = system.positive_roots_up_to(level)
+    return tuple(-rho for rho in reversed(positive)) + positive
 
 
 def peel(system, matrix, guard=100000):

@@ -99,11 +99,12 @@ def test_radius_and_level_must_be_nonnegative_integers():
                        run_selftest):
             with pytest.raises(DomainError, match="ball radius"):
                 search(A2, radius)
-        for roots in (A2.roots_up_to, A1T.roots_up_to,
+        for roots in (lambda level: dense_referee.roots_up_to(A2, level),
+                      lambda level: dense_referee.roots_up_to(A1T, level),
                       A2.positive_roots_up_to, A1T.positive_roots_up_to):
             with pytest.raises(DomainError, match="root level"):
                 roots(radius)
-    assert len(ball(A2, True)) == 3 and len(A1T.roots_up_to(False)) == 2
+    assert len(ball(A2, True)) == 3 and len(dense_referee.roots_up_to(A1T, False)) == 2
 
 
 def test_ball_grows_past_a_finite_group():
@@ -393,15 +394,61 @@ def test_word_guard_is_not_an_assert(monkeypatch):
 
 def test_a_word_past_the_cap_is_a_budget_not_a_defect():
     # t_λ for λ = 60000·α on A~1 is (s0 s1)^60000, a valid element of length
-    # 120,000, past the 100,000-letter cap: reading its word, or certifying
-    # its matrix, runs out of budget and never calls it no group element
+    # 120,000, past the 100,000-letter cap: reading its word, reading that of
+    # its inverse off its heights, or certifying its matrix, runs out of budget
+    # and never calls it no group element
     a1t = build_system("A~1")
     t = translation(a1t, (60000,))
     assert t == from_word(a1t, (0, 1) * 60000)
     with pytest.raises(ResourceError, match="cap of 100000 letters"):
         t.word
     with pytest.raises(ResourceError, match="cap of 100000 letters"):
+        t.inverse()
+    with pytest.raises(ResourceError, match="cap of 100000 letters"):
         GroupElement(a1t, t.matrix)
+
+
+def test_inverse_reads_no_word_of_w(monkeypatch):
+    # w⁻¹ is read off w's own columns, and its word is the descent walk that
+    # found it: neither asks the form start of `_read_word`, on elements whose
+    # word was never read
+    e8, b3t, a2t = build_system("E8"), build_system("B~3"), build_system("A~2")
+    rng = random.Random(41)
+    unread = [from_word(system, [rng.randrange(system.ngens) for _ in range(30)])
+              for system in (e8, b3t) for _ in range(5)] + [translation(a2t, (2, -1))]
+    reads, read_word = [0], GroupElement._read_word
+
+    def counting(self):
+        reads[0] += 1
+        read_word(self)
+
+    monkeypatch.setattr(GroupElement, "_read_word", counting)
+    for w in unread:
+        assert w._word is None
+        w.inverse().word
+    assert reads[0] == 0
+
+
+INVERSE_SPECS = ("E6", "E7", "E8", "F4", "G2", "A~1", "A~2", "A~3", "A~4", "B~3", "C~3",
+                 "D~4", "E~6")
+
+
+@pytest.mark.parametrize("spec", INVERSE_SPECS)
+def test_inverse_is_the_reversed_word_walked_from_e(spec):
+    # on seeded words and translations: the columns and Φ of the reversed word's
+    # walk, the ShortLex word that certifying its matrix reads, a two-sided
+    # inverse and an involution
+    system, rng = build_system(spec), random.Random(spec)
+    elems = [from_word(system, [rng.randrange(system.ngens) for _ in range(rng.randint(0, 30))])
+             for _ in range(12)]
+    if system.kind == "affine":
+        elems += [translation(system, [Fraction(rng.randrange(-2, 3)) / d for d in system.symmetrizer])
+                  for _ in range(3)]
+    for w in elems:
+        winv, walked = w.inverse(), walk(identity(system), w.word[::-1])
+        assert (winv.columns, winv.inversion_mask()) == (walked.columns, walked._mask), w
+        assert winv.word == GroupElement(system, winv.matrix).word, w
+        assert (w * winv).is_identity and winv.inverse() == w, w
 
 
 @pytest.mark.parametrize("column_bit, corruption", [
@@ -449,8 +496,8 @@ RATIONAL = dict(cartan=[[2, -1, 0], [-1, 2, -1], [0, -2, 2]],
 @settings(deadline=None, derandomize=True, max_examples=200)
 @given(st.sampled_from(REFEREE_SPECS + ("rational",)), st.lists(st.integers(0, 99), max_size=40))
 def test_word_and_inverse_match_the_referee(spec, letters):
-    # the word read off the heights of w⁻¹(α_t), and the inverse walked from
-    # that word, against the dense Fraction inverse and the full-column peel:
+    # the word read off the heights of w⁻¹(α_t), and the inverse read off those
+    # of w(α_t), against the dense Fraction inverse and the full-column peel:
     # the peel of w⁻¹ spells the word of w and gives Φ_{w⁻¹}
     system = build_system(**RATIONAL) if spec == "rational" else build_system(spec)
     w = from_word(system, [x % system.ngens for x in letters])
@@ -619,7 +666,7 @@ def test_signed_bits_are_the_root_index_with_a_sign(spec):
     system = build_system(spec)
     bits = {system.bit_root(b): b for b in range(system.level_mask(2).bit_length())}
     k = system.rank_finite
-    for rho in system.roots_up_to(2):
+    for rho in dense_referee.roots_up_to(system, 2):
         column = (rho.coeffs + (rho.delta,))[:system.dim]
         assert system.column_bit(column) == (bits[rho] if rho.is_positive else ~bits[-rho])
     for coeffs in ((0,) * k, (2,) + (0,) * (k - 1), (1, -1) + (0,) * (k - 2)):

@@ -265,8 +265,8 @@ def test_affine_simple_root():
 
 def test_roots_up_to_counts():
     a1 = build_system("A~1")
-    assert len(a1.roots_up_to(0)) == 2
-    assert len(a1.roots_up_to(1)) == 6
+    assert len(dense.roots_up_to(a1, 0)) == 2
+    assert len(dense.roots_up_to(a1, 1)) == 6
     assert len(a1.positive_roots_up_to(0)) == 1
     assert len(a1.positive_roots_up_to(1)) == 3
     # each level past 0 adds one string element per finite root
@@ -277,13 +277,13 @@ def test_roots_up_to_counts():
 def test_roots_up_to_match_a_filter_of_every_level(spec):
     # positive_roots_up_to builds only the roots it returns: the same tuple as every
     # root at δ-levels −L..L (level 0 alone if finite) in `Root.key` order, filtered
-    # to the positive ones, and roots_up_to is that whole list
+    # to the positive ones, and the referee's roots_up_to, −Φ⁺ then Φ⁺, is that whole list
     system = build_system(spec)
     for level in range(6):
         levels = range(-level, level + 1) if system.kind == "affine" else (0,)
         every = sorted((Root(v.coeffs, n) for n in levels for v in system.finite_roots),
                        key=lambda r: r.key)
-        assert system.roots_up_to(level) == tuple(every), (spec, level)
+        assert dense.roots_up_to(system, level) == tuple(every), (spec, level)
         assert system.positive_roots_up_to(level) == tuple(
             r for r in every if r.is_positive), (spec, level)
 
@@ -376,7 +376,7 @@ def test_root_ordering_and_signs():
     assert -Root((1, 2), 1) == Root((-1, -2), -1)
     assert not Root((0, 0)).is_negative
     for spec in ("A~2", "C~2", "G~2"):
-        for rho in build_system(spec).roots_up_to(2):
+        for rho in dense.roots_up_to(build_system(spec), 2):
             assert rho.is_negative == (-rho).is_positive, (spec, rho)
 
 
