@@ -12,15 +12,16 @@ read one cone table: for each pair of roots, the roots of the list in the
 cone of the pair.  A root lies in that cone only if it lies in the pair's
 plane, so the pairs are grouped by plane and `cone_contains` is asked, in
 integers, only of the other roots of that plane.  The enumeration reads it as
-capture rows, searches half its tree and sorts its output on bit indices.
+capture rows and searches half its tree in key order, so it sorts by size only.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import reduce
 from itertools import combinations
 from math import gcd
-from operator import index
+from operator import and_, index
 
 from .errors import ClassificationError, DomainError, ResourceError, ValidationError
 from .feasibility import solve_nonneg
@@ -254,8 +255,9 @@ def enumerate_biclosed(system: CoxeterSystem, ambient) -> tuple[frozenset[Root],
     root there captures, read off its capture row, until the side is closed,
     and a branch ends where the sides meet.  So every full assignment is
     biclosed.  A set is biclosed iff its complement is, so only the half with
-    root 0 inside is searched; the other half is its complements.  The sets stay
-    bitmasks until sorted on (size, ascending bit indices), the key order."""
+    root 0 inside is searched; the other half is its complements.  The sets below
+    a node agree up to the root it branches on, and its inside branch goes first, so
+    the sets, then their complements reversed, come in key order; a stable sort by size ends."""
     roots = _checked_roots(system, ambient)
     n = len(roots)
     if n > _ENUM_LIMIT:
@@ -282,13 +284,12 @@ def enumerate_biclosed(system: CoxeterSystem, ambient) -> tuple[frozenset[Root],
         if low >> n:
             found.append(inside)
             continue
-        if not (grown := close(inside, low)) & outside:
-            stack.append((grown, outside))
         if not (grown := close(outside, low)) & inside:
             stack.append((inside, grown))
-    found += [~m & (1 << n) - 1 for m in found]
-    # by size, then the set holding the first root where two differ comes first
-    found.sort(key=lambda m: (-m.bit_count(), format(m, f"0{n}b")[::-1]), reverse=True)
+        if not (grown := close(inside, low)) & outside:
+            stack.append((grown, outside))   # popped first
+    found += [~m & (1 << n) - 1 for m in reversed(found)]
+    found.sort(key=int.bit_count)   # stable, so key order holds within each size
     return tuple(frozenset(roots[t] for t in range(n) if m >> t & 1) for m in found)
 
 
@@ -306,10 +307,10 @@ def _psi_pattern(system: CoxeterSystem, u: GroupElement, d1: frozenset, d2: froz
 
     u(Φ⁺) is the β > 0 outside Φ_u and the −β for β in Φ_u: two bit operations
     on Φ_u's mask, which for a finite u lies in bits 0..N−1.  Then u(Φ⁺_Δ1)
-    leaves and ±u(Φ_Δ2) joins, so u's columns meet those roots only.  This is
-    the one place that validates (u, Δ1, Δ2): u must lie in the finite Weyl
-    group of this system, and Δ1, Δ2 hold integers in range, disjoint and
-    orthogonal to each other."""
+    leaves and u(−Φ⁺_Δ2) joins (u(Φ⁺_Δ2) is in), each by one xor, so u's columns
+    meet those roots only.  This is the one place that validates (u, Δ1, Δ2): u
+    must lie in the finite Weyl group of this system, and Δ1, Δ2 hold integers
+    in range, disjoint and orthogonal to each other."""
     if u.system is not system and u.system.key != system.key:
         raise DomainError("element belongs to a different system")
     k, n = system.rank_finite, len(system.positive_roots)
@@ -321,12 +322,13 @@ def _psi_pattern(system: CoxeterSystem, u: GroupElement, d1: frozenset, d2: froz
         raise ValidationError(f"subsets must be orthogonal; ({bad[0]},{bad[1]}) pair is not")
     if (mask := u.inversion_mask()) >> n:
         raise ValidationError("element must lie in the finite Weyl subgroup")
-    # Φ⁺_Δ1 and Φ⁺_Δ2 at bits N+b: the positive roots whose packed bytes off Δ are all 0
-    sub1, sub2 = (sum(1 << n + b for b, p in enumerate(system._packed_roots) if not p & m)
-                  for m in (system._fin ^ sum(255 << 8 * index(i) for i in d) for d in (d1, d2)))
     out = ((1 << n) - 1 ^ mask) << n | mask
-    out &= ~system.moved_pattern(u.columns, sub1)
-    return out | system.moved_pattern(u.columns, sub2 | sub2 >> n)
+    for d, shift in ((d1, 0), (d2, n)):   # an empty Δ moves nothing
+        if d:   # Φ⁺_Δ at bits N+b: Φ⁺ less the roots whose support holds some α_i off Δ
+            held, sub = {*map(index, d)}, (1 << 2 * n) - (1 << n)
+            sub = reduce(and_, (~s for i, s in enumerate(system._supports) if i not in held), sub)
+            out ^= system.moved_pattern(u.columns, sub >> shift)
+    return out
 
 
 def _decompose_psi(system: CoxeterSystem, gamma: int):
@@ -363,7 +365,9 @@ def classify_finite_biclosed(system: CoxeterSystem, gamma):
     """
     if system.kind != "finite":
         raise DomainError("finite classification requires a finite system")
-    gamma = frozenset(gamma)
-    if not all(map(system.is_root, gamma)):
-        raise ClassificationError("set holds a vector that is no root of this system")
-    return _decompose_psi(system, system.pattern(gamma))
+    pattern, n = 0, len(system.positive_roots)
+    for rho in gamma:   # one pass: each vector's check and its pattern bit
+        if rho.delta or (off := system._offsets.get(rho.coeffs)) is None:
+            raise ClassificationError("set holds a vector that is no root of this system")
+        pattern |= 1 << off + n
+    return _decompose_psi(system, pattern)

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from math import gcd, lcm
-from operator import index, mul
+from operator import index, mul, or_
 
 from . import linalg
 from .errors import DomainError, ExprError, ValidationError
@@ -282,10 +282,9 @@ class CoxeterSystem:
         # & _fin keeps the finite part, the key of _keys, and >> _shift the δ-level.
         self._shift, self._fin = 8 * k, (1 << 8 * k) - 1
         self._bias = int.from_bytes(b"\x80" * k, "little")
-        # a positive root's coefficients are bytes, zero off its support
-        self._packed_roots = tuple(int.from_bytes(bytes(v), "little") for v in self._pos_coeffs)
         self._keys = {}
-        for i, packed in enumerate(self._packed_roots):
+        for i, v in enumerate(self._pos_coeffs):   # a positive root's coefficients are bytes
+            packed = int.from_bytes(bytes(v), "little")
             self._keys[self._bias + packed], self._keys[self._bias - packed] = i, i - n
         self.identity_columns = tuple(map(self.pack, self.simple_columns))
         self._reflections = tuple(self._reflection(s) for s in range(self.ngens))
@@ -319,6 +318,11 @@ class CoxeterSystem:
     @cached_property
     def finite_roots(self) -> tuple[Root, ...]:
         return tuple(_root(v, 0) for v in sorted(self._signed))   # in `Root.key` order
+
+    @cached_property
+    def _supports(self) -> tuple[int, ...]:
+        """Entry i: the pattern bits N+b of the positive roots whose support holds α_i."""
+        return tuple(sum(1 << b for b, c in enumerate(col) if c > 0) for col in zip(*self._signed))
 
     def is_root(self, rho: Root) -> bool:
         return (len(rho.coeffs) == self.rank_finite and rho.coeffs in self._offsets
@@ -402,7 +406,7 @@ class CoxeterSystem:
     def pattern(self, roots) -> int:
         """The pattern of some finite roots."""
         n = len(self._pos_coeffs)
-        return sum(1 << self._offsets[r.coeffs] + n for r in roots)
+        return reduce(or_, (1 << self._offsets[r.coeffs] + n for r in roots), 0)
 
     def pattern_roots(self, pattern: int) -> frozenset[Root]:
         """The finite roots of a pattern, the inverse of `pattern`."""

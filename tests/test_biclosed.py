@@ -16,7 +16,7 @@ from coxtw.errors import (ClassificationError, DomainError, NotReducedError,
 from coxtw.exprs import parse_biclosed
 from coxtw.infwords import limit_set, validate_periodic
 from coxtw.oracle import standard_battery
-from coxtw.system import Root, build_system
+from coxtw.system import CoxeterSystem, Root, build_system
 
 A2 = build_system("A2")
 B2 = build_system("B2")
@@ -223,6 +223,14 @@ def test_enumerate_is_closed_under_complement_in_key_order():
             assert len(set(found)) == len(found)
             assert {roots - gamma for gamma in found} == set(found), (spec, roots)
             assert found == tuple(sorted(found, key=lambda f: (len(f), sorted(r.key for r in f))))
+    # the four ambients of the `searches` workload, F4 Φ⁺ and D4 Φ, whole
+    for spec, full in (("A4", False), ("D4", False), ("B3", False), ("A3", True),
+                       ("F4", False), ("D4", True)):
+        system = build_system(spec)
+        roots = frozenset(system.finite_roots if full else system.positive_roots)
+        found = enumerate_biclosed(system, roots)
+        assert {roots - gamma for gamma in found} == set(found), spec
+        assert found == tuple(sorted(found, key=lambda f: (len(f), sorted(r.key for r in f)))), spec
 
 
 def test_enumerate_past_the_subset_scan():
@@ -475,6 +483,50 @@ def test_expand_psi_matches_the_root_by_root_referee():
         want = dense.twisted_positive_system(hat.u, hat.delta1, hat.delta2)
         assert limit_set(hat) == want, hat.key()
         assert expand_psi(hat.system, hat.u, hat.delta1, hat.delta2) == want, hat.key()
+
+
+def _seeded_triples(system, rng, count):
+    """count seeded (u, Δ1, Δ2): u a random reduced word of length 0..N, each
+    letter an ascent, and Δ1 and Δ2 disjoint and orthogonal."""
+    k = system.rank_finite
+    for _ in range(count):
+        u = identity(system)
+        for _ in range(rng.randint(0, len(system.positive_roots))):
+            u = u * simple(system, rng.choice(
+                [s for s in range(k) if u.apply(system.simple_root(s)).is_positive]))
+        order = rng.sample(range(k), k)
+        d1 = frozenset(order[:rng.randint(0, k // 2)])
+        rest = [j for j in order if j not in d1 and all(system.form[i][j] == 0 for i in d1)]
+        yield u, d1, frozenset(rest[:rng.randint(0, len(rest))])
+
+
+def test_expand_psi_matches_the_referee_where_n_exceeds_k():
+    # F4, E6 and E8 have 24, 36 and 120 positive roots on 4, 6 and 8 supports
+    rng = random.Random(43)
+    for spec in ("F4", "E6", "E8"):
+        system = build_system(spec)
+        for u, d1, d2 in _seeded_triples(system, rng, 40):
+            want = dense.twisted_positive_system(u, d1, d2)
+            assert expand_psi(system, u, d1, d2) == want, (spec, u.word, d1, d2)
+            v, e1, e2 = classify_finite_biclosed(system, want)
+            assert expand_psi(system, v, e1, e2) == want, (spec, u.word, d1, d2)
+
+
+def test_psi_pattern_moves_only_a_nonempty_delta(monkeypatch):
+    # an empty Δ is no work: no call of `moved_pattern` for it
+    calls = []
+    moved = CoxeterSystem.moved_pattern
+    monkeypatch.setattr(CoxeterSystem, "moved_pattern",
+                        lambda self, *args: calls.append(1) or moved(self, *args))
+    rng = random.Random(47)
+    for spec in ("A3", "D4", "E6"):
+        system = build_system(spec)
+        for u, d1, d2 in _seeded_triples(system, rng, 30):
+            for e1, e2 in ((frozenset(), frozenset()), (d1, frozenset()),
+                           (frozenset(), d2), (d1, d2)):
+                calls.clear()
+                biclosed._psi_pattern(system, u, e1, e2)
+                assert len(calls) == bool(e1) + bool(e2), (spec, e1, e2)
 
 
 def _reference_witnesses(system):

@@ -335,6 +335,21 @@ def test_is_root():
     assert not aff.is_root(Root((0,), 1))   # delta itself is not a root
 
 
+def test_pattern_names_each_root_once():
+    # a repeated root sets its own bit once and names no other root (adding
+    # the bits carried a repeat of (0,1) on A2 into the bit of (1,0))
+    rng = random.Random(41)
+    a2 = build_system("A2")
+    r = a2.positive_roots[0]
+    assert a2.pattern_roots(a2.pattern([r, r])) == {r}
+    for spec in ("A2", "B3", "G2", "D4", "A~2"):
+        system = build_system(spec)
+        pool = system.finite_roots
+        for _ in range(30):
+            roots = [rng.choice(pool) for _ in range(rng.randint(0, 3 * len(pool)))]
+            assert system.pattern_roots(system.pattern(roots)) == set(roots), (spec, roots)
+
+
 def test_bad_cartan_rejected():
     with pytest.raises(ValidationError):
         build_system(cartan=[[2, -1], [0, 2]])     # asymmetric zero pattern

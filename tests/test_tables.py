@@ -10,7 +10,8 @@ import dense_referee as dense
 import pytest
 
 from coxtw import oracle as referee
-from coxtw.biclosed import BiclosedOracle
+from coxtw.biclosed import (BiclosedOracle, classify_finite_biclosed, enumerate_biclosed,
+                            expand_psi)
 from coxtw.elements import GroupElement, ball, from_word
 from coxtw.errors import DomainError
 from coxtw.exprs import parse_biclosed
@@ -135,6 +136,16 @@ def test_tables_stay_within_their_bound():
         assert (w * v).is_identity
     ball(system, 6)
     assert _tables(system) == before
+    # finite classification: after the first one (which builds the support
+    # masks), further classifications and expansions add no attribute
+    finite = build_system("D4")
+    sets = enumerate_biclosed(finite, finite.finite_roots)[::37]
+    classify_finite_biclosed(finite, sets[0])
+    before = _tables(finite)
+    for gamma in sets:
+        u, d1, d2 = classify_finite_biclosed(finite, gamma)
+        assert expand_psi(finite, u, d1, d2) == gamma
+    assert _tables(finite) == before
 
 
 def test_referee_tables_stay_within_the_bound(monkeypatch):
