@@ -249,18 +249,19 @@ def walk(w: GroupElement, word) -> GroupElement:
 
 
 def grow(system: CoxeterSystem, level, keep=None) -> list[GroupElement]:
-    """One level up: the w·s (w in level) with w(α_s) positive, that is of bit ≥ 0,
-    and that bit kept by keep (None keeps all), each built once, for a new Φ_ws =
-    Φ_w ⊔ {w(α_s)}.  level must hold every length-d element whose inversions are all
-    kept, in ShortLex order, as on any walk up from e; then y is first found from its
-    least (rank of w, s), so NF(y) = NF(w)·s: each word is inherited, in ShortLex order."""
-    grown, column_bit = {}, system.column_bit
+    """One level up: the w·s (w in level) with w(α_s) positive and its bit kept by keep
+    (None keeps all), each built once, for a new Φ_ws = Φ_w ⊔ {w(α_s)}.  The bit is the
+    nonnegative branch of `column_bit`, read inline: one `_keys` entry, plus 2N·level if
+    affine.  level must hold every length-d element whose inversions are all kept, in
+    ShortLex order, as on any walk up from e; then y is first found from its least (rank
+    of w, s), so NF(y) = NF(w)·s: each word is inherited, in ShortLex order."""
+    grown, keys, bias, fin = {}, system._keys, system._bias, system._fin
+    shift, width = system._shift, system._level_bits
     for w in level:
         mask, word = w.inversion_mask(), w.word
         for s, image in enumerate(w.columns):
-            if (bit := column_bit(image)) < 0 or keep and not keep(bit):
-                continue
-            if (up := mask | 1 << bit) not in grown:
+            bit = keys[image + bias & fin] + (width and width * (image + bias >> shift))
+            if bit >= 0 and (not keep or keep(bit)) and (up := mask | 1 << bit) not in grown:
                 y = grown[up] = w.mul_simple(s, image, up)
                 y._word = word + (s,)
     return list(grown.values())

@@ -2,8 +2,10 @@
 
 A system is either finite crystallographic or the untwisted affine
 extension of one.  Roots are integer coordinate vectors over the finite
-simple basis plus an integer δ-level, and Φ⁺ grows from the simple roots by
-integer raising.  The symmetrizer is solved, and the form built, in
+simple basis plus an integer δ-level.  Φ⁺ grows from the simple roots by
+integer raising, each root and its coroot pairings one packed integer, and
+the reflection table is the Cartan matrix, with the affine generator's row
+and column added.  The symmetrizer is solved, and the form built, in
 integers; Sylvester's test reads the leading minors of the Cartan matrix off
 one fraction-free elimination in `linalg`, and one more on the integer Gram
 matrix gives its determinant and adjugate, the form's inverse in integers,
@@ -16,7 +18,7 @@ import re
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import gcd, lcm
-from operator import index, mul, or_
+from operator import index, mul, neg, or_
 
 from . import linalg
 from .errors import DomainError, ExprError, ValidationError
@@ -194,25 +196,26 @@ def _check_positive_definite(cartan) -> int:
     return minors[-1]
 
 
-def _generate_positive_roots(cartan) -> tuple[tuple[int, ...], ...]:
-    # Φ⁺ by raising: s_i(v) = v − ⟨v, α_i^∨⟩α_i is taken only where the pairing
-    # is negative.  A non-simple β ∈ Φ⁺ pairs positively with some α_i, and is
-    # the raise of the lower root s_i(β), so every root is reached by height.
+def _generate_positive_roots(cartan) -> list[bytes]:
+    # Φ⁺ by raising, on packed integers (`CoxeterSystem.pack`): a root v is one integer
+    # of coefficient bytes, and its pairings ⟨v, α_j^∨⟩, biased to bytes, one more.
+    # s_i(v) = v − ⟨v, α_i^∨⟩α_i, taken only where that pairing is negative, adds m·α_i
+    # to v and m·(Cartan column i) to the pairings.  A non-simple β ∈ Φ⁺ pairs positively
+    # with some α_i and is the raise of the lower root s_i(β), so every root is reached.
     k = len(cartan)
-    frontier = [tuple(int(j == i) for j in range(k)) for i in range(k)]
-    seen = set(frontier)
+    units = [1 << 8 * i for i in range(k)]
+    columns = [sum(row[i] << 8 * j for j, row in enumerate(cartan)) for i in range(k)]
+    bias = int.from_bytes(b"\x80" * k, "little")
+    frontier, seen = [(u, bias + c) for u, c in zip(units, columns)], set(units)
     while frontier:
         new = []
-        for v in frontier:
-            for i, row in enumerate(cartan):
-                c = sum(map(mul, row, v))
-                if c < 0:
-                    w = v[:i] + (v[i] - c,) + v[i + 1:]
-                    if w not in seen:
-                        seen.add(w)
-                        new.append(w)
+        for v, pairings in frontier:
+            for i, b in enumerate(pairings.to_bytes(k, "little")):
+                if b < 128 and (w := v + (128 - b) * units[i]) not in seen:
+                    seen.add(w)
+                    new.append((w, pairings + (128 - b) * columns[i]))
         frontier = new
-    return tuple(sorted(seen))
+    return sorted(v.to_bytes(k, "little") for v in seen)   # in coefficient-tuple order
 
 
 class CoxeterSystem:
@@ -247,16 +250,25 @@ class CoxeterSystem:
 
         self.kind = "affine" if affine else "finite"
         self.type_string = type_string
-        self._pos_coeffs = _generate_positive_roots(self.cartan)
+        roots = _generate_positive_roots(self.cartan)
+        self._pos_coeffs, n = tuple(map(tuple, roots)), len(roots)
         # The root index of every inversion mask (Kac, ch. 6): for α the i-th of
         # the N in _pos_coeffs, α+kδ is bit 2Nk+i and −α+kδ bit 2Nk−N+i, so the
         # positive roots up to δ-level L are the bits below 2NL+N.  Keyed by Φ.
-        n = len(self._pos_coeffs)
         self._level_bits = 2 * n if affine else 0
         # the finite roots by pattern bit: −α_i at bit i, α_i at bit N+i
-        self._signed = tuple(tuple(-c for c in v) for v in self._pos_coeffs) + self._pos_coeffs
-        self._offsets = {v: b - n for b, v in enumerate(self._signed)}
+        self._signed = tuple(tuple(map(neg, v)) for v in roots) + self._pos_coeffs
+        self._offsets = dict(zip(self._signed, range(-n, n)))
         self._flips = [n - 1 - 2 * i for i in range(n)] * 2   # by offset, for `column_bit`
+        # Packed columns: Σ c_i·α_i + d·δ is the integer Σ c_i·2^(8i) + d·2^(8k), each
+        # c_i a signed byte and d unbounded on top, so a Z-linear combination of
+        # columns is one of integers, exact wherever its coefficients fit their bytes,
+        # as a root's do (at most 6).  Adding _bias moves each byte to 0..255, so
+        # & _fin keeps the finite part, the key of _keys, and >> _shift the δ-level.
+        self._shift, self._fin = 8 * k, (1 << 8 * k) - 1
+        self._bias = bias = int.from_bytes(b"\x80" * k, "little")
+        ints = [int.from_bytes(v, "little") for v in roots]   # the roots, packed
+        self._keys = dict(zip([bias - v for v in ints] + [bias + v for v in ints], range(-n, n)))
 
         self.highest_root = self._find_highest_root() if affine else None
         self._top = sum(self.highest_root.coeffs) + 1 if affine else 0   # f(δ) = ht θ + 1
@@ -275,19 +287,8 @@ class CoxeterSystem:
         self._simple_roots = tuple(simples)
         # the same as integer columns over the basis (simple roots, and δ if affine)
         self.simple_columns = tuple((a.coeffs + (a.delta,))[:self.dim] for a in simples)
-        # Packed columns: Σ c_i·α_i + d·δ is the integer Σ c_i·2^(8i) + d·2^(8k), each
-        # c_i a signed byte and d unbounded on top, so a Z-linear combination of
-        # columns is one of integers, exact wherever its coefficients fit their bytes,
-        # as a root's do (at most 6).  Adding _bias moves each byte to 0..255, so
-        # & _fin keeps the finite part, the key of _keys, and >> _shift the δ-level.
-        self._shift, self._fin = 8 * k, (1 << 8 * k) - 1
-        self._bias = int.from_bytes(b"\x80" * k, "little")
-        self._keys = {}
-        for i, v in enumerate(self._pos_coeffs):   # a positive root's coefficients are bytes
-            packed = int.from_bytes(bytes(v), "little")
-            self._keys[self._bias + packed], self._keys[self._bias - packed] = i, i - n
         self.identity_columns = tuple(map(self.pack, self.simple_columns))
-        self._reflections = tuple(self._reflection(s) for s in range(self.ngens))
+        self._reflections = self._reflection_table()
 
     def __eq__(self, other):
         return isinstance(other, CoxeterSystem) and self.key == other.key
@@ -300,13 +301,11 @@ class CoxeterSystem:
         return f"CoxeterSystem({tag}, {self.kind})"
 
     def _find_highest_root(self) -> Root:
-        # the roots that no α_i raises: one per component of the Coxeter graph
-        candidates = [v for v in self._pos_coeffs
-                      if not any(v[:i] + (v[i] + 1,) + v[i + 1:] in self._offsets
-                                 for i in range(self.rank_finite))]
-        if len(candidates) != 1:
+        # θ, the root of greatest height, has full support iff the Coxeter graph is connected
+        theta = max(self._pos_coeffs, key=sum)
+        if not all(theta):
             raise ValidationError("affine extension requires an irreducible finite part")
-        return Root(candidates[0], 0)
+        return Root(theta, 0)
 
     # -- roots ---------------------------------------------------------
 
@@ -452,21 +451,21 @@ class CoxeterSystem:
 
     # -- simple reflections --------------------------------------------
 
-    def _reflection(self, s: int) -> tuple:
-        """The nonzero ⟨α_t, α_s^∨⟩ = 2(α_t, α_s)/(α_s, α_s) over the ngens simple
-        roots, as (t, value) pairs, with s(α_t) = α_t − ⟨α_t, α_s^∨⟩·α_s.  δ is
-        fixed by every reflection and pairs to zero, so the affine α_k = δ − θ pairs as −θ."""
-        alpha = self._simple_roots[s]
-        dots = [sum(map(mul, row, alpha.coeffs)) for row in self.gram]
-        norm = sum(map(mul, alpha.coeffs, dots))
-        pairs = []
-        for t, beta in enumerate(self._simple_roots):
-            c, rem = divmod(2 * sum(map(mul, beta.coeffs, dots)), norm)
-            if rem:
-                raise DomainError(f"coroot pairing of α_{t} with α_{s} is not an integer")
-            if c:
-                pairs.append((t, c))
-        return tuple(pairs)
+    def _reflection_table(self) -> tuple:
+        """Row s: the nonzero ⟨α_t, α_s^∨⟩ = 2(α_t, α_s)/(α_s, α_s) as (t, value) pairs, for
+        s(α_t) = α_t − ⟨α_t, α_s^∨⟩·α_s: a_st on the finite simple roots.  δ pairs to zero,
+        so the affine α_k = δ − θ pairs as −θ; its own row comes off the form, checked."""
+        rows = self.cartan
+        if self.kind == "affine":
+            theta, k = self.highest_root.coeffs, self.rank_finite
+            dots = [sum(map(mul, row, theta)) for row in self.gram]   # (α_t, θ), scaled
+            norm = sum(map(mul, theta, dots))
+            rows = [row + (-sum(map(mul, row, theta)),) for row in rows] + [[2] * (k + 1)]
+            for t, x in enumerate(dots):
+                rows[k][t], rem = divmod(-2 * x, norm)
+                if rem:
+                    raise DomainError(f"coroot pairing of α_{t} with α_{k} is not an integer")
+        return tuple(tuple((t, c) for t, c in enumerate(row) if c) for row in rows)
 
     def reflection(self, s: int):
         if not 0 <= (index(s) if hasattr(s, "__index__") else -1) < self.ngens:

@@ -262,21 +262,21 @@ def test_ascend_keeps_the_shortlex_word_it_walked():
             assert ascend(system, x.inversion_mask()).word == GroupElement(system, x.matrix).word
 
 
-@pytest.mark.parametrize("spec, radius, products", [
+@pytest.mark.parametrize("spec, radius, built", [
     ("E6", 8, 1973), ("B~3", 8, 346), ("A~3", 12, 1324)])
-def test_grow_builds_each_element_once(monkeypatch, spec, radius, products):
-    # keyed by Φ_ws, a level builds one product per new element; keyed by the
-    # product's matrix, these balls took 4,590, 576 and 2,336 products
-    calls = []
-    mul_simple = GroupElement.mul_simple
+def test_grow_builds_each_element_once(monkeypatch, spec, radius, built):
+    # keyed by Φ_ws, a level builds one element per new element, by whatever route;
+    # keyed by the product's matrix, these balls took 4,590, 576 and 2,336 products
+    calls = [0]
+    element = elements._element
 
-    def counting(self, s, *args):
-        calls.append(s)
-        return mul_simple(self, s, *args)
+    def counting(*args):
+        calls[0] += 1
+        return element(*args)
 
-    monkeypatch.setattr(GroupElement, "mul_simple", counting)
-    assert len(ball(build_system(spec), radius)) == products + 1
-    assert len(calls) == products
+    monkeypatch.setattr(elements, "_element", counting)
+    assert len(ball(build_system(spec), radius)) == built + 1
+    assert calls[0] == built + 1   # e, then each element grow builds
 
 
 def _assert_inherited_shortlex(system, level):

@@ -236,12 +236,33 @@ def _positive_roots_by_closure(cartan):
 
 
 def test_positive_roots_match_the_closure_of_the_simple_roots():
-    for system in _referee_systems():
+    # two reducible inputs, A1×A2 and B2×G2, the second as `--cartan` reads it
+    reducible = [build_system(cartan=_block_diagonal([[2]], [[2, -1], [-1, 2]])),
+                 parse_cartan_file("rank 4\n2 -1 0 0\n-2 2 0 0\n0 0 2 -1\n0 0 -3 2\n")]
+    assert [len(system.positive_roots) for system in reducible] == [4, 10]
+    for system in _referee_systems() + reducible:
         want = _positive_roots_by_closure(system.cartan)
         assert [r.coeffs for r in system.positive_roots] == want, system
         assert all(r.delta == 0 for r in system.positive_roots)
     for spec, count in (("A8", 36), ("B8", 64), ("C8", 64), ("D8", 56), ("E7", 63), ("E8", 120)):
         assert len(build_system(spec).positive_roots) == count, spec
+
+
+def test_reflection_table_matches_the_fraction_form():
+    # row s holds the nonzero 2(α_t, α_s)/(α_s, α_s) as (t, int) pairs, read here off
+    # the Fraction form with δ pairing to zero, so the affine α_k = δ − θ pairs as −θ
+    for system in _referee_systems():
+        form, k = system.form, system.rank_finite
+        simples = [system.simple_root(s).coeffs for s in range(system.ngens)]
+
+        def dot(u, v):
+            return sum(u[i] * form[i][j] * v[j] for i in range(k) for j in range(k))
+
+        for s, a in enumerate(simples):
+            want = tuple((t, Fraction(2 * dot(b, a), dot(a, a)))
+                         for t, b in enumerate(simples) if dot(b, a))
+            assert system._reflections[s] == want, (system, s)
+            assert all(type(c) is int for _, c in system._reflections[s]), (system, s)
 
 
 def test_affine_pairing_guard_is_not_an_assert(monkeypatch):
