@@ -290,7 +290,12 @@ def enumerate_biclosed(system: CoxeterSystem, ambient) -> tuple[frozenset[Root],
             stack.append((grown, outside))   # popped first
     found += [~m & (1 << n) - 1 for m in reversed(found)]
     found.sort(key=int.bit_count)   # stable, so key order holds within each size
-    return tuple(frozenset(roots[t] for t in range(n) if m >> t & 1) for m in found)
+    for i, m in enumerate(found):   # each set from its set bits, lowest first
+        found[i] = members = []
+        while m:
+            members.append(roots[(low := m & -m).bit_length() - 1])
+            m ^= low
+    return tuple(map(frozenset, found))
 
 
 # -- finite classification ---------------------------------------------

@@ -91,7 +91,7 @@ class GroupElement:
         and walked from e, so Φ_{w⁻¹} is recorded."""
         system = self.system
         word = _descend(system, list(map(system.height, self.columns)))
-        inv = walk(identity(system), word)
+        inv = _walk(system, system.identity_columns, 0, word)
         inv._word = word
         return inv
 
@@ -213,29 +213,34 @@ def _decode(system: CoxeterSystem, columns) -> tuple[tuple[int, ...], ...]:
 
 
 def simple(system: CoxeterSystem, s: int) -> GroupElement:
-    return identity(system).mul_simple(s)
+    return _walk(system, system.identity_columns, 0, (s,))
 
 
 def from_word(system: CoxeterSystem, word) -> GroupElement:
-    """s_1⋯s_m, walked from e."""
-    return walk(identity(system), word)
+    """s_1⋯s_m, walked from e's columns."""
+    return _walk(system, system.identity_columns, 0, word)
 
 
 def walk(w: GroupElement, word) -> GroupElement:
-    """w·s_1⋯s_m by column updates on one list of packed columns, recording Φ on the
-    way: each letter s, an index below ngens by `operator.index`, has the signed bit b
-    of w(α_s), and by the exchange property Φ_ws is Φ_w ⊔ {b} if b ≥ 0, else Φ_w ∖ {~b}."""
-    system = w.system
-    reflections, column_bit = system._reflections, system.column_bit
-    mask = w.inversion_mask()
-    cols = list(w.columns)
+    """w·s_1⋯s_m, walked from w's columns and Φ_w."""
+    return _walk(w.system, w.columns, w.inversion_mask(), word)
+
+
+def _walk(system: CoxeterSystem, columns, mask: int, word) -> GroupElement:
+    """The walk of a word on one list of packed columns, recording Φ: each letter s, an index
+    below ngens by `operator.index`, has the signed bit b of w(α_s), read inline as `grow` reads
+    it, and by the exchange property Φ_ws is Φ_w ⊔ {b} if b ≥ 0, else Φ_w ∖ {~b}."""
+    reflections, keys, bias, fin = system._reflections, system._keys, system._bias, system._fin
+    shift, width, flips, cols = system._shift, system._level_bits, system._flips, list(columns)
     for letter in word:
         try:   # a negative index would wrap, so it reads past the end instead
             pairs = reflections[s if (s := index(letter)) >= 0 else len(reflections)]
         except (TypeError, IndexError):
             raise DomainError(f"no simple reflection with index {letter!r}") from None
-        bit = column_bit(image := cols[s])
-        if bit is None or (mask >> (b := ~bit if bit < 0 else bit) & 1) != (bit < 0):
+        off = keys.get((biased := (image := cols[s]) + bias) & fin)
+        if off is not None and (bit := off + (width and width * (biased >> shift))) < 0:
+            bit += flips[off]   # ~b for the negative of the root of bit b
+        if off is None or (mask >> (b := ~bit if bit < 0 else bit) & 1) != (bit < 0):
             raise DomainError(f"the inversions of the word lost track at letter {s}")
         mask ^= 1 << b
         for t, c in pairs:

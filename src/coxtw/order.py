@@ -84,10 +84,10 @@ def le(x: GroupElement, y: GroupElement, oracle: BiclosedOracle) -> bool:
 def _toward(w: GroupElement, tops):
     """The w·s, s ascending, that lie ≤_B every top, for w ≤_B each: those whose
     flipped root lies in ∩ₜ(Φ_w △ Φ_t), with no oracle query."""
-    a, column_bit = w.inversion_mask(), w.system.column_bit
+    a = w.inversion_mask()
     room = functools.reduce(operator.and_, (a ^ t.inversion_mask() for t in tops))
-    for s, image in enumerate(w.columns):
-        if room & (flip := 1 << (~b if (b := column_bit(image)) < 0 else b)):
+    for s, (image, b) in enumerate(zip(w.columns, w.system.column_bits(w.columns))):
+        if room & (flip := 1 << (~b if b < 0 else b)):
             yield w.mul_simple(s, image, a ^ flip)
 
 
@@ -95,14 +95,14 @@ def _frame(z: GroupElement, tops):
     """Yield (u, the masks of u's down-covers) once for each u in ∪ₜ [z, t]_B, for z ≤_B each
     top: the tops closed under the u·s whose flipped root lies in Φ_z △ Φ_u, the u·s in [z, u]_B.
     It holds the elements not yet expanded and one int per mask seen, which every list shares."""
-    zm, column_bit = z.inversion_mask(), z.system.column_bit
+    zm, column_bits = z.inversion_mask(), z.system.column_bits
     todo = list({t.inversion_mask(): t for t in tops}.values())
     seen = {a: a for a in map(GroupElement.inversion_mask, todo)}
     while todo:
         u, downs = todo.pop(), []
         room = zm ^ (a := u.inversion_mask())
-        for s, image in enumerate(u.columns):
-            if room & (flip := 1 << (~b if (b := column_bit(image)) < 0 else b)):
+        for s, (image, b) in enumerate(zip(u.columns, column_bits(u.columns))):
+            if room & (flip := 1 << (~b if b < 0 else b)):
                 if (d := a ^ flip) not in seen:
                     seen[d] = d
                     todo.append(u.mul_simple(s, image, d))

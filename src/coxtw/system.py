@@ -21,9 +21,10 @@ from math import gcd, lcm
 from operator import index, mul, neg, or_
 
 from . import linalg
-from .errors import DomainError, ExprError, ValidationError
+from .errors import DomainError, ExprError, ResourceError, ValidationError
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
+_BIT_GUARD = 1 << 17   # the root-index budget: a bit past it makes a mask of over 16 KiB
 
 
 class Root:
@@ -256,10 +257,7 @@ class CoxeterSystem:
         # the N in _pos_coeffs, α+kδ is bit 2Nk+i and −α+kδ bit 2Nk−N+i, so the
         # positive roots up to δ-level L are the bits below 2NL+N.  Keyed by Φ.
         self._level_bits = 2 * n if affine else 0
-        # the finite roots by pattern bit: −α_i at bit i, α_i at bit N+i
-        self._signed = tuple(tuple(map(neg, v)) for v in roots) + self._pos_coeffs
-        self._offsets = dict(zip(self._signed, range(-n, n)))
-        self._flips = [n - 1 - 2 * i for i in range(n)] * 2   # by offset, for `column_bit`
+        self._flips = [n - 1 - 2 * i for i in range(n)] * 2   # by offset, for the signed bits
         # Packed columns: Σ c_i·α_i + d·δ is the integer Σ c_i·2^(8i) + d·2^(8k), each
         # c_i a signed byte and d unbounded on top, so a Z-linear combination of
         # columns is one of integers, exact wherever its coefficients fit their bytes,
@@ -315,6 +313,15 @@ class CoxeterSystem:
         return tuple(_root(v, 0) for v in self._pos_coeffs)
 
     @cached_property
+    def _signed(self) -> tuple[tuple[int, ...], ...]:
+        """The finite roots by pattern bit: −α_i at bit i, α_i at bit N+i."""
+        return tuple(tuple(map(neg, v)) for v in self._pos_coeffs) + self._pos_coeffs
+
+    @cached_property
+    def _offsets(self) -> dict:   # each finite root's pattern bit less N, by its coefficients
+        return dict(zip(self._signed, range(-len(self._pos_coeffs), len(self._pos_coeffs))))
+
+    @cached_property
     def finite_roots(self) -> tuple[Root, ...]:
         return tuple(_root(v, 0) for v in sorted(self._signed))   # in `Root.key` order
 
@@ -359,6 +366,15 @@ class CoxeterSystem:
             return bit
         return bit + self._flips[off]
 
+    def column_bits(self, columns) -> list[int]:
+        """`column_bit` of each packed column of an element, every one a root, in one call."""
+        keys, bias, fin, shift = self._keys, self._bias, self._fin, self._shift
+        width, flips, bits = self._level_bits, self._flips, []
+        for column in columns:
+            bit = (off := keys[(c := column + bias) & fin]) + (width and width * (c >> shift))
+            bits.append(bit if bit >= 0 else bit + flips[off])
+        return bits
+
     def height(self, column: int) -> int:
         """f of the root of a packed column: its height, plus (ht θ + 1)·δ-level if
         affine, so positive exactly on Φ⁺ (f(α_s) = 1 on every simple root)."""
@@ -379,10 +395,12 @@ class CoxeterSystem:
         return out + (column >> self._shift,) if self.kind == "affine" else out
 
     def root_bit(self, rho: Root) -> int:
-        """The bit of a positive root; DomainError for any other vector."""
+        """The bit of a positive root; DomainError for any other vector, ResourceError past _BIT_GUARD."""
         bit = self.column_bit(rho.coeffs + (rho.delta,)) if self.is_root(rho) else -1
         if bit < 0:
             raise DomainError(f"{rho} is not a positive root of this system")
+        if bit >= _BIT_GUARD:
+            raise ResourceError(f"root {rho} lies past the root-index budget of {_BIT_GUARD} bits")
         return bit
 
     def bit_root(self, bit: int) -> Root:

@@ -270,6 +270,18 @@ def test_explicit_oracle():
         Explicit(A2, {Root((2, 0))})
 
 
+def test_a_root_past_the_bit_budget_is_a_resource_cap():
+    # the bit of α + nδ grows with n, and a mask holding it is an integer of that
+    # many bits: a root past the budget is refused before any shift
+    huge = Root((1,), 10 ** 13)
+    for oracle in (Explicit(A1T, {Root((1,), 8)}), HatForm(A1T, identity(A1T), (), ())):
+        with pytest.raises(ResourceError, match="budget"):
+            oracle.member(huge)
+    with pytest.raises(ResourceError, match="budget"):
+        Explicit(A1T, {huge})
+    assert Explicit(A1T, {Root((1,), 8)}).member(Root((1,), 8))
+
+
 def test_finite_system_has_no_delta_levels():
     with pytest.raises(ValidationError):
         Explicit(A2, {Root((1, 0), 1)})

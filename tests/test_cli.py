@@ -180,6 +180,16 @@ def test_selftest_finite_past_longest_element(capsys):
     assert "Traceback" not in err
 
 
+def test_a_huge_explicit_level_is_a_resource_cap(capsys):
+    # the root's bit lies past the root-index budget: refused before its mask is built
+    code, _, err = run(capsys, "--type", "A~1", "classify", "--biclosed", "explicit [1:10000000000000]")
+    assert code == 3
+    assert err.startswith("error:") and "Traceback" not in err
+    # a level within the budget answers as before: no element has that inversion set
+    assert run(capsys, "--type", "A~1", "classify", "--biclosed", "explicit [1:8]") == (
+        2, "", "error: set is not the inversion set of an element\n")
+
+
 def test_exit_codes(capsys):
     assert run(capsys, "--type", "Z9", "roots")[0] == 1        # unknown type
     assert run(capsys, "--type", "A2", "frobnicate")[0] == 1   # unknown command

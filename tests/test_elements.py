@@ -451,17 +451,17 @@ def test_inverse_is_the_reversed_word_walked_from_e(spec):
         assert (w * winv).is_identity and winv.inverse() == w, w
 
 
-@pytest.mark.parametrize("column_bit, corruption", [
-    (lambda column: None, "not positive"),
-    (lambda column: 0, "not distinct"),
+@pytest.mark.parametrize("corrupt, corruption", [
+    (lambda keys: {}, "not positive"),
+    (lambda keys: dict.fromkeys(keys, 0), "not distinct"),
 ])
-def test_inversion_set_guards_are_not_asserts(monkeypatch, column_bit, corruption):
+def test_inversion_set_guards_are_not_asserts(monkeypatch, corrupt, corruption):
     # a matrix is certified by the walk of its word from e, which reads each
-    # letter's signed bit through `column_bit`, corrupted here to no root at
-    # all or to one repeated positive root: the walk's record loses track
+    # letter's signed bit off the system's `_keys`, corrupted here to no root
+    # at all or to one repeated positive root: the walk's record loses track
     a2 = build_system("A2")
     matrix = from_word(a2, (0, 1)).matrix
-    monkeypatch.setattr(a2, "column_bit", column_bit)
+    monkeypatch.setattr(a2, "_keys", corrupt(a2._keys))
     with pytest.raises(DomainError, match="lost track"):
         GroupElement(a2, matrix)
 
@@ -671,6 +671,10 @@ def test_signed_bits_are_the_root_index_with_a_sign(spec):
         assert system.column_bit(column) == (bits[rho] if rho.is_positive else ~bits[-rho])
     for coeffs in ((0,) * k, (2,) + (0,) * (k - 1), (1, -1) + (0,) * (k - 2)):
         assert system.column_bit((coeffs + (1,))[:system.dim]) is None
+    # column_bits reads the packed columns of those roots and their negatives in one call
+    columns = [system.pack((rho.coeffs + (rho.delta,))[:system.dim])
+               for rho in dense_referee.roots_up_to(system, 2)]
+    assert system.column_bits(columns) == [system.column_bit(c) for c in columns]
     # a level-0 root is the system's own object, built once
     assert all(system.bit_root(b) is rho for b, rho in enumerate(system.positive_roots))
 

@@ -288,17 +288,16 @@ def test_classify_builds_no_fraction(monkeypatch):
 def test_classify_walks_each_period_power_once(monkeypatch, spec, u_word, delta1):
     # at p = e the translation's own word walk, which reads its word, is the
     # first power of the certificate, and each later power up to 2m − 1 is
-    # walked once
+    # walked once; `walk` and `from_word` both enter `elements._walk`
     system = build_system(spec)
     oracle = HatForm(system, from_word(system, u_word), delta1, ())
-    walked, walk = [], elements.walk
+    walked, walk = [], elements._walk
 
-    def counting(w, word):
+    def counting(system, columns, mask, word):
         walked.append(tuple(word))
-        return walk(w, word)
+        return walk(system, columns, mask, word)
 
-    monkeypatch.setattr(elements, "walk", counting)
-    monkeypatch.setattr(infwords, "walk", counting)
+    monkeypatch.setattr(elements, "_walk", counting)
     word = classify(oracle).word
     monkeypatch.undo()
     order, _ = dense.period_translation(word)

@@ -19,7 +19,7 @@ from coxtw.oracle import (longest_finite, oracle_le, oracle_meet, oracle_tlen,
 from coxtw.order import (chain, check_meet_semilattice, cover_neighbors,
                          hasse, interval, is_up_cover, join, le, lower_bound,
                          meet, twisted_length)
-from coxtw.system import Root, build_system
+from coxtw.system import CoxeterSystem, Root, build_system
 
 A1T = build_system("A~1")
 A2T = build_system("A~2")
@@ -225,6 +225,28 @@ def test_ordinary_meet():
         top = max(lower, key=lambda z: z.length)
         assert all(z.inversion_set() <= top.inversion_set() for z in lower)
         assert ordinary_meet(a, b) == top
+
+
+@pytest.mark.parametrize("spec, bottom", [("E8", (0, 2, 3, 1, 4, 3)), ("B~3", (3, 1, 2, 0))])
+def test_walks_make_no_column_bit_call(monkeypatch, spec, bottom):
+    # walks read each letter's signed bit inline, and the order scans read all
+    # of an element's bits in one `column_bits` call: no `column_bit` call is made
+    system = build_system(spec)
+    oracle = Explicit(system, from_word(system, bottom).inversion_set())
+    classify(oracle)   # the witness, found once and kept
+    calls, column_bit = [], CoxeterSystem.column_bit
+
+    def counting(self, column):
+        calls.append(column)
+        return column_bit(self, column)
+
+    monkeypatch.setattr(CoxeterSystem, "column_bit", counting)
+    x, y = from_word(system, (1, 0, 2, 1)), walk(from_word(system, bottom), (1, 2, 3))
+    assert x.inverse().inverse() == x
+    m = meet(x, y, oracle)
+    assert len(chain(m, x, oracle)) == (m.inversion_mask() ^ x.inversion_mask()).bit_count() + 1
+    assert len(interval(m, y, oracle)) > 2
+    assert calls == []
 
 
 def test_chain_guard_is_not_an_assert(monkeypatch):

@@ -122,11 +122,11 @@ def _tables(system):
 
 def test_tables_stay_within_their_bound():
     # a system keeps no table of elements: once the form's inverse and the
-    # fixed-size `positive_roots` are cached, words, inverses, bare matrices
-    # and a ball add no attribute and grow none
+    # fixed-size `positive_roots`, `_signed` and `_offsets` are cached, words,
+    # inverses, bare matrices and a ball add no attribute and grow none
     system = build_system("C~2")
     from_word(system, (0, 1)).word
-    system.positive_roots
+    system.positive_roots, system._signed, system._offsets
     before = _tables(system)
     for word in _random_words(system, 7, count=60):
         w = GroupElement(system, from_word(system, word).matrix)
@@ -172,13 +172,15 @@ def test_referee_tables_stay_within_the_bound(monkeypatch):
 def test_a_failed_peel_stores_nothing(monkeypatch, spec, matrix, message):
     # the four guards of the referee's full-column peel, on matrices that are
     # no group elements and on a real one whose inversions are corrupted to
-    # one repeated bit; the constructor certifies the same matrix by walking
+    # one repeated bit, in both reads of it (the peel's `column_bit` and the
+    # walk's `_keys`); the constructor certifies the same matrix by walking
     # its word from e, which fails each time it is asked and leaves the
     # system's tables as they were
     system = build_system(spec)
     if matrix is None:
         matrix = from_word(system, (0, 1)).matrix
         monkeypatch.setattr(system, "column_bit", lambda column: 0)
+        monkeypatch.setattr(system, "_keys", dict.fromkeys(system._keys, 0))
     with pytest.raises(DomainError, match=message):
         dense.peel(system, matrix, guard=1000)
     with pytest.raises(DomainError, match="no group element|lost track"):
