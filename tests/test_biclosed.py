@@ -11,12 +11,13 @@ from coxtw.biclosed import (BiclosedOracle, Complement, Explicit, HatForm,
                             classify_finite_biclosed, closure_check,
                             cone_contains, enumerate_biclosed, expand_psi)
 from coxtw.elements import ball, from_word, identity, simple, translation
-from coxtw.errors import (ClassificationError, DomainError, NotReducedError,
+from coxtw.errors import (ClassificationError, DomainError, NotReducedError, OrderError,
                           ResourceError, ValidationError)
 from coxtw.exprs import parse_biclosed
 from coxtw.infwords import limit_set, validate_periodic
 from coxtw.oracle import standard_battery
-from coxtw.system import CoxeterSystem, Root, build_system
+from coxtw.order import interval
+from coxtw.system import CoxeterSystem, Root, build_system, parse_cartan_file
 
 A2 = build_system("A2")
 B2 = build_system("B2")
@@ -132,6 +133,33 @@ def test_closure_checks_take_roots_of_the_system_only():
     # δ itself is no real root of A~1
     with pytest.raises(DomainError):
         enumerate_biclosed(A1T, [ALPHA, Root((0,), 1)])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: parse_cartan_file("foo 2"), ValidationError, "must start with",
+                 id="cartan-file-head"),
+    pytest.param(lambda: parse_cartan_file("rank 2\n2 x\n-1 2"), ValidationError,
+                 "non-integer Cartan row", id="cartan-file-row"),
+    pytest.param(lambda: parse_cartan_file("rank 2\n2 -1\n-1 2\nsymmetrizer 1/0 1"),
+                 ValidationError, "bad symmetrizer entries", id="cartan-file-symmetrizer"),
+    pytest.param(lambda: Twisted(from_word(B2, (0,)), parse_biclosed(A2, "empty")),
+                 DomainError, "different systems", id="twist-across-systems"),
+    pytest.param(lambda: closure_check(A2, {Root((1, 0))}, {Root((0, 1))}), DomainError,
+                 "inside the ambient set", id="closure-outside-ambient"),
+    pytest.param(lambda: classify_finite_biclosed(build_system("A~2"), set()), DomainError,
+                 "requires a finite system", id="finite-classification-of-affine"),
+    pytest.param(lambda: from_word(A2, (0,)) * from_word(B2, (0,)), DomainError,
+                 "different systems", id="product-across-systems"),
+    pytest.param(lambda: from_word(A2, (0,)) * 3, TypeError, "unsupported operand",
+                 id="product-with-int"),
+    pytest.param(lambda: interval(from_word(A2, (0,)), from_word(A2, (1,)),
+                                  parse_biclosed(A2, "empty")),
+                 OrderError, "not comparable", id="interval-of-incomparables"),
+])
+def test_entry_points_refuse_bad_input(call, error, message):
+    # each guard here is reached by no other test
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_closure_check_witnesses():

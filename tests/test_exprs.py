@@ -71,6 +71,8 @@ def test_syntax_errors():
                  "complement ( )"):
         with pytest.raises(ExprError):
             parse_biclosed(A2, text)
+    with pytest.raises(ExprError, match="bad index list"):
+        parse_biclosed(A2T, "hat 0:x:")
 
 
 def test_domain_errors_propagate():

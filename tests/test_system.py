@@ -384,6 +384,12 @@ def test_bad_cartan_rejected():
         build_system(cartan=[[2, -1.5], [-1, 2]])  # not an integer
     with pytest.raises(ValidationError, match="irreducible"):
         build_system(cartan=[[2, 0], [0, 2]], affine=True)  # reducible
+    with pytest.raises(ValidationError, match="square and nonempty"):
+        CoxeterSystem([[2, -1]])
+    with pytest.raises(ValidationError, match="positive vector of length rank"):
+        build_system(cartan=[[2, -1], [-1, 2]], symmetrizer=[1])
+    with pytest.raises(ExprError, match="needs a type string or a Cartan matrix"):
+        build_system()
 
 
 def test_explicit_symmetrizer_checked():
@@ -402,6 +408,8 @@ def test_root_literals_roundtrip():
         parse_root("1.x", 2)
     with pytest.raises(ExprError):
         parse_root("1.0.0", 2)
+    with pytest.raises(ExprError, match="bad delta level"):
+        parse_root("1.0:x", 2)
 
 
 def test_root_ordering_and_signs():
