@@ -13,11 +13,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import index, mul
+from sys import byteorder
 
 from .errors import DomainError, ResourceError
 from .system import CoxeterSystem, Root
 
 _WORD_GUARD = 100000
+_SIGNS = sum(1 << 64 * t + 63 for t in range(26))   # bit 63 of 26 64-bit fields, one per rank
 
 
 class GroupElement:
@@ -87,10 +89,13 @@ class GroupElement:
         return _element(self.system, tuple(cols), mask)
 
     def inverse(self) -> "GroupElement":
-        """w⁻¹: its ShortLex word is `_descend` from w's own heights f(w(α_t)), kept,
-        and walked from e, so Φ_{w⁻¹} is recorded."""
+        """w⁻¹: its ShortLex word, `_descend` from w's heights f(w(α_t)), kept and walked
+        from e, so Φ_{w⁻¹} is recorded.  A packed column of δ-level l is ≡ ht + l mod 255
+        (256 ≡ 1), and |ht| ≤ ht θ < 127, so f = ht + (ht θ + 1)·l needs no decode."""
         system = self.system
-        word = _descend(system, list(map(system.height, self.columns)))
+        bias, shift, top = system._bias, system._shift, system._top
+        word = _descend(system, [(c - (level := c + bias >> shift) + 127) % 255 - 127 + top * level
+                                 for c in self.columns])
         inv = _walk(system, system.identity_columns, 0, word)
         inv._word = word
         return inv
@@ -112,27 +117,33 @@ class GroupElement:
 
     def _read_word(self) -> None:
         """Set the ShortLex word of w by walking v = w⁻¹ down by its smallest right
-        descent (`_descend`) from h_t = N·f(v(α_t)): f is the height, plus
-        (ht θ + 1)·δ if affine, so it is positive exactly on Φ⁺.  w̄ preserves the
-        form G, so w̄⁻¹ = adj G·w̄ᵀ·G / N, and w⁻¹ = [[w̄⁻¹, 0], [−r·w̄⁻¹, 1]] for r
-        the δ-levels of the w(α_j): the start is h = (f′·adj G)·w̄ᵀ·G on α_1..α_k
-        with f′ = f − f(δ)·r, with no inverse matrix.  w̄ is read as the bytes b of
-        the columns, w̄ = b − 128, so w̄·x = b·x − 128·Σx.  A w with no Φ recorded (a
-        matrix being certified or a translation) records the Φ_w of the walk of its
-        word from e, which must rebuild its columns; a failure sets nothing."""
+        descent (`_descend`) from h_t = N·f(v(α_t)) / c, for f the height plus
+        (ht θ + 1)·δ if affine, positive exactly on Φ⁺, and c from `_word_form`.  w̄
+        preserves the form G, so w̄⁻¹ = adj G·w̄ᵀ·G / N, and w⁻¹ = [[w̄⁻¹, 0], [−r·w̄⁻¹, 1]]
+        for r the δ-levels of the w(α_j): h_t = Σ_j f_j·(α_t, w(α_j))_G / c for f =
+        f′·adj G, f′ = f − f(δ)·r, one multiply-add per column (`_pairings`).  A sum that
+        could leave its fields needs some |r_j| > 10^13, so l(w) ≥ |r_j| − 1 is past the
+        word cap.  A w with no Φ recorded (a matrix being certified or a translation)
+        records the Φ_w of the walk of its word from e, which must rebuild its columns;
+        a failure sets nothing."""
         system = self.system
-        gram, adj, n = system.integer_form   # both symmetric: rows are columns
-        k, bias, fin, top = system.rank_finite, system._bias, system._fin, system._top
-        biased = [c + bias for c in self.columns[:k]]
+        keys, bias, fin, k, top = system._keys, system._bias, system._fin, system.rank_finite, system._top
+        slots, (f, rows, start, cap, content, n) = system._pairings, system._word_form
         if top:
-            f = [1 - top * (c >> system._shift) for c in biased]
-            fadj = [sum(map(mul, f, row)) for row in adj]
-        else:
-            fadj = [sum(row) for row in adj]   # f′·adj G for f′ = 1
-        rows = zip(*[(c & fin).to_bytes(k, "little") for c in biased])
-        shift = 128 * sum(fadj)
-        wf = [sum(map(mul, row, fadj)) - shift for row in rows]
-        h = [sum(map(mul, wf, row)) for row in gram]
+            fprime = [1 - top * (c + bias >> system._shift) for c in self.columns[:k]]
+            # adj G is symmetric: its rows are its columns
+            f = [sum(map(mul, fprime, row)) // content for row in system.integer_form[1]]
+            if sum(map(abs, f)) > cap:
+                raise ResourceError(f"word extraction passed the cap of {_WORD_GUARD} letters")
+        total = 0
+        try:
+            for c, x in zip(self.columns, f):
+                if (p := slots[keys[c := c + bias & fin]]) is None:
+                    p = slots[keys[c]] = sum(map(mul, c.to_bytes(k, "little"), rows), start)
+                total += x * p
+        except KeyError:
+            raise DomainError("matrix is no group element: it sends a simple root to no root") from None
+        h = memoryview(((total + _SIGNS) ^ _SIGNS).to_bytes(8 * k, byteorder)).cast("q").tolist()
         if top:   # the affine α_k = δ − θ
             h.append(n * top - sum(map(mul, h, system.highest_root.coeffs)))
         word = _descend(system, h)
@@ -163,12 +174,15 @@ class GroupElement:
         return self._mask
 
     def inversion_set(self) -> frozenset[Root]:
-        """Φ_w = {positive roots sent negative by w^{-1}}, decoded from the mask."""
-        mask, bit_root, roots = self.inversion_mask(), self.system.bit_root, []
-        while mask:   # the set bits, lowest first
-            roots.append(bit_root((low := mask & -mask).bit_length() - 1))
+        """Φ_w = {positive roots sent negative by w^{-1}}, decoded from the mask: a bit
+        below N is the system's own `positive_roots` entry, a bit above one `bit_root`."""
+        mask, system, roots = self.inversion_mask(), self.system, self.system.positive_roots
+        n, out = len(roots), []
+        while mask:
+            b = (low := mask & -mask).bit_length() - 1
+            out.append(roots[b] if b < n else system.bit_root(b))
             mask ^= low
-        return frozenset(roots)
+        return frozenset(out)
 
     def label(self) -> str:
         names = [self.system.simple_names[s] for s in self.word]

@@ -18,7 +18,8 @@ import re
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import gcd, lcm
-from operator import index, mul, neg, or_
+from operator import getitem, index, lshift, mul, neg, or_
+from sys import byteorder
 
 from . import linalg
 from .errors import DomainError, ExprError, ResourceError, ValidationError
@@ -375,13 +376,6 @@ class CoxeterSystem:
             bits.append(bit if bit >= 0 else bit + flips[off])
         return bits
 
-    def height(self, column: int) -> int:
-        """f of the root of a packed column: its height, plus (ht θ + 1)·δ-level if
-        affine, so positive exactly on Φ⁺ (f(α_s) = 1 on every simple root)."""
-        column += self._bias
-        return (sum((column & self._fin).to_bytes(self.rank_finite, "little"))
-                - 128 * self.rank_finite + self._top * (column >> self._shift))
-
     def pack(self, column) -> int:
         """The packed integer of a column over (simple roots, δ if affine); ValueError
         or TypeError if a finite entry is no signed byte or an entry no integer."""
@@ -455,9 +449,31 @@ class CoxeterSystem:
         """(G, H, N): the integer Gram matrix G = `gram`, N = det G and
         H = adj G = N·G⁻¹, from one elimination in integers.  Every Weyl group
         element w̄ preserves the form, so w̄⁻¹ = H·w̄ᵀ·G / N exactly, which is how
-        `GroupElement.word` reads the heights of w⁻¹(α_t)."""
+        `GroupElement.word` reads the heights of w⁻¹(α_t) (`_word_form`)."""
         n, h = linalg.inverse(self.gram)
         return self.gram, h, n
+
+    @cached_property
+    def _pairings(self) -> list:
+        """By `_keys` offset (a negative one from the end): the packed pairings (α_t, r), t < k,
+        of the finite root r (`_word_form`), each filled when a word's start first reads r."""
+        return [None] * (2 * len(self._pos_coeffs))
+
+    @cached_property
+    def _word_form(self) -> tuple:
+        """(f, rows, start, cap, c_adj, N/c) for `GroupElement.word`, over the contents c_G,
+        c_adj of G and adj G, c = c_G·c_adj: f = 1·adj G / c_adj; row i (α_t, α_i)_G / c_G in
+        64-bit fields, field t at bit 64t (64(k−1−t) on a big-endian host, as `memoryview.cast`
+        reads them reversed there), so key bytes b pair as Σ b_i·row_i + start; and the
+        largest Σ|f_j| whose sums stay in a field, as |(α_t, r)| ≤ max (α_i, α_i)."""
+        gram, adj, n = self.integer_form
+        k, cg, ca = self.rank_finite, gcd(*map(gcd, *gram)), gcd(*map(gcd, *adj))
+        rows = [sum(map(lshift, row, range(0, 64 * k, 64) if byteorder == "little"
+                                   else range(64 * k - 64, -1, -64))) // cg for row in gram]
+        f, cap = [sum(row) // ca for row in adj], ((1 << 63) - 1) * cg // max(map(getitem, gram, range(k)))
+        if sum(map(abs, f)) > cap:
+            raise ResourceError("the form's pairings overflow the 64-bit fields of a word's start")
+        return f, rows, -128 * sum(rows), cap, ca, n // (cg * ca)
 
     def dominant_coweight_for(self, avoid: frozenset | set) -> tuple[Fraction, ...]:
         """c·Σ_{i∉L} ω_i, c the connection index: vanishes on the simples in L,

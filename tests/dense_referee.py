@@ -148,6 +148,44 @@ def peel(system, matrix, guard=100000):
     return tuple(out), mask
 
 
+def word_start(w):
+    """The heights `GroupElement.word` walks down from, by the dense start it replaced:
+    h = (f′·adj G)·w̄ᵀ·G on α_1..α_k, for w̄ the finite block of w's row matrix, G the
+    integer Gram matrix, N = det G and adj G = N·G⁻¹ by Fraction elimination, and
+    f′ = 1 − (ht θ + 1)·r for r the δ-levels of the w(α_j) (f′ = 1 if finite); and
+    N·(ht θ + 1) − Σ θ_i·h_i on the affine α_k.  So h_t = N·f(w⁻¹(α_t)), for f the
+    height plus (ht θ + 1)·δ."""
+    system, m, k = w.system, w.matrix, w.system.rank_finite
+    gram, n = system.gram, int(det(system.gram))
+    adj = [[int(x * n) for x in row] for row in inverse(gram)]
+    top = sum(system.highest_root.coeffs) + 1 if system.kind == "affine" else 0
+    fprime = [1 - top * m[k][j] if top else 1 for j in range(k)]
+    fadj = [sum(fprime[i] * adj[i][j] for i in range(k)) for j in range(k)]
+    wf = [sum(m[i][j] * fadj[j] for j in range(k)) for i in range(k)]
+    h = [sum(wf[i] * gram[i][t] for i in range(k)) for t in range(k)]
+    if top:
+        h.append(n * top - sum(c * x for c, x in zip(system.highest_root.coeffs, h)))
+    return h
+
+
+def form_content(system):
+    """The content (gcd of the entries) of the integer Gram matrix G times that of
+    adj G, both by Fraction elimination: the factor by which the dense start's h
+    exceeds the one `GroupElement.word` reads."""
+    n = det(system.gram)
+    adj = [x * n for row in inverse(system.gram) for x in row]
+    return gcd(*(x for row in system.gram for x in row)) * gcd(*map(int, adj))
+
+
+def form_pairings(system, coeffs):
+    """(α_t, r) for t < k and r = Σ c_i·α_i, on the primitive integer multiple of the
+    Fraction form: the entries of one slot of `CoxeterSystem._pairings`."""
+    scale = lcm(*(Fraction(x).denominator for row in system.form for x in row))
+    ints = [[int(x * scale) for x in row] for row in system.form]
+    g = gcd(*(x for row in ints for x in row))
+    return [sum(x * c for x, c in zip(row, coeffs)) // g for row in ints]
+
+
 def word_matrix(system, word):
     """The row matrix of s_1⋯s_m over (α_1..α_k, δ if affine), a product of dense
     reflection matrices: s(v) = v − 2(v, α_s)/(α_s, α_s)·α_s, with the Fraction

@@ -1,6 +1,7 @@
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import dense_referee
 import pytest
@@ -16,7 +17,7 @@ from coxtw.infwords import WordInvSet, classify, validate_periodic
 from coxtw.oracle import oracle_meet, run_selftest, standard_battery
 from coxtw.order import (chain, check_meet_semilattice, cover_neighbors, interval,
                          is_up_cover, le, lower_bound, meet)
-from coxtw.system import Root, build_system
+from coxtw.system import CoxeterSystem, Root, build_system
 
 A1T = build_system("A~1")
 A2 = build_system("A2")
@@ -456,13 +457,20 @@ def test_inverse_is_the_reversed_word_walked_from_e(spec):
     (lambda keys: dict.fromkeys(keys, 0), "not distinct"),
 ])
 def test_inversion_set_guards_are_not_asserts(monkeypatch, corrupt, corruption):
-    # a matrix is certified by the walk of its word from e, which reads each
-    # letter's signed bit off the system's `_keys`, corrupted here to no root
-    # at all or to one repeated positive root: the walk's record loses track
+    # the walk reads each letter's signed bit off the system's `_keys`, corrupted
+    # here to no root at all or to one repeated positive root: the record of a
+    # walk from e, and of one from an element, loses track
     a2 = build_system("A2")
+    w = from_word(a2, (0,))
     matrix = from_word(a2, (0, 1)).matrix
     monkeypatch.setattr(a2, "_keys", corrupt(a2._keys))
     with pytest.raises(DomainError, match="lost track"):
+        from_word(a2, (0, 1))
+    with pytest.raises(DomainError, match="lost track"):
+        walk(w, (1, 0))
+    # certifying a matrix reads `_keys` in the word's start before any walk:
+    # no root there, or a word that does not rebuild it, never a KeyError
+    with pytest.raises(DomainError, match="no group element"):
         GroupElement(a2, matrix)
 
 
@@ -491,6 +499,56 @@ REFEREE_SPECS = ("A3", "B3", "G2", "E8", "A~2", "C~2", "G~2", "B~3", "D~4")
 # B~3 from its Cartan matrix and a given rational symmetrizer
 RATIONAL = dict(cartan=[[2, -1, 0], [-1, 2, -1], [0, -2, 2]],
                 symmetrizer=(Fraction(1, 3), Fraction(1, 3), Fraction(1, 6)), affine=True)
+START_SPECS = REFEREE_SPECS + ("A8", "B8", "C8", "D8", "E8", "A~8", "B~8", "C~8", "D~8",
+                                "E~8", "A~26", "D~26", "rational")
+
+
+@pytest.mark.parametrize("spec", START_SPECS)
+def test_word_start_matches_the_dense_referee(monkeypatch, spec):
+    # the heights `.word` walks down from, one multiply-add per column of the
+    # packed pairings, against the dense start G·w̄·adj G·f′, which is the same h
+    # times the contents of G and adj G: on seeded words, bare matrices being
+    # certified (the start runs in the constructor) and translations
+    system = build_system(**RATIONAL) if spec == "rational" else build_system(spec)
+    rng, starts, descend = random.Random(spec), [], elements._descend
+    monkeypatch.setattr(elements, "_descend", lambda s, h: starts.append(list(h)) or descend(s, h))
+    elems = [from_word(system, [rng.randrange(system.ngens) for _ in range(rng.randint(0, 40))])
+             for _ in range(12)]
+    if system.kind == "affine":
+        elems += [translation(system, [Fraction(rng.randrange(-3, 4)) / d for d in system.symmetrizer])
+                  for _ in range(4)]
+    content = dense_referee.form_content(system)
+    for w in elems:
+        w.word
+        assert [content * x for x in starts[-1]] == dense_referee.word_start(w), w
+        bare = GroupElement(system, w.matrix)
+        assert [content * x for x in starts[-1]] == dense_referee.word_start(bare), w
+        assert bare.word == w.word
+
+
+def test_a_start_past_its_fields_is_the_word_cap(monkeypatch):
+    # t_λ for λ = 2^70·α on A~1 has δ-levels near 2^71, so its heights would leave
+    # their 64-bit fields; its word, of length about 2^72, is past the cap, and
+    # reading it is refused before any descent
+    calls, descend = [0], elements._descend
+    monkeypatch.setattr(elements, "_descend",
+                        lambda s, h: calls.__setitem__(0, calls[0] + 1) or descend(s, h))
+    t = translation(build_system("A~1"), (2 ** 70,))
+    with pytest.raises(ResourceError, match="cap of 100000 letters"):
+        t.word
+    assert calls == [0]
+
+
+def test_height_is_gone_with_its_callers():
+    # `inverse()` reads its heights inline, and was the only caller
+    assert not hasattr(CoxeterSystem, "height")
+    root, me = Path(__file__).resolve().parent.parent, Path(__file__).resolve()
+    callers = [path.name for folder in ("src", "tests", "tools", "perfbench")
+               for path in (root / folder).rglob("*.py")
+               if path.resolve() != me and re.search(r"\.height\b", path.read_text(encoding="utf-8"))]
+    assert callers == []
+
+
 
 
 @settings(deadline=None, derandomize=True, max_examples=200)

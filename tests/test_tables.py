@@ -5,11 +5,12 @@ change an answer, or tie elements, oracles and systems into reference cycles."""
 import gc
 import random
 import weakref
+from sys import byteorder
 
 import dense_referee as dense
 import pytest
 
-from coxtw import oracle as referee
+from coxtw import elements, oracle as referee
 from coxtw.biclosed import (BiclosedOracle, classify_finite_biclosed, enumerate_biclosed,
                             expand_psi)
 from coxtw.elements import GroupElement, ball, from_word
@@ -122,11 +123,13 @@ def _tables(system):
 
 def test_tables_stay_within_their_bound():
     # a system keeps no table of elements: once the form's inverse and the
-    # fixed-size `positive_roots`, `_signed` and `_offsets` are cached, words,
-    # inverses, bare matrices and a ball add no attribute and grow none
+    # fixed-size `positive_roots`, `_signed`, `_offsets` and the word start's
+    # `_pairings` are cached, words, inverses, bare matrices and a ball add no
+    # attribute and grow none; the pairings keep their 2N slots, and each slot
+    # filled holds the form pairings of its root, packed as the start reads them
     system = build_system("C~2")
     from_word(system, (0, 1)).word
-    system.positive_roots, system._signed, system._offsets
+    system.positive_roots, system._signed, system._offsets, system._pairings
     before = _tables(system)
     for word in _random_words(system, 7, count=60):
         w = GroupElement(system, from_word(system, word).matrix)
@@ -136,6 +139,14 @@ def test_tables_stay_within_their_bound():
         assert (w * v).is_identity
     ball(system, 6)
     assert _tables(system) == before
+    n, k, slots = len(system.positive_roots), system.rank_finite, system._pairings
+    assert len(slots) == 2 * n and sum(p is not None for p in slots) > k
+    for o, packed in enumerate(slots):   # slot o holds the root of `_keys` offset o, or o − 2N
+        if packed is not None:
+            root = system._signed[o + n if o < n else o - n]
+            fields = memoryview(((packed + elements._SIGNS) ^ elements._SIGNS)
+                                .to_bytes(8 * k, byteorder)).cast("q").tolist()
+            assert fields == dense.form_pairings(system, root), root
     # finite classification: after the first one (which builds the support
     # masks), further classifications and expansions add no attribute
     finite = build_system("D4")

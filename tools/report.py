@@ -54,8 +54,8 @@ def counting(owner, name, size=lambda *args: 1):
 
 
 def cone_table_size():
-    """Cone tests, sets found and time (min of 5) of enumerate_biclosed, and the
-    time (min of 5) of its cone table alone: how many cone questions the
+    """Cone tests, sets found and time (min of 15) of enumerate_biclosed, and the
+    time (min of 15) of its cone table alone: how many cone questions the
     per-plane table asks, and how the time splits between table and search."""
     for spec, full in (("A4", 0), ("D4", 0), ("B3", 0), ("A3", 1), ("F4", 0),
                        ("D4", 1), ("B3", 1), ("A5", 0)):
@@ -63,9 +63,9 @@ def cone_table_size():
         ambient = system.finite_roots if full else system.positive_roots
         with counting(biclosed, "cone_contains") as tests:
             found = biclosed.enumerate_biclosed(system, ambient)
-        total = best(lambda: biclosed.enumerate_biclosed(system, ambient), 5)
+        total = best(lambda: biclosed.enumerate_biclosed(system, ambient), 15)
         roots = biclosed._checked_roots(system, ambient)
-        table = best(lambda: biclosed._cone_table(roots), 5)
+        table = best(lambda: biclosed._cone_table(roots), 15)
         print(f"{spec} {'Φ' if full else 'Φ⁺'}: {tests[0]} cone tests, {len(found)} sets, "
               f"{total * 1e3:.2f} ms, cone table {table * 1e3:.2f} ms")
 
@@ -191,7 +191,11 @@ def words_inverses_and_certification():
     .inversion_set() pass builds through the checked Root.__init__ (those above
     δ-level 0 take the trusted system._root); then µs per from_word of the 200
     seeded 1–4-letter words per A~2, C~2, G~2 and B~3 that `queries` draws.
-    Min of 5, a fresh system each time."""
+    Min of 5, a fresh system each time, its form's inverse and the word start's
+    pairings filled before the clock.  Last, the first-use trade: µs of the
+    first .word of a seeded 30-letter word on a freshly built system (its
+    form's inverse and pairings built inside) against a later .word of the same
+    word, on E8, E7, F4, B~3 and A~2, min of 15."""
     for spec in ("E8", "B~3"):
         system, rng, words = build_system(spec), random.Random(spec), []
         for _ in range(40):
@@ -204,6 +208,8 @@ def words_inverses_and_certification():
             def fresh():
                 system = build_system(spec)
                 system.integer_form, system.positive_roots   # built before the clock
+                for word in words:   # and the word start's pairings filled
+                    from_word(system, word).word
                 return [make(system, word) for word in words],
             return best(lambda els: [read(el) for el in els], 5, fresh) / len(words) * 1e6
         following = dict(zip(words, words[1:] + words[:1]))
@@ -235,6 +241,17 @@ def words_inverses_and_certification():
             pool.append(tuple(word))
         time = best(lambda s: [from_word(s, w) for w in pool], 5, lambda: (build_system(spec),))
         print(f"{spec}: {time / len(pool) * 1e6:.2f} µs per from_word of a 1–4-letter word")
+    for spec in ("E8", "E7", "F4", "B~3", "A~2"):
+        rng, ngens = random.Random(spec), build_system(spec).ngens
+        word = tuple(rng.randrange(ngens) for _ in range(30))
+        def warm():
+            system = build_system(spec)
+            from_word(system, word).word
+            return from_word(system, word),
+        first = best(lambda el: el.word, 15, lambda: (from_word(build_system(spec), word),))
+        later = best(lambda el: el.word, 15, warm)
+        print(f"{spec}: first .word on a fresh system {first * 1e6:.1f} µs, "
+              f"a later one {later * 1e6:.1f} µs (min of 15)")
 
 
 if __name__ == "__main__":
